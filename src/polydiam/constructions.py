@@ -205,16 +205,9 @@ def truncate_vertex(
     if (inc.masks[vi] & fmask).bit_count() != d:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
 
-    tv = inc.masks[vi]
-    neighbors = []
-    for wi in range(len(v.vertices)):
-        if wi == vi:
-            continue
-        z = tv & inc.masks[wi]
-        if not any(
-            inc.masks[u] & z == z for u in range(len(v.vertices)) if u not in (vi, wi)
-        ):
-            neighbors.append(wi)
+    neighbors = [
+        wi for wi in range(len(v.vertices)) if wi != vi and inc.is_edge(vi, wi)
+    ]
     if len(neighbors) != d:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
 

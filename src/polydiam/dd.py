@@ -168,20 +168,23 @@ def hrep_to_vrep(h: HPolyhedron) -> VPolyhedron:
         cone_rows.add(primitive((b, *a)))
     rays = _cone_extreme_rays(sorted(cone_rows), k + 1)
 
+    # Without equality rows the parametrization is the identity, and the
+    # cone coordinates are already ambient ones.
+    identity = not h.linearity
     verts: list[Vector] = []
     dirs: list[Vector] = []
     for ray in rays:
         t, y = ray[0], ray[1:]
         if t > 0:
-            red = [Fraction(c, t) for c in y]
+            red = tuple(Fraction(c, t) for c in y)
             verts.append(
-                tuple(
+                red if identity else tuple(
                     x0[j] + sum(red[i] * basis[i][j] for i in range(k))
                     for j in range(h.d)
                 )
             )
         else:
-            amb = tuple(
+            amb = y if identity else tuple(
                 sum(y[i] * basis[i][j] for i in range(k)) for j in range(h.d)
             )
             dirs.append(tuple(Fraction(z) for z in primitive(amb)))

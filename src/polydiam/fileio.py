@@ -55,20 +55,29 @@ def _recipe_comment(recipe: ConstructionRecipe | None) -> list[str]:
     ]
 
 
+def _line(lines: list[str], k: int, expected: str) -> str:
+    """Line k, or a ValueError naming what a truncated file lacks."""
+    if k >= len(lines):
+        raise ValueError(f"unexpected end of file: expected {expected}")
+    return lines[k]
+
+
 def _parse_matrix_block(lines: list[str], start: int) -> tuple[int, int, list[list[Fraction]]]:
-    if lines[start] != "begin":
+    if _line(lines, start, "'begin'") != "begin":
         raise ValueError(f"expected 'begin', found {lines[start]!r}")
-    header = lines[start + 1].split()
+    header = _line(lines, start + 1, "'m d+1 rational'").split()
     if len(header) != 3 or header[2] != "rational":
         raise ValueError(f"expected 'm d+1 rational', found {lines[start + 1]!r}")
     m, cols = int(header[0]), int(header[1])
+    if m < 0 or cols < 1:
+        raise ValueError(f"bad matrix size {m} x {cols}")
     rows = []
     for i in range(m):
-        parts = lines[start + 2 + i].split()
+        parts = _line(lines, start + 2 + i, f"matrix row {i + 1} of {m}").split()
         if len(parts) != cols:
             raise ValueError(f"row {i + 1}: expected {cols} entries, got {len(parts)}")
         rows.append([parse_rational(p) for p in parts])
-    if lines[start + 2 + m] != "end":
+    if _line(lines, start + 2 + m, "'end'") != "end":
         raise ValueError("expected 'end' after matrix rows")
     return m, cols, rows
 
@@ -79,10 +88,9 @@ def read_hfile(text: str) -> HPolyhedron:
         raise ValueError("not an H-file: missing 'H-representation' header")
     pos = 1
     linearity: set[int] = set()
-    if lines[pos].startswith("linearity"):
+    if _line(lines, pos, "'linearity' or 'begin'").startswith("linearity"):
         parts = lines[pos].split()
-        count = int(parts[1])
-        if len(parts) != 2 + count:
+        if len(parts) < 2 or len(parts) != 2 + int(parts[1]):
             raise ValueError("malformed linearity line")
         linearity = {int(x) - 1 for x in parts[2:]}
         pos += 1
@@ -185,6 +193,8 @@ def read_subset_graph(text: str) -> SubsetFamilyGraph:
     edges = []
     for line in lines[pos + 1 :]:
         i, j = (int(x) for x in line.split())
+        if not (1 <= i <= len(nodes) and 1 <= j <= len(nodes)):
+            raise ValueError(f"edge {i} {j}: node index out of range 1..{len(nodes)}")
         edges.append((nodes[i - 1], nodes[j - 1]))
     return SubsetFamilyGraph.make(n, d, nodes, edges)
 

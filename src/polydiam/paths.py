@@ -2,10 +2,11 @@
 
 Distances and diameters are plain BFS on the skeleton graph.  The
 non-revisiting search asks for an edge path that never re-enters a facet it
-previously left; such paths are never longer than n - d (each step must
-enter a facet never seen before, and the d facets of the start vertex do
-not count), so the backtracking search is cut off at that depth and is
-therefore complete: if it fails, no non-revisiting path exists at all.
+previously left; such paths are never longer than n - d, with d the
+dimension of the affine hull (each step must enter a facet never seen
+before, and the d facets of the start vertex do not count), so the
+backtracking search is cut off at that depth and is therefore complete:
+if it fails, no non-revisiting path exists at all.
 
 Search state is (current vertex, set of facets left so far); the set of
 facets merely visited does not constrain future moves, so memoizing on the
@@ -27,6 +28,7 @@ from .polyhedron import (
     PolyGraph,
     Unbounded,
     VPolyhedron,
+    affine_dim,
     facet_row_indices,
 )
 from .ratlin import dot
@@ -71,6 +73,34 @@ class MonotoneReport:
     unreachable: tuple[str, ...] = ()
 
 
+def _adjacency_masks(graph: PolyGraph) -> list[int]:
+    """Neighbour bitsets by node position in `graph.nodes`."""
+    where = {label: i for i, label in enumerate(graph.nodes)}
+    adj = [0] * len(graph.nodes)
+    for a, b in graph.edges:
+        i, j = where[a], where[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _bfs_layers(adj: list[int], source: int) -> list[int]:
+    """BFS from `source` as one bitset of node positions per distance."""
+    seen = frontier = 1 << source
+    layers = [frontier]
+    while True:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(frontier)
+
+
 def bfs_distances(graph: PolyGraph, source: str) -> dict[str, int | float]:
     """Exact shortest-path distances from `source`; unreachable nodes get inf."""
     if source not in graph.nodes:
@@ -91,20 +121,25 @@ def bfs_distances(graph: PolyGraph, source: str) -> dict[str, int | float]:
 def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:
     """Maximum pairwise distance plus one witness pair.
 
-    Ties are broken by node order, so the witness is reproducible.
+    Ties are broken by node order, so the witness is reproducible: the
+    first source of greatest eccentricity, and the first node in its last
+    BFS layer.  The adjacency is built once for all sources.
     """
-    best = -1
-    witness: tuple[str, str] | None = None
-    for source in graph.nodes:
-        dist = bfs_distances(graph, source)
-        far = max(dist.values())
-        if far is inf:
-            raise Disconnected("graph is disconnected: diameter undefined")
-        if far > best:
-            best = int(far)
-            witness = (source, next(v for v in graph.nodes if dist[v] == far))
-    if witness is None:
+    nodes = graph.nodes
+    if not nodes:
         raise ValueError("diameter of an empty graph is undefined")
+    adj = _adjacency_masks(graph)
+    everyone = (1 << len(nodes)) - 1
+    best = -1
+    witness = (nodes[0], nodes[0])
+    for source in range(len(nodes)):
+        layers = _bfs_layers(adj, source)
+        if sum(layers) != everyone:  # layers are disjoint: the sum is their union
+            raise Disconnected("graph is disconnected: diameter undefined")
+        if len(layers) - 1 > best:
+            best = len(layers) - 1
+            last = layers[-1]
+            witness = (nodes[source], nodes[(last & -last).bit_length() - 1])
     return best, witness
 
 
@@ -213,7 +248,7 @@ def nonrevisiting_path(
         if name not in labels:
             raise ValueError(f"unknown vertex {name!r}")
     masks, nfacets = _facet_masks(h, v, inc)
-    cap = nfacets - h.d
+    cap = nfacets - affine_dim(v)
     adj = _index_adjacency(graph, v)
     found = nonrevisiting_dfs(
         adj, masks, labels.index(source), labels.index(target), cap, SearchBudget(budget)
@@ -246,7 +281,7 @@ def nonrevisiting_property(
     if v.rays:
         raise Unbounded("non-revisiting search requires a bounded polytope")
     masks, nfacets = _facet_masks(h, v, inc)
-    cap = nfacets - h.d
+    cap = nfacets - affine_dim(v)
     adj = _index_adjacency(graph, v)
     labels = v.all_labels()
     shared = SearchBudget(budget)

@@ -4,20 +4,34 @@ An `HPolyhedron` is a list of closed half-spaces ``b + a.x >= 0`` (rows),
 optionally with some rows marked as equalities ("linearity").  A
 `VPolyhedron` is a list of vertices plus extreme-ray directions; rays are
 empty exactly when the polyhedron is bounded.  `Incidence` records which
-vertex is tight on which row; every graph and classification question in
-this package is answered from that tightness data, never from floating
-point.
+vertex and which ray is tight on which row, as bitmasks both ways; every
+graph and classification question in this package is answered from that
+tightness data, never from floating point and never by elimination; the
+one rank left is `affine_dim`, the dimension of the whole polyhedron.
 
-The skeleton-graph edge test is the combinatorial minimal-face test (the set
-of vertices tight on T(u) & T(v) must be exactly {u, v}, and no ray may be
-tight on that row set), which stays correct for degenerate, non-simple
-inputs where a rank shortcut would lie.
+For a pointed polyhedron P every nonempty face is conv + cone of the
+vertices and rays tight on it, so a face is determined by its tight set
+and one face lies in another exactly when its tight set does.  Hence:
+
+* Facets (`facet_row_indices`): an H-description holds a row for every
+  facet, and every proper face lies in a facet, so the facets are exactly
+  the inclusion-maximal tight sets among the rows whose tight set is
+  nonempty and not all of P.
+* Edges (`skeleton_graph`): the smallest face holding vertices u and v is
+  the set tight on T(u) & T(v); it is the segment uv exactly when the
+  vertices tight on those rows are u and v alone and no ray is tight on
+  them.  That set is one AND of per-row bitsets, and the test stays right
+  on degenerate, non-simple inputs where a rank shortcut would lie.
+* Ridges (`dual_graph`): the facets of a facet F are the maximal faces
+  F & G over the other facets G, so two facets are adjacent exactly when
+  their common vertex set is inclusion-maximal among F's intersections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ratlin import Vector, dot, matrix_rank, primitive
@@ -165,14 +179,27 @@ class VPolyhedron:
 
 
 class Incidence:
-    """Vertex/row tightness matrix, stored as one bitmask per vertex."""
+    """Vertex/row and ray/row tightness, stored as bitmasks both ways.
 
-    def __init__(self, nrows: int, masks: Sequence[int]):
+    `masks[k]` has bit i set when vertex k is tight on row i, and
+    `ray_masks[k]` when ray k is (a.r = 0).  `columns[i]` has bit k set
+    when vertex k is tight on row i and bit nverts + k when ray k is, so
+    the vertices and rays tight on a whole row set are one AND of columns.
+    """
+
+    def __init__(self, nrows: int, masks: Sequence[int], ray_masks: Sequence[int]):
         self.nrows = nrows
         self.masks = tuple(masks)
-
-    def tight(self, v: int, i: int) -> bool:
-        return bool(self.masks[v] >> i & 1)
+        self.ray_masks = tuple(ray_masks)
+        self.nverts = len(self.masks)
+        self.everything = (1 << (self.nverts + len(self.ray_masks))) - 1
+        columns = [0] * nrows
+        for k, m in enumerate(self.masks + self.ray_masks):
+            while m:
+                low = m & -m
+                columns[low.bit_length() - 1] |= 1 << k
+                m ^= low
+        self.columns = tuple(columns)
 
     def tight_rows(self, v: int) -> frozenset[int]:
         return frozenset(i for i in range(self.nrows) if self.masks[v] >> i & 1)
@@ -181,7 +208,20 @@ class Incidence:
         return self.masks[v].bit_count()
 
     def vertices_on_row(self, i: int) -> list[int]:
-        return [v for v in range(len(self.masks)) if self.masks[v] >> i & 1]
+        col = self.columns[i]
+        return [k for k in range(self.nverts) if col >> k & 1]
+
+    def is_edge(self, u: int, w: int) -> bool:
+        """Whether vertices u and w are the only vertices, and no ray is,
+        tight on every row of T(u) & T(w)."""
+        pair = 1 << u | 1 << w
+        common = self.everything
+        z = self.masks[u] & self.masks[w]
+        while z and common != pair:
+            low = z & -z
+            common &= self.columns[low.bit_length() - 1]
+            z ^= low
+        return common == pair
 
 
 @dataclass(frozen=True)
@@ -215,90 +255,93 @@ class PolyGraph:
             adj[v].add(u)
         return adj
 
-    def degree(self, node: str) -> int:
-        return sum(1 for e in self.edges if node in e)
-
 
 def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
-    """Exact tightness matrix of the pair; errors if some vertex violates a row."""
+    """Exact tightness matrix of the pair; errors if some vertex violates a row.
+
+    Rows, vertices (as (1, p)) and rays (as (0, r)) are scaled by positive
+    factors to primitive integers, which keeps every sign, so each test is
+    an integer dot product.
+    """
+    rows = [primitive((b, *a)) for b, a in h.rows]
     masks = []
     for k, p in enumerate(v.vertices):
+        point = primitive((1, *p))
         m = 0
-        for i in range(h.nrows):
-            val = h.value(i, p)
+        for i, row in enumerate(rows):
+            val = sum(map(mul, row, point))
             if val == 0:
                 m |= 1 << i
-            elif val < 0 or (i in h.linearity and val != 0):
+            elif val < 0 or i in h.linearity:
                 raise ValueError(
                     f"vertex {v.label(k)} violates row {i + 1}: H and V are inconsistent"
                 )
         masks.append(m)
-    return Incidence(h.nrows, masks)
-
-
-def _ray_masks(h: HPolyhedron, v: VPolyhedron) -> list[int]:
-    masks = []
+    ray_masks = []
     for r in v.rays:
+        direction = primitive((0, *r))
         m = 0
-        for i, (_, a) in enumerate(h.rows):
-            if dot(a, r) == 0:
+        for i, row in enumerate(rows):
+            if sum(map(mul, row, direction)) == 0:
                 m |= 1 << i
-        masks.append(m)
-    return masks
+        ray_masks.append(m)
+    return Incidence(h.nrows, masks, ray_masks)
+
+
+def _maximal(sets: Iterable[int]) -> list[int]:
+    """The inclusion-maximal bitsets among `sets`, duplicates dropped.
+
+    Checking each set only against the maximal ones already found is
+    enough: a set below some larger set is also below a maximal one.
+    """
+    found: list[int] = []
+    for s in sorted(set(sets), key=int.bit_count, reverse=True):
+        if all(s & t != s for t in found):
+            found.append(s)
+    return found
 
 
 def skeleton_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
     """Graph of the polyhedron: vertices plus bounded edges.
 
-    Edge test: the minimal face containing {u, v} is the set of points tight
-    on T(u) & T(v); it is the segment uv exactly when its vertex set is
-    {u, v} and no extreme ray is tight on all those rows.
+    Edge test (`Incidence.is_edge`): the minimal face containing {u, v} is
+    the set of points tight on T(u) & T(v); it is the segment uv exactly
+    when its vertex set is {u, v} and no extreme ray is tight on all those
+    rows.
     """
     n = len(v.vertices)
-    tmasks = inc.masks
-    rmasks = _ray_masks(h, v)
     labels = v.all_labels()
-    edges = []
-    for i in range(n):
-        ti = tmasks[i]
-        for j in range(i + 1, n):
-            z = ti & tmasks[j]
-            if any(tmasks[k] & z == z for k in range(n) if k != i and k != j):
-                continue
-            if any(rm & z == z for rm in rmasks):
-                continue  # minimal face is unbounded, not an edge
-            edges.append((labels[i], labels[j]))
+    edges = [
+        (labels[i], labels[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if inc.is_edge(i, j)
+    ]
     return PolyGraph.from_edges(labels, edges)
 
 
 def facet_row_indices(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> list[int]:
     """Indices of irredundant, deduplicated facet rows.
 
-    A row is facet-defining when its tight vertex set (plus tight rays) has
-    affine dimension d - 1 inside the polyhedron's affine hull; duplicated
-    rows are reported once.  This is the `n` of every Hirsch quantity.
+    A row's face is the set of vertices and rays tight on it.  A row is
+    facet-defining when that set holds a vertex (else the face is empty),
+    is not everything (else the row is an implicit equality), and is
+    inclusion-maximal among the rows' tight sets; this is exact for
+    pointed polyhedra, where a face is determined by its tight set.  Rows
+    with the same tight set define the same facet and are reported once,
+    by the lowest row index.  This is the `n` of every Hirsch quantity.
     """
-    rmasks = _ray_masks(h, v)
-    seen: set[Row] = set()
-    out = []
+    vertex_bits = (1 << inc.nverts) - 1
+    first: dict[int, int] = {}
     for i in h.inequality_indices():
-        canon = canonical_row(h.rows[i])
-        if canon in seen:
-            continue
-        pts = [v.vertices[k] for k in inc.vertices_on_row(i)]
-        dirs = [v.rays[k] for k in range(len(v.rays)) if rmasks[k] >> i & 1]
-        if not pts:
-            continue
-        p0 = pts[0]
-        span = [[x - y for x, y in zip(p, p0)] for p in pts[1:]]
-        span += [list(r) for r in dirs]
-        if matrix_rank(span) == affine_dim(v) - 1:
-            seen.add(canon)
-            out.append(i)
-    return out
+        s = inc.columns[i]
+        if s & vertex_bits and s != inc.everything:
+            first.setdefault(s, i)
+    return sorted(first[s] for s in _maximal(first))
 
 
 def affine_dim(v: VPolyhedron) -> int:
+    """Dimension of the affine hull of the vertices plus the ray directions."""
     if not v.vertices:
         return -1
     p0 = v.vertices[0]
@@ -310,29 +353,26 @@ def affine_dim(v: VPolyhedron) -> int:
 def dual_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
     """Facet-adjacency graph: facets joined when they meet in a ridge.
 
-    Two facet rows are adjacent iff their shared tight vertices span an
-    affine space of dimension d - 2.  Only bounded polytopes: with rays the
-    vertex-only test would be wrong.
+    The ridges inside a facet F are the maximal faces F & G over the other
+    facets G, so F and G are adjacent iff their common vertex set is
+    inclusion-maximal among F's intersections with the other facets.  This
+    needs no dimension, so lower-dimensional input works unchanged.  Only
+    bounded polytopes: with rays the vertex-only test would be wrong.
     """
     if v.rays:
         raise Unbounded("dual graph requires a bounded polytope")
-    d = h.d
     facets = facet_row_indices(h, v, inc)
-    labels = {i: f"f{i + 1}" for i in facets}
+    labels = [f"f{i + 1}" for i in facets]
+    cols = [inc.columns[i] for i in facets]
     edges = []
-    for x in range(len(facets)):
-        i = facets[x]
-        for y in range(x + 1, len(facets)):
-            j = facets[y]
-            shared = [v.vertices[k] for k in range(len(v.vertices))
-                      if inc.masks[k] >> i & 1 and inc.masks[k] >> j & 1]
-            if len(shared) < d - 1:
-                continue
-            p0 = shared[0]
-            span = [[a - b for a, b in zip(p, p0)] for p in shared[1:]]
-            if matrix_rank(span) == d - 2:
-                edges.append((labels[i], labels[j]))
-    return PolyGraph.from_edges([labels[i] for i in facets], edges)
+    for x, fx in enumerate(cols):
+        meets: dict[int, list[int]] = {}
+        for y, fy in enumerate(cols):
+            if y != x:
+                meets.setdefault(fx & fy, []).append(y)
+        for ridge in _maximal(meets):
+            edges.extend((labels[x], labels[y]) for y in meets[ridge] if y > x)
+    return PolyGraph.from_edges(labels, edges)
 
 
 def classify(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> tuple[bool, bool]:
@@ -351,7 +391,7 @@ def classify(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> tuple[bool, bool
     for i in facets:
         fmask |= 1 << i
     simple = all((m & fmask).bit_count() == d for m in inc.masks)
-    simplicial = all(len(inc.vertices_on_row(i)) == d for i in facets)
+    simplicial = all(inc.columns[i].bit_count() == d for i in facets)
     return simple, simplicial
 
 

@@ -178,15 +178,13 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
     The zero vector maps to itself.  The direction (sign pattern) is kept,
     so this is safe for inequality rows and for cone rays.
     """
-    fracs = [Fraction(x) for x in vec]
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
     den = 1
     for q in fracs:
         den = den * q.denominator // gcd(den, q.denominator)
-    ints = [int(q * den) for q in fracs]
-    g = 0
-    for z in ints:
-        g = gcd(g, z)
-    if g == 0:
+    ints = [q.numerator * (den // q.denominator) for q in fracs]
+    g = gcd(*ints)
+    if g <= 1:
         return tuple(ints)
     return tuple(z // g for z in ints)
 

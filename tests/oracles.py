@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch against the
 definitions, not by calling the library: brute-force vertex enumeration
-over row subsets, forward-elimination rank counting, simple-path
+over row subsets, forward-elimination rank counting, `Fraction`
+incidence, facets and ridges by affine rank, the literal third-vertex
+edge test, a queue BFS for diameters and their witness pairs, simple-path
 enumeration for the non-revisiting property, and a literal interval check
 of what "never revisits a facet" means.
 """
@@ -68,6 +70,105 @@ def echelon_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return sum(1 for row in m if any(x != 0 for x in row))
+
+
+def fraction_incidence(h, v):
+    """(vertex masks, ray masks): bit i set when b + a.p = 0, resp. a.r = 0."""
+
+    def mask(point, homog):
+        return sum(
+            1 << i for i, (b, a) in enumerate(h.rows)
+            if homog * b + sum(c * x for c, x in zip(a, point)) == 0
+        )
+
+    return [mask(p, 1) for p in v.vertices], [mask(r, 0) for r in v.rays]
+
+
+def rank_affine_dim(points, rays=()):
+    """Dimension of the affine hull of the points plus the ray directions."""
+    if not points:
+        return -1
+    p0 = points[0]
+    span = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
+    return echelon_rank(span + [list(r) for r in rays])
+
+
+def rank_facet_rows(h, v, vmasks, rmasks):
+    """Facet rows by rank: the vertices and rays tight on the row span an
+    affine space of dimension dim(P) - 1.  Rows cutting the same face are
+    reported once, by the lowest index."""
+    dim = rank_affine_dim(v.vertices, v.rays)
+    seen = set()
+    out = []
+    for i in range(h.nrows):
+        if i in h.linearity:
+            continue
+        on_v = frozenset(k for k, m in enumerate(vmasks) if m >> i & 1)
+        on_r = frozenset(k for k, m in enumerate(rmasks) if m >> i & 1)
+        if not on_v or (on_v, on_r) in seen:
+            continue
+        pts = [v.vertices[k] for k in sorted(on_v)]
+        dirs = [v.rays[k] for k in sorted(on_r)]
+        if rank_affine_dim(pts, dirs) == dim - 1:
+            seen.add((on_v, on_r))
+            out.append(i)
+    return out
+
+
+def third_vertex_edges(vmasks, rmasks):
+    """Vertex pairs (u, w), u < w, such that no third vertex and no ray is
+    tight on every row tight at both."""
+    n = len(vmasks)
+    edges = set()
+    for u in range(n):
+        for w in range(u + 1, n):
+            z = vmasks[u] & vmasks[w]
+            if any(vmasks[k] & z == z for k in range(n) if k not in (u, w)):
+                continue
+            if any(r & z == z for r in rmasks):
+                continue
+            edges.add((u, w))
+    return edges
+
+
+def rank_ridge_pairs(points, vmasks, facets):
+    """Facet row pairs (i, j), i < j in `facets` order, whose common
+    vertices span an affine space of dimension dim(P) - 2."""
+    dim = rank_affine_dim(points)
+    pairs = set()
+    for x, i in enumerate(facets):
+        for j in facets[x + 1:]:
+            shared = [p for p, m in zip(points, vmasks) if m >> i & 1 and m >> j & 1]
+            if rank_affine_dim(shared) == dim - 2:
+                pairs.add((i, j))
+    return pairs
+
+
+def queue_bfs_diameter(nodes, edges):
+    """(diameter, witness) by one queue BFS per source, or None when the
+    graph is disconnected.  The witness is the first source, in node order,
+    of greatest eccentricity and the first node, in node order, at that
+    distance from it."""
+    adjacency = {u: [] for u in nodes}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    best, witness = -1, None
+    for source in nodes:
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) < len(nodes):
+            return None
+        far = max(dist.values())
+        if far > best:
+            best = far
+            witness = (source, next(u for u in nodes if dist[u] == far))
+    return best, witness
 
 
 def path_is_nonrevisiting(tight_sets):

@@ -103,6 +103,26 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "H-representation\n",
+    "H-representation\nbegin\n2 3 rational\n0 1 0\n",
+    "V-representation\nbegin\n1 3 rational\n1 0 0\n",
+], ids=["h-header-only", "h-missing-row", "v-missing-end"])
+def test_truncated_file_exit_1(capsys, tmp_path, text):
+    p = tmp_path / "cut.ine"
+    p.write_text(text)
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 1
+    assert err.startswith("error: unexpected end of file")
+
+
+def test_subset_graph_edge_to_missing_node_exit_1(capsys, tmp_path):
+    p = tmp_path / "cut.sfg"
+    p.write_text("2 1\n1\nedges:\n1 5\n")
+    code, _, err = run(capsys, "abstraction", "validate", str(p))
+    assert code == 1 and err.startswith("error: edge 1 5")
+
+
 def test_not_pointed_exit_1(capsys, tmp_path):
     p = tmp_path / "line.ine"
     p.write_text(write_hfile(HPolyhedron.from_rows(2, [(0, 1, 0)])))

@@ -1,0 +1,110 @@
+"""The bitset kernel of `polydiam.polyhedron` against rank-based oracles.
+
+Incidence, facet rows, skeleton edges, dual-graph edges and the affine
+dimension are compared with the from-scratch versions in `oracles.py` on
+corpus polytopes placed by a random signed permutation and shift, with
+rows rescaled, duplicated and padded by redundant rows; on random 0/1
+polytopes; and on unbounded inputs, so the ray masks are covered.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from polydiam import hrep_to_vrep, incidence, skeleton_graph, vrep_to_hrep
+from polydiam.constructions import klee_walkup, random_01_polytope, unbound_at_facet
+from polydiam.polyhedron import HPolyhedron, affine_dim, dual_graph, facet_row_indices
+
+from corpus import corpus
+from oracles import (
+    fraction_incidence,
+    rank_affine_dim,
+    rank_facet_rows,
+    rank_ridge_pairs,
+    third_vertex_edges,
+)
+
+_Q4 = klee_walkup()[1]
+UNBOUNDED = (
+    ("q4_unbound_1", unbound_at_facet(_Q4, 0)),
+    ("q4_unbound_6", unbound_at_facet(_Q4, 5)),
+    ("quadrant_cut", HPolyhedron.from_rows(2, [(0, 1, 0), (0, 0, 1), (-1, 1, 1)])),
+)
+BASES = dict(corpus() + UNBOUNDED)
+SCALES = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(7, 2)]
+
+
+@st.composite
+def placed(draw):
+    """(name, base, placed copy): coordinates y_j = s_j x_p(j) + t_j, every
+    row scaled by a positive rational, some rows duplicated (rescaled),
+    redundant rows added (a loosened row, the sum of two rows, the constant
+    row 1 >= 0), rows shuffled."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    h = BASES[name]
+    d = h.d
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    rows = []
+    for b, a in h.rows:
+        a2 = [signs[j] * a[perm[j]] for j in range(d)]
+        rows.append((b - sum(a2[j] * shift[j] for j in range(d)), a2))
+    index = st.integers(0, len(rows) - 1)
+    extra = []
+    for i in draw(st.lists(index, max_size=3)):
+        extra.append(rows[i])
+    for i in draw(st.lists(index, max_size=2)):
+        extra.append((rows[i][0] + draw(st.integers(1, 5)), rows[i][1]))
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+        extra.append((rows[i][0] + rows[j][0], [x + y for x, y in zip(rows[i][1], rows[j][1])]))
+    if draw(st.booleans()):
+        extra.append((1, [0] * d))  # 1 >= 0: tight on every ray, on no vertex
+    rows = draw(st.permutations(rows + extra))
+    scaled = []
+    for b, a in rows:
+        k = draw(st.sampled_from(SCALES))
+        scaled.append((k * b, tuple(k * x for x in a)))
+    return name, h, HPolyhedron(d, tuple(scaled))
+
+
+def _check_against_oracles(h, v):
+    inc = incidence(h, v)
+    vmasks, rmasks = fraction_incidence(h, v)
+    assert list(inc.masks) == vmasks
+    assert list(inc.ray_masks) == rmasks
+    facets = facet_row_indices(h, v, inc)
+    assert facets == rank_facet_rows(h, v, vmasks, rmasks)
+    assert affine_dim(v) == rank_affine_dim(v.vertices, v.rays)
+    where = {label: k for k, label in enumerate(v.all_labels())}
+    edges = {
+        tuple(sorted((where[a], where[b]))) for a, b in skeleton_graph(h, v, inc).edges
+    }
+    assert edges == third_vertex_edges(vmasks, rmasks)
+    if v.bounded:
+        ridges = {
+            (int(a[1:]) - 1, int(b[1:]) - 1) for a, b in dual_graph(h, v, inc).edges
+        }
+        ridges = {(min(p), max(p)) for p in ridges}
+        assert ridges == rank_ridge_pairs(v.vertices, vmasks, facets)
+    return facets
+
+
+@settings(max_examples=60, deadline=None)
+@given(placed())
+def test_kernel_matches_oracles_on_placed_inputs(case):
+    name, base, h = case
+    v = hrep_to_vrep(h)
+    facets = _check_against_oracles(h, v)
+    base_v = hrep_to_vrep(base)
+    assert len(facets) == len(facet_row_indices(base, base_v, incidence(base, base_v)))
+    assert affine_dim(v) == affine_dim(base_v)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_oracles_on_01_hulls(seed):
+    v = random_01_polytope(5, 10, seed)
+    h = vrep_to_hrep(v)
+    facets = _check_against_oracles(h, v)
+    assert facets == list(range(h.nrows))  # a hull's rows are all facets

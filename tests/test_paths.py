@@ -5,10 +5,12 @@ from itertools import combinations
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydiam import (
     Disconnected,
     GeometryError,
+    HPolyhedron,
     PolyGraph,
     hrep_to_vrep,
     incidence,
@@ -25,7 +27,12 @@ from polydiam.paths import (
 from polydiam.polyhedron import facet_row_indices
 
 from corpus import converted, corpus
-from oracles import nonrevisiting_exists_naive, path_is_nonrevisiting, pentagon_monotone_worst
+from oracles import (
+    nonrevisiting_exists_naive,
+    path_is_nonrevisiting,
+    pentagon_monotone_worst,
+    queue_bfs_diameter,
+)
 
 
 def _pipeline(h):
@@ -96,6 +103,31 @@ def test_diameter_is_max_of_bfs():
         )
 
 
+def test_diameter_and_witness_match_queue_bfs_on_corpus():
+    for name, _ in corpus():
+        g = converted(name)[3]
+        assert diameter(g) == queue_bfs_diameter(g.nodes, g.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_diameter_and_witness_match_queue_bfs_on_random_graphs(data):
+    n = data.draw(st.integers(1, 12))
+    labels = data.draw(st.permutations([f"v{k}" for k in range(n)]))
+    pairs = list(combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if data.draw(st.booleans()):  # a random spanning tree makes it connected
+        chosen += [(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    edges = [(labels[i], labels[j]) for i, j in chosen]
+    g = PolyGraph.from_edges(labels, edges)
+    expected = queue_bfs_diameter(g.nodes, g.edges)
+    if expected is None:
+        with pytest.raises(Disconnected):
+            diameter(g)
+    else:
+        assert diameter(g) == expected
+
+
 def test_nonrevisiting_cube_antipodal():
     h, v, inc, g = _pipeline(cube(3))
     labels = v.all_labels()
@@ -152,6 +184,21 @@ def test_nonrevisiting_search_agrees_with_naive_enumeration():
             got = nonrevisiting_path(h, v, inc, g, a, b) is not None
             expected = nonrevisiting_exists_naive(adj, tight, a, b, nfacets - h.d)
             assert got == expected
+
+
+_SQUARE_SIDES = [(0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (1, 0, -1, 0)]
+
+
+@pytest.mark.parametrize("plane", [
+    HPolyhedron.from_rows(3, _SQUARE_SIDES + [(0, 0, 0, 1)], linearity=[4]),
+    HPolyhedron.from_rows(3, _SQUARE_SIDES + [(0, 0, 0, 1), (0, 0, 0, -1)]),
+], ids=["linearity", "pair"])
+def test_nonrevisiting_on_square_in_a_plane_of_r3(plane):
+    # n - d is 4 - 2 with d the dimension of the square, not of R^3
+    h, v, inc, g = _pipeline(plane)
+    assert nonrevisiting_property(h, v, inc, g).holds is True
+    path = nonrevisiting_path(h, v, inc, g, "v0", "v3")
+    assert path is not None and path.length == 2
 
 
 def test_path_report_json_fields():

@@ -17,6 +17,7 @@ from polydiam import (
     skeleton_graph,
     vrep_to_hrep,
 )
+from polydiam.bounds import hirsch_report
 from polydiam.constructions import crosspolytope, cube, klee_walkup, ngon, simplex
 from polydiam.polyhedron import facet_row_indices
 from polydiam.paths import bfs_distances
@@ -97,7 +98,7 @@ def test_dual_graph_cube_is_octahedron():
     v, inc = _pipeline(h)
     g = dual_graph(h, v, inc)
     assert len(g.nodes) == 6
-    assert all(g.degree(node) == 4 for node in g.nodes)
+    assert all(len(nbrs) == 4 for nbrs in g.adjacency().values())
 
 
 def test_dual_graph_simplex_complete():
@@ -120,6 +121,49 @@ def test_dual_graph_klee_walkup_distance_five():
     start = next(n for n, t in name_of_row.items() if t == "abcd")
     goal = next(n for n, t in name_of_row.items() if t == "efgh")
     assert bfs_distances(g, start)[goal] == 5
+
+
+# The unit square in the plane z = 0 of R^3, its plane given by an
+# equality row or by the pair z >= 0, -z >= 0.
+_SQUARE_SIDES = [(0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (1, 0, -1, 0)]
+SQUARES_IN_R3 = {
+    "linearity": HPolyhedron.from_rows(3, _SQUARE_SIDES + [(0, 0, 0, 1)], linearity=[4]),
+    "pair": HPolyhedron.from_rows(3, _SQUARE_SIDES + [(0, 0, 0, 1), (0, 0, 0, -1)]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SQUARES_IN_R3))
+def test_dual_graph_of_lower_dimensional_square_is_four_cycle(form):
+    h = SQUARES_IN_R3[form]
+    v, inc = _pipeline(h)
+    g = dual_graph(h, v, inc)
+    assert g.nodes == ("f1", "f2", "f3", "f4")
+    assert g.edges == frozenset(
+        {("f1", "f3"), ("f1", "f4"), ("f2", "f3"), ("f2", "f4")}
+    )
+
+
+# The segment [0, 1] x {0} in the plane, plus the row x + y >= 0: that row
+# cuts the same facet {(0, 0)} as x >= 0 although the two rows are not
+# multiples of each other.
+SEGMENTS_WITH_EXTRA_ROW = {
+    "linearity": HPolyhedron.from_rows(
+        2, [(0, 1, 0), (1, -1, 0), (0, 0, 1), (0, 1, 1)], linearity=[2]
+    ),
+    "pair": HPolyhedron.from_rows(
+        2, [(0, 1, 0), (1, -1, 0), (0, 0, 1), (0, 0, -1), (0, 1, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SEGMENTS_WITH_EXTRA_ROW))
+def test_rows_cutting_the_same_facet_are_merged(form):
+    h = SEGMENTS_WITH_EXTRA_ROW[form]
+    v, inc = _pipeline(h)
+    assert facet_row_indices(h, v, inc) == [0, 1]
+    report = hirsch_report(h)
+    assert (report["n"], report["d"], report["diameter"]) == (2, 1, 1)
+    assert report["hirsch_sharp"] is True
 
 
 def test_dual_graph_rejects_unbounded():
@@ -192,7 +236,7 @@ def test_polarity_swaps_classification_and_graphs():
         mapping = {}
         for k in range(len(vp.vertices)):
             base_verts = frozenset(
-                j for j in range(len(v.vertices)) if incp.tight(k, j)
+                j for j in range(len(v.vertices)) if incp.masks[k] >> j & 1
             )
             row = next(
                 i for i in facet_row_indices(base, v, inc)
@@ -217,7 +261,7 @@ def test_simple_polytopes_have_degree_d_graphs():
     for h, d in ((cube(3), 3), (simplex(4), 4), (klee_walkup()[1], 4)):
         v, inc = _pipeline(h)
         g = skeleton_graph(h, v, inc)
-        assert all(g.degree(node) == d for node in g.nodes)
+        assert all(len(nbrs) == d for nbrs in g.adjacency().values())
 
 
 def test_skeleton_matches_facet_counting_rule_on_simple_polytopes():
@@ -243,7 +287,7 @@ def test_ngon_graph_is_cycle():
     v, inc = _pipeline(h)
     g = skeleton_graph(h, v, inc)
     assert len(g.edges) == 6
-    assert all(g.degree(node) == 2 for node in g.nodes)
+    assert all(len(nbrs) == 2 for nbrs in g.adjacency().values())
 
 
 def _pyramid():
@@ -268,5 +312,5 @@ def test_skeleton_of_degenerate_apex():
     v, inc = _pipeline(h)
     g = skeleton_graph(h, v, inc)
     apex = v.label(list(v.vertices).index((0, 0, 1)))
-    assert g.degree(apex) == 4
+    assert len(g.adjacency()[apex]) == 4
     assert len(g.edges) == 8

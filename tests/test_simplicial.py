@@ -142,7 +142,7 @@ def test_boundary_facets_have_d_ridge_neighbors():
         inc = incidence(h, v)
         k = boundary_complex(h, v, inc)
         g = ridge_graph(k)
-        assert all(g.degree(node) == h.d for node in g.nodes)
+        assert all(len(nbrs) == h.d for nbrs in g.adjacency().values())
 
 
 def test_paths_through_star_of_w_are_long():
