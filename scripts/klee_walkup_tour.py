@@ -7,11 +7,10 @@ the unbounded eight-facet counterexample obtained by sending a facet to
 infinity.
 """
 
-from polydiam import hrep_to_vrep, incidence, skeleton_graph, vrep_to_hrep
+from polydiam import hrep_to_vrep, incidence, vrep_to_hrep
 from polydiam.bounds import bound_table, hirsch_report
 from polydiam.constructions import klee_walkup, unbound_at_facet, unbound_point_map
 from polydiam.paths import bfs_distances, diameter
-from polydiam.polyhedron import facet_row_indices
 from polydiam.simplicial import anti_star, boundary_complex, facet_name, ridge_graph
 
 
@@ -21,9 +20,7 @@ def main() -> None:
     for label, point in zip(vstar.all_labels(), vstar.vertices):
         print(f"  {label} = {tuple(int(x) for x in point)}")
 
-    hstar = vrep_to_hrep(vstar)
-    incs = incidence(hstar, vstar)
-    complex_ = boundary_complex(hstar, vstar, incs)
+    complex_ = boundary_complex(incidence(vrep_to_hrep(vstar), vstar))
     print(f"\nboundary of Q4*: {len(complex_.facets)} tetrahedra on 9 vertices")
     rg = ridge_graph(complex_)
     dist = bfs_distances(rg, "abcd")
@@ -40,25 +37,22 @@ def main() -> None:
         print(f"  {key}: {report[key]}")
 
     # pick a facet avoiding a diameter witness pair and unbound it
-    v = hrep_to_vrep(q4)
-    inc = incidence(q4, v)
-    graph = skeleton_graph(q4, v, inc)
-    _, (lu, lv) = diameter(graph)
-    labels = list(v.all_labels())
+    inc = incidence(q4, hrep_to_vrep(q4))
+    v = inc.v
+    _, (lu, lv) = diameter(inc.graph)
+    labels = v.all_labels()
     wu, wv = v.vertices[labels.index(lu)], v.vertices[labels.index(lv)]
-    k = next(i for i in facet_row_indices(q4, v, inc)
-             if q4.value(i, wu) > 0 and q4.value(i, wv) > 0)
+    k = next(i for i in inc.facets if q4.value(i, wu) > 0 and q4.value(i, wv) > 0)
     h8 = unbound_at_facet(q4, k)
-    v8 = hrep_to_vrep(h8)
-    inc8 = incidence(h8, v8)
-    g8 = skeleton_graph(h8, v8, inc8)
+    inc8 = incidence(h8, hrep_to_vrep(h8))
+    v8 = inc8.v
     iu, iv = unbound_point_map(q4, k, v, wu), unbound_point_map(q4, k, v, wv)
-    labels8 = list(v8.all_labels())
-    d8 = bfs_distances(g8, labels8[list(v8.vertices).index(iu)])[
-        labels8[list(v8.vertices).index(iv)]
+    labels8 = v8.all_labels()
+    d8 = bfs_distances(inc8.graph, labels8[v8.vertices.index(iu)])[
+        labels8[v8.vertices.index(iv)]
     ]
     print(f"\nafter sending facet {k + 1} to infinity:")
-    print(f"  facets: {len(facet_row_indices(h8, v8, inc8))}, "
+    print(f"  facets: {len(inc8.facets)}, "
           f"rays: {len(v8.rays)}, witness distance: {d8} > n - d = 4")
 
     table = bound_table(9, 4)

@@ -19,7 +19,7 @@ from .polyhedron import (
     skeleton_graph,
 )
 from .dd import dimension, hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
-from .ratlin import QMatrix, Rational, parse_rational, rank, solve_affine
+from .ratlin import Rational, parse_rational
 
 __all__ = [
     "Disconnected",
@@ -29,7 +29,6 @@ __all__ = [
     "Infeasible",
     "NotPointed",
     "PolyGraph",
-    "QMatrix",
     "Rational",
     "Unbounded",
     "VPolyhedron",
@@ -40,9 +39,7 @@ __all__ = [
     "incidence",
     "parse_rational",
     "polar",
-    "rank",
     "reduce_to_full_dim",
     "skeleton_graph",
-    "solve_affine",
     "vrep_to_hrep",
 ]

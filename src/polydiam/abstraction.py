@@ -19,16 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import power_bound_holds, quasi_poly_bound
-from .polyhedron import (
-    Disconnected,
-    HPolyhedron,
-    Incidence,
-    Unbounded,
-    VPolyhedron,
-    classify,
-    facet_row_indices,
-    skeleton_graph,
-)
+from .paths import mask_diameter
+from .polyhedron import Disconnected, Incidence, Unbounded, classify
 
 Node = tuple[int, ...]
 
@@ -110,29 +102,24 @@ def validate_layer_property(g: SubsetFamilyGraph) -> tuple[bool, tuple[Node, Nod
     return True, None
 
 
-def from_simple_polytope(
-    h: HPolyhedron, v: VPolyhedron, inc: Incidence
-) -> SubsetFamilyGraph:
+def from_simple_polytope(inc: Incidence) -> SubsetFamilyGraph:
     """Vertices become their d-element tight-facet sets, edges come along.
 
     Facet rows are renumbered 1..n in row order so the ground set is exactly
     the facets of the polytope.
     """
-    if v.rays:
+    if inc.v.rays:
         raise Unbounded("abstraction requires a bounded polytope")
-    simple, _ = classify(h, v, inc)
+    simple, _ = classify(inc)
     if not simple:
         raise ValueError("abstraction requires a simple polytope")
-    facets = facet_row_indices(h, v, inc)
-    renum = {row: pos + 1 for pos, row in enumerate(facets)}
-    node_of = {}
-    for k, label in enumerate(v.all_labels()):
-        node_of[label] = tuple(
-            sorted(renum[row] for row in facets if inc.masks[k] >> row & 1)
-        )
-    graph = skeleton_graph(h, v, inc)
-    edges = [(node_of[a], node_of[b]) for a, b in graph.edges]
-    return SubsetFamilyGraph.make(len(facets), h.d, node_of.values(), edges)
+    facets = inc.facets
+    node_of = {
+        label: tuple(pos + 1 for pos in range(len(facets)) if m >> pos & 1)
+        for label, m in zip(inc.v.all_labels(), inc.facet_masks)
+    }
+    edges = [(node_of[a], node_of[b]) for a, b in inc.graph.edges]
+    return SubsetFamilyGraph.make(len(facets), inc.dim, node_of.values(), edges)
 
 
 @dataclass(frozen=True)
@@ -145,32 +132,12 @@ class SubsetDiameter:
 
 def subset_graph_diameter(g: SubsetFamilyGraph) -> SubsetDiameter:
     """BFS diameter plus the two general bounds it must respect."""
-    m = len(g.nodes)
-    if m == 0:
+    if not g.nodes:
         raise ValueError("empty graph")
-    adj = g.adjacency_masks()
-    full = (1 << m) - 1
-    best = 0
-    for s in range(m):
-        dist = {s: 0}
-        frontier = 1 << s
-        seen = frontier
-        step = 0
-        while frontier:
-            step += 1
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= adj[low.bit_length() - 1]
-                rest ^= low
-            nxt &= ~seen
-            seen |= nxt
-            if nxt:
-                best = max(best, step)
-            frontier = nxt
-        if seen != full:
-            raise Disconnected("subset graph is disconnected")
+    found = mask_diameter(g.adjacency_masks())
+    if found is None:
+        raise Disconnected("subset graph is disconnected")
+    best = found[0]
     linear = g.n * 2 ** (g.d - 1)
     quasi = quasi_poly_bound(g.n, g.d, exponent_offset=1)
     ok = best <= linear and power_bound_holds(best, g.n, g.d, exponent_offset=1)
@@ -217,31 +184,6 @@ def _edge_adj(m: int, pairs, emask: int) -> list[int]:
     return adj
 
 
-def _mask_diameter(m: int, adj: list[int]) -> int | None:
-    full = (1 << m) - 1
-    best = 0
-    for s in range(m):
-        seen = 1 << s
-        frontier = seen
-        step = 0
-        while frontier:
-            step += 1
-            nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= adj[low.bit_length() - 1]
-                rest ^= low
-            nxt &= ~seen
-            if nxt:
-                best = max(best, step)
-            seen |= nxt
-            frontier = nxt
-        if seen != full:
-            return None
-    return best
-
-
 def search_max_diameter(
     n: int, d: int, budget: int = 1_000_000, seed: int | None = None
 ) -> SearchResult:
@@ -270,15 +212,14 @@ def search_max_diameter(
 
     def consider(nodes: list[Node], emask: int, pairs) -> None:
         nonlocal best_graph, best_diam
-        adjacency = _edge_adj(len(nodes), pairs, emask)
-        diam = _mask_diameter(len(nodes), adjacency)
-        if diam is not None and diam > best_diam:
+        found = mask_diameter(_edge_adj(len(nodes), pairs, emask))
+        if found is not None and found[0] > best_diam:
             edges = [
                 (nodes[i], nodes[j])
                 for bit, (i, j) in enumerate(pairs)
                 if emask >> bit & 1
             ]
-            best_diam = diam
+            best_diam = found[0]
             best_graph = SubsetFamilyGraph.make(n, d, nodes, edges)
 
     if exhaustive:

@@ -23,15 +23,7 @@ import mpmath
 
 from .dd import hrep_to_vrep
 from .paths import diameter, monotone_eccentricity, nonrevisiting_property
-from .polyhedron import (
-    HPolyhedron,
-    Infeasible,
-    classify,
-    facet_row_indices,
-    incidence,
-    skeleton_graph,
-    affine_dim,
-)
+from .polyhedron import HPolyhedron, Infeasible, classify, facet_row_indices, incidence
 
 # Proved maximum diameters H(n, d) beyond the closed forms for d <= 3:
 # frozen data, no extrapolation.
@@ -183,11 +175,10 @@ def hirsch_report(
     if not v.vertices:
         raise Infeasible("infeasible")
     inc = incidence(h, v)
-    n = len(facet_row_indices(h, v, inc))
-    d = affine_dim(v)
+    n = len(facet_row_indices(inc))
+    d = inc.dim
     bounded = v.bounded
-    graph = skeleton_graph(h, v, inc)
-    diam, witness = diameter(graph)
+    diam, witness = diameter(inc.graph)
     report: dict = {
         "n": n,
         "d": d,
@@ -201,20 +192,20 @@ def hirsch_report(
         "simple": None,
         "simplicial": None,
     }
-    if bounded and d == h.d:
-        simple, simplicial = classify(h, v, inc)
+    if bounded:
+        simple, simplicial = classify(inc)
         report["simple"] = simple
         report["simplicial"] = simplicial
     if check_nonrevisiting:
         if bounded:
-            result = nonrevisiting_property(h, v, inc, graph)
+            result = nonrevisiting_property(inc)
             report["nonrevisiting"] = result.holds
             if result.witness is not None:
                 report["nonrevisiting_witness"] = list(result.witness)
         else:
             report["nonrevisiting"] = None
     if monotone_c is not None:
-        mono = monotone_eccentricity(h, v, inc, graph, monotone_c)
+        mono = monotone_eccentricity(inc, monotone_c)
         report["monotone"] = {
             "optimum": mono.optimum,
             "worst_length": mono.worst_length,

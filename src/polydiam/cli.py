@@ -17,21 +17,22 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import abstraction as abst
 from . import bounds as bnd
 from . import constructions as cons
 from . import fileio
 from .dd import hrep_to_vrep, vrep_to_hrep
-from .paths import bfs_distances, diameter, monotone_eccentricity
+from .paths import bfs_distances, diameter
 from .polyhedron import (
     GeometryError,
     HPolyhedron,
+    Incidence,
     VPolyhedron,
     dual_graph,
     incidence,
     polar,
-    skeleton_graph,
 )
 from .ratlin import format_rational, parse_rational
 
@@ -51,12 +52,16 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_pair(text: str) -> tuple[HPolyhedron, VPolyhedron]:
-    """H and V of the input, whichever representation the file holds."""
+def _load_pair(text: str) -> Incidence:
+    """The `Incidence` of the input, whichever representation the file holds.
+
+    The vertices of a V-file keep their order in the file, so the labels
+    v0, v1, ... are the same for every verb.
+    """
     obj = fileio.read_polyfile(text)
     if isinstance(obj, HPolyhedron):
-        return obj, hrep_to_vrep(obj)
-    return vrep_to_hrep(obj), obj
+        return incidence(obj, hrep_to_vrep(obj))
+    return incidence(vrep_to_hrep(obj), obj)
 
 
 def _load_h(text: str) -> HPolyhedron:
@@ -124,23 +129,19 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    h, v = _load_pair(_read_text(args.file))
-    graph = skeleton_graph(h, v, incidence(h, v))
+    graph = _load_pair(_read_text(args.file)).graph
     _write_text(_graph_text(graph), args.out)
     return 0
 
 
 def _cmd_dualgraph(args) -> int:
-    h, v = _load_pair(_read_text(args.file))
-    graph = dual_graph(h, v, incidence(h, v))
+    graph = dual_graph(_load_pair(_read_text(args.file)))
     _write_text(_graph_text(graph), args.out)
     return 0
 
 
 def _cmd_diameter(args) -> int:
-    h, v = _load_pair(_read_text(args.file))
-    graph = skeleton_graph(h, v, incidence(h, v))
-    value, witness = diameter(graph)
+    value, witness = diameter(_load_pair(_read_text(args.file)).graph)
     if args.json:
         print(json.dumps({"diameter": value, "witness": list(witness)}))
     else:
@@ -149,9 +150,7 @@ def _cmd_diameter(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    h, v = _load_pair(_read_text(args.file))
-    graph = skeleton_graph(h, v, incidence(h, v))
-    dist = bfs_distances(graph, args.src)
+    dist = bfs_distances(_load_pair(_read_text(args.file)).graph, args.src)
     value = dist.get(args.dst)
     if value is None:
         raise ValueError(f"unknown target node {args.dst!r}")
@@ -192,16 +191,14 @@ def _cmd_product(args) -> int:
 
 def _cmd_truncate(args) -> int:
     text = _read_text(args.file)
-    h = _load_h(text)
-    v = hrep_to_vrep(h)
-    inc = incidence(h, v)
+    inc = _load_pair(text)
     vertex: str | int = args.vertex
-    if vertex not in v.all_labels():
+    if vertex not in inc.v.all_labels():
         try:
             vertex = int(args.vertex) - 1
         except ValueError:
             raise ValueError(f"unknown vertex {args.vertex!r}") from None
-    out = cons.truncate_vertex(h, v, inc, vertex)
+    out = cons.truncate_vertex(inc, vertex)
     recipe = _wrap_recipe("truncate", {"vertex": args.vertex}, text)
     _write_text(fileio.write_hfile(out, recipe), args.out)
     return 0
@@ -298,7 +295,9 @@ def _cmd_abstraction(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="polydiam",
         description="Exact polytope graphs, diameters, and diameter-extremal constructions.",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .dd import hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
 from .paths import diameter
@@ -29,9 +28,7 @@ from .polyhedron import (
     Unbounded,
     VPolyhedron,
     canonical_row,
-    facet_row_indices,
     incidence,
-    skeleton_graph,
 )
 from .ratlin import Vector, dot, matrix_rank, nullspace
 
@@ -136,21 +133,7 @@ def product(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(d, tuple(rows))
 
 
-def _converted(h: HPolyhedron, v: VPolyhedron | None, inc: Incidence | None):
-    if v is None:
-        v = hrep_to_vrep(h)
-    if inc is None:
-        inc = incidence(h, v)
-    return v, inc
-
-
-def wedge(
-    h: HPolyhedron,
-    k: int,
-    *,
-    v: VPolyhedron | None = None,
-    inc: Incidence | None = None,
-) -> HPolyhedron:
+def wedge(h: HPolyhedron, k: int) -> HPolyhedron:
     """Wedge over facet row k (0-based): one dimension and one facet more.
 
     In coordinates (x, t): every other row keeps coefficient 0 on t, a new
@@ -162,11 +145,16 @@ def wedge(
         raise ValueError(f"facet index {k} out of range")
     if h.linearity:
         raise ValueError("wedge expects an inequality-only description")
-    v, inc = _converted(h, v, inc)
-    if v.rays:
+    inc = incidence(h, hrep_to_vrep(h))
+    if inc.v.rays:
         raise Unbounded("wedge requires a bounded polytope")
-    if k not in facet_row_indices(h, v, inc):
+    if k not in inc.facets:
         raise ValueError(f"row {k} is redundant: wedge needs a facet-defining row")
+    return _wedge_rows(h, k)
+
+
+def _wedge_rows(h: HPolyhedron, k: int) -> HPolyhedron:
+    """The rows of `wedge`, for a row k already known to be a facet."""
     rows: list[Row] = []
     zero = Fraction(0)
     for i, (b, a) in enumerate(h.rows):
@@ -176,16 +164,16 @@ def wedge(
     return HPolyhedron(h.d + 1, tuple(rows))
 
 
-def truncate_vertex(
-    h: HPolyhedron, v: VPolyhedron, inc: Incidence, vertex: str | int
-) -> HPolyhedron:
+def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     """Cut off a simple vertex by the hyperplane through its edge midpoints.
 
     The cut passes strictly between the vertex and everything else (any
     vertex on the wrong side would be a convex combination of the vertex and
     its neighbors, impossible for an extreme point), so exactly d new simple
-    vertices replace the old one and the facet count grows by one.
+    vertices replace the old one and the facet count grows by one.  The
+    polytope must be full-dimensional (d is the ambient dimension).
     """
+    h, v = inc.h, inc.v
     if v.rays:
         raise Unbounded("truncation requires a bounded polytope")
     labels = v.all_labels()
@@ -198,11 +186,7 @@ def truncate_vertex(
         if not 0 <= vi < len(v.vertices):
             raise ValueError(f"vertex index {vi} out of range")
     d = h.d
-    facets = set(facet_row_indices(h, v, inc))
-    fmask = 0
-    for i in facets:
-        fmask |= 1 << i
-    if (inc.masks[vi] & fmask).bit_count() != d:
+    if inc.facet_masks[vi].bit_count() != d:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
 
     neighbors = [
@@ -234,13 +218,7 @@ def klee_walkup() -> tuple[VPolyhedron, HPolyhedron]:
     return vstar, HPolyhedron(4, rows)
 
 
-def unbound_at_facet(
-    h: HPolyhedron,
-    k: int,
-    *,
-    v: VPolyhedron | None = None,
-    inc: Incidence | None = None,
-) -> HPolyhedron:
+def unbound_at_facet(h: HPolyhedron, k: int) -> HPolyhedron:
     """Send facet row k to infinity by a projective change of coordinates.
 
     After translating the vertex centroid to the origin (so every offset
@@ -253,7 +231,7 @@ def unbound_at_facet(
         raise ValueError(f"facet index {k} out of range")
     if h.linearity:
         raise ValueError("unbound expects an inequality-only description")
-    v, _ = _converted(h, v, inc)
+    v = hrep_to_vrep(h)
     if v.rays:
         raise Unbounded("input must be bounded")
     m = len(v.vertices)
@@ -375,19 +353,21 @@ def orthant_polytope(d: int, k: int) -> HPolyhedron:
     return HPolyhedron(d, tuple(rows))
 
 
-def _diameter_state(h: HPolyhedron):
-    v = hrep_to_vrep(h)
-    inc = incidence(h, v)
-    graph = skeleton_graph(h, v, inc)
-    diam, (lu, lv) = diameter(graph)
-    labels = list(v.all_labels())
-    return v, diam, (v.vertices[labels.index(lu)], v.vertices[labels.index(lv)])
+def _sharp_witness(inc: Incidence, d: int, n: int) -> tuple[Vector, Vector]:
+    """A diameter witness pair of vertices, after checking diameter n - d."""
+    diam, (lu, lv) = diameter(inc.graph)
+    if diam != n - d:
+        raise GeometryError(
+            f"construction lost sharpness at (d={d}, n={n}): diameter {diam}"
+        )
+    labels = inc.graph.nodes
+    return inc.v.vertices[labels.index(lu)], inc.v.vertices[labels.index(lv)]
 
 
-def _facet_avoiding(h: HPolyhedron, v: VPolyhedron, inc: Incidence, u: Vector, w: Vector) -> int:
+def _facet_avoiding(inc: Incidence, u: Vector, w: Vector) -> int:
     """Lowest-index facet row tight on neither witness vertex."""
-    for i in facet_row_indices(h, v, inc):
-        if h.value(i, u) > 0 and h.value(i, w) > 0:
+    for i in inc.facets:
+        if inc.h.value(i, u) > 0 and inc.h.value(i, w) > 0:
             return i
     raise GeometryError("no facet avoids both witness vertices (needs n > 2d)")
 
@@ -419,32 +399,25 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
 
     wedges = d - 4
     truncations = n - d - 5
-    _, h = klee_walkup()
+    h = klee_walkup()[1]
     cur_d, cur_n = 4, 9
-    v, diam, (wu, wv) = _diameter_state(h)
-    assert diam == cur_n - cur_d
+    inc = incidence(h, hrep_to_vrep(h))
+    wu, wv = _sharp_witness(inc, cur_d, cur_n)
     for _ in range(wedges):
-        inc = incidence(h, v)
-        k = _facet_avoiding(h, v, inc, wu, wv)
-        h = wedge(h, k, v=v, inc=inc)
+        h = _wedge_rows(h, _facet_avoiding(inc, wu, wv))
         cur_d += 1
         cur_n += 1
         zero = (Fraction(0),)
         wu, wv = wu + zero, wv + zero  # lifted copies on the facet t = 0
-        v = hrep_to_vrep(h)
+        inc = incidence(h, hrep_to_vrep(h))
         for target in (wu, wv):
             if truncations == 0:
                 break
-            inc = incidence(h, v)
-            h = truncate_vertex(h, v, inc, v.vertices.index(target))
+            h = truncate_vertex(inc, inc.v.vertices.index(target))
             cur_n += 1
             truncations -= 1
-            v = hrep_to_vrep(h)
-        v, diam, (wu, wv) = _diameter_state(h)
-        if diam != cur_n - cur_d:
-            raise GeometryError(
-                f"construction lost sharpness at (d={cur_d}, n={cur_n}): diameter {diam}"
-            )
+            inc = incidence(h, hrep_to_vrep(h))
+        wu, wv = _sharp_witness(inc, cur_d, cur_n)
     return h
 
 
@@ -514,8 +487,7 @@ def replay(recipe: ConstructionRecipe) -> HPolyhedron | VPolyhedron:
         return unbound_at_facet(base, int(p["facet"]) - 1)
     if kind == "truncate":
         base = _replay_h(recipe.base)
-        v = hrep_to_vrep(base)
-        return truncate_vertex(base, v, incidence(base, v), p["vertex"])
+        return truncate_vertex(incidence(base, hrep_to_vrep(base)), p["vertex"])
     if kind == "product":
         return product(_replay_h(recipe.base), _replay_h(recipe.other))
     raise ValueError(f"unknown recipe kind {kind!r}")

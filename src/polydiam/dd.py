@@ -36,6 +36,31 @@ from .polyhedron import (
 from .ratlin import Vector, dot, invert, matrix_rank, nullspace, primitive, row_echelon
 
 
+def _independent_rows(rows, limit: int | None = None) -> list[int]:
+    """Indices of the rows a greedy pass keeps, in order.
+
+    A row is kept when it is independent of the rows kept before it; the
+    pass stops once `limit` rows are kept.  Each new row is reduced against
+    the kept rows only, which are stored reduced with one pivot each, in
+    primitive integers (scaling a row does not change independence).
+    """
+    kept: list[int] = []
+    reduced: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, integer row)
+    for idx, row in enumerate(rows):
+        r = primitive(row)
+        for c, b in reduced:
+            if r[c]:
+                r = primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
+        pivot = next((c for c, x in enumerate(r) if x), None)
+        if pivot is None:
+            continue
+        reduced.append((pivot, r))
+        kept.append(idx)
+        if len(kept) == limit:
+            break
+    return kept
+
+
 def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : r.y >= 0 for r in rows}.
 
@@ -44,22 +69,13 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     rays; returns [] when the cone is the origin alone.
     """
     rows = sorted(set(rows))
-    if matrix_rank(rows) < dim:
-        raise NotPointed("cone has a nonzero lineality space")
-
     # Greedy initial basis in insertion order, then its inverse columns are
-    # the extreme rays of the simplicial start cone.
-    basis: list[tuple[int, ...]] = []
-    basis_idx: list[int] = []
-    ech: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        trial = ech + [[Fraction(x) for x in row]]
-        if len(row_echelon(trial)) > len(ech):
-            ech = trial
-            basis.append(row)
-            basis_idx.append(idx)
-            if len(basis) == dim:
-                break
+    # the extreme rays of the simplicial start cone.  Fewer than `dim`
+    # independent rows means the rank is short: the cone holds a line.
+    basis_idx = _independent_rows(rows, dim)
+    if len(basis_idx) < dim:
+        raise NotPointed("cone has a nonzero lineality space")
+    basis = [rows[i] for i in basis_idx]
     inv = invert(basis)
     assert inv is not None
     rays = [primitive([inv[i][j] for i in range(dim)]) for j in range(dim)]
@@ -67,7 +83,8 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     masks = [(1 << dim) - 1 ^ (1 << j) for j in range(dim)]
 
     processed = len(basis)
-    remaining = [rows[i] for i in range(len(rows)) if i not in set(basis_idx)]
+    chosen = set(basis_idx)
+    remaining = [row for i, row in enumerate(rows) if i not in chosen]
     for row in remaining:
         vals = [dot(row, r) for r in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
@@ -231,15 +248,7 @@ def _affine_hull(h: HPolyhedron) -> tuple[Vector, list[Vector]]:
     span = [tuple(x - y for x, y in zip(p, p0)) for p in v.vertices[1:]]
     span += [tuple(r) for r in v.rays]
     span += [tuple(u) for u in lin_dirs]
-    rows = [list(s) for s in span]
-    pivots_keep: list[Vector] = []
-    ech: list[list[Fraction]] = []
-    for s in rows:
-        trial = ech + [[Fraction(x) for x in s]]
-        if len(row_echelon(trial)) > len(ech):
-            ech = trial
-            pivots_keep.append(tuple(Fraction(x) for x in s))
-    return p0, pivots_keep
+    return p0, [tuple(Fraction(x) for x in span[i]) for i in _independent_rows(span)]
 
 
 def dimension(h: HPolyhedron) -> int:

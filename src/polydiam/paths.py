@@ -20,17 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import inf
 
-from .polyhedron import (
-    Disconnected,
-    GeometryError,
-    HPolyhedron,
-    Incidence,
-    PolyGraph,
-    Unbounded,
-    VPolyhedron,
-    affine_dim,
-    facet_row_indices,
-)
+from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded
 from .ratlin import dot
 
 
@@ -118,29 +108,38 @@ def bfs_distances(graph: PolyGraph, source: str) -> dict[str, int | float]:
     return dist
 
 
-def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:
-    """Maximum pairwise distance plus one witness pair.
+def mask_diameter(adj: list[int]) -> tuple[int, tuple[int, int]] | None:
+    """Diameter and a witness pair of a graph given as neighbour bitsets.
 
-    Ties are broken by node order, so the witness is reproducible: the
-    first source of greatest eccentricity, and the first node in its last
-    BFS layer.  The adjacency is built once for all sources.
+    Nodes are positions in `adj`; the answer is None when the graph is
+    disconnected.  Ties are broken by node order, so the witness is
+    reproducible: the first source of greatest eccentricity, and the first
+    node in its last BFS layer.
     """
-    nodes = graph.nodes
-    if not nodes:
-        raise ValueError("diameter of an empty graph is undefined")
-    adj = _adjacency_masks(graph)
-    everyone = (1 << len(nodes)) - 1
+    everyone = (1 << len(adj)) - 1
     best = -1
-    witness = (nodes[0], nodes[0])
-    for source in range(len(nodes)):
+    witness = (0, 0)
+    for source in range(len(adj)):
         layers = _bfs_layers(adj, source)
         if sum(layers) != everyone:  # layers are disjoint: the sum is their union
-            raise Disconnected("graph is disconnected: diameter undefined")
+            return None
         if len(layers) - 1 > best:
             best = len(layers) - 1
             last = layers[-1]
-            witness = (nodes[source], nodes[(last & -last).bit_length() - 1])
+            witness = (source, (last & -last).bit_length() - 1)
     return best, witness
+
+
+def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:
+    """Maximum pairwise distance plus one witness pair (see `mask_diameter`)."""
+    nodes = graph.nodes
+    if not nodes:
+        raise ValueError("diameter of an empty graph is undefined")
+    found = mask_diameter(_adjacency_masks(graph))
+    if found is None:
+        raise Disconnected("graph is disconnected: diameter undefined")
+    best, (s, t) = found
+    return best, (nodes[s], nodes[t])
 
 
 class SearchBudget:
@@ -200,24 +199,9 @@ def nonrevisiting_dfs(
     return None
 
 
-def _facet_masks(
-    h: HPolyhedron, v: VPolyhedron, inc: Incidence
-) -> tuple[list[int], int]:
-    """Per-vertex bitmasks over the irredundant facet rows, plus facet count."""
-    facets = facet_row_indices(h, v, inc)
-    masks = []
-    for m in inc.masks:
-        compact = 0
-        for pos, row in enumerate(facets):
-            if m >> row & 1:
-                compact |= 1 << pos
-        masks.append(compact)
-    return masks, len(facets)
-
-
-def _index_adjacency(graph: PolyGraph, v: VPolyhedron) -> dict[int, list[int]]:
-    where = {label: i for i, label in enumerate(v.all_labels())}
-    adj: dict[int, list[int]] = {i: [] for i in range(len(v.vertices))}
+def _index_adjacency(graph: PolyGraph) -> dict[int, list[int]]:
+    where = {label: i for i, label in enumerate(graph.nodes)}
+    adj: dict[int, list[int]] = {i: [] for i in range(len(graph.nodes))}
     for a, b in sorted(graph.edges):
         adj[where[a]].append(where[b])
         adj[where[b]].append(where[a])
@@ -225,10 +209,7 @@ def _index_adjacency(graph: PolyGraph, v: VPolyhedron) -> dict[int, list[int]]:
 
 
 def nonrevisiting_path(
-    h: HPolyhedron,
-    v: VPolyhedron,
     inc: Incidence,
-    graph: PolyGraph,
     source: str,
     target: str,
     budget: int | None = None,
@@ -239,19 +220,22 @@ def nonrevisiting_path(
     The returned path is a shortest non-revisiting one and its length is
     guaranteed (and asserted) to be at most n - d.
     """
-    if v.rays:
+    if inc.v.rays:
         raise Unbounded("non-revisiting search requires a bounded polytope")
     if source == target:
         raise ValueError("source and target must differ")
-    labels = list(v.all_labels())
+    labels = inc.graph.nodes
     for name in (source, target):
         if name not in labels:
             raise ValueError(f"unknown vertex {name!r}")
-    masks, nfacets = _facet_masks(h, v, inc)
-    cap = nfacets - affine_dim(v)
-    adj = _index_adjacency(graph, v)
+    cap = len(inc.facets) - inc.dim
     found = nonrevisiting_dfs(
-        adj, masks, labels.index(source), labels.index(target), cap, SearchBudget(budget)
+        _index_adjacency(inc.graph),
+        inc.facet_masks,
+        labels.index(source),
+        labels.index(target),
+        cap,
+        SearchBudget(budget),
     )
     if found is None:
         return None
@@ -266,11 +250,7 @@ def nonrevisiting_path(
 
 
 def nonrevisiting_property(
-    h: HPolyhedron,
-    v: VPolyhedron,
-    inc: Incidence,
-    graph: PolyGraph,
-    budget: int | None = 20_000_000,
+    inc: Incidence, budget: int | None = 20_000_000
 ) -> PropertyResult:
     """Whether every vertex pair admits a non-revisiting path.
 
@@ -278,12 +258,12 @@ def nonrevisiting_property(
     stretch must be one interval), so unordered pairs suffice.  Budget
     exhaustion gives holds=None, never a silent False.
     """
-    if v.rays:
+    if inc.v.rays:
         raise Unbounded("non-revisiting search requires a bounded polytope")
-    masks, nfacets = _facet_masks(h, v, inc)
-    cap = nfacets - affine_dim(v)
-    adj = _index_adjacency(graph, v)
-    labels = v.all_labels()
+    masks = inc.facet_masks
+    cap = len(inc.facets) - inc.dim
+    adj = _index_adjacency(inc.graph)
+    labels = inc.graph.nodes
     shared = SearchBudget(budget)
     m = len(labels)
     try:
@@ -296,13 +276,7 @@ def nonrevisiting_property(
     return PropertyResult(holds=True, witness=None)
 
 
-def monotone_eccentricity(
-    h: HPolyhedron,
-    v: VPolyhedron,
-    inc: Incidence,
-    graph: PolyGraph,
-    c,
-) -> MonotoneReport:
+def monotone_eccentricity(inc: Incidence, c) -> MonotoneReport:
     """Worst monotone path length toward the unique c-maximal vertex.
 
     Each edge is directed toward strictly larger c-value; a functional that
@@ -310,10 +284,10 @@ def monotone_eccentricity(
     source the shortest strictly-increasing path to the optimum is taken;
     sources with no monotone route are reported, not silently dropped.
     """
-    if v.rays:
+    if inc.v.rays:
         raise Unbounded("monotone analysis requires a bounded polytope")
-    values = [dot(c, p) for p in v.vertices]
-    labels = v.all_labels()
+    values = [dot(c, p) for p in inc.v.vertices]
+    labels = inc.v.all_labels()
     top = max(values)
     winners = [i for i, val in enumerate(values) if val == top]
     if len(winners) > 1:
@@ -323,7 +297,7 @@ def monotone_eccentricity(
     opt = winners[0]
     where = {label: i for i, label in enumerate(labels)}
     into: dict[int, list[int]] = {i: [] for i in range(len(labels))}
-    for a, b in graph.edges:
+    for a, b in inc.graph.edges:
         ia, ib = where[a], where[b]
         if values[ia] == values[ib]:
             raise GeometryError(f"tie on edge {a}-{b}: perturb the functional")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -179,27 +180,64 @@ class VPolyhedron:
 
 
 class Incidence:
-    """Vertex/row and ray/row tightness, stored as bitmasks both ways.
+    """The combinatorial data of one polyhedron, computed once and shared.
 
-    `masks[k]` has bit i set when vertex k is tight on row i, and
-    `ray_masks[k]` when ray k is (a.r = 0).  `columns[i]` has bit k set
-    when vertex k is tight on row i and bit nverts + k when ray k is, so
-    the vertices and rays tight on a whole row set are one AND of columns.
+    `h` and `v` are two descriptions of the same polyhedron.  `masks[k]`
+    has bit i set when vertex k is tight on row i, and `ray_masks[k]` when
+    ray k is (a.r = 0).  `columns[i]` has bit k set when vertex k is tight
+    on row i and bit nverts + k when ray k is, so the vertices and rays
+    tight on a whole row set are one AND of columns.
+
+    The derived data is computed the first time it is asked for and then
+    kept: `facets` (by `facet_row_indices`, which stores its answer here,
+    so a direct call and the attribute share one computation),
+    `facet_masks`, `dim` (by `affine_dim`) and `graph` (by
+    `skeleton_graph`).  Build one with `incidence(h, v)`.
     """
 
-    def __init__(self, nrows: int, masks: Sequence[int], ray_masks: Sequence[int]):
-        self.nrows = nrows
+    def __init__(
+        self, h: HPolyhedron, v: VPolyhedron, masks: Sequence[int], ray_masks: Sequence[int]
+    ):
+        self.h = h
+        self.v = v
+        self.nrows = h.nrows
         self.masks = tuple(masks)
         self.ray_masks = tuple(ray_masks)
         self.nverts = len(self.masks)
         self.everything = (1 << (self.nverts + len(self.ray_masks))) - 1
-        columns = [0] * nrows
+        columns = [0] * self.nrows
         for k, m in enumerate(self.masks + self.ray_masks):
             while m:
                 low = m & -m
                 columns[low.bit_length() - 1] |= 1 << k
                 m ^= low
         self.columns = tuple(columns)
+        self._facets: tuple[int, ...] | None = None
+
+    @property
+    def facets(self) -> tuple[int, ...]:
+        """Indices of the facet rows, in increasing order."""
+        if self._facets is None:
+            facet_row_indices(self)
+        return self._facets
+
+    @cached_property
+    def facet_masks(self) -> tuple[int, ...]:
+        """Per vertex, a bitmask of its facets by position in `facets`."""
+        return tuple(
+            sum(1 << pos for pos, row in enumerate(self.facets) if m >> row & 1)
+            for m in self.masks
+        )
+
+    @cached_property
+    def dim(self) -> int:
+        """Dimension of the affine hull of the polyhedron."""
+        return affine_dim(self.v)
+
+    @cached_property
+    def graph(self) -> PolyGraph:
+        """The skeleton graph: vertices and bounded edges."""
+        return skeleton_graph(self)
 
     def tight_rows(self, v: int) -> frozenset[int]:
         return frozenset(i for i in range(self.nrows) if self.masks[v] >> i & 1)
@@ -257,7 +295,9 @@ class PolyGraph:
 
 
 def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
-    """Exact tightness matrix of the pair; errors if some vertex violates a row.
+    """The analysis object of the pair, with its exact tightness masks.
+
+    Errors if some vertex violates a row.
 
     Rows, vertices (as (1, p)) and rays (as (0, r)) are scaled by positive
     factors to primitive integers, which keeps every sign, so each test is
@@ -285,7 +325,7 @@ def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
             if sum(map(mul, row, direction)) == 0:
                 m |= 1 << i
         ray_masks.append(m)
-    return Incidence(h.nrows, masks, ray_masks)
+    return Incidence(h, v, masks, ray_masks)
 
 
 def _maximal(sets: Iterable[int]) -> list[int]:
@@ -301,7 +341,7 @@ def _maximal(sets: Iterable[int]) -> list[int]:
     return found
 
 
-def skeleton_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
+def skeleton_graph(inc: Incidence) -> PolyGraph:
     """Graph of the polyhedron: vertices plus bounded edges.
 
     Edge test (`Incidence.is_edge`): the minimal face containing {u, v} is
@@ -309,8 +349,8 @@ def skeleton_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
     when its vertex set is {u, v} and no extreme ray is tight on all those
     rows.
     """
-    n = len(v.vertices)
-    labels = v.all_labels()
+    n = inc.nverts
+    labels = inc.v.all_labels()
     edges = [
         (labels[i], labels[j])
         for i in range(n)
@@ -320,7 +360,7 @@ def skeleton_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
     return PolyGraph.from_edges(labels, edges)
 
 
-def facet_row_indices(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> list[int]:
+def facet_row_indices(inc: Incidence) -> list[int]:
     """Indices of irredundant, deduplicated facet rows.
 
     A row's face is the set of vertices and rays tight on it.  A row is
@@ -330,14 +370,17 @@ def facet_row_indices(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> list[in
     pointed polyhedra, where a face is determined by its tight set.  Rows
     with the same tight set define the same facet and are reported once,
     by the lowest row index.  This is the `n` of every Hirsch quantity.
+    The answer is stored on `inc` (read it again as `inc.facets`).
     """
-    vertex_bits = (1 << inc.nverts) - 1
-    first: dict[int, int] = {}
-    for i in h.inequality_indices():
-        s = inc.columns[i]
-        if s & vertex_bits and s != inc.everything:
-            first.setdefault(s, i)
-    return sorted(first[s] for s in _maximal(first))
+    if inc._facets is None:
+        vertex_bits = (1 << inc.nverts) - 1
+        first: dict[int, int] = {}
+        for i in inc.h.inequality_indices():
+            s = inc.columns[i]
+            if s & vertex_bits and s != inc.everything:
+                first.setdefault(s, i)
+        inc._facets = tuple(sorted(first[s] for s in _maximal(first)))
+    return list(inc._facets)
 
 
 def affine_dim(v: VPolyhedron) -> int:
@@ -350,7 +393,7 @@ def affine_dim(v: VPolyhedron) -> int:
     return matrix_rank(span)
 
 
-def dual_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
+def dual_graph(inc: Incidence) -> PolyGraph:
     """Facet-adjacency graph: facets joined when they meet in a ridge.
 
     The ridges inside a facet F are the maximal faces F & G over the other
@@ -359,9 +402,9 @@ def dual_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
     needs no dimension, so lower-dimensional input works unchanged.  Only
     bounded polytopes: with rays the vertex-only test would be wrong.
     """
-    if v.rays:
+    if inc.v.rays:
         raise Unbounded("dual graph requires a bounded polytope")
-    facets = facet_row_indices(h, v, inc)
+    facets = inc.facets
     labels = [f"f{i + 1}" for i in facets]
     cols = [inc.columns[i] for i in facets]
     edges = []
@@ -375,23 +418,19 @@ def dual_graph(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> PolyGraph:
     return PolyGraph.from_edges(labels, edges)
 
 
-def classify(h: HPolyhedron, v: VPolyhedron, inc: Incidence) -> tuple[bool, bool]:
-    """(simple, simplicial) for a bounded full-dimensional polytope.
+def classify(inc: Incidence) -> tuple[bool, bool]:
+    """(simple, simplicial) for a bounded polytope of dimension d.
 
-    Simple: every vertex tight on exactly d irredundant facet rows.
-    Simplicial: every facet has exactly d tight vertices.
+    Simple: every vertex lies on exactly d facets.
+    Simplicial: every facet has exactly d vertices.
+    Here d is the dimension of the affine hull, so the answer does not
+    change when the polytope is placed in a larger space.
     """
-    if v.rays:
+    if inc.v.rays:
         raise Unbounded("classification requires a bounded polytope")
-    d = h.d
-    if affine_dim(v) != d:
-        raise GeometryError("classification requires a full-dimensional polytope")
-    facets = facet_row_indices(h, v, inc)
-    fmask = 0
-    for i in facets:
-        fmask |= 1 << i
-    simple = all((m & fmask).bit_count() == d for m in inc.masks)
-    simplicial = all(inc.columns[i].bit_count() == d for i in facets)
+    d = inc.dim
+    simple = all(m.bit_count() == d for m in inc.facet_masks)
+    simplicial = all(inc.columns[i].bit_count() == d for i in inc.facets)
     return simple, simplicial
 
 

@@ -1,10 +1,10 @@
-"""Exact rational scalars, vectors, and matrices.
+"""Exact rational scalars, vectors, and elimination.
 
 Everything downstream (representation conversion, incidence, graph
 construction) assumes arithmetic is exact.  This module provides the
 substrate: `fractions.Fraction` scalars (always stored in lowest terms with a
-positive denominator), a thin immutable matrix type, and fraction-managed
-Gaussian elimination for rank, affine solving, inversion, and null spaces.
+positive denominator), vectors as tuples, and fraction-managed Gaussian
+elimination for rank, inversion, and null spaces.
 
 Coefficients coming out of conversions on integer data can grow large;
 arbitrary-precision integers are mandatory, which `Fraction` gives us for
@@ -14,7 +14,6 @@ free.  No floating point appears anywhere in this package's geometry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -46,42 +45,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable row-major matrix of exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, data: Iterable[Sequence]) -> "QMatrix":
-        rows = [tuple(Fraction(x) for x in row) for row in data]
-        if not rows:
-            return cls(0, 0, ())
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, tuple(x for r in rows for x in r))
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
 
 
 def row_echelon(rows: list[list[Fraction]]) -> list[int]:
@@ -116,29 +79,6 @@ def row_echelon(rows: list[list[Fraction]]) -> list[int]:
 def matrix_rank(data: Iterable[Sequence]) -> int:
     rows = [[Fraction(x) for x in row] for row in data]
     return len(row_echelon(rows))
-
-
-def rank(m: QMatrix) -> int:
-    """Rank of `m` over the rationals, computed exactly."""
-    return matrix_rank(m.row_lists())
-
-
-def solve_affine(a: QMatrix, b: Sequence) -> Vector | None:
-    """One exact solution of a.x = b, or None if the system is inconsistent.
-
-    When the solution is unique it is the unique one; otherwise free
-    variables are set to zero.
-    """
-    if a.rows != len(b):
-        raise ValueError("b length must match row count")
-    aug = [list(a.row(i)) + [Fraction(b[i])] for i in range(a.rows)]
-    pivots = row_echelon(aug)
-    if a.cols in pivots:
-        return None  # pivot in the constant column: inconsistent
-    x = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][a.cols]
-    return tuple(x)
 
 
 def invert(rows: Sequence[Sequence]) -> list[list[Fraction]] | None:

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .paths import PropertyResult, SearchBudget, nonrevisiting_dfs
-from .polyhedron import (
-    HPolyhedron,
-    Incidence,
-    PolyGraph,
-    VPolyhedron,
-    classify,
-    facet_row_indices,
-)
+from .polyhedron import Incidence, PolyGraph, classify
 
 
 def facet_name(facet: frozenset[str]) -> str:
@@ -64,16 +57,14 @@ class SimplicialComplex:
         return sorted(self.facets, key=facet_name)
 
 
-def boundary_complex(
-    h: HPolyhedron, v: VPolyhedron, inc: Incidence
-) -> SimplicialComplex:
+def boundary_complex(inc: Incidence) -> SimplicialComplex:
     """Facet list of the boundary of a simplicial polytope, as label sets."""
-    _, simplicial = classify(h, v, inc)
+    _, simplicial = classify(inc)
     if not simplicial:
         raise ValueError("polytope is not simplicial: boundary facets are not simplices")
-    labels = v.all_labels()
+    labels = inc.v.all_labels()
     facets = []
-    for i in facet_row_indices(h, v, inc):
+    for i in inc.facets:
         facets.append(frozenset(labels[k] for k in inc.vertices_on_row(i)))
     return SimplicialComplex(tuple(sorted(labels)), frozenset(facets))
 

@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from polydiam import hrep_to_vrep, incidence, skeleton_graph
+from polydiam import hrep_to_vrep, incidence
 from polydiam.constructions import (
     crosspolytope,
     cube,
@@ -13,7 +13,6 @@ from polydiam.constructions import (
     simplex,
     transportation,
 )
-from polydiam.paths import diameter
 
 
 @lru_cache(maxsize=None)
@@ -35,10 +34,6 @@ def corpus():
 
 @lru_cache(maxsize=None)
 def converted(name):
-    """(h, v, inc, graph, diameter) for a corpus entry, computed once."""
+    """The `Incidence` of a corpus entry, built once."""
     h = dict(corpus())[name]
-    v = hrep_to_vrep(h)
-    inc = incidence(h, v)
-    graph = skeleton_graph(h, v, inc)
-    diam, witness = diameter(graph)
-    return h, v, inc, graph, diam, witness
+    return incidence(h, hrep_to_vrep(h))

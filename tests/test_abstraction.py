@@ -45,7 +45,7 @@ def test_cube_abstraction_valid():
     h = cube(3)
     v = hrep_to_vrep(h)
     inc = incidence(h, v)
-    g = from_simple_polytope(h, v, inc)
+    g = from_simple_polytope(inc)
     assert len(g.nodes) == 8
     assert all(len(node) == 3 for node in g.nodes)
     assert validate_layer_property(g)[0]
@@ -55,7 +55,7 @@ def test_q4_abstraction_diameter_five():
     _, q4 = klee_walkup()
     v = hrep_to_vrep(q4)
     inc = incidence(q4, v)
-    g = from_simple_polytope(q4, v, inc)
+    g = from_simple_polytope(inc)
     assert g.n == 9 and g.d == 4
     res = subset_graph_diameter(g)
     assert res.diameter == 5
@@ -66,7 +66,7 @@ def test_simplex_abstraction_complete():
     h = simplex(3)
     v = hrep_to_vrep(h)
     inc = incidence(h, v)
-    g = from_simple_polytope(h, v, inc)
+    g = from_simple_polytope(inc)
     assert len(g.nodes) == 4
     assert len(g.edges) == 6
 
@@ -75,15 +75,15 @@ def test_from_simple_polytope_rejects_non_simple():
     h = crosspolytope(3)
     v = hrep_to_vrep(h)
     with pytest.raises(ValueError, match="simple"):
-        from_simple_polytope(h, v, incidence(h, v))
+        from_simple_polytope(incidence(h, v))
 
 
 def test_subset_diameter_matches_skeleton_diameter():
     for h in (cube(3), cube(4), simplex(4), klee_walkup()[1]):
         v = hrep_to_vrep(h)
         inc = incidence(h, v)
-        g = from_simple_polytope(h, v, inc)
-        skel = skeleton_graph(h, v, inc)
+        g = from_simple_polytope(inc)
+        skel = skeleton_graph(inc)
         assert subset_graph_diameter(g).diameter == diameter(skel)[0]
 
 
@@ -112,7 +112,7 @@ def test_subset_diameter_bounds_for_4cube():
     h = cube(4)
     v = hrep_to_vrep(h)
     inc = incidence(h, v)
-    g = from_simple_polytope(h, v, inc)
+    g = from_simple_polytope(inc)
     res = subset_graph_diameter(g)
     assert res.diameter == 4
     assert res.bound_linear == 8 * 2**3 == 64

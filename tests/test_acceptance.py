@@ -73,12 +73,7 @@ def criterion(num, description, limit_seconds):
 
 @lru_cache(maxsize=None)
 def _analyzed(h):
-    v = hrep_to_vrep(h)
-    inc = incidence(h, v)
-    graph = skeleton_graph(h, v, inc)
-    nfacets = len(facet_row_indices(h, v, inc))
-    diam, witness = diameter(graph)
-    return v, inc, graph, nfacets, diam, witness
+    return incidence(h, hrep_to_vrep(h))
 
 
 def test_criterion_01_klee_walkup(capsys, tmp_path):
@@ -92,8 +87,7 @@ def test_criterion_01_klee_walkup(capsys, tmp_path):
 
         vstar, _ = klee_walkup()
         hstar = vrep_to_hrep(vstar)
-        incs = incidence(hstar, vstar)
-        bc = boundary_complex(hstar, vstar, incs)
+        bc = boundary_complex(incidence(hstar, vstar))
         rg = ridge_graph(bc)
         assert bfs_distances(rg, "abcd")["efgh"] == 5
 
@@ -106,21 +100,23 @@ def test_criterion_01_klee_walkup(capsys, tmp_path):
 def test_criterion_02_canonical_diameters():
     with criterion(2, "canonical diameters: simplex/cube/cross d=2..6, n-gons", 10):
         for d in range(2, 7):
-            assert _analyzed(simplex(d))[4] == 1
-            assert _analyzed(cube(d))[4] == d
-            assert _analyzed(crosspolytope(d))[4] == 2
+            assert diameter(_analyzed(simplex(d)).graph)[0] == 1
+            assert diameter(_analyzed(cube(d)).graph)[0] == d
+            assert diameter(_analyzed(crosspolytope(d)).graph)[0] == 2
         for n in range(3, 13):
-            assert _analyzed(ngon(n))[4] == n // 2
+            assert diameter(_analyzed(ngon(n)).graph)[0] == n // 2
 
 
 def test_criterion_03_wedge_law():
     with criterion(3, "wedge law on every corpus polytope and facet", 60):
         for name, h in corpus():
-            _, v, inc, _, diam, _ = converted(name)
-            facets = facet_row_indices(h, v, inc)
+            inc = converted(name)
+            diam = diameter(inc.graph)[0]
+            facets = facet_row_indices(inc)
             for k in facets:
-                w = wedge(h, k, v=v, inc=inc)
-                wv, winc, _, wn, wdiam, _ = _analyzed(w)
+                w = wedge(h, k)
+                winc = _analyzed(w)
+                wn, wdiam = len(facet_row_indices(winc)), diameter(winc.graph)[0]
                 assert w.d == h.d + 1
                 assert wn == len(facets) + 1
                 assert wdiam >= diam
@@ -133,12 +129,16 @@ def test_criterion_04_product_law():
             cube(2), cube(3), crosspolytope(2), crosspolytope(3),
             ngon(5), klee_walkup()[1], orthant_polytope(3, 2),
         ]
-        stats = [(_analyzed(h)[3], _analyzed(h)[4]) for h in pool]
+        stats = [
+            (len(facet_row_indices(_analyzed(h))), diameter(_analyzed(h).graph)[0])
+            for h in pool
+        ]
         pairs = [(i, j) for i in range(len(pool)) for j in range(i, len(pool))]
         assert len(pairs) >= 20
         for i, j in pairs[:20]:
             prod = product(pool[i], pool[j])
-            _, _, _, n, diam, _ = _analyzed(prod)
+            n = len(facet_row_indices(_analyzed(prod)))
+            diam = diameter(_analyzed(prod).graph)[0]
             assert prod.d == pool[i].d + pool[j].d
             assert n == stats[i][0] + stats[j][0]
             assert diam == stats[i][1] + stats[j][1]
@@ -147,21 +147,23 @@ def test_criterion_04_product_law():
 def test_criterion_05_unbounded_counterexample():
     with criterion(5, "projective unbounding of the Klee-Walkup block", 5):
         _, q4 = klee_walkup()
-        v, inc, graph, nfacets, diam, (lu, lv) = _analyzed(q4)
+        inc = _analyzed(q4)
+        v = inc.v
+        _, (lu, lv) = diameter(inc.graph)
         labels = list(v.all_labels())
         wu = v.vertices[labels.index(lu)]
         wv = v.vertices[labels.index(lv)]
         k = next(
-            i for i in facet_row_indices(q4, v, inc)
+            i for i in facet_row_indices(inc)
             if q4.value(i, wu) > 0 and q4.value(i, wv) > 0
         )
         h8 = unbound_at_facet(q4, k)
         v8 = hrep_to_vrep(h8)
         inc8 = incidence(h8, v8)
-        assert len(facet_row_indices(h8, v8, inc8)) == 8
+        assert len(facet_row_indices(inc8)) == 8
         assert affine_dim(v8) == 4
         assert v8.rays, "result must be unbounded"
-        g8 = skeleton_graph(h8, v8, inc8)
+        g8 = skeleton_graph(inc8)
         image_u = unbound_point_map(q4, k, v, wu)
         image_v = unbound_point_map(q4, k, v, wv)
         labels8 = list(v8.all_labels())
@@ -177,11 +179,12 @@ def test_criterion_06_hirsch_sharp_generators():
         cases += [(4, 9), (5, 10), (5, 11), (5, 12)]
         for d, n in cases:
             h = hirsch_sharp(d, n)
-            _, _, _, nfacets, diam, _ = _analyzed(h)
+            nfacets = len(facet_row_indices(_analyzed(h)))
+            diam = diameter(_analyzed(h).graph)[0]
             assert h.d == d and nfacets == n
             assert diam == n - d
-        assert known_exact(9, 4) == 5 == _analyzed(hirsch_sharp(4, 9))[4]
-        assert known_exact(10, 5) == 5 == _analyzed(hirsch_sharp(5, 10))[4]
+        assert known_exact(9, 4) == 5 == diameter(_analyzed(hirsch_sharp(4, 9)).graph)[0]
+        assert known_exact(10, 5) == 5 == diameter(_analyzed(hirsch_sharp(5, 10)).graph)[0]
 
 
 def test_criterion_07_zero_one_polytopes():
@@ -194,9 +197,9 @@ def test_criterion_07_zero_one_polytopes():
                 h = vrep_to_hrep(v)
                 v2 = hrep_to_vrep(h)
                 inc = incidence(h, v2)
-                graph = skeleton_graph(h, v2, inc)
+                graph = skeleton_graph(inc)
                 diam, _ = diameter(graph)
-                n = len(facet_row_indices(h, v2, inc))
+                n = len(facet_row_indices(inc))
                 dim = affine_dim(v2)
                 assert dim == d
                 assert diam <= n - dim
@@ -224,7 +227,9 @@ def test_criterion_08_transportation():
             b = [c2 - c1 for c1, c2 in zip([0] + cuts, cuts + [total])]
             h = transportation(a, b)
             assert h.d == (p - 1) * (q - 1)
-            v, inc, graph, nfacets, diam, _ = _analyzed(h)
+            inc = _analyzed(h)
+            nfacets = len(facet_row_indices(inc))
+            diam = diameter(inc.graph)[0]
             assert nfacets <= p * q
             assert diam <= p + q - 1
             assert diam <= 3 * (p + q - 1)
@@ -272,9 +277,7 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_abstraction():
     with criterion(10, "subset-graph abstraction: validity, bounds, extremum", 120):
         for h in (cube(3), cube(4), simplex(4), klee_walkup()[1], hirsch_sharp(5, 8)):
-            v = hrep_to_vrep(h)
-            inc = incidence(h, v)
-            g = from_simple_polytope(h, v, inc)
+            g = from_simple_polytope(incidence(h, hrep_to_vrep(h)))
             ok, witness = validate_layer_property(g)
             assert ok and witness is None
             res = subset_graph_diameter(g)
@@ -294,9 +297,9 @@ def test_criterion_11_bounds_consistency():
         for n in range(4, 31):
             assert lower_bound(n, 3) == (2 * n) // 3 - 1 == known_exact(n, 3)
         for name, h in corpus():
-            _, _, _, _, diam, _ = converted(name)
-            _, v, inc, _, _, _ = converted(name)
-            nfacets = len(facet_row_indices(h, v, inc))
+            inc = converted(name)
+            diam = diameter(inc.graph)[0]
+            nfacets = len(facet_row_indices(inc))
             d = h.d
             if d >= 3:
                 assert diam <= nfacets * 2 ** (d - 3)
@@ -307,11 +310,12 @@ def test_criterion_12_nonrevisiting():
     with criterion(12, "non-revisiting paths and the all-pairs property", 300):
         # every found path is within the n - d cap
         for name in ("cube3", "q4", "cross3", "ngon7"):
-            h, v, inc, g, _, _ = converted(name)
-            nfacets = len(facet_row_indices(h, v, inc))
+            inc = converted(name)
+            h, v = inc.h, inc.v
+            nfacets = len(facet_row_indices(inc))
             labels = list(v.all_labels())
             for a, b in list(combinations(labels, 2))[:30]:
-                report = nonrevisiting_path(h, v, inc, g, a, b)
+                report = nonrevisiting_path(inc, a, b)
                 assert report is not None
                 assert report.length <= nfacets - h.d
 
@@ -327,8 +331,8 @@ def test_criterion_12_nonrevisiting():
         targets += [hirsch_sharp(4, 9), hirsch_sharp(5, 10),
                     hirsch_sharp(5, 11), hirsch_sharp(5, 12)]
         for h in targets:
-            v, inc, graph, _, _, _ = _analyzed(h)
-            if len(v.vertices) > 400:
+            inc = _analyzed(h)
+            if len(inc.v.vertices) > 400:
                 continue
-            result = nonrevisiting_property(h, v, inc, graph)
+            result = nonrevisiting_property(inc)
             assert result.holds is True, f"failed on d={h.d}, rows={h.nrows}"

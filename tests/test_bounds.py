@@ -135,7 +135,7 @@ def test_known_exact_reproduced_by_generators():
         h = hirsch_sharp(d, n)
         v = _conv(h)
         inc = _inc(h, v)
-        assert _diam(_sk(h, v, inc))[0] == expected
+        assert _diam(_sk(inc))[0] == expected
 
 
 def test_hirsch_report_klee_walkup():

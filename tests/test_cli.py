@@ -6,8 +6,8 @@ import pytest
 
 from polydiam.cli import main
 from polydiam.constructions import replay
-from polydiam.fileio import read_hfile, read_recipe, read_subset_graph, write_hfile
-from polydiam import HPolyhedron
+from polydiam.fileio import read_hfile, read_recipe, read_subset_graph, write_hfile, write_vfile
+from polydiam import HPolyhedron, VPolyhedron
 
 
 def run(capsys, *argv):
@@ -190,6 +190,20 @@ def test_truncate_pipeline(capsys, tmp_path):
     assert read_hfile(t.read_text()).nrows == 7
 
 
+def test_truncate_vertex_label_as_in_graph_on_v_file(capsys, tmp_path):
+    # Out of sorted order, so `graph` names (1, 1) v0 and (0, 0) v1.
+    square = VPolyhedron.from_points([(1, 1), (0, 0), (1, 0), (0, 1)])
+    path, out_path = tmp_path / "square.ext", tmp_path / "t.ine"
+    path.write_text(write_vfile(square))
+    code, out, _ = run(capsys, "graph", str(path))
+    assert code == 0
+    assert out == "nodes v0 v1 v2 v3\nv0 v2\nv0 v3\nv1 v2\nv1 v3\n"
+    assert run(capsys, "truncate", "--vertex", "v0", str(path), "--out", str(out_path))[0] == 0
+    cut = read_hfile(out_path.read_text())
+    assert not cut.contains((1, 1))
+    assert cut.contains((0, 0))
+
+
 def test_product_pipeline(capsys, tmp_path):
     a, b, p = (tmp_path / x for x in ("a.ine", "b.ine", "p.ine"))
     run(capsys, "gen", "simplex", "2", "--out", str(a))
@@ -259,7 +273,7 @@ def test_pipelines_compose_for_every_generator(capsys, tmp_path):
             continue
         h = read_hfile(src.read_text())
         v = hrep_to_vrep(h)
-        valid = facet_row_indices(h, v, incidence(h, v))
+        valid = facet_row_indices(incidence(h, v))
         k = valid[0] + 1  # 1-based flag
         w = tmp_path / f"{name}.w.ine"
         assert run(capsys, "wedge", "--facet", str(k), str(src),

@@ -39,10 +39,8 @@ from oracles import brute_force_vertices
 
 
 def _full(h):
-    v = hrep_to_vrep(h)
-    inc = incidence(h, v)
-    g = skeleton_graph(h, v, inc)
-    return v, inc, g
+    inc = incidence(h, hrep_to_vrep(h))
+    return inc.v, inc, skeleton_graph(inc)
 
 
 def _diam(h):
@@ -51,7 +49,7 @@ def _diam(h):
 
 def _nfacets(h):
     v, inc, _ = _full(h)
-    return len(facet_row_indices(h, v, inc))
+    return len(facet_row_indices(inc))
 
 
 def test_canonical_counts_and_diameters():
@@ -78,7 +76,7 @@ def test_product_simplices():
     h = product(simplex(2), simplex(2))
     v, inc, g = _full(h)
     assert h.d == 4
-    assert len(facet_row_indices(h, v, inc)) == 6
+    assert len(facet_row_indices(inc)) == 6
     assert diameter(g)[0] == 2
 
 
@@ -110,22 +108,21 @@ def test_wedge_of_pentagon():
     h = wedge(ngon(5), 0)
     v, inc, _ = _full(h)
     assert h.d == 3
-    assert len(facet_row_indices(h, v, inc)) == 6
+    assert len(facet_row_indices(inc)) == 6
 
 
 def test_wedge_of_square_is_prism():
     h = wedge(cube(2), 1)
     v, inc, _ = _full(h)
     assert h.d == 3
-    assert len(facet_row_indices(h, v, inc)) == 5
+    assert len(facet_row_indices(inc)) == 5
     assert len(v.vertices) == 6
 
 
 def test_wedge_klee_walkup_keeps_diameter():
     _, q4 = klee_walkup()
-    v, inc, _ = _full(q4)
     for k in range(q4.nrows):
-        w = wedge(q4, k, v=v, inc=inc)
+        w = wedge(q4, k)
         assert w.d == 5
         assert _diam(w) >= 5
 
@@ -150,16 +147,16 @@ def test_wedge_rejects_unbounded():
 def test_truncate_cube_vertex():
     h = cube(3)
     v, inc, _ = _full(h)
-    t = truncate_vertex(h, v, inc, "v0")
+    t = truncate_vertex(inc, "v0")
     vt, inct, _ = _full(t)
-    assert len(facet_row_indices(t, vt, inct)) == 7
+    assert len(facet_row_indices(inct)) == 7
     assert len(vt.vertices) == 10
 
 
 def test_truncate_simplex_vertex():
     h = simplex(3)
     v, inc, _ = _full(h)
-    t = truncate_vertex(h, v, inc, 0)
+    t = truncate_vertex(inc, 0)
     vt = hrep_to_vrep(t)
     assert t.nrows == 5 and len(vt.vertices) == 6
 
@@ -167,16 +164,16 @@ def test_truncate_simplex_vertex():
 def test_truncate_keeps_simplicity():
     h = cube(3)
     v, inc, _ = _full(h)
-    t = truncate_vertex(h, v, inc, "v3")
+    t = truncate_vertex(inc, "v3")
     vt, inct, _ = _full(t)
-    assert classify(t, vt, inct)[0] is True
+    assert classify(inct)[0] is True
 
 
 def test_truncate_rejects_non_simple_vertex():
     h = crosspolytope(3)
     v, inc, _ = _full(h)
     with pytest.raises(ValueError, match="not simple"):
-        truncate_vertex(h, v, inc, 0)
+        truncate_vertex(inc, 0)
 
 
 def test_klee_walkup_counts():
@@ -291,8 +288,8 @@ def test_orthant_polytope_simple_bounded_sharp():
         h = orthant_polytope(d, k)
         v, inc, g = _full(h)
         assert not v.rays
-        assert len(facet_row_indices(h, v, inc)) == d + k
-        assert classify(h, v, inc)[0] is True
+        assert len(facet_row_indices(inc)) == d + k
+        assert classify(inc)[0] is True
         assert diameter(g)[0] >= k
 
 
@@ -300,7 +297,7 @@ def test_dstep_common_facet_when_n_below_2d():
     # every vertex pair of an instance with n < 2d shares a facet
     for h in (simplex(4), hirsch_sharp(5, 7)):
         v, inc, _ = _full(h)
-        nfacets = len(facet_row_indices(h, v, inc))
+        nfacets = len(facet_row_indices(inc))
         assert nfacets < 2 * h.d
         for i in range(len(v.vertices)):
             for j in range(i + 1, len(v.vertices)):

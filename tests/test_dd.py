@@ -17,9 +17,10 @@ from polydiam import (
     vrep_to_hrep,
 )
 from polydiam.constructions import cube, klee_walkup, simplex, transportation
+from polydiam.dd import _independent_rows
 from polydiam.polyhedron import affine_dim, canonical_row
 
-from oracles import brute_force_vertices
+from oracles import brute_force_vertices, echelon_rank
 
 # Vertex count of the Klee-Walkup polytope; the value is not part of the
 # published description, so it is frozen here from the brute-force oracle.
@@ -257,3 +258,22 @@ def test_round_trip_canonical_generators():
         h2 = vrep_to_hrep(v)
         assert {canonical_row(r) for r in h2.rows} == {canonical_row(r) for r in h.rows}
         assert set(hrep_to_vrep(h2).vertices) == set(v.vertices)
+
+
+@given(
+    st.lists(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                 min_size=4, max_size=4),
+        max_size=7,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+def test_independent_rows_is_the_greedy_basis(rows, limit):
+    # The kept rows are exactly the rows that raise the rank of the rows
+    # before them, checked with the independent elimination oracle.
+    kept = _independent_rows(rows)
+    greedy = [i for i in range(len(rows))
+              if echelon_rank(rows[:i + 1]) > echelon_rank(rows[:i])]
+    assert kept == greedy
+    assert len(kept) == echelon_rank(rows)
+    assert _independent_rows(rows, limit) == greedy[:limit]

@@ -73,17 +73,17 @@ def _check_against_oracles(h, v):
     vmasks, rmasks = fraction_incidence(h, v)
     assert list(inc.masks) == vmasks
     assert list(inc.ray_masks) == rmasks
-    facets = facet_row_indices(h, v, inc)
+    facets = facet_row_indices(inc)
     assert facets == rank_facet_rows(h, v, vmasks, rmasks)
     assert affine_dim(v) == rank_affine_dim(v.vertices, v.rays)
     where = {label: k for k, label in enumerate(v.all_labels())}
     edges = {
-        tuple(sorted((where[a], where[b]))) for a, b in skeleton_graph(h, v, inc).edges
+        tuple(sorted((where[a], where[b]))) for a, b in skeleton_graph(inc).edges
     }
     assert edges == third_vertex_edges(vmasks, rmasks)
     if v.bounded:
         ridges = {
-            (int(a[1:]) - 1, int(b[1:]) - 1) for a, b in dual_graph(h, v, inc).edges
+            (int(a[1:]) - 1, int(b[1:]) - 1) for a, b in dual_graph(inc).edges
         }
         ridges = {(min(p), max(p)) for p in ridges}
         assert ridges == rank_ridge_pairs(v.vertices, vmasks, facets)
@@ -97,7 +97,7 @@ def test_kernel_matches_oracles_on_placed_inputs(case):
     v = hrep_to_vrep(h)
     facets = _check_against_oracles(h, v)
     base_v = hrep_to_vrep(base)
-    assert len(facets) == len(facet_row_indices(base, base_v, incidence(base, base_v)))
+    assert len(facets) == len(facet_row_indices(incidence(base, base_v)))
     assert affine_dim(v) == affine_dim(base_v)
 
 

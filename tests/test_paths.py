@@ -36,9 +36,8 @@ from oracles import (
 
 
 def _pipeline(h):
-    v = hrep_to_vrep(h)
-    inc = incidence(h, v)
-    return h, v, inc, skeleton_graph(h, v, inc)
+    inc = incidence(h, hrep_to_vrep(h))
+    return h, inc.v, inc, skeleton_graph(inc)
 
 
 def test_bfs_cube_hamming():
@@ -97,7 +96,8 @@ def test_diameter_witness_reproducible():
 
 def test_diameter_is_max_of_bfs():
     for name, _ in corpus():
-        h, v, inc, g, diam, _ = converted(name)
+        g = converted(name).graph
+        diam = diameter(g)[0]
         assert diam == max(
             max(bfs_distances(g, s).values()) for s in g.nodes
         )
@@ -105,7 +105,7 @@ def test_diameter_is_max_of_bfs():
 
 def test_diameter_and_witness_match_queue_bfs_on_corpus():
     for name, _ in corpus():
-        g = converted(name)[3]
+        g = converted(name).graph
         assert diameter(g) == queue_bfs_diameter(g.nodes, g.edges)
 
 
@@ -133,7 +133,7 @@ def test_nonrevisiting_cube_antipodal():
     labels = v.all_labels()
     i = list(v.vertices).index((-1, -1, -1))
     j = list(v.vertices).index((1, 1, 1))
-    report = nonrevisiting_path(h, v, inc, g, labels[i], labels[j])
+    report = nonrevisiting_path(inc, labels[i], labels[j])
     assert report is not None and report.length == 3
     assert report.kind == "non-revisiting"
 
@@ -142,23 +142,24 @@ def test_nonrevisiting_klee_walkup_witness_pair():
     _, q4 = klee_walkup()
     h, v, inc, g = _pipeline(q4)
     _, (a, b) = diameter(g)
-    report = nonrevisiting_path(h, v, inc, g, a, b)
+    report = nonrevisiting_path(inc, a, b)
     assert report is not None and report.length == 5  # 5 = 9 - 4
 
 
 def test_nonrevisiting_simplex_edge():
     h, v, inc, g = _pipeline(simplex(3))
-    report = nonrevisiting_path(h, v, inc, g, v.label(0), v.label(1))
+    report = nonrevisiting_path(inc, v.label(0), v.label(1))
     assert report is not None and report.length == 1
 
 
 def test_nonrevisiting_path_consecutive_edges_and_cap():
     for name in ("cube3", "q4", "ngon7"):
-        h, v, inc, g, _, _ = converted(name)
+        inc = converted(name)
+        h, v, g = inc.h, inc.v, inc.graph
         labels = v.all_labels()
-        nfacets = len(facet_row_indices(h, v, inc))
+        nfacets = len(facet_row_indices(inc))
         for a, b in list(combinations(labels, 2))[:40]:
-            report = nonrevisiting_path(h, v, inc, g, a, b)
+            report = nonrevisiting_path(inc, a, b)
             assert report is not None
             assert report.length <= nfacets - h.d
             for u, w in zip(report.path, report.path[1:]):
@@ -169,19 +170,20 @@ def test_nonrevisiting_path_matches_interval_definition():
     h, v, inc, g = _pipeline(cube(3))
     labels = v.all_labels()
     tight = {lab: inc.tight_rows(k) for k, lab in enumerate(labels)}
-    report = nonrevisiting_path(h, v, inc, g, labels[0], labels[-1])
+    report = nonrevisiting_path(inc, labels[0], labels[-1])
     assert path_is_nonrevisiting([tight[lab] for lab in report.path])
 
 
 def test_nonrevisiting_search_agrees_with_naive_enumeration():
     for name in ("cube3", "cross3", "orthant32"):
-        h, v, inc, g, _, _ = converted(name)
+        inc = converted(name)
+        h, v, g = inc.h, inc.v, inc.graph
         labels = list(v.all_labels())
         adj = {lab: sorted(x for x in g.adjacency()[lab]) for lab in labels}
         tight = {lab: inc.tight_rows(k) for k, lab in enumerate(labels)}
-        nfacets = len(facet_row_indices(h, v, inc))
+        nfacets = len(facet_row_indices(inc))
         for a, b in combinations(labels, 2):
-            got = nonrevisiting_path(h, v, inc, g, a, b) is not None
+            got = nonrevisiting_path(inc, a, b) is not None
             expected = nonrevisiting_exists_naive(adj, tight, a, b, nfacets - h.d)
             assert got == expected
 
@@ -196,8 +198,8 @@ _SQUARE_SIDES = [(0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (1, 0, -1, 0)]
 def test_nonrevisiting_on_square_in_a_plane_of_r3(plane):
     # n - d is 4 - 2 with d the dimension of the square, not of R^3
     h, v, inc, g = _pipeline(plane)
-    assert nonrevisiting_property(h, v, inc, g).holds is True
-    path = nonrevisiting_path(h, v, inc, g, "v0", "v3")
+    assert nonrevisiting_property(inc).holds is True
+    path = nonrevisiting_path(inc, "v0", "v3")
     assert path is not None and path.length == 2
 
 
@@ -206,7 +208,7 @@ def test_path_report_json_fields():
 
     h, v, inc, g = _pipeline(cube(2))
     labels = v.all_labels()
-    report = nonrevisiting_path(h, v, inc, g, labels[0], labels[3])
+    report = nonrevisiting_path(inc, labels[0], labels[3])
     data = json.loads(report.to_json())
     assert set(data) == {"source", "target", "length", "path", "kind"}
     assert data["kind"] == "non-revisiting"
@@ -216,28 +218,28 @@ def test_path_report_json_fields():
 def test_nonrevisiting_property_holds_on_cubes_and_q4():
     for d in (2, 3, 4):
         h, v, inc, g = _pipeline(cube(d))
-        assert nonrevisiting_property(h, v, inc, g).holds is True
+        assert nonrevisiting_property(inc).holds is True
     _, q4 = klee_walkup()
     h, v, inc, g = _pipeline(q4)
-    assert nonrevisiting_property(h, v, inc, g).holds is True
+    assert nonrevisiting_property(inc).holds is True
 
 
 def test_nonrevisiting_property_simplex_trivial():
     h, v, inc, g = _pipeline(simplex(4))
-    assert nonrevisiting_property(h, v, inc, g).holds is True
+    assert nonrevisiting_property(inc).holds is True
 
 
 def test_nonrevisiting_property_budget_inconclusive():
     _, q4 = klee_walkup()
     h, v, inc, g = _pipeline(q4)
-    result = nonrevisiting_property(h, v, inc, g, budget=5)
+    result = nonrevisiting_property(inc, budget=5)
     assert result.holds is None
     assert result.witness is None
 
 
 def test_monotone_cube_all_ones():
     h, v, inc, g = _pipeline(cube(3))
-    report = monotone_eccentricity(h, v, inc, g, (1, 1, 1))
+    report = monotone_eccentricity(inc, (1, 1, 1))
     assert v.vertices[v.all_labels().index(report.optimum)] == (1, 1, 1)
     assert report.worst_length == 3
     assert report.unreachable == ()
@@ -245,14 +247,14 @@ def test_monotone_cube_all_ones():
 
 def test_monotone_simplex_generic():
     h, v, inc, g = _pipeline(simplex(3))
-    report = monotone_eccentricity(h, v, inc, g, (1, 2, 4))
+    report = monotone_eccentricity(inc, (1, 2, 4))
     assert report.worst_length == 1
 
 
 @pytest.mark.parametrize("c,expected_worst", [((1, 0), 3), ((2, 7), 2)])
 def test_monotone_pentagon_against_hand_oracle(c, expected_worst):
     h, v, inc, g = _pipeline(ngon(5))
-    report = monotone_eccentricity(h, v, inc, g, c)
+    report = monotone_eccentricity(inc, c)
     # oracle works on the explicit cycle
     labels = list(v.all_labels())
     index = {lab: i for i, lab in enumerate(labels)}
@@ -266,14 +268,14 @@ def test_monotone_rejects_tie_on_edge():
     # (11, -7) ties exactly on one pentagon edge away from the unique maximum
     h, v, inc, g = _pipeline(ngon(5))
     with pytest.raises(GeometryError, match="tie on edge"):
-        monotone_eccentricity(h, v, inc, g, (11, -7))
+        monotone_eccentricity(inc, (11, -7))
 
 
 def test_monotone_rejects_non_unique_optimum():
     h, v, inc, g = _pipeline(ngon(4))
     # functional constant zero ties everywhere
     with pytest.raises(GeometryError):
-        monotone_eccentricity(h, v, inc, g, (0, 0))
+        monotone_eccentricity(inc, (0, 0))
 
 
 def test_monotone_at_least_bfs_eccentricity():
@@ -282,10 +284,11 @@ def test_monotone_at_least_bfs_eccentricity():
     # eccentricity whenever every source is monotonically reachable
     checked = 0
     for name in ("cube3", "q4", "ngon5"):
-        h, v, inc, g, _, _ = converted(name)
+        inc = converted(name)
+        h, g = inc.h, inc.graph
         c = tuple(Fraction(3**i, 7) for i in range(h.d))  # generically skewed
         try:
-            report = monotone_eccentricity(h, v, inc, g, c)
+            report = monotone_eccentricity(inc, c)
         except GeometryError:
             continue
         assert report.unreachable == ()

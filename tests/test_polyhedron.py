@@ -63,7 +63,7 @@ def test_incidence_rejects_inconsistent_pair():
 def test_skeleton_cube_is_hamming_graph():
     h = cube(3)
     v, inc = _pipeline(h)
-    g = skeleton_graph(h, v, inc)
+    g = skeleton_graph(inc)
     labels = v.all_labels()
     for (i, p), (j, q) in combinations(enumerate(v.vertices), 2):
         hamming = sum(1 for a, b in zip(p, q) if a != b)
@@ -74,14 +74,14 @@ def test_skeleton_cube_is_hamming_graph():
 def test_skeleton_simplex_complete():
     h = simplex(4)
     v, inc = _pipeline(h)
-    g = skeleton_graph(h, v, inc)
+    g = skeleton_graph(inc)
     assert len(g.edges) == 5 * 4 // 2
 
 
 def test_skeleton_crosspolytope_misses_antipodal_pairs():
     h = crosspolytope(3)
     v, inc = _pipeline(h)
-    g = skeleton_graph(h, v, inc)
+    g = skeleton_graph(inc)
     labels = v.all_labels()
     missing = {
         tuple(sorted((labels[i], labels[j])))
@@ -96,7 +96,7 @@ def test_skeleton_crosspolytope_misses_antipodal_pairs():
 def test_dual_graph_cube_is_octahedron():
     h = cube(3)
     v, inc = _pipeline(h)
-    g = dual_graph(h, v, inc)
+    g = dual_graph(inc)
     assert len(g.nodes) == 6
     assert all(len(nbrs) == 4 for nbrs in g.adjacency().values())
 
@@ -104,7 +104,7 @@ def test_dual_graph_cube_is_octahedron():
 def test_dual_graph_simplex_complete():
     h = simplex(3)
     v, inc = _pipeline(h)
-    g = dual_graph(h, v, inc)
+    g = dual_graph(inc)
     assert len(g.edges) == 4 * 3 // 2
 
 
@@ -112,10 +112,10 @@ def test_dual_graph_klee_walkup_distance_five():
     vstar, _ = klee_walkup()
     h = vrep_to_hrep(vstar)
     inc = incidence(h, vstar)
-    g = dual_graph(h, vstar, inc)
+    g = dual_graph(inc)
     labels = vstar.all_labels()
     name_of_row = {}
-    for i in facet_row_indices(h, vstar, inc):
+    for i in facet_row_indices(inc):
         tight = "".join(sorted(labels[k] for k in inc.vertices_on_row(i)))
         name_of_row[f"f{i + 1}"] = tight
     start = next(n for n, t in name_of_row.items() if t == "abcd")
@@ -136,7 +136,7 @@ SQUARES_IN_R3 = {
 def test_dual_graph_of_lower_dimensional_square_is_four_cycle(form):
     h = SQUARES_IN_R3[form]
     v, inc = _pipeline(h)
-    g = dual_graph(h, v, inc)
+    g = dual_graph(inc)
     assert g.nodes == ("f1", "f2", "f3", "f4")
     assert g.edges == frozenset(
         {("f1", "f3"), ("f1", "f4"), ("f2", "f3"), ("f2", "f4")}
@@ -160,7 +160,7 @@ SEGMENTS_WITH_EXTRA_ROW = {
 def test_rows_cutting_the_same_facet_are_merged(form):
     h = SEGMENTS_WITH_EXTRA_ROW[form]
     v, inc = _pipeline(h)
-    assert facet_row_indices(h, v, inc) == [0, 1]
+    assert facet_row_indices(inc) == [0, 1]
     report = hirsch_report(h)
     assert (report["n"], report["d"], report["diameter"]) == (2, 1, 1)
     assert report["hirsch_sharp"] is True
@@ -170,7 +170,7 @@ def test_dual_graph_rejects_unbounded():
     h = HPolyhedron.from_rows(2, [(0, 1, 0), (0, 0, 1)])
     v = hrep_to_vrep(h)
     with pytest.raises(Unbounded):
-        dual_graph(h, v, incidence(h, v))
+        dual_graph(incidence(h, v))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -181,14 +181,24 @@ def test_classify_triples(d):
         (simplex(d), (True, True)),
     ):
         v, inc = _pipeline(h)
-        assert classify(h, v, inc) == expected
+        assert classify(inc) == expected
 
 
 def test_classify_square_both():
     # in the plane, cube = crosspolytope combinatorially: simple and simplicial
     h = cube(2)
     v, inc = _pipeline(h)
-    assert classify(h, v, inc) == (True, True)
+    assert classify(inc) == (True, True)
+
+
+def test_classify_placed_cube_like_cube():
+    # cube(3) in the hyperplane x4 = 0 of R^4, given by a linearity row
+    rows = [(b, *a, 0) for b, a in cube(3).rows] + [(0, 0, 0, 0, 1)]
+    placed = HPolyhedron.from_rows(4, rows, linearity=[6])
+    assert classify(incidence(placed, hrep_to_vrep(placed))) == (True, False)
+    report = hirsch_report(placed)
+    assert report["d"] == 3
+    assert report["simple"] is True and report["simplicial"] is False
 
 
 def test_polar_klee_walkup():
@@ -200,7 +210,7 @@ def test_polar_klee_walkup():
     assert shift == (0, 0, 0, -2)
     vp = hrep_to_vrep(h)
     inc = incidence(h, vp)
-    assert classify(h, vp, inc) == (True, False)
+    assert classify(inc) == (True, False)
     assert len(vp.vertices) == len(hrep_to_vrep(q4).vertices)
 
 
@@ -223,14 +233,14 @@ def test_polar_triangle_is_triangle():
 def test_polarity_swaps_classification_and_graphs():
     for base in (cube(3), simplex(3), crosspolytope(3)):
         v, inc = _pipeline(base)
-        s, t = classify(base, v, inc)
+        s, t = classify(inc)
         hp, _ = polar(v)
         vp, incp = _pipeline(hp)
-        assert classify(hp, vp, incp) == (t, s)
+        assert classify(incp) == (t, s)
         # G(P*) is isomorphic to the dual graph of P, matching polar
         # vertices to the facets they came from
-        gp = skeleton_graph(hp, vp, incp)
-        dg = dual_graph(base, v, inc)
+        gp = skeleton_graph(incp)
+        dg = dual_graph(inc)
         # polar row j came from base vertex j, so polar vertex k lies on
         # exactly the rows indexed by the base vertices of one base facet
         mapping = {}
@@ -239,7 +249,7 @@ def test_polarity_swaps_classification_and_graphs():
                 j for j in range(len(v.vertices)) if incp.masks[k] >> j & 1
             )
             row = next(
-                i for i in facet_row_indices(base, v, inc)
+                i for i in facet_row_indices(inc)
                 if frozenset(inc.vertices_on_row(i)) == base_verts
             )
             mapping[vp.label(k)] = f"f{row + 1}"
@@ -252,15 +262,15 @@ def test_polarity_swaps_classification_and_graphs():
 def test_euler_formula_for_3_polytopes():
     for h in (cube(3), simplex(3), crosspolytope(3), _pyramid()):
         v, inc = _pipeline(h)
-        g = skeleton_graph(h, v, inc)
-        nfacets = len(facet_row_indices(h, v, inc))
+        g = skeleton_graph(inc)
+        nfacets = len(facet_row_indices(inc))
         assert len(v.vertices) - len(g.edges) + nfacets == 2
 
 
 def test_simple_polytopes_have_degree_d_graphs():
     for h, d in ((cube(3), 3), (simplex(4), 4), (klee_walkup()[1], 4)):
         v, inc = _pipeline(h)
-        g = skeleton_graph(h, v, inc)
+        g = skeleton_graph(inc)
         assert all(len(nbrs) == d for nbrs in g.adjacency().values())
 
 
@@ -269,12 +279,12 @@ def test_skeleton_matches_facet_counting_rule_on_simple_polytopes():
     # implementation never uses this rule, so it is an independent oracle
     for h in (cube(3), cube(4), simplex(4), klee_walkup()[1]):
         v, inc = _pipeline(h)
-        facets = facet_row_indices(h, v, inc)
+        facets = facet_row_indices(inc)
         fmask = 0
         for i in facets:
             fmask |= 1 << i
         labels = v.all_labels()
-        g = skeleton_graph(h, v, inc)
+        g = skeleton_graph(inc)
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
                 shared = (inc.masks[i] & inc.masks[j] & fmask).bit_count()
@@ -285,7 +295,7 @@ def test_skeleton_matches_facet_counting_rule_on_simple_polytopes():
 def test_ngon_graph_is_cycle():
     h = ngon(6)
     v, inc = _pipeline(h)
-    g = skeleton_graph(h, v, inc)
+    g = skeleton_graph(inc)
     assert len(g.edges) == 6
     assert all(len(nbrs) == 2 for nbrs in g.adjacency().values())
 
@@ -302,7 +312,7 @@ def _pyramid():
 def test_pyramid_is_neither_simple_nor_simplicial():
     h = _pyramid()
     v, inc = _pipeline(h)
-    assert classify(h, v, inc) == (False, False)
+    assert classify(inc) == (False, False)
 
 
 def test_skeleton_of_degenerate_apex():
@@ -310,7 +320,7 @@ def test_skeleton_of_degenerate_apex():
     # combinatorial test keeps the graph right despite non-simplicity
     h = _pyramid()
     v, inc = _pipeline(h)
-    g = skeleton_graph(h, v, inc)
+    g = skeleton_graph(inc)
     apex = v.label(list(v.vertices).index((0, 0, 1)))
     assert len(g.adjacency()[apex]) == 4
     assert len(g.edges) == 8

@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polydiam.ratlin import (
-    QMatrix,
     dot,
     format_rational,
     matrix_rank,
     nullspace,
     parse_rational,
     primitive,
-    rank,
-    solve_affine,
 )
 from polydiam.constructions import KLEE_WALKUP_POINTS
 
@@ -42,12 +39,11 @@ def test_format_round_trip():
 
 
 def test_rank_identity():
-    m = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank(m) == 3
+    assert matrix_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_proportional_rows():
-    assert rank(QMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert matrix_rank([[1, 2], [2, 4]]) == 1
 
 
 def test_rank_homogenized_klee_walkup_points():
@@ -56,43 +52,12 @@ def test_rank_homogenized_klee_walkup_points():
     # independent elimination oracle.
     rows = [[1, *p] for p in KLEE_WALKUP_POINTS.values()]
     assert echelon_rank(rows) == 5
-    assert rank(QMatrix.from_rows(rows)) == 5
-
-
-def test_solve_affine_identity():
-    a = QMatrix.from_rows([[1, 0], [0, 1]])
-    assert solve_affine(a, [Fraction(1, 2), Fraction(-3)]) == (
-        Fraction(1, 2),
-        Fraction(-3),
-    )
-
-
-def test_solve_affine_inconsistent():
-    a = QMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve_affine(a, [0, 1]) is None
-
-
-def test_solve_affine_unique():
-    a = QMatrix.from_rows([[1, 1], [1, -1]])
-    assert solve_affine(a, [2, 0]) == (Fraction(1), Fraction(1))
+    assert matrix_rank(rows) == 5
 
 
 @given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=5))
 def test_rank_matches_oracle(rows):
     assert matrix_rank(rows) == echelon_rank(rows)
-
-
-@given(
-    st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=4),
-    st.lists(small_ints, min_size=3, max_size=3),
-)
-def test_solve_resubstitution(rows, x):
-    # build a consistent instance by construction, then check a.x == b exactly
-    a = QMatrix.from_rows(rows)
-    b = [dot(row, x) for row in rows]
-    sol = solve_affine(a, b)
-    assert sol is not None
-    assert [dot(row, sol) for row in rows] == b
 
 
 @given(small_ints, st.integers(min_value=1, max_value=6),

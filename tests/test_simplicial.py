@@ -35,7 +35,7 @@ def _klee_walkup_boundary():
     vstar, _ = klee_walkup()
     h = vrep_to_hrep(vstar)
     inc = incidence(h, vstar)
-    return boundary_complex(h, vstar, inc), h, vstar, inc
+    return boundary_complex(inc), h, vstar, inc
 
 
 def test_boundary_complex_klee_walkup():
@@ -49,7 +49,7 @@ def test_boundary_complex_octahedron():
     h = crosspolytope(3)
     v = hrep_to_vrep(h)
     inc = incidence(h, v)
-    k = boundary_complex(h, v, inc)
+    k = boundary_complex(inc)
     assert len(k.facets) == 8 and k.facet_size == 3
 
 
@@ -58,7 +58,7 @@ def test_boundary_complex_simplex():
         h = simplex(d)
         v = hrep_to_vrep(h)
         inc = incidence(h, v)
-        k = boundary_complex(h, v, inc)
+        k = boundary_complex(inc)
         assert len(k.facets) == d + 1 and k.facet_size == d
 
 
@@ -66,7 +66,7 @@ def test_boundary_complex_rejects_non_simplicial():
     h = cube(3)
     v = hrep_to_vrep(h)
     with pytest.raises(ValueError, match="not simplicial"):
-        boundary_complex(h, v, incidence(h, v))
+        boundary_complex(incidence(h, v))
 
 
 def test_ridge_graph_klee_walkup_distance():
@@ -121,12 +121,12 @@ def test_ridge_graph_matches_dual_graph():
     ]
     for h, v in pairs:
         inc = incidence(h, v)
-        k = boundary_complex(h, v, inc)
+        k = boundary_complex(inc)
         rg = ridge_graph(k)
-        dg = dual_graph(h, v, inc)
+        dg = dual_graph(inc)
         labels = v.all_labels()
         rename = {}
-        for i in facet_row_indices(h, v, inc):
+        for i in facet_row_indices(inc):
             rename[f"f{i + 1}"] = facet_name(
                 frozenset(labels[j] for j in inc.vertices_on_row(i))
             )
@@ -140,7 +140,7 @@ def test_boundary_facets_have_d_ridge_neighbors():
     for h in (crosspolytope(3), crosspolytope(4), simplex(4)):
         v = hrep_to_vrep(h)
         inc = incidence(h, v)
-        k = boundary_complex(h, v, inc)
+        k = boundary_complex(inc)
         g = ridge_graph(k)
         assert all(len(nbrs) == h.d for nbrs in g.adjacency().values())
 
@@ -166,7 +166,7 @@ def test_dual_nonrevisiting_octahedron():
     h = crosspolytope(3)
     v = hrep_to_vrep(h)
     inc = incidence(h, v)
-    k = boundary_complex(h, v, inc)
+    k = boundary_complex(inc)
     assert dual_nonrevisiting_property(k).holds is True
 
 
