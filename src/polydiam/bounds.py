@@ -23,7 +23,14 @@ import mpmath
 
 from .dd import hrep_to_vrep
 from .paths import diameter, monotone_eccentricity, nonrevisiting_property
-from .polyhedron import HPolyhedron, Infeasible, classify, facet_row_indices, incidence
+from .polyhedron import (
+    HPolyhedron,
+    Incidence,
+    Infeasible,
+    classify,
+    facet_row_indices,
+    incidence,
+)
 
 # Proved maximum diameters H(n, d) beyond the closed forms for d <= 3:
 # frozen data, no extrapolation.
@@ -159,22 +166,24 @@ def bound_table(n: int, d: int) -> BoundTable:
 
 
 def hirsch_report(
-    h: HPolyhedron,
+    poly: HPolyhedron | Incidence,
     *,
     check_nonrevisiting: bool = False,
     monotone_c=None,
 ) -> dict:
     """Everything the diameter story says about one polyhedron, as JSON data.
 
-    Counts only irredundant facets as n, takes the dimension of the affine
-    hull as d, and measures the diameter of the bounded-edge graph.  The
-    optional extras run the non-revisiting all-pairs check and the monotone
-    path analysis for a given functional.
+    `poly` is the `Incidence` of the polyhedron, whose `v` names the
+    vertices, or an H-description, which is converted to one first.  Counts
+    only irredundant facets as n, takes the dimension of the affine hull as
+    d, and measures the diameter of the bounded-edge graph.  The optional
+    extras run the non-revisiting all-pairs check and the monotone path
+    analysis for a given functional.
     """
-    v = hrep_to_vrep(h)
+    inc = poly if isinstance(poly, Incidence) else incidence(poly, hrep_to_vrep(poly))
+    v = inc.v
     if not v.vertices:
         raise Infeasible("infeasible")
-    inc = incidence(h, v)
     n = len(facet_row_indices(inc))
     d = inc.dim
     bounded = v.bounded

@@ -227,10 +227,10 @@ def _cmd_unbound(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    h = _load_h(_read_text(args.file))
+    inc = _load_pair(_read_text(args.file))
     c = _parse_rational_list(args.monotone) if args.monotone else None
     report = bnd.hirsch_report(
-        h, check_nonrevisiting=args.nonrevisiting, monotone_c=c
+        inc, check_nonrevisiting=args.nonrevisiting, monotone_c=c
     )
     if args.json:
         print(bnd.report_to_json(report))

@@ -234,8 +234,7 @@ def unbound_at_facet(h: HPolyhedron, k: int) -> HPolyhedron:
     v = hrep_to_vrep(h)
     if v.rays:
         raise Unbounded("input must be bounded")
-    m = len(v.vertices)
-    centroid = tuple(sum(p[j] for p in v.vertices) / m for j in range(h.d))
+    centroid = v.centroid()
     shifted = [(b + dot(a, centroid), a) for b, a in h.rows]
     bk, ak = shifted[k]
     if bk <= 0:
@@ -258,8 +257,7 @@ def unbound_point_map(
     to (x - centroid) / (b_k' + a_k.(x - centroid)) with b_k' the offset
     after centering on the vertex centroid of `v`.
     """
-    m = len(v.vertices)
-    centroid = tuple(sum(p[j] for p in v.vertices) / m for j in range(h.d))
+    centroid = v.centroid()
     b, a = h.rows[k]
     x = tuple(p - c for p, c in zip(point, centroid))
     s = b + dot(a, centroid) + dot(a, x)

@@ -15,8 +15,13 @@ arithmetic throughout:
   the free coordinates of its affine hull first and the facets lifted back.
 
 Ray insertion order is deterministic (rows sorted lexicographically after
-canonical scaling) and ray adjacency uses the combinatorial zero-set test,
-which is correct for degenerate inputs where a rank shortcut is not.
+canonical scaling) and ray adjacency uses the combinatorial zero-set test
+of Fukuda & Prodon, *Double description method revisited* (1996), which
+is correct for degenerate inputs where a rank shortcut is not.  It runs on
+column bitsets: per processed row, the set of rays tight on it, so "which
+rays are tight on all of z" is one AND of |z| big integers rather than a
+scan over every ray.  A short rank of the cone rows (a line in the input)
+surfaces there too, as `NotPointed`, with no separate rank test.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from .polyhedron import (
     NotPointed,
     Row,
     VPolyhedron,
+    _tight_on_all,
     canonical_equality_row,
     canonical_row,
 )
-from .ratlin import Vector, dot, invert, matrix_rank, nullspace, primitive, row_echelon
+from .ratlin import Vector, dot, invert, nullspace, primitive, row_echelon
 
 
 def _independent_rows(rows, limit: int | None = None) -> list[int]:
@@ -64,9 +70,20 @@ def _independent_rows(rows, limit: int | None = None) -> list[int]:
 def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : r.y >= 0 for r in rows}.
 
-    `rows` must be primitive integer vectors whose rank is `dim`; they are
-    deduplicated and processed in sorted order.  Returns primitive integer
-    rays; returns [] when the cone is the origin alone.
+    `rows` must be primitive integer vectors whose rank is `dim` (else
+    NotPointed); they are deduplicated and processed in sorted order.
+    Returns primitive integer rays; returns [] when the cone is the origin
+    alone.
+
+    Adjacency is the combinatorial test of Fukuda & Prodon, *Double
+    description method revisited* (1996): a positive ray p and a negative
+    ray q of a step are adjacent exactly when no third ray present before
+    the step is tight on every row of z = Z(p) & Z(q), their common zero
+    set.  Each ray keeps one id for its whole life, and `columns[i]` holds
+    the ids of the rays tight on processed row i, so the rays tight on all
+    of z are one AND of |z| columns, masked by `alive`, the ids present
+    before the step; the pair is adjacent when that AND is {p, q}.  Ids of
+    removed rays stay in the columns; `alive` hides them.
     """
     rows = sorted(set(rows))
     # Greedy initial basis in insertion order, then its inverse columns are
@@ -75,25 +92,31 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     basis_idx = _independent_rows(rows, dim)
     if len(basis_idx) < dim:
         raise NotPointed("cone has a nonzero lineality space")
-    basis = [rows[i] for i in basis_idx]
-    inv = invert(basis)
+    inv = invert([rows[i] for i in basis_idx])
     assert inv is not None
     rays = [primitive([inv[i][j] for i in range(dim)]) for j in range(dim)]
-    # zero-set bitmasks are indexed by processed-row position
-    masks = [(1 << dim) - 1 ^ (1 << j) for j in range(dim)]
+    # Ray j has id j and is tight on every basis row but row j, so the
+    # start columns equal the start masks; zero-set bitmasks are indexed by
+    # processed-row position.
+    ids = list(range(dim))
+    alive = (1 << dim) - 1
+    masks = [alive ^ 1 << j for j in range(dim)]
+    columns = masks[:]
+    next_id = dim
 
-    processed = len(basis)
     chosen = set(basis_idx)
-    remaining = [row for i, row in enumerate(rows) if i not in chosen]
-    for row in remaining:
+    for row in (row for i, row in enumerate(rows) if i not in chosen):
+        bit = 1 << len(columns)
         vals = [dot(row, r) for r in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
+        column = 0
+        for k in zero:
+            masks[k] |= bit
+            column |= 1 << ids[k]
+        columns.append(column)
         if not neg:
-            for k in zero:
-                masks[k] |= 1 << processed
-            processed += 1
             continue
 
         new_rays: list[tuple[int, ...]] = []
@@ -103,24 +126,31 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
                 z = masks[p] & masks[q]
                 if z.bit_count() < dim - 2:
                     continue
-                if any(
-                    masks[r] & z == z for r in range(len(rays)) if r != p and r != q
-                ):
+                pair = 1 << ids[p] | 1 << ids[q]
+                if _tight_on_all(columns, z, alive, pair) != pair:
                     continue  # not adjacent: some third ray is tight on z
                 combo = tuple(
                     vals[p] * rays[q][i] - vals[q] * rays[p][i]
                     for i in range(dim)
                 )
                 new_rays.append(primitive(combo))
-                new_masks.append(z | 1 << processed)
+                new_masks.append(z | bit)
 
-        keep_rays = [rays[k] for k in pos + zero]
-        keep_masks = [
-            masks[k] | (1 << processed if k in zero else 0) for k in pos + zero
-        ]
-        rays = keep_rays + new_rays
-        masks = keep_masks + new_masks
-        processed += 1
+        new_ids = list(range(next_id, next_id + len(new_rays)))
+        next_id += len(new_rays)
+        for m, i in zip(new_masks, new_ids):
+            while m:
+                low = m & -m
+                columns[low.bit_length() - 1] |= 1 << i
+                m ^= low
+        for q in neg:
+            alive ^= 1 << ids[q]
+        for i in new_ids:
+            alive |= 1 << i
+        keep = pos + zero
+        rays = [rays[k] for k in keep] + new_rays
+        masks = [masks[k] for k in keep] + new_masks
+        ids = [ids[k] for k in keep] + new_ids
     return rays
 
 
@@ -177,13 +207,15 @@ def hrep_to_vrep(h: HPolyhedron) -> VPolyhedron:
         feasible = all(b >= 0 for b, _ in reduced)
         return VPolyhedron(h.d, (x0,) if feasible else (), ())
 
-    if matrix_rank([a for _, a in reduced]) < k:
-        raise NotPointed("feasible set contains a line: no vertices exist")
-
+    # The cone rows span e0 and every (0, a), so their rank is 1 + rank{a}:
+    # the cone is pointed exactly when the feasible set holds no line.
     cone_rows = {primitive((1,) + (0,) * k)}
     for b, a in reduced:
         cone_rows.add(primitive((b, *a)))
-    rays = _cone_extreme_rays(sorted(cone_rows), k + 1)
+    try:
+        rays = _cone_extreme_rays(sorted(cone_rows), k + 1)
+    except NotPointed:
+        raise NotPointed("feasible set contains a line: no vertices exist") from None
 
     # Without equality rows the parametrization is the identity, and the
     # cone coordinates are already ambient ones.

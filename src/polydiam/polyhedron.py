@@ -178,6 +178,11 @@ class VPolyhedron:
     def all_labels(self) -> tuple[str, ...]:
         return tuple(self.label(i) for i in range(len(self.vertices)))
 
+    def centroid(self) -> Point:
+        """The average of the vertices (rays ignored)."""
+        m = len(self.vertices)
+        return tuple(sum(p[j] for p in self.vertices) / m for j in range(self.d))
+
 
 class Incidence:
     """The combinatorial data of one polyhedron, computed once and shared.
@@ -253,13 +258,23 @@ class Incidence:
         """Whether vertices u and w are the only vertices, and no ray is,
         tight on every row of T(u) & T(w)."""
         pair = 1 << u | 1 << w
-        common = self.everything
         z = self.masks[u] & self.masks[w]
-        while z and common != pair:
-            low = z & -z
-            common &= self.columns[low.bit_length() - 1]
-            z ^= low
-        return common == pair
+        return _tight_on_all(self.columns, z, self.everything, pair) == pair
+
+
+def _tight_on_all(columns: Sequence[int], rows: int, among: int, floor: int) -> int:
+    """The members of `among` whose bit is set in `columns[i]` for every row
+    i of the bitset `rows`: one AND of the columns over `rows`.
+
+    `floor` must be a subset of the answer (say, the pair whose common rows
+    `rows` are); the AND stops as soon as it has shrunk to `floor`, since
+    it can shrink no further.
+    """
+    while rows and among != floor:
+        low = rows & -rows
+        among &= columns[low.bit_length() - 1]
+        rows ^= low
+    return among
 
 
 @dataclass(frozen=True)
@@ -446,9 +461,7 @@ def polar(v: VPolyhedron) -> tuple[HPolyhedron, Vector]:
         raise Unbounded("polar requires a bounded polytope")
     if affine_dim(v) != v.d:
         raise GeometryError("polar requires a full-dimensional polytope")
-    m = len(v.vertices)
-    centroid = tuple(sum(p[j] for p in v.vertices) / m for j in range(v.d))
-    shift = tuple(-c for c in centroid)
+    shift = tuple(-c for c in v.centroid())
     rows = tuple(
         (Fraction(1), tuple(-(p[j] + shift[j]) for j in range(v.d)))
         for p in v.vertices

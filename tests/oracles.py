@@ -4,13 +4,15 @@ Everything here is deliberately written from scratch against the
 definitions, not by calling the library: brute-force vertex enumeration
 over row subsets, forward-elimination rank counting, `Fraction`
 incidence, facets and ridges by affine rank, the literal third-vertex
-edge test, a queue BFS for diameters and their witness pairs, simple-path
+edge test, double description with the literal third-ray adjacency scan,
+a queue BFS for diameters and their witness pairs, simple-path
 enumeration for the non-revisiting property, and a literal interval check
 of what "never revisits a facet" means.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 
 def solve_square(rows, rhs):
@@ -70,6 +72,60 @@ def echelon_rank(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return sum(1 for row in m if any(x != 0 for x in row))
+
+
+def primitive_ints(vec):
+    """The positive multiple of a rational vector with coprime integer entries."""
+    fracs = [Fraction(x) for x in vec]
+    den = lcm(*(q.denominator for q in fracs))
+    ints = [int(q * den) for q in fracs]
+    g = gcd(*ints)
+    return tuple(z // g for z in ints) if g > 1 else tuple(ints)
+
+
+def third_ray_scan_extreme_rays(rows, dim):
+    """Extreme rays of the cone {y : r.y >= 0 for r in rows}, or None when
+    the rows have rank below `dim` (the cone then holds a line).
+
+    Textbook double description: rows deduplicated and sorted, the first
+    `dim` rows that raise the rank as the simplicial start cone, then one
+    row at a time.  A positive ray p and a negative ray q are combined when
+    no third ray present is tight on every row both are tight on (the
+    combinatorial adjacency test, checked by scanning every ray, with no
+    count filter in front).  Rays come out primitive, in the order the
+    steps produce them.
+    """
+    rows = sorted(set(rows))
+    basis = []
+    for i, row in enumerate(rows):
+        if len(basis) < dim and echelon_rank([rows[j] for j in basis] + [row]) > len(basis):
+            basis.append(i)
+    if len(basis) < dim:
+        return None
+    square = [rows[i] for i in basis]
+    rays = [primitive_ints(solve_square(square, [int(i == j) for i in range(dim)]))
+            for j in range(dim)]
+    zeros = [{basis[i] for i in range(dim) if i != j} for j in range(dim)]
+    for r, row in enumerate(rows):
+        if r in basis:
+            continue
+        vals = [sum(a * y for a, y in zip(row, ray)) for ray in rays]
+        pos = [k for k, x in enumerate(vals) if x > 0]
+        neg = [k for k, x in enumerate(vals) if x < 0]
+        zero = [k for k, x in enumerate(vals) if x == 0]
+        new_rays, new_zeros = [], []
+        for p in pos:
+            for q in neg:
+                common = zeros[p] & zeros[q]
+                if any(zeros[t] >= common for t in range(len(rays)) if t not in (p, q)):
+                    continue
+                new_rays.append(primitive_ints(
+                    [vals[p] * y - vals[q] * x for x, y in zip(rays[p], rays[q])]))
+                new_zeros.append(common | {r})
+        keep = pos + zero
+        rays = [rays[k] for k in keep] + new_rays
+        zeros = [zeros[k] | ({r} if k in zero else set()) for k in keep] + new_zeros
+    return rays
 
 
 def fraction_incidence(h, v):

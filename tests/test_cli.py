@@ -128,6 +128,31 @@ def test_not_pointed_exit_1(capsys, tmp_path):
     p.write_text(write_hfile(HPolyhedron.from_rows(2, [(0, 1, 0)])))
     code, _, err = run(capsys, "graph", str(p))
     assert code == 1 and "error" in err
+    # a line, and an infeasible set that contains a line (x >= 1, -x >= 0)
+    empty = tmp_path / "empty_line.ine"
+    empty.write_text(write_hfile(HPolyhedron.from_rows(2, [(-1, 1, 0), (0, -1, 0)])))
+    for path in (p, empty):
+        code, out, err = run(capsys, "convert", "--to", "v", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: feasible set contains a line: no vertices exist\n"
+
+
+def test_check_vfile_names_vertices_as_graph_does(capsys, tmp_path):
+    # The square in file order (1,1), (0,0), (1,0), (0,1): `graph` calls
+    # (1,1) v0 and (0,0) v1, and `check` must use the same names.
+    p = tmp_path / "square.ext"
+    p.write_text(write_vfile(VPolyhedron.from_points([(1, 1), (0, 0), (1, 0), (0, 1)])))
+    code, out, _ = run(capsys, "graph", str(p))
+    assert code == 0
+    edges = {tuple(line.split()) for line in out.strip().splitlines()[1:]}
+    assert edges == {("v0", "v2"), ("v0", "v3"), ("v1", "v2"), ("v1", "v3")}
+    code, out, _ = run(capsys, "check", "--json", "--monotone", "1,2", str(p))
+    assert code == 0
+    report = json.loads(out)
+    assert report["monotone"]["optimum"] == "v0"  # (1,1) maximises x + 2y
+    assert report["diameter"] == 2
+    assert tuple(report["witness_pair"]) not in edges
+    assert report["witness_pair"] == ["v0", "v1"]
 
 
 def test_convert_round_trip(capsys, tmp_path):

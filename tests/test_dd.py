@@ -17,10 +17,16 @@ from polydiam import (
     vrep_to_hrep,
 )
 from polydiam.constructions import cube, klee_walkup, simplex, transportation
-from polydiam.dd import _independent_rows
+from polydiam.dd import _cone_extreme_rays, _independent_rows
 from polydiam.polyhedron import affine_dim, canonical_row
 
-from oracles import brute_force_vertices, echelon_rank
+from corpus import corpus
+from oracles import (
+    brute_force_vertices,
+    echelon_rank,
+    primitive_ints,
+    third_ray_scan_extreme_rays,
+)
 
 # Vertex count of the Klee-Walkup polytope; the value is not part of the
 # published description, so it is frozen here from the brute-force oracle.
@@ -90,8 +96,11 @@ def test_infeasible_with_free_direction_is_still_empty():
 
 
 def test_not_pointed_raises():
-    with pytest.raises(NotPointed):
-        hrep_to_vrep(HPolyhedron.from_rows(2, [(0, 1, 0)]))
+    # a line, and an infeasible set that contains a line (x >= 1, -x >= 0)
+    for rows in ([(0, 1, 0)], [(-1, 1, 0), (0, -1, 0)]):
+        with pytest.raises(NotPointed) as caught:
+            hrep_to_vrep(HPolyhedron.from_rows(2, rows))
+        assert str(caught.value) == "feasible set contains a line: no vertices exist"
 
 
 def test_unbounded_half_strip():
@@ -277,3 +286,45 @@ def test_independent_rows_is_the_greedy_basis(rows, limit):
     assert kept == greedy
     assert len(kept) == echelon_rank(rows)
     assert _independent_rows(rows, limit) == greedy[:limit]
+
+
+def _cone_rays_match_oracle(rows, dim):
+    """Require `_cone_extreme_rays` to return exactly the oracle's list, or
+    to raise NotPointed where the oracle finds the rank short.  Returns the
+    oracle's rays (None for a short rank)."""
+    want = third_ray_scan_extreme_rays(rows, dim)
+    if want is None:
+        with pytest.raises(NotPointed):
+            _cone_extreme_rays(rows, dim)
+    else:
+        assert _cone_extreme_rays(rows, dim) == want
+    return want
+
+
+def _both_directions(points):
+    # V -> H on the cone of (b, a) with b + a.p >= 0 for every point, then
+    # H -> V on the homogenized cone of the facet rows found.
+    d = len(points[0])
+    facets = _cone_rays_match_oracle([primitive_ints((1, *p)) for p in points], d + 1)
+    if facets is not None:
+        e0 = (1,) + (0,) * d
+        _cone_rays_match_oracle([e0] + [f for f in facets if any(f[1:])], d + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=6).flatmap(
+    lambda d: st.tuples(st.just(d), st.sets(st.integers(min_value=0, max_value=2**d - 1),
+                                            min_size=d + 1, max_size=12))))
+def test_cone_extreme_rays_match_third_ray_scan(data):
+    d, codes = data
+    _both_directions([tuple(c >> j & 1 for j in range(d)) for c in sorted(codes)])
+
+
+def test_cone_extreme_rays_match_third_ray_scan_on_degenerate_inputs():
+    square_pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+    cube_pyramid = [(*(2 * x for x in c), 0) for c in iproduct((0, 1), repeat=3)]
+    cube_pyramid.append((1, 1, 1, 1))
+    for points in (square_pyramid, cube_pyramid):
+        _both_directions(points)
+    for _, h in corpus():  # crosspolytopes, cubes, Klee-Walkup, products, ...
+        _both_directions(hrep_to_vrep(h).vertices)
