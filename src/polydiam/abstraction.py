@@ -87,18 +87,10 @@ def validate_layer_property(g: SubsetFamilyGraph) -> tuple[bool, tuple[Node, Nod
 
     Returns (True, None) or (False, first failing pair in node order).
     """
-    m = len(g.nodes)
     adj = g.adjacency_masks()
-    sets = [frozenset(node) for node in g.nodes]
-    for i in range(m):
-        for j in range(i + 1, m):
-            common = sets[i] & sets[j]
-            allowed = 0
-            for k in range(m):
-                if common <= sets[k]:
-                    allowed |= 1 << k
-            if not _reach(adj, i, allowed) >> j & 1:
-                return False, (g.nodes[i], g.nodes[j])
+    for i, j, fmask in _pair_filters(g.nodes):
+        if not _reach(adj, i, fmask) >> j & 1:
+            return False, (g.nodes[i], g.nodes[j])
     return True, None
 
 
@@ -152,36 +144,42 @@ class SearchResult:
     explored: int
 
 
-def _subset_masks(nodes: list[Node]) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """Per-pair filter masks and the edge list for a fixed node set."""
-    m = len(nodes)
+def _pair_filters(nodes) -> list[tuple[int, int, int]]:
+    """(i, j, F(i, j)) for every node pair i < j, in `combinations` order:
+    F(i, j) is the mask of the nodes containing both nodes' common elements."""
     sets = [frozenset(x) for x in nodes]
-    pairs = list(combinations(range(m), 2))
-    pair_filters = []
-    for i, j in pairs:
+    out = []
+    for i, j in combinations(range(len(sets)), 2):
         common = sets[i] & sets[j]
         fmask = 0
-        for k in range(m):
-            if common <= sets[k]:
+        for k, s in enumerate(sets):
+            if common <= s:
                 fmask |= 1 << k
-        pair_filters.append((i, j, fmask))
-    return pair_filters, pairs
+        out.append((i, j, fmask))
+    return out
 
 
-def _graph_valid(adj: list[int], pair_filters) -> bool:
-    for i, j, fmask in pair_filters:
-        if not _reach(adj, i, fmask) >> j & 1:
-            return False
-    return True
-
-
-def _edge_adj(m: int, pairs, emask: int) -> list[int]:
+def _edge_adj(m: int, pair_filters, emask: int) -> list[int]:
+    """Neighbour bitsets of the graph whose edges are the set bits of
+    `emask`, bit b standing for the pair `pair_filters[b]`."""
     adj = [0] * m
-    for bit, (i, j) in enumerate(pairs):
+    for bit, (i, j, _) in enumerate(pair_filters):
         if emask >> bit & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return adj
+
+
+def _deletable(adj: list[int], i: int, j: int, fmask: int) -> bool:
+    """Whether the valid graph `adj` stays valid without its edge {i, j},
+    `fmask` being F(i, j); `adj` is left as it was (see the lemma in
+    `search_max_diameter`)."""
+    adj[i] ^= 1 << j
+    adj[j] ^= 1 << i
+    ok = _reach(adj, i, fmask) >> j & 1
+    adj[i] ^= 1 << j
+    adj[j] ^= 1 << i
+    return bool(ok)
 
 
 def search_max_diameter(
@@ -195,6 +193,15 @@ def search_max_diameter(
     the result is the exact extremum.  Larger parameters fall back to
     seeded random thinning of complete graphs and only ever claim a lower
     bound (`complete=False`).
+
+    Both walks only ever delete one edge from a valid graph, which takes
+    one reachability test instead of one per node pair.  Write
+    F(a, b) = {k : S_a & S_b <= S_k}, and let e = {i, j} be an edge of a
+    valid graph G.  Deleting e changes G[F(a, b)] only when i and j are
+    both in F(a, b); then S_a & S_b <= S_i & S_j, so F(a, b) contains
+    F(i, j), and a path from i to j inside F(i, j) replaces e.  Hence
+    G - e is valid exactly when j is reachable from i inside F(i, j)
+    in G - e.
     """
     if n > 8 or d > 3:
         raise ValueError("search is guarded to n <= 8, d <= 3")
@@ -210,28 +217,27 @@ def search_max_diameter(
     explored = 0
     complete = True
 
-    def consider(nodes: list[Node], emask: int, pairs) -> None:
+    def consider(nodes: list[Node], emask: int, adj: list[int], pair_filters) -> None:
         nonlocal best_graph, best_diam
-        found = mask_diameter(_edge_adj(len(nodes), pairs, emask))
+        found = mask_diameter(adj)
         if found is not None and found[0] > best_diam:
             edges = [
                 (nodes[i], nodes[j])
-                for bit, (i, j) in enumerate(pairs)
+                for bit, (i, j, _) in enumerate(pair_filters)
                 if emask >> bit & 1
             ]
             best_diam = found[0]
             best_graph = SubsetFamilyGraph.make(n, d, nodes, edges)
 
+    # The complete graph on any node set is valid: F(i, j) holds i and j,
+    # and they are adjacent.  So each walk starts from a valid graph.
     if exhaustive:
         for size in range(1, len(all_nodes) + 1):
             for chosen in combinations(all_nodes, size):
                 nodes = list(chosen)
-                pair_filters, pairs = _subset_masks(nodes)
-                full = (1 << len(pairs)) - 1
-                if not _graph_valid(_edge_adj(len(nodes), pairs, full), pair_filters):
-                    continue
+                pair_filters = _pair_filters(nodes)
                 seen = set()
-                stack = [full]
+                stack = [(1 << len(pair_filters)) - 1]
                 while stack:
                     emask = stack.pop()
                     if emask in seen:
@@ -242,13 +248,12 @@ def search_max_diameter(
                         break
                     seen.add(emask)
                     explored += 1
-                    consider(nodes, emask, pairs)
-                    for bit in range(len(pairs)):
+                    adj = _edge_adj(len(nodes), pair_filters, emask)
+                    consider(nodes, emask, adj, pair_filters)
+                    for bit, (i, j, fmask) in enumerate(pair_filters):
                         if emask >> bit & 1:
                             child = emask & ~(1 << bit)
-                            if child not in seen and _graph_valid(
-                                _edge_adj(len(nodes), pairs, child), pair_filters
-                            ):
+                            if child not in seen and _deletable(adj, i, j, fmask):
                                 stack.append(child)
                 if not complete:
                     break
@@ -260,22 +265,19 @@ def search_max_diameter(
         while explored < budget:
             size = rng.randint(2, len(all_nodes))
             nodes = sorted(rng.sample(all_nodes, size))
-            pair_filters, pairs = _subset_masks(nodes)
-            full = (1 << len(pairs)) - 1
-            if not _graph_valid(_edge_adj(len(nodes), pairs, full), pair_filters):
-                explored += 1
-                continue
-            emask = full
-            order = list(range(len(pairs)))
+            pair_filters = _pair_filters(nodes)
+            emask = (1 << len(pair_filters)) - 1
+            adj = _edge_adj(len(nodes), pair_filters, emask)
+            order = list(range(len(pair_filters)))
             rng.shuffle(order)
             for bit in order:
-                trial = emask & ~(1 << bit)
-                if emask >> bit & 1 and _graph_valid(
-                    _edge_adj(len(nodes), pairs, trial), pair_filters
-                ):
-                    emask = trial
+                i, j, fmask = pair_filters[bit]
+                if _deletable(adj, i, j, fmask):
+                    adj[i] ^= 1 << j
+                    adj[j] ^= 1 << i
+                    emask &= ~(1 << bit)
             explored += 1
-            consider(nodes, emask, pairs)
+            consider(nodes, emask, adj, pair_filters)
 
     if best_graph is None:
         raise ValueError("no valid connected graph found")

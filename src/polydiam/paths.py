@@ -10,7 +10,10 @@ if it fails, no non-revisiting path exists at all.
 
 Search state is (current vertex, set of facets left so far); the set of
 facets merely visited does not constrain future moves, so memoizing on the
-left-set is sound.
+left-set is sound.  A walk needs at least dist(node, target) more steps,
+so the search cuts a node whose BFS distance to the target exceeds the
+steps left; the cut subtrees hold no path, so the search meets the same
+paths in the same order, and finds the same first one, as without it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from math import inf
+from typing import Sequence
 
 from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded
 from .ratlin import dot
@@ -161,12 +165,16 @@ def nonrevisiting_dfs(
     target: int,
     cap: int,
     budget: SearchBudget,
+    dist: list[int | float],
 ) -> list[int] | None:
     """Bounded-depth search for a non-revisiting walk in mask space.
 
     `masks[i]` is the bitmask of facets (or, dually, vertex stars) the node
     is on.  A move into `w` is allowed when w's mask avoids everything
     already left; proven-failed (node, left-set, depth) states are memoized.
+    `dist[i]` is the graph distance from node i to `target` (inf when
+    unreachable): a node with fewer steps left than that is cut before it
+    spends budget, so an unreachable target costs nothing.
     Returns the node path, or None when no path of length <= cap exists.
     Raises TimeoutError when the budget is exhausted.
     """
@@ -175,7 +183,7 @@ def nonrevisiting_dfs(
     def dfs(node: int, left: int, remaining: int) -> list[int] | None:
         if node == target:
             return [node]
-        if remaining == 0:
+        if dist[node] > remaining:
             return None
         key = (node, left)
         if memo.get(key, -1) >= remaining:
@@ -197,6 +205,41 @@ def nonrevisiting_dfs(
         if found is not None:
             return found
     return None
+
+
+def _distances_to(adj: list[int], target: int) -> list[int | float]:
+    """Graph distance from every node to `target`, the graph given as
+    neighbour bitsets; inf when unreachable."""
+    dist: list[int | float] = [inf] * len(adj)
+    for k, layer in enumerate(_bfs_layers(adj, target)):
+        while layer:
+            low = layer & -layer
+            dist[low.bit_length() - 1] = k
+            layer ^= low
+    return dist
+
+
+def _nonrevisiting_all_pairs(
+    adjacency: dict[int, list[int]],
+    masks: list[int],
+    cap: int,
+    names: Sequence[str],
+    budget: int | None,
+) -> PropertyResult:
+    """Run `nonrevisiting_dfs` on every unordered pair i < j, sharing one
+    budget and one distance row per target; the first pair without a path
+    is the witness."""
+    adj = [sum(1 << j for j in adjacency[i]) for i in range(len(names))]
+    rows = [_distances_to(adj, j) for j in range(len(names))]
+    shared = SearchBudget(budget)
+    try:
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                if nonrevisiting_dfs(adjacency, masks, i, j, cap, shared, rows[j]) is None:
+                    return PropertyResult(holds=False, witness=(names[i], names[j]))
+    except TimeoutError:
+        return PropertyResult(holds=None, witness=None)
+    return PropertyResult(holds=True, witness=None)
 
 
 def _index_adjacency(graph: PolyGraph) -> dict[int, list[int]]:
@@ -229,13 +272,15 @@ def nonrevisiting_path(
         if name not in labels:
             raise ValueError(f"unknown vertex {name!r}")
     cap = len(inc.facets) - inc.dim
+    t = labels.index(target)
     found = nonrevisiting_dfs(
         _index_adjacency(inc.graph),
         inc.facet_masks,
         labels.index(source),
-        labels.index(target),
+        t,
         cap,
         SearchBudget(budget),
+        _distances_to(_adjacency_masks(inc.graph), t),
     )
     if found is None:
         return None
@@ -260,20 +305,13 @@ def nonrevisiting_property(
     """
     if inc.v.rays:
         raise Unbounded("non-revisiting search requires a bounded polytope")
-    masks = inc.facet_masks
-    cap = len(inc.facets) - inc.dim
-    adj = _index_adjacency(inc.graph)
-    labels = inc.graph.nodes
-    shared = SearchBudget(budget)
-    m = len(labels)
-    try:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if nonrevisiting_dfs(adj, masks, i, j, cap, shared) is None:
-                    return PropertyResult(holds=False, witness=(labels[i], labels[j]))
-    except TimeoutError:
-        return PropertyResult(holds=None, witness=None)
-    return PropertyResult(holds=True, witness=None)
+    return _nonrevisiting_all_pairs(
+        _index_adjacency(inc.graph),
+        inc.facet_masks,
+        len(inc.facets) - inc.dim,
+        inc.graph.nodes,
+        budget,
+    )
 
 
 def monotone_eccentricity(inc: Incidence, c) -> MonotoneReport:

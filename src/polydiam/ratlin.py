@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 # Exact rational scalar used across the package.
@@ -130,4 +131,4 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .paths import PropertyResult, SearchBudget, nonrevisiting_dfs
+from .paths import PropertyResult, _nonrevisiting_all_pairs
 from .polyhedron import Incidence, PolyGraph, classify
 
 
@@ -110,13 +110,4 @@ def dual_nonrevisiting_property(
             if (masks[i] & masks[j]).bit_count() == size - 1:
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-    cap = len(k.labels) - size
-    shared = SearchBudget(budget)
-    try:
-        for i in range(len(facets)):
-            for j in range(i + 1, len(facets)):
-                if nonrevisiting_dfs(adjacency, masks, i, j, cap, shared) is None:
-                    return PropertyResult(holds=False, witness=(names[i], names[j]))
-    except TimeoutError:
-        return PropertyResult(holds=None, witness=None)
-    return PropertyResult(holds=True, witness=None)
+    return _nonrevisiting_all_pairs(adjacency, masks, len(k.labels) - size, names, budget)

@@ -6,10 +6,13 @@ over row subsets, forward-elimination rank counting, `Fraction`
 incidence, facets and ridges by affine rank, the literal third-vertex
 edge test, double description with the literal third-ray adjacency scan,
 a queue BFS for diameters and their witness pairs, simple-path
-enumeration for the non-revisiting property, and a literal interval check
-of what "never revisits a facet" means.
+enumeration for the non-revisiting property, a literal interval check
+of what "never revisits a facet" means, the non-revisiting search
+without its distance cut, and the subset-graph search that re-checks
+the layer property on every pair after every trial deletion.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -280,3 +283,139 @@ def pentagon_monotone_worst(points, edges, c):
         assert opt in seen, "monotone sink other than the maximum"
         worst = max(worst, steps if s != opt else 0)
     return opt, worst
+
+
+def unpruned_nonrevisiting_dfs(adjacency, masks, source, target, cap):
+    """The first shortest non-revisiting walk found by iterative deepening,
+    with the moves tried in `adjacency` order and no distance cut: a node
+    is given up only when no step is left.  None when there is none."""
+
+    def dfs(node, left, remaining):
+        if node == target:
+            return [node]
+        if remaining == 0:
+            return None
+        for nxt in adjacency[node]:
+            if masks[nxt] & left:
+                continue
+            tail = dfs(nxt, left | (masks[node] & ~masks[nxt]), remaining - 1)
+            if tail is not None:
+                return [node] + tail
+        return None
+
+    for depth in range(cap + 1):
+        found = dfs(source, 0, depth)
+        if found is not None:
+            return found
+    return None
+
+
+def nonrevisiting_all_pairs(adjacency, masks, cap, names):
+    """(holds, witness) over the unordered pairs i < j in order, by
+    `unpruned_nonrevisiting_dfs`; the witness is the first pair without a
+    path."""
+    for i, j in combinations(range(len(names)), 2):
+        if unpruned_nonrevisiting_dfs(adjacency, masks, i, j, cap) is None:
+            return False, (names[i], names[j])
+    return True, None
+
+
+def subset_pair_filters(nodes):
+    """(i, j, F) for node pairs i < j: F is the bitmask of the nodes that
+    contain every element nodes i and j have in common."""
+    sets = [set(x) for x in nodes]
+    return [
+        (i, j, sum(1 << k for k, s in enumerate(sets) if sets[i] & sets[j] <= s))
+        for i, j in combinations(range(len(nodes)), 2)
+    ]
+
+
+def subset_graph_valid(adj, pair_filters):
+    """The layer property, pair by pair: j is reachable from i by a walk
+    that stays on the nodes of F(i, j) (a queue BFS per pair)."""
+    neighbours = [[w for w in range(len(adj)) if row >> w & 1] for row in adj]
+    for i, j, fmask in pair_filters:
+        seen = {i}
+        queue = [i]
+        for u in queue:
+            for w in neighbours[u]:
+                if fmask >> w & 1 and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if j not in seen:
+            return False
+    return True
+
+
+def _edge_bitsets(m, pair_filters, emask):
+    adj = [0] * m
+    for bit, (i, j, _) in enumerate(pair_filters):
+        if emask >> bit & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def reference_search_max_diameter(n, d, budget=1_000_000, seed=None):
+    """(nodes, edges, diameter, complete, explored) of the largest-diameter
+    subset graph found, by the walks of `abstraction.search_max_diameter`
+    with every candidate graph re-validated on all pairs: exhaustive
+    below seven nodes, seeded random thinning of complete graphs above."""
+    all_nodes = [tuple(c) for c in combinations(range(1, n + 1), d)]
+    best = None
+    best_diam = -1
+    explored = 0
+    complete = True
+
+    def consider(nodes, pair_filters, emask):
+        nonlocal best, best_diam
+        edges = [(i, j) for bit, (i, j, _) in enumerate(pair_filters) if emask >> bit & 1]
+        found = queue_bfs_diameter(list(range(len(nodes))), edges)
+        if found is not None and found[0] > best_diam:
+            best_diam = found[0]
+            best = (tuple(nodes), frozenset((nodes[i], nodes[j]) for i, j in edges))
+
+    def valid(nodes, pair_filters, emask):
+        return subset_graph_valid(_edge_bitsets(len(nodes), pair_filters, emask), pair_filters)
+
+    if len(all_nodes) <= 6:
+        for size in range(1, len(all_nodes) + 1):
+            for chosen in combinations(all_nodes, size):
+                nodes = list(chosen)
+                pair_filters = subset_pair_filters(nodes)
+                seen = set()
+                stack = [(1 << len(pair_filters)) - 1]
+                while stack and complete:
+                    emask = stack.pop()
+                    if emask in seen:
+                        continue
+                    if explored >= budget:
+                        complete = False
+                        break
+                    seen.add(emask)
+                    explored += 1
+                    consider(nodes, pair_filters, emask)
+                    for bit in range(len(pair_filters)):
+                        child = emask & ~(1 << bit)
+                        if (emask >> bit & 1 and child not in seen
+                                and valid(nodes, pair_filters, child)):
+                            stack.append(child)
+                if not complete:
+                    break
+            if not complete:
+                break
+    else:
+        rng = random.Random(seed)
+        complete = False
+        while explored < budget:
+            nodes = sorted(rng.sample(all_nodes, rng.randint(2, len(all_nodes))))
+            pair_filters = subset_pair_filters(nodes)
+            emask = (1 << len(pair_filters)) - 1
+            order = list(range(len(pair_filters)))
+            rng.shuffle(order)
+            for bit in order:
+                if valid(nodes, pair_filters, emask & ~(1 << bit)):
+                    emask &= ~(1 << bit)
+            explored += 1
+            consider(nodes, pair_filters, emask)
+    return best[0], best[1], best_diam, complete, explored

@@ -1,10 +1,14 @@
 """Subset-family graphs: validation, diameters, extremal search."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydiam import hrep_to_vrep, incidence
 from polydiam.abstraction import (
     SubsetFamilyGraph,
+    _deletable,
     from_simple_polytope,
     search_max_diameter,
     subset_graph_diameter,
@@ -13,6 +17,8 @@ from polydiam.abstraction import (
 from polydiam.constructions import crosspolytope, cube, klee_walkup, simplex
 from polydiam.paths import diameter
 from polydiam import skeleton_graph
+
+from oracles import reference_search_max_diameter, subset_graph_valid, subset_pair_filters
 
 # Exact extremal diameter of a valid subset-family graph on 2-subsets of a
 # 4-element ground set, frozen from the complete enumeration (2605 valid
@@ -160,3 +166,56 @@ def test_search_guard():
         search_max_diameter(9, 2)
     with pytest.raises(ValueError):
         search_max_diameter(6, 4)
+
+
+@st.composite
+def _thinned_subset_graph(draw):
+    """A node family (n <= 6, d <= 3) and a valid graph on it: the complete
+    graph with some edges deleted in random order, each deletion kept only
+    when the oracle finds the graph still valid."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, min(3, n - 1)))
+    family = list(combinations(range(1, n + 1), d))
+    nodes = sorted(draw(st.lists(st.sampled_from(family), min_size=2, max_size=10, unique=True)))
+    pair_filters = subset_pair_filters(nodes)
+    adj = [((1 << len(nodes)) - 1) ^ (1 << i) for i in range(len(nodes))]
+    order = draw(st.permutations(range(len(pair_filters))))
+    for bit in order[: draw(st.integers(0, len(order)))]:
+        i, j, _ = pair_filters[bit]
+        trial = list(adj)
+        trial[i] ^= 1 << j
+        trial[j] ^= 1 << i
+        if subset_graph_valid(trial, pair_filters):
+            adj = trial
+    return nodes, pair_filters, adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(_thinned_subset_graph())
+def test_one_reach_deletion_test_matches_full_validation(case):
+    nodes, pair_filters, adj = case
+    assert subset_graph_valid(adj, pair_filters)
+    for i, j, fmask in pair_filters:
+        if not adj[i] >> j & 1:
+            continue
+        without = list(adj)
+        without[i] ^= 1 << j
+        without[j] ^= 1 << i
+        before = list(adj)
+        assert _deletable(adj, i, j, fmask) == subset_graph_valid(without, pair_filters)
+        assert adj == before
+
+
+@pytest.mark.parametrize("n, d, seed, budget", [
+    (4, 2, None, 1_000_000),
+    (4, 2, None, 5),
+    (4, 2, None, 50),
+    *[(5, 2, seed, 30) for seed in range(10)],
+    *[(5, 3, seed, 30) for seed in range(10)],
+])
+def test_search_matches_full_revalidation_reference(n, d, seed, budget):
+    res = search_max_diameter(n, d, budget=budget, seed=seed)
+    nodes, edges, diam, complete, explored = reference_search_max_diameter(n, d, budget, seed)
+    assert res.best.nodes == nodes
+    assert res.best.edges == edges
+    assert (res.diameter, res.complete, res.explored) == (diam, complete, explored)

@@ -1,7 +1,7 @@
 """BFS, diameters, non-revisiting searches, monotone paths."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import inf
 
 import pytest
@@ -18,9 +18,11 @@ from polydiam import (
 )
 from polydiam.constructions import crosspolytope, cube, klee_walkup, ngon, simplex
 from polydiam.paths import (
+    SearchBudget,
     bfs_distances,
     diameter,
     monotone_eccentricity,
+    nonrevisiting_dfs,
     nonrevisiting_path,
     nonrevisiting_property,
 )
@@ -28,10 +30,12 @@ from polydiam.polyhedron import facet_row_indices
 
 from corpus import converted, corpus
 from oracles import (
+    nonrevisiting_all_pairs,
     nonrevisiting_exists_naive,
     path_is_nonrevisiting,
     pentagon_monotone_worst,
     queue_bfs_diameter,
+    unpruned_nonrevisiting_dfs,
 )
 
 
@@ -235,6 +239,49 @@ def test_nonrevisiting_property_budget_inconclusive():
     result = nonrevisiting_property(inc, budget=5)
     assert result.holds is None
     assert result.witness is None
+
+
+def _sorted_neighbours(graph):
+    """Neighbour positions, ascending, by node position in `graph.nodes`."""
+    where = {label: i for i, label in enumerate(graph.nodes)}
+    adjacency = {i: [] for i in range(len(graph.nodes))}
+    for a, b in graph.edges:
+        adjacency[where[a]].append(where[b])
+        adjacency[where[b]].append(where[a])
+    return {i: sorted(ns) for i, ns in adjacency.items()}
+
+
+def test_distance_cut_returns_the_unpruned_path_on_every_corpus_pair():
+    for name, _ in corpus():
+        inc = converted(name)
+        labels = inc.graph.nodes
+        adjacency = _sorted_neighbours(inc.graph)
+        cap = len(inc.facets) - inc.dim
+        for s, t in permutations(range(len(labels)), 2):
+            expected = unpruned_nonrevisiting_dfs(adjacency, inc.facet_masks, s, t, cap)
+            report = nonrevisiting_path(inc, labels[s], labels[t])
+            got = None if report is None else report.path
+            assert got == tuple(labels[i] for i in expected), (name, s, t)
+
+
+def test_nonrevisiting_property_matches_unpruned_all_pairs_on_corpus():
+    for name, _ in corpus():
+        inc = converted(name)
+        result = nonrevisiting_property(inc)
+        holds, witness = nonrevisiting_all_pairs(
+            _sorted_neighbours(inc.graph), inc.facet_masks,
+            len(inc.facets) - inc.dim, inc.graph.nodes,
+        )
+        assert (result.holds, result.witness) == (holds, witness), name
+
+
+def test_nonrevisiting_dfs_unreachable_target_spends_no_budget():
+    # two components, 0-1 and 2-3: node 2 is at infinite distance from 0
+    adjacency = {0: [1], 1: [0], 2: [3], 3: [2]}
+    masks = [0b0011, 0b0110, 0b1100, 0b1001]
+    budget = SearchBudget(None)
+    assert nonrevisiting_dfs(adjacency, masks, 0, 2, 3, budget, [inf, inf, 0, 1]) is None
+    assert budget.used == 0
 
 
 def test_monotone_cube_all_ones():

@@ -1,6 +1,9 @@
 """Boundary complexes, ridge graphs, anti-stars, dual non-revisiting."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydiam import hrep_to_vrep, incidence, vrep_to_hrep, dual_graph
 from polydiam.constructions import crosspolytope, cube, klee_walkup, simplex
@@ -14,6 +17,8 @@ from polydiam.simplicial import (
     facet_name,
     ridge_graph,
 )
+
+from oracles import nonrevisiting_all_pairs
 
 # The fifteen tetrahedra avoiding w on the boundary of the Klee-Walkup
 # 9-vertex simplicial polytope, and the 24 adjacencies among them.
@@ -178,6 +183,46 @@ def test_dual_nonrevisiting_klee_walkup():
 def test_dual_nonrevisiting_budget():
     k, *_ = _klee_walkup_boundary()
     assert dual_nonrevisiting_property(k, budget=3).holds is None
+
+
+def _dual_oracle(k):
+    """(holds, witness) of the dual question by the unpruned all-pairs
+    search, on facets in name order joined when they share all but one
+    vertex."""
+    facets = k.sorted_facets()
+    masks = [sum(1 << k.labels.index(lab) for lab in f) for f in facets]
+    adjacency = {i: [] for i in range(len(facets))}
+    for i, j in combinations(range(len(facets)), 2):
+        if len(facets[i] & facets[j]) == k.facet_size - 1:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    names = [facet_name(f) for f in facets]
+    return nonrevisiting_all_pairs(adjacency, masks, len(k.labels) - k.facet_size, names)
+
+
+def test_dual_nonrevisiting_matches_unpruned_search():
+    complexes = [_klee_walkup_boundary()[0], anti_star(_klee_walkup_boundary()[0], "w")]
+    for h in (crosspolytope(3), crosspolytope(4), simplex(4)):
+        complexes.append(boundary_complex(incidence(h, hrep_to_vrep(h))))
+    for k in complexes:
+        result = dual_nonrevisiting_property(k)
+        assert (result.holds, result.witness) == _dual_oracle(k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(list(combinations("abcdef", 3))), min_size=2, max_size=12,
+                unique=True))
+def test_dual_nonrevisiting_matches_unpruned_search_on_random_complexes(facets):
+    k = SimplicialComplex.from_facets(facets)
+    result = dual_nonrevisiting_property(k)
+    assert (result.holds, result.witness) == _dual_oracle(k)
+
+
+def test_dual_nonrevisiting_disconnected_pair_spends_no_budget():
+    # no ridge joins the two facets: a zero budget still proves there is no path
+    k = SimplicialComplex.from_facets(["abc", "def"])
+    result = dual_nonrevisiting_property(k, budget=0)
+    assert (result.holds, result.witness) == (False, ("abc", "def"))
 
 
 def test_complex_validation():
