@@ -19,67 +19,35 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import power_bound_holds, quasi_poly_bound
-from .paths import mask_diameter
-from .polyhedron import Disconnected, Incidence, Unbounded, classify
+from .paths import _bfs_layers, mask_diameter
+from .polyhedron import Disconnected, Incidence, PolyGraph, Unbounded, _bits, classify
 
 Node = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SubsetFamilyGraph:
-    """Graph on d-subsets of {1..n}; nodes canonically sorted."""
+@dataclass(frozen=True, kw_only=True)
+class SubsetFamilyGraph(PolyGraph):
+    """A `PolyGraph` on d-subsets of {1..n}: each node a sorted tuple, the
+    nodes in sorted order."""
 
     n: int
     d: int
-    nodes: tuple[Node, ...]
-    edges: frozenset[tuple[Node, Node]]
 
     def __post_init__(self) -> None:
-        seen = set()
+        super().__post_init__()
         for node in self.nodes:
             if tuple(sorted(node)) != node or len(set(node)) != self.d:
                 raise ValueError(f"node {node} is not a sorted {self.d}-subset")
             if not all(1 <= x <= self.n for x in node):
                 raise ValueError(f"node {node} outside ground set 1..{self.n}")
-            seen.add(node)
-        if len(seen) != len(self.nodes):
-            raise ValueError("duplicate nodes")
-        for u, v in self.edges:
-            if u not in seen or v not in seen or u >= v:
-                raise ValueError("edges must be sorted pairs of known nodes")
+        if list(self.nodes) != sorted(self.nodes):
+            raise ValueError("nodes must be in sorted order")
 
     @classmethod
     def make(cls, n: int, d: int, nodes, edges) -> "SubsetFamilyGraph":
-        canon = tuple(sorted(tuple(sorted(x)) for x in nodes))
-        es = frozenset(
-            tuple(sorted((tuple(sorted(u)), tuple(sorted(v))))) for u, v in edges
-        )
-        return cls(n, d, canon, es)
-
-    def adjacency_masks(self) -> list[int]:
-        index = {node: i for i, node in enumerate(self.nodes)}
-        adj = [0] * len(self.nodes)
-        for u, v in self.edges:
-            adj[index[u]] |= 1 << index[v]
-            adj[index[v]] |= 1 << index[u]
-        return adj
-
-
-def _reach(adj: list[int], start: int, allowed: int) -> int:
-    """Bitmask of nodes reachable from `start` inside the `allowed` mask."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            nxt |= adj[low.bit_length() - 1]
-            rest ^= low
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
+        canon = sorted(tuple(sorted(x)) for x in nodes)
+        es = ((tuple(sorted(u)), tuple(sorted(v))) for u, v in edges)
+        return cls.from_edges(canon, es, n=n, d=d)
 
 
 def validate_layer_property(g: SubsetFamilyGraph) -> tuple[bool, tuple[Node, Node] | None]:
@@ -87,9 +55,9 @@ def validate_layer_property(g: SubsetFamilyGraph) -> tuple[bool, tuple[Node, Nod
 
     Returns (True, None) or (False, first failing pair in node order).
     """
-    adj = g.adjacency_masks()
     for i, j, fmask in _pair_filters(g.nodes):
-        if not _reach(adj, i, fmask) >> j & 1:
+        # the layers are disjoint: their sum is everything reached
+        if not sum(_bfs_layers(g.adj, i, fmask)) >> j & 1:
             return False, (g.nodes[i], g.nodes[j])
     return True, None
 
@@ -105,13 +73,11 @@ def from_simple_polytope(inc: Incidence) -> SubsetFamilyGraph:
     simple, _ = classify(inc)
     if not simple:
         raise ValueError("abstraction requires a simple polytope")
-    facets = inc.facets
-    node_of = {
-        label: tuple(pos + 1 for pos in range(len(facets)) if m >> pos & 1)
-        for label, m in zip(inc.v.all_labels(), inc.facet_masks)
-    }
-    edges = [(node_of[a], node_of[b]) for a, b in inc.graph.edges]
-    return SubsetFamilyGraph.make(len(facets), inc.dim, node_of.values(), edges)
+    node_of = [tuple(pos + 1 for pos in _bits(m)) for m in inc.facet_masks]
+    edges = [
+        (node_of[i], node_of[j]) for i, nbrs in enumerate(inc.graph.adj) for j in _bits(nbrs)
+    ]
+    return SubsetFamilyGraph.make(len(inc.facets), inc.dim, node_of, edges)
 
 
 @dataclass(frozen=True)
@@ -126,7 +92,7 @@ def subset_graph_diameter(g: SubsetFamilyGraph) -> SubsetDiameter:
     """BFS diameter plus the two general bounds it must respect."""
     if not g.nodes:
         raise ValueError("empty graph")
-    found = mask_diameter(g.adjacency_masks())
+    found = mask_diameter(g.adj)
     if found is None:
         raise Disconnected("subset graph is disconnected")
     best = found[0]
@@ -176,7 +142,7 @@ def _deletable(adj: list[int], i: int, j: int, fmask: int) -> bool:
     `search_max_diameter`)."""
     adj[i] ^= 1 << j
     adj[j] ^= 1 << i
-    ok = _reach(adj, i, fmask) >> j & 1
+    ok = sum(_bfs_layers(adj, i, fmask)) >> j & 1
     adj[i] ^= 1 << j
     adj[j] ^= 1 << i
     return bool(ok)
@@ -217,17 +183,13 @@ def search_max_diameter(
     explored = 0
     complete = True
 
-    def consider(nodes: list[Node], emask: int, adj: list[int], pair_filters) -> None:
+    def consider(nodes: list[Node], adj: list[int]) -> None:
+        # `nodes` is always a sorted selection of the sorted `all_nodes`
         nonlocal best_graph, best_diam
         found = mask_diameter(adj)
         if found is not None and found[0] > best_diam:
-            edges = [
-                (nodes[i], nodes[j])
-                for bit, (i, j, _) in enumerate(pair_filters)
-                if emask >> bit & 1
-            ]
             best_diam = found[0]
-            best_graph = SubsetFamilyGraph.make(n, d, nodes, edges)
+            best_graph = SubsetFamilyGraph(tuple(nodes), tuple(adj), n=n, d=d)
 
     # The complete graph on any node set is valid: F(i, j) holds i and j,
     # and they are adjacent.  So each walk starts from a valid graph.
@@ -249,7 +211,7 @@ def search_max_diameter(
                     seen.add(emask)
                     explored += 1
                     adj = _edge_adj(len(nodes), pair_filters, emask)
-                    consider(nodes, emask, adj, pair_filters)
+                    consider(nodes, adj)
                     for bit, (i, j, fmask) in enumerate(pair_filters):
                         if emask >> bit & 1:
                             child = emask & ~(1 << bit)
@@ -266,8 +228,7 @@ def search_max_diameter(
             size = rng.randint(2, len(all_nodes))
             nodes = sorted(rng.sample(all_nodes, size))
             pair_filters = _pair_filters(nodes)
-            emask = (1 << len(pair_filters)) - 1
-            adj = _edge_adj(len(nodes), pair_filters, emask)
+            adj = _edge_adj(len(nodes), pair_filters, (1 << len(pair_filters)) - 1)
             order = list(range(len(pair_filters)))
             rng.shuffle(order)
             for bit in order:
@@ -275,9 +236,8 @@ def search_max_diameter(
                 if _deletable(adj, i, j, fmask):
                     adj[i] ^= 1 << j
                     adj[j] ^= 1 << i
-                    emask &= ~(1 << bit)
             explored += 1
-            consider(nodes, emask, adj, pair_filters)
+            consider(nodes, adj)
 
     if best_graph is None:
         raise ValueError("no valid connected graph found")

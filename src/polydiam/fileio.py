@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .abstraction import SubsetFamilyGraph
 from .constructions import ConstructionRecipe
-from .polyhedron import HPolyhedron, VPolyhedron
+from .polyhedron import HPolyhedron, VPolyhedron, _bits
 from .ratlin import format_rational, parse_rational
 from .simplicial import SimplicialComplex
 
@@ -202,10 +202,9 @@ def read_subset_graph(text: str) -> SubsetFamilyGraph:
 def write_subset_graph(g: SubsetFamilyGraph, header_comment: str | None = None) -> str:
     lines = [] if header_comment is None else [f"# {header_comment}"]
     lines.append(f"{g.n} {g.d}")
-    index = {node: i + 1 for i, node in enumerate(g.nodes)}
     for node in g.nodes:
         lines.append(" ".join(str(x) for x in node))
     lines.append("edges:")
-    for u, v in sorted(g.edges):
-        lines.append(f"{index[u]} {index[v]}")
+    for i, nbrs in enumerate(g.adj):  # nodes are sorted: this is edge order
+        lines.extend(f"{i + 1} {j + 1}" for j in _bits(nbrs) if j > i)
     return "\n".join(lines) + "\n"

@@ -1,9 +1,15 @@
 """Distances, diameters, non-revisiting paths, and monotone paths.
 
-Distances and diameters are plain BFS on the skeleton graph.  The
-non-revisiting search asks for an edge path that never re-enters a facet it
-previously left; such paths are never longer than n - d, with d the
-dimension of the affine hull (each step must enter a facet never seen
+A graph is one `PolyGraph`: node labels plus one neighbour bitset per node
+(`adj`), with `edges` a derived view for printing.  Every search reads
+`adj`, and every distance comes from one BFS, `_bfs_layers`, which returns
+one bitset of nodes per distance.  It serves distances, diameters, the
+monotone BFS (on bitsets of lower-valued neighbours), the non-revisiting
+search's distance cut, and the abstraction's reachability inside a filter.
+
+The non-revisiting search asks for an edge path that never re-enters a
+facet it previously left; such paths are never longer than n - d, with d
+the dimension of the affine hull (each step must enter a facet never seen
 before, and the d facets of the start vertex do not count), so the
 backtracking search is cut off at that depth and is therefore complete:
 if it fails, no non-revisiting path exists at all.
@@ -19,12 +25,12 @@ paths in the same order, and finds the same first one, as without it.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 from typing import Sequence
 
-from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded
+from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded, _bits
 from .ratlin import dot
 
 
@@ -67,52 +73,37 @@ class MonotoneReport:
     unreachable: tuple[str, ...] = ()
 
 
-def _adjacency_masks(graph: PolyGraph) -> list[int]:
-    """Neighbour bitsets by node position in `graph.nodes`."""
-    where = {label: i for i, label in enumerate(graph.nodes)}
-    adj = [0] * len(graph.nodes)
-    for a, b in graph.edges:
-        i, j = where[a], where[b]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
-
-
-def _bfs_layers(adj: list[int], source: int) -> list[int]:
-    """BFS from `source` as one bitset of node positions per distance."""
-    seen = frontier = 1 << source
-    layers = [frontier]
-    while True:
+def _bfs_layers(adj: Sequence[int], source: int, allowed: int = -1) -> list[int]:
+    """BFS from `source` over the neighbour bitsets `adj`, as one bitset of
+    node positions per distance; it moves only into nodes of the bitset
+    `allowed` (the source is always the first layer)."""
+    frontier = 1 << source
+    unseen = allowed & ~frontier
+    layers = []
+    while frontier:
+        layers.append(frontier)
         nxt = 0
         while frontier:
             low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~seen
-        if not frontier:
-            return layers
-        seen |= frontier
-        layers.append(frontier)
+        frontier = nxt & unseen
+        unseen ^= frontier
+    return layers
 
 
 def bfs_distances(graph: PolyGraph, source: str) -> dict[str, int | float]:
     """Exact shortest-path distances from `source`; unreachable nodes get inf."""
     if source not in graph.nodes:
         raise ValueError(f"unknown source node {source!r}")
-    adj = graph.adjacency()
-    dist: dict[str, int | float] = {v: inf for v in graph.nodes}
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if dist[w] is inf:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    dist: dict[str, int | float] = dict.fromkeys(graph.nodes, inf)
+    for k, layer in enumerate(_bfs_layers(graph.adj, graph.nodes.index(source))):
+        for i in _bits(layer):
+            dist[graph.nodes[i]] = k
     return dist
 
 
-def mask_diameter(adj: list[int]) -> tuple[int, tuple[int, int]] | None:
+def mask_diameter(adj: Sequence[int]) -> tuple[int, tuple[int, int]] | None:
     """Diameter and a witness pair of a graph given as neighbour bitsets.
 
     Nodes are positions in `adj`; the answer is None when the graph is
@@ -139,7 +130,7 @@ def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:
     nodes = graph.nodes
     if not nodes:
         raise ValueError("diameter of an empty graph is undefined")
-    found = mask_diameter(_adjacency_masks(graph))
+    found = mask_diameter(graph.adj)
     if found is None:
         raise Disconnected("graph is disconnected: diameter undefined")
     best, (s, t) = found
@@ -159,39 +150,47 @@ class SearchBudget:
 
 
 def nonrevisiting_dfs(
-    adjacency: dict[int, list[int]],
+    adj: Sequence[int],
     masks: list[int],
     source: int,
     target: int,
     cap: int,
     budget: SearchBudget,
-    dist: list[int | float],
+    layers: list[int],
 ) -> list[int] | None:
     """Bounded-depth search for a non-revisiting walk in mask space.
 
-    `masks[i]` is the bitmask of facets (or, dually, vertex stars) the node
-    is on.  A move into `w` is allowed when w's mask avoids everything
+    `adj[i]` is the neighbour bitset of node i; neighbours are tried in
+    ascending position, so the first path found is reproducible.
+    `masks[i]` is the bitmask of facets (or, dually, vertex stars) the
+    node is on.  A move into `w` is allowed when w's mask avoids everything
     already left; proven-failed (node, left-set, depth) states are memoized.
-    `dist[i]` is the graph distance from node i to `target` (inf when
-    unreachable): a node with fewer steps left than that is cut before it
-    spends budget, so an unreachable target costs nothing.
+    `layers` is the BFS from `target` (`_bfs_layers`): a node farther from
+    the target than the steps left is cut before it spends budget, so an
+    unreachable target costs nothing.
     Returns the node path, or None when no path of length <= cap exists.
     Raises TimeoutError when the budget is exhausted.
     """
+    # near[r]: the nodes within r steps of the target, for r = 0..cap
+    near = list(accumulate(layers[: cap + 1]))
+    near += near[-1:] * (cap + 1 - len(near))
     memo: dict[tuple[int, int], int] = {}
 
     def dfs(node: int, left: int, remaining: int) -> list[int] | None:
+        # node is within `remaining` steps of the target
         if node == target:
             return [node]
-        if dist[node] > remaining:
-            return None
         key = (node, left)
         if memo.get(key, -1) >= remaining:
             return None
         if not budget.spend():
             raise TimeoutError("search budget exhausted")
         here = masks[node]
-        for nxt in adjacency[node]:
+        nbrs = adj[node] & near[remaining - 1]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            nxt = low.bit_length() - 1
             if masks[nxt] & left:
                 continue
             tail = dfs(nxt, left | (here & ~masks[nxt]), remaining - 1)
@@ -201,54 +200,32 @@ def nonrevisiting_dfs(
         return None
 
     for depth in range(cap + 1):
-        found = dfs(source, 0, depth)
+        found = dfs(source, 0, depth) if near[depth] >> source & 1 else None
         if found is not None:
             return found
     return None
 
 
-def _distances_to(adj: list[int], target: int) -> list[int | float]:
-    """Graph distance from every node to `target`, the graph given as
-    neighbour bitsets; inf when unreachable."""
-    dist: list[int | float] = [inf] * len(adj)
-    for k, layer in enumerate(_bfs_layers(adj, target)):
-        while layer:
-            low = layer & -layer
-            dist[low.bit_length() - 1] = k
-            layer ^= low
-    return dist
-
-
 def _nonrevisiting_all_pairs(
-    adjacency: dict[int, list[int]],
+    adj: Sequence[int],
     masks: list[int],
     cap: int,
     names: Sequence[str],
     budget: int | None,
 ) -> PropertyResult:
     """Run `nonrevisiting_dfs` on every unordered pair i < j, sharing one
-    budget and one distance row per target; the first pair without a path
-    is the witness."""
-    adj = [sum(1 << j for j in adjacency[i]) for i in range(len(names))]
-    rows = [_distances_to(adj, j) for j in range(len(names))]
+    budget and one BFS per target; the first pair without a path is the
+    witness."""
+    rows = [_bfs_layers(adj, j) for j in range(len(names))]
     shared = SearchBudget(budget)
     try:
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
-                if nonrevisiting_dfs(adjacency, masks, i, j, cap, shared, rows[j]) is None:
+                if nonrevisiting_dfs(adj, masks, i, j, cap, shared, rows[j]) is None:
                     return PropertyResult(holds=False, witness=(names[i], names[j]))
     except TimeoutError:
         return PropertyResult(holds=None, witness=None)
     return PropertyResult(holds=True, witness=None)
-
-
-def _index_adjacency(graph: PolyGraph) -> dict[int, list[int]]:
-    where = {label: i for i, label in enumerate(graph.nodes)}
-    adj: dict[int, list[int]] = {i: [] for i in range(len(graph.nodes))}
-    for a, b in sorted(graph.edges):
-        adj[where[a]].append(where[b])
-        adj[where[b]].append(where[a])
-    return {i: sorted(neigh) for i, neigh in adj.items()}
 
 
 def nonrevisiting_path(
@@ -267,20 +244,15 @@ def nonrevisiting_path(
         raise Unbounded("non-revisiting search requires a bounded polytope")
     if source == target:
         raise ValueError("source and target must differ")
-    labels = inc.graph.nodes
+    labels, adj = inc.graph.nodes, inc.graph.adj
     for name in (source, target):
         if name not in labels:
             raise ValueError(f"unknown vertex {name!r}")
     cap = len(inc.facets) - inc.dim
     t = labels.index(target)
     found = nonrevisiting_dfs(
-        _index_adjacency(inc.graph),
-        inc.facet_masks,
-        labels.index(source),
-        t,
-        cap,
-        SearchBudget(budget),
-        _distances_to(_adjacency_masks(inc.graph), t),
+        adj, inc.facet_masks, labels.index(source), t, cap, SearchBudget(budget),
+        _bfs_layers(adj, t),
     )
     if found is None:
         return None
@@ -306,7 +278,7 @@ def nonrevisiting_property(
     if inc.v.rays:
         raise Unbounded("non-revisiting search requires a bounded polytope")
     return _nonrevisiting_all_pairs(
-        _index_adjacency(inc.graph),
+        inc.graph.adj,
         inc.facet_masks,
         len(inc.facets) - inc.dim,
         inc.graph.nodes,
@@ -332,25 +304,22 @@ def monotone_eccentricity(inc: Incidence, c) -> MonotoneReport:
         raise GeometryError(
             f"non-unique optimum: {labels[winners[0]]} and {labels[winners[1]]} tie"
         )
-    opt = winners[0]
-    where = {label: i for i, label in enumerate(labels)}
-    into: dict[int, list[int]] = {i: [] for i in range(len(labels))}
-    for a, b in inc.graph.edges:
-        ia, ib = where[a], where[b]
-        if values[ia] == values[ib]:
-            raise GeometryError(f"tie on edge {a}-{b}: perturb the functional")
-        lo, hi = (ia, ib) if values[ia] < values[ib] else (ib, ia)
-        into[hi].append(lo)
-    dist = {opt: 0}
-    queue = deque([opt])
-    while queue:
-        u = queue.popleft()
-        for w in into[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    unreachable = tuple(labels[i] for i in range(len(labels)) if i not in dist)
-    worst = max(dist.values())
+    # into[i]: the neighbours of smaller value.  Each edge {i, j} is met
+    # once, with i < j, in node order, so the tie reported is the first.
+    into = [0] * len(labels)
+    for i, nbrs in enumerate(inc.graph.adj):
+        for j in _bits(nbrs):
+            if j < i:
+                continue
+            if values[i] == values[j]:
+                raise GeometryError(
+                    f"tie on edge {labels[i]}-{labels[j]}: perturb the functional"
+                )
+            lo, hi = (i, j) if values[i] < values[j] else (j, i)
+            into[hi] |= 1 << lo
+    layers = _bfs_layers(into, winners[0])
+    reached = sum(layers)
+    unreachable = tuple(labels[i] for i in range(len(labels)) if not reached >> i & 1)
     return MonotoneReport(
-        optimum=labels[opt], worst_length=worst, unreachable=unreachable
+        optimum=labels[winners[0]], worst_length=len(layers) - 1, unreachable=unreachable
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ratlin import Vector, dot, matrix_rank, primitive
 
@@ -244,15 +244,8 @@ class Incidence:
         """The skeleton graph: vertices and bounded edges."""
         return skeleton_graph(self)
 
-    def tight_rows(self, v: int) -> frozenset[int]:
-        return frozenset(i for i in range(self.nrows) if self.masks[v] >> i & 1)
-
-    def tight_count(self, v: int) -> int:
-        return self.masks[v].bit_count()
-
     def vertices_on_row(self, i: int) -> list[int]:
-        col = self.columns[i]
-        return [k for k in range(self.nverts) if col >> k & 1]
+        return list(_bits(self.columns[i] & (1 << self.nverts) - 1))
 
     def is_edge(self, u: int, w: int) -> bool:
         """Whether vertices u and w are the only vertices, and no ray is,
@@ -277,36 +270,65 @@ def _tight_on_all(columns: Sequence[int], rows: int, among: int, floor: int) -> 
     return among
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class PolyGraph:
-    """Simple undirected graph with opaque string node labels."""
+    """Simple undirected graph: node labels plus one neighbour bitset per node.
 
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]  # each pair stored sorted
+    Bit j of `adj[i]` is set when the nodes at positions i and j of `nodes`
+    are adjacent.  Every BFS and search reads `adj`; `edges` is a derived
+    view for printing and tests.
+    """
+
+    nodes: tuple
+    adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+        if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node labels")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("loops not allowed")
-            if u > v:
-                raise ValueError("edges must be stored sorted")
-            if u not in known or v not in known:
+        if len(self.adj) != len(self.nodes):
+            raise ValueError("one neighbour bitset per node required")
+        for i, nbrs in enumerate(self.adj):
+            if nbrs >> len(self.nodes):  # also true of a negative int
                 raise ValueError("edge endpoint not a node")
+            if nbrs >> i & 1:
+                raise ValueError("loops not allowed")
+            while nbrs:
+                low = nbrs & -nbrs
+                if not self.adj[low.bit_length() - 1] >> i & 1:
+                    raise ValueError("adjacency must be symmetric")
+                nbrs ^= low
 
     @classmethod
-    def from_edges(cls, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> "PolyGraph":
-        norm = frozenset(tuple(sorted(e)) for e in edges)
-        return cls(tuple(nodes), norm)
+    def from_edges(cls, nodes: Iterable, edges: Iterable[tuple], **fields) -> "PolyGraph":
+        """The graph on `nodes` whose edges are the given label pairs."""
+        nodes = tuple(nodes)
+        where = {label: i for i, label in enumerate(nodes)}
+        adj = [0] * len(nodes)
+        for u, v in edges:
+            if u not in where or v not in where:
+                raise ValueError("edge endpoint not a node")
+            adj[where[u]] |= 1 << where[v]
+            adj[where[v]] |= 1 << where[u]
+        return cls(nodes, tuple(adj), **fields)
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    @cached_property
+    def edges(self) -> frozenset[tuple]:
+        """The edges as label pairs, each pair sorted."""
+        nodes = self.nodes
+        return frozenset(
+            tuple(sorted((nodes[i], nodes[j])))
+            for i, nbrs in enumerate(self.adj)
+            for j in _bits(nbrs)
+            if j > i
+        )
 
 
 def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
@@ -365,14 +387,13 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
     rows.
     """
     n = inc.nverts
-    labels = inc.v.all_labels()
-    edges = [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if inc.is_edge(i, j)
-    ]
-    return PolyGraph.from_edges(labels, edges)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if inc.is_edge(i, j):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return PolyGraph(inc.v.all_labels(), tuple(adj))
 
 
 def facet_row_indices(inc: Incidence) -> list[int]:
@@ -419,18 +440,19 @@ def dual_graph(inc: Incidence) -> PolyGraph:
     """
     if inc.v.rays:
         raise Unbounded("dual graph requires a bounded polytope")
-    facets = inc.facets
-    labels = [f"f{i + 1}" for i in facets]
-    cols = [inc.columns[i] for i in facets]
-    edges = []
+    cols = [inc.columns[i] for i in inc.facets]
+    adj = [0] * len(cols)
     for x, fx in enumerate(cols):
-        meets: dict[int, list[int]] = {}
+        meets: dict[int, int] = {}
         for y, fy in enumerate(cols):
             if y != x:
-                meets.setdefault(fx & fy, []).append(y)
+                meets[fx & fy] = meets.get(fx & fy, 0) | 1 << y
         for ridge in _maximal(meets):
-            edges.extend((labels[x], labels[y]) for y in meets[ridge] if y > x)
-    return PolyGraph.from_edges(labels, edges)
+            for y in _bits(meets[ridge]):
+                if y > x:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+    return PolyGraph(tuple(f"f{i + 1}" for i in inc.facets), tuple(adj))
 
 
 def classify(inc: Incidence) -> tuple[bool, bool]:

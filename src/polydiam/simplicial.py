@@ -72,13 +72,13 @@ def boundary_complex(inc: Incidence) -> SimplicialComplex:
 def ridge_graph(k: SimplicialComplex) -> PolyGraph:
     """Facets as nodes, an edge whenever two facets share all but one vertex."""
     facets = k.sorted_facets()
-    names = [facet_name(f) for f in facets]
     size = k.facet_size
-    edges = []
+    adj = [0] * len(facets)
     for (i, f), (j, g) in combinations(enumerate(facets), 2):
         if len(f & g) == size - 1:
-            edges.append((names[i], names[j]))
-    return PolyGraph.from_edges(names, edges)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return PolyGraph(tuple(facet_name(f) for f in facets), tuple(adj))
 
 
 def anti_star(k: SimplicialComplex, v: str) -> SimplicialComplex:
@@ -99,15 +99,8 @@ def dual_nonrevisiting_property(
     the backtracking search and makes it exhaustive.  Budget exhaustion is
     an explicit inconclusive outcome.
     """
-    facets = k.sorted_facets()
-    names = [facet_name(f) for f in facets]
+    graph = ridge_graph(k)
     label_bit = {lab: i for i, lab in enumerate(k.labels)}
-    masks = [sum(1 << label_bit[lab] for lab in f) for f in facets]
-    size = k.facet_size
-    adjacency: dict[int, list[int]] = {i: [] for i in range(len(facets))}
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            if (masks[i] & masks[j]).bit_count() == size - 1:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    return _nonrevisiting_all_pairs(adjacency, masks, len(k.labels) - size, names, budget)
+    masks = [sum(1 << label_bit[lab] for lab in f) for f in k.sorted_facets()]
+    cap = len(k.labels) - k.facet_size
+    return _nonrevisiting_all_pairs(graph.adj, masks, cap, graph.nodes, budget)

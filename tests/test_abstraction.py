@@ -219,3 +219,16 @@ def test_search_matches_full_revalidation_reference(n, d, seed, budget):
     assert res.best.nodes == nodes
     assert res.best.edges == edges
     assert (res.diameter, res.complete, res.explored) == (diam, complete, explored)
+
+
+def test_subset_graph_is_a_polygraph_on_sorted_subsets():
+    g = SubsetFamilyGraph.make(3, 2, [(2, 1), (1, 3), (3, 2)], [((1, 2), (3, 2))])
+    assert g.nodes == ((1, 2), (1, 3), (2, 3))
+    assert g.adj == (0b100, 0b000, 0b001)
+    assert g.edges == frozenset({((1, 2), (2, 3))})
+    with pytest.raises(ValueError, match="sorted order"):
+        SubsetFamilyGraph(((1, 3), (1, 2)), (0, 0), n=3, d=2)
+    with pytest.raises(ValueError, match="2-subset"):
+        SubsetFamilyGraph(((1,), (1, 2)), (0, 0), n=3, d=2)
+    with pytest.raises(ValueError, match="ground set"):
+        SubsetFamilyGraph(((1, 2), (1, 4)), (0, 0), n=3, d=2)

@@ -179,6 +179,49 @@ def test_graph_and_distance(capsys, tmp_path):
     assert json.loads(out)["distance"] == 2
 
 
+# stdout of each graph verb, pinned byte for byte by sha256.  cube(4) has
+# sixteen labels, so string order (v10 before v2) decides the edge order.
+_PINNED_GRAPH_OUTPUT = {
+    ("cube", "graph"): "8814253fe94291dee0b8a21a9a54d49838f3980cc3aba87be5f1a02c726e8e88",
+    ("cube", "dualgraph"): "7e68b276d4bd2b728ba2f2e1ad4e85d5bf84b2b7be01af85ef167023450f4402",
+    ("kleewalkup", "graph"): "0370a3de4507f9f8e43a971b8adf7462a2e58c1562b8fc404a377024fd173406",
+    ("kleewalkup", "dualgraph"): "2cb739b3ae4faca7f549f5dffa0c34074250c43c3734dc89950d7afe57a75721",
+}
+_PINNED_JSON_OUTPUT = {
+    "cube": [
+        (("diameter",), '{"diameter": 4, "witness": ["v0", "v15"]}\n'),
+        (("distance", "--from", "v10", "--to", "v5"),
+         '{"source": "v10", "target": "v5", "distance": 4}\n'),
+    ],
+    "kleewalkup": [
+        (("diameter",), '{"diameter": 5, "witness": ["v12", "v14"]}\n'),
+        (("distance", "--from", "v12", "--to", "v14"),
+         '{"source": "v12", "target": "v14", "distance": 5}\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("generator", ["cube", "kleewalkup"])
+def test_graph_verbs_stdout_is_pinned(capsys, tmp_path, generator):
+    import hashlib
+
+    path = tmp_path / "p.ine"
+    gen_args = ("cube", "4") if generator == "cube" else ("kleewalkup",)
+    assert run(capsys, "gen", *gen_args, "--out", str(path))[0] == 0
+    for verb in ("graph", "dualgraph"):
+        code, out, _ = run(capsys, verb, str(path))
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == _PINNED_GRAPH_OUTPUT[generator, verb], (verb, out)
+    for argv, expected in _PINNED_JSON_OUTPUT[generator]:
+        code, out, _ = run(capsys, *argv, "--json", str(path))
+        assert (code, out) == (0, expected)
+    if generator == "cube":
+        lines = run(capsys, "graph", str(path))[1].splitlines()
+        assert lines.index("v10 v8") + 1 == lines.index("v11 v15")
+        assert lines.index("v1 v9") + 1 == lines.index("v10 v11")
+
+
 def test_dualgraph(capsys, tmp_path):
     c = tmp_path / "cube.ine"
     run(capsys, "gen", "cube", "3", "--out", str(c))

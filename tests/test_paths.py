@@ -173,7 +173,10 @@ def test_nonrevisiting_path_consecutive_edges_and_cap():
 def test_nonrevisiting_path_matches_interval_definition():
     h, v, inc, g = _pipeline(cube(3))
     labels = v.all_labels()
-    tight = {lab: inc.tight_rows(k) for k, lab in enumerate(labels)}
+    tight = {
+        lab: frozenset(i for i in range(inc.nrows) if m >> i & 1)
+        for lab, m in zip(labels, inc.masks)
+    }
     report = nonrevisiting_path(inc, labels[0], labels[-1])
     assert path_is_nonrevisiting([tight[lab] for lab in report.path])
 
@@ -183,8 +186,11 @@ def test_nonrevisiting_search_agrees_with_naive_enumeration():
         inc = converted(name)
         h, v, g = inc.h, inc.v, inc.graph
         labels = list(v.all_labels())
-        adj = {lab: sorted(x for x in g.adjacency()[lab]) for lab in labels}
-        tight = {lab: inc.tight_rows(k) for k, lab in enumerate(labels)}
+        adj = {labels[i]: [labels[j] for j in ns] for i, ns in _sorted_neighbours(g).items()}
+        tight = {
+            lab: frozenset(i for i in range(inc.nrows) if m >> i & 1)
+            for lab, m in zip(labels, inc.masks)
+        }
         nfacets = len(facet_row_indices(inc))
         for a, b in combinations(labels, 2):
             got = nonrevisiting_path(inc, a, b) is not None
@@ -277,10 +283,10 @@ def test_nonrevisiting_property_matches_unpruned_all_pairs_on_corpus():
 
 def test_nonrevisiting_dfs_unreachable_target_spends_no_budget():
     # two components, 0-1 and 2-3: node 2 is at infinite distance from 0
-    adjacency = {0: [1], 1: [0], 2: [3], 3: [2]}
+    adj = [0b0010, 0b0001, 0b1000, 0b0100]
     masks = [0b0011, 0b0110, 0b1100, 0b1001]
     budget = SearchBudget(None)
-    assert nonrevisiting_dfs(adjacency, masks, 0, 2, 3, budget, [inf, inf, 0, 1]) is None
+    assert nonrevisiting_dfs(adj, masks, 0, 2, 3, budget, [0b0100, 0b1000]) is None
     assert budget.used == 0
 
 
@@ -316,6 +322,34 @@ def test_monotone_rejects_tie_on_edge():
     h, v, inc, g = _pipeline(ngon(5))
     with pytest.raises(GeometryError, match="tie on edge"):
         monotone_eccentricity(inc, (11, -7))
+
+
+_PYRAMID_TIE = """
+from polydiam import GeometryError, VPolyhedron, incidence, vrep_to_hrep
+from polydiam.paths import monotone_eccentricity
+v = VPolyhedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)])
+try:
+    monotone_eccentricity(incidence(vrep_to_hrep(v), v), (0, 0, 1))
+except GeometryError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "3"])
+def test_monotone_tie_error_names_the_first_edge_in_node_order(hash_seed):
+    # every base edge of the square pyramid ties under c = (0, 0, 1); the
+    # error names the first in node order, whatever the string hash seed
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _PYRAMID_TIE], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.startswith("tie on edge v0-v1:"), out
 
 
 def test_monotone_rejects_non_unique_optimum():

@@ -7,6 +7,7 @@ import pytest
 
 from polydiam import (
     HPolyhedron,
+    PolyGraph,
     Unbounded,
     VPolyhedron,
     classify,
@@ -33,14 +34,14 @@ def test_incidence_cube_every_vertex_on_d_rows():
     for d in (2, 3, 4):
         h = cube(d)
         v, inc = _pipeline(h)
-        assert all(inc.tight_count(k) == d for k in range(len(v.vertices)))
+        assert all(inc.masks[k].bit_count() == d for k in range(len(v.vertices)))
 
 
 def test_incidence_simplex():
     h = simplex(3)
     v, inc = _pipeline(h)
     assert h.nrows == 4
-    assert all(inc.tight_count(k) == 3 for k in range(len(v.vertices)))
+    assert all(inc.masks[k].bit_count() == 3 for k in range(len(v.vertices)))
 
 
 def test_incidence_counts_duplicate_rows_per_row():
@@ -50,7 +51,7 @@ def test_incidence_counts_duplicate_rows_per_row():
     v, inc = _pipeline(h)
     top = [k for k, p in enumerate(v.vertices) if p[1] == 1]
     # the duplicated facet row is tight twice for the top vertices
-    assert all(inc.tight_count(k) == 3 for k in top)
+    assert all(inc.masks[k].bit_count() == 3 for k in top)
 
 
 def test_incidence_rejects_inconsistent_pair():
@@ -98,7 +99,7 @@ def test_dual_graph_cube_is_octahedron():
     v, inc = _pipeline(h)
     g = dual_graph(inc)
     assert len(g.nodes) == 6
-    assert all(len(nbrs) == 4 for nbrs in g.adjacency().values())
+    assert all(nbrs.bit_count() == 4 for nbrs in g.adj)
 
 
 def test_dual_graph_simplex_complete():
@@ -271,7 +272,7 @@ def test_simple_polytopes_have_degree_d_graphs():
     for h, d in ((cube(3), 3), (simplex(4), 4), (klee_walkup()[1], 4)):
         v, inc = _pipeline(h)
         g = skeleton_graph(inc)
-        assert all(len(nbrs) == d for nbrs in g.adjacency().values())
+        assert all(nbrs.bit_count() == d for nbrs in g.adj)
 
 
 def test_skeleton_matches_facet_counting_rule_on_simple_polytopes():
@@ -297,7 +298,7 @@ def test_ngon_graph_is_cycle():
     v, inc = _pipeline(h)
     g = skeleton_graph(inc)
     assert len(g.edges) == 6
-    assert all(len(nbrs) == 2 for nbrs in g.adjacency().values())
+    assert all(nbrs.bit_count() == 2 for nbrs in g.adj)
 
 
 def _pyramid():
@@ -322,5 +323,27 @@ def test_skeleton_of_degenerate_apex():
     v, inc = _pipeline(h)
     g = skeleton_graph(inc)
     apex = v.label(list(v.vertices).index((0, 0, 1)))
-    assert len(g.adjacency()[apex]) == 4
+    assert g.adj[g.nodes.index(apex)].bit_count() == 4
     assert len(g.edges) == 8
+
+
+@pytest.mark.parametrize("nodes,adj,message", [
+    (("a", "a"), (0, 0), "duplicate"),
+    (("a", "b"), (0b10,), "one neighbour bitset"),
+    (("a", "b"), (0b10, 0b00), "symmetric"),
+    (("a", "b"), (0b01, 0b00), "loops"),
+    (("a", "b"), (0b110, 0b001), "not a node"),
+    (("a", "b"), (-2, 0b01), "not a node"),
+])
+def test_polygraph_rejects_malformed_bitsets(nodes, adj, message):
+    with pytest.raises(ValueError, match=message):
+        PolyGraph(nodes, adj)
+
+
+def test_polygraph_edges_are_a_sorted_label_view_of_the_bitsets():
+    g = PolyGraph.from_edges(["v2", "v10", "v1"], [("v2", "v10"), ("v2", "v1"), ("v10", "v2")])
+    assert g.adj == (0b110, 0b001, 0b001)
+    assert g.edges == frozenset({("v10", "v2"), ("v1", "v2")})
+    assert g == PolyGraph(("v2", "v10", "v1"), (0b110, 0b001, 0b001))
+    with pytest.raises(ValueError, match="not a node"):
+        PolyGraph.from_edges(["a"], [("a", "b")])

@@ -147,7 +147,7 @@ def test_boundary_facets_have_d_ridge_neighbors():
         inc = incidence(h, v)
         k = boundary_complex(inc)
         g = ridge_graph(k)
-        assert all(len(nbrs) == h.d for nbrs in g.adjacency().values())
+        assert all(nbrs.bit_count() == h.d for nbrs in g.adj)
 
 
 def test_paths_through_star_of_w_are_long():
