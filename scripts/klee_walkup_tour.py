@@ -43,10 +43,10 @@ def main() -> None:
     labels = v.all_labels()
     wu, wv = v.vertices[labels.index(lu)], v.vertices[labels.index(lv)]
     k = next(i for i in inc.facets if q4.value(i, wu) > 0 and q4.value(i, wv) > 0)
-    h8 = unbound_at_facet(q4, k)
+    h8 = unbound_at_facet(inc, k)
     inc8 = incidence(h8, hrep_to_vrep(h8))
     v8 = inc8.v
-    iu, iv = unbound_point_map(q4, k, v, wu), unbound_point_map(q4, k, v, wv)
+    iu, iv = unbound_point_map(inc, k, wu), unbound_point_map(inc, k, wv)
     labels8 = v8.all_labels()
     d8 = bfs_distances(inc8.graph, labels8[v8.vertices.index(iu)])[
         labels8[v8.vertices.index(iv)]

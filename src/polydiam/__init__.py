@@ -18,7 +18,7 @@ from .polyhedron import (
     polar,
     skeleton_graph,
 )
-from .dd import dimension, hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
+from .dd import hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
 from .ratlin import Rational, parse_rational
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Unbounded",
     "VPolyhedron",
     "classify",
-    "dimension",
     "dual_graph",
     "hrep_to_vrep",
     "incidence",

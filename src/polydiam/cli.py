@@ -171,8 +171,7 @@ def _wrap_recipe(kind: str, parameters: dict, text: str):
 
 def _cmd_wedge(args) -> int:
     text = _read_text(args.file)
-    h = _load_h(text)
-    out = cons.wedge(h, args.facet - 1)
+    out = cons.wedge(_load_pair(text), args.facet - 1)
     recipe = _wrap_recipe("wedge", {"facet": args.facet}, text)
     _write_text(fileio.write_hfile(out, recipe), args.out)
     return 0
@@ -219,8 +218,7 @@ def _cmd_polar(args) -> int:
 
 def _cmd_unbound(args) -> int:
     text = _read_text(args.file)
-    h = _load_h(text)
-    out = cons.unbound_at_facet(h, args.facet - 1)
+    out = cons.unbound_at_facet(_load_pair(text), args.facet - 1)
     recipe = _wrap_recipe("unbound", {"facet": args.facet}, text)
     _write_text(fileio.write_hfile(out, recipe), args.out)
     return 0

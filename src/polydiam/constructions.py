@@ -30,7 +30,7 @@ from .polyhedron import (
     canonical_row,
     incidence,
 )
-from .ratlin import Vector, dot, matrix_rank, nullspace
+from .ratlin import Vector, _independent_rows, dot, nullspace
 
 # Klee-Walkup coordinates: nine points whose convex hull is a simplicial
 # 4-polytope; the inequalities point.x <= 1 cut out its simple polar, a
@@ -133,28 +133,25 @@ def product(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(d, tuple(rows))
 
 
-def wedge(h: HPolyhedron, k: int) -> HPolyhedron:
+def wedge(poly: Incidence | HPolyhedron, k: int) -> HPolyhedron:
     """Wedge over facet row k (0-based): one dimension and one facet more.
 
-    In coordinates (x, t): every other row keeps coefficient 0 on t, a new
-    row t >= 0 is appended, and row k becomes b_k + a_k.x - t >= 0 (the two
-    of them are the copies of the base polytope, glued along facet k).  The
-    diameter never decreases.
+    `poly` is the `Incidence` of the base polytope, or an H-description,
+    which is converted to one first.  In coordinates (x, t): every other
+    row keeps coefficient 0 on t, a new row t >= 0 is appended, and row k
+    becomes b_k + a_k.x - t >= 0 (the two of them are the copies of the
+    base polytope, glued along facet k).  The diameter never decreases.
     """
+    inc = poly if isinstance(poly, Incidence) else incidence(poly, hrep_to_vrep(poly))
+    h = inc.h
     if not 0 <= k < h.nrows:
         raise ValueError(f"facet index {k} out of range")
     if h.linearity:
         raise ValueError("wedge expects an inequality-only description")
-    inc = incidence(h, hrep_to_vrep(h))
     if inc.v.rays:
         raise Unbounded("wedge requires a bounded polytope")
     if k not in inc.facets:
         raise ValueError(f"row {k} is redundant: wedge needs a facet-defining row")
-    return _wedge_rows(h, k)
-
-
-def _wedge_rows(h: HPolyhedron, k: int) -> HPolyhedron:
-    """The rows of `wedge`, for a row k already known to be a facet."""
     rows: list[Row] = []
     zero = Fraction(0)
     for i, (b, a) in enumerate(h.rows):
@@ -218,8 +215,8 @@ def klee_walkup() -> tuple[VPolyhedron, HPolyhedron]:
     return vstar, HPolyhedron(4, rows)
 
 
-def unbound_at_facet(h: HPolyhedron, k: int) -> HPolyhedron:
-    """Send facet row k to infinity by a projective change of coordinates.
+def unbound_at_facet(inc: Incidence, k: int) -> HPolyhedron:
+    """Send facet row k of `inc.h` to infinity by a projective change of coordinates.
 
     After translating the vertex centroid to the origin (so every offset
     b_i is positive), the map keeps all vertices off facet k, turns the
@@ -227,11 +224,11 @@ def unbound_at_facet(h: HPolyhedron, k: int) -> HPolyhedron:
     dimension, unbounded.  The bounded-edge graph of the result is the
     subgraph induced on the surviving vertices.
     """
+    h, v = inc.h, inc.v
     if not 0 <= k < h.nrows:
         raise ValueError(f"facet index {k} out of range")
     if h.linearity:
         raise ValueError("unbound expects an inequality-only description")
-    v = hrep_to_vrep(h)
     if v.rays:
         raise Unbounded("input must be bounded")
     centroid = v.centroid()
@@ -248,17 +245,15 @@ def unbound_at_facet(h: HPolyhedron, k: int) -> HPolyhedron:
     return HPolyhedron(h.d, tuple(rows))
 
 
-def unbound_point_map(
-    h: HPolyhedron, k: int, v: VPolyhedron, point: Vector
-) -> Vector:
+def unbound_point_map(inc: Incidence, k: int, point: Vector) -> Vector:
     """Image of a point under the `unbound_at_facet` transformation.
 
     Used to track named vertices across the change of coordinates: x maps
     to (x - centroid) / (b_k' + a_k.(x - centroid)) with b_k' the offset
-    after centering on the vertex centroid of `v`.
+    after centering on the vertex centroid of `inc.v`.
     """
-    centroid = v.centroid()
-    b, a = h.rows[k]
+    centroid = inc.v.centroid()
+    b, a = inc.h.rows[k]
     x = tuple(p - c for p, c in zip(point, centroid))
     s = b + dot(a, centroid) + dot(a, x)
     return tuple(xi / s for xi in x)
@@ -319,7 +314,7 @@ def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhed
         pts = [tuple(Fraction(code >> i & 1) for i in range(d)) for code in codes]
         p0 = pts[0]
         span = [[x - y for x, y in zip(pt, p0)] for pt in pts[1:]]
-        if matrix_rank(span) == d:
+        if len(_independent_rows(span, d)) == d:
             return VPolyhedron.from_points(sorted(pts))
     raise GeometryError(f"could not reach full dimension in {retries} draws")
 
@@ -402,7 +397,7 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
     inc = incidence(h, hrep_to_vrep(h))
     wu, wv = _sharp_witness(inc, cur_d, cur_n)
     for _ in range(wedges):
-        h = _wedge_rows(h, _facet_avoiding(inc, wu, wv))
+        h = wedge(inc, _facet_avoiding(inc, wu, wv))
         cur_d += 1
         cur_n += 1
         zero = (Fraction(0),)
@@ -478,23 +473,30 @@ def replay(recipe: ConstructionRecipe) -> HPolyhedron | VPolyhedron:
     if kind == "hirsch_sharp":
         return hirsch_sharp(int(p["dim"]), int(p["facets"]))
     if kind == "wedge":
-        base = _replay_h(recipe.base)
-        return wedge(base, int(p["facet"]) - 1)
+        return wedge(_replay_pair(recipe.base), int(p["facet"]) - 1)
     if kind == "unbound":
-        base = _replay_h(recipe.base)
-        return unbound_at_facet(base, int(p["facet"]) - 1)
+        return unbound_at_facet(_replay_pair(recipe.base), int(p["facet"]) - 1)
     if kind == "truncate":
-        base = _replay_h(recipe.base)
-        return truncate_vertex(incidence(base, hrep_to_vrep(base)), p["vertex"])
+        return truncate_vertex(_replay_pair(recipe.base), p["vertex"])
     if kind == "product":
         return product(_replay_h(recipe.base), _replay_h(recipe.other))
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def _replay_h(recipe: ConstructionRecipe | None) -> HPolyhedron:
+def _replay_operand(recipe: ConstructionRecipe | None) -> HPolyhedron | VPolyhedron:
     if recipe is None:
         raise ValueError("operator recipe is missing its operand")
-    out = replay(recipe)
+    return replay(recipe)
+
+
+def _replay_h(recipe: ConstructionRecipe | None) -> HPolyhedron:
+    out = _replay_operand(recipe)
+    return vrep_to_hrep(out) if isinstance(out, VPolyhedron) else out
+
+
+def _replay_pair(recipe: ConstructionRecipe | None) -> Incidence:
+    """The `Incidence` of an operand, after one conversion either way."""
+    out = _replay_operand(recipe)
     if isinstance(out, VPolyhedron):
-        return vrep_to_hrep(out)
-    return out
+        return incidence(vrep_to_hrep(out), out)
+    return incidence(out, hrep_to_vrep(out))

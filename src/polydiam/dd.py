@@ -39,32 +39,7 @@ from .polyhedron import (
     canonical_equality_row,
     canonical_row,
 )
-from .ratlin import Vector, dot, invert, nullspace, primitive, row_echelon
-
-
-def _independent_rows(rows, limit: int | None = None) -> list[int]:
-    """Indices of the rows a greedy pass keeps, in order.
-
-    A row is kept when it is independent of the rows kept before it; the
-    pass stops once `limit` rows are kept.  Each new row is reduced against
-    the kept rows only, which are stored reduced with one pivot each, in
-    primitive integers (scaling a row does not change independence).
-    """
-    kept: list[int] = []
-    reduced: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, integer row)
-    for idx, row in enumerate(rows):
-        r = primitive(row)
-        for c, b in reduced:
-            if r[c]:
-                r = primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
-        pivot = next((c for c, x in enumerate(r) if x), None)
-        if pivot is None:
-            continue
-        reduced.append((pivot, r))
-        kept.append(idx)
-        if len(kept) == limit:
-            break
-    return kept
+from .ratlin import Vector, _independent_rows, dot, invert, nullspace, primitive, row_echelon
 
 
 def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
@@ -281,12 +256,6 @@ def _affine_hull(h: HPolyhedron) -> tuple[Vector, list[Vector]]:
     span += [tuple(r) for r in v.rays]
     span += [tuple(u) for u in lin_dirs]
     return p0, [tuple(Fraction(x) for x in span[i]) for i in _independent_rows(span)]
-
-
-def dimension(h: HPolyhedron) -> int:
-    """Dimension of the affine hull of the feasible set."""
-    _, basis = _affine_hull(h)
-    return len(basis)
 
 
 def reduce_to_full_dim(h: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:

@@ -6,8 +6,9 @@ optionally with some rows marked as equalities ("linearity").  A
 empty exactly when the polyhedron is bounded.  `Incidence` records which
 vertex and which ray is tight on which row, as bitmasks both ways; every
 graph and classification question in this package is answered from that
-tightness data, never from floating point and never by elimination; the
-one rank left is `affine_dim`, the dimension of the whole polyhedron.
+tightness data, never from floating point.  The only ranks taken here are
+of the implicit equalities behind `Incidence.dim` (usual input has none)
+and in `polar`'s full-dimension check, both by `ratlin._independent_rows`.
 
 For a pointed polyhedron P every nonempty face is conv + cone of the
 vertices and rays tight on it, so a face is determined by its tight set
@@ -35,7 +36,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .ratlin import Vector, dot, matrix_rank, primitive
+from .ratlin import Vector, _independent_rows, dot, primitive
 
 Row = tuple[Fraction, Vector]  # (b, a) meaning b + a.x >= 0
 Point = Vector
@@ -196,8 +197,8 @@ class Incidence:
     The derived data is computed the first time it is asked for and then
     kept: `facets` (by `facet_row_indices`, which stores its answer here,
     so a direct call and the attribute share one computation),
-    `facet_masks`, `dim` (by `affine_dim`) and `graph` (by
-    `skeleton_graph`).  Build one with `incidence(h, v)`.
+    `facet_masks`, `dim` and `graph` (by `skeleton_graph`).  Build one with
+    `incidence(h, v)`.
     """
 
     def __init__(
@@ -236,8 +237,22 @@ class Incidence:
 
     @cached_property
     def dim(self) -> int:
-        """Dimension of the affine hull of the polyhedron."""
-        return affine_dim(self.v)
+        """Dimension of the affine hull of the polyhedron; -1 when it is empty.
+
+        The affine hull of a nonempty polyhedron is cut out by its implicit
+        equalities, the rows tight on all of it (Schrijver, *Theory of
+        Linear and Integer Programming*, ch. 8).  A row is tight on all of
+        conv(V) + cone(R) exactly when it is tight on every vertex and on
+        every ray, that is when its column is `everything`; the linearity
+        rows are among them.  So the dimension is d minus the rank of those
+        rows' normals, and input without such a row needs no elimination.
+        """
+        if not self.nverts:
+            return -1
+        implicit = [
+            self.h.rows[i][1] for i, col in enumerate(self.columns) if col == self.everything
+        ]
+        return self.h.d - len(_independent_rows(implicit))
 
     @cached_property
     def graph(self) -> PolyGraph:
@@ -419,16 +434,6 @@ def facet_row_indices(inc: Incidence) -> list[int]:
     return list(inc._facets)
 
 
-def affine_dim(v: VPolyhedron) -> int:
-    """Dimension of the affine hull of the vertices plus the ray directions."""
-    if not v.vertices:
-        return -1
-    p0 = v.vertices[0]
-    span = [[x - y for x, y in zip(p, p0)] for p in v.vertices[1:]]
-    span += [list(r) for r in v.rays]
-    return matrix_rank(span)
-
-
 def dual_graph(inc: Incidence) -> PolyGraph:
     """Facet-adjacency graph: facets joined when they meet in a ridge.
 
@@ -481,7 +486,8 @@ def polar(v: VPolyhedron) -> tuple[HPolyhedron, Vector]:
     """
     if v.rays:
         raise Unbounded("polar requires a bounded polytope")
-    if affine_dim(v) != v.d:
+    span = [[x - y for x, y in zip(p, v.vertices[0])] for p in v.vertices[1:]]
+    if not v.vertices or len(_independent_rows(span, v.d)) != v.d:
         raise GeometryError("polar requires a full-dimensional polytope")
     shift = tuple(-c for c in v.centroid())
     rows = tuple(

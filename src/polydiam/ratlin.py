@@ -3,8 +3,9 @@
 Everything downstream (representation conversion, incidence, graph
 construction) assumes arithmetic is exact.  This module provides the
 substrate: `fractions.Fraction` scalars (always stored in lowest terms with a
-positive denominator), vectors as tuples, and fraction-managed Gaussian
-elimination for rank, inversion, and null spaces.
+positive denominator), vectors as tuples, fraction-managed Gaussian
+elimination for inversion and null spaces, and the package's one rank,
+`_independent_rows`, a greedy pass in primitive integers.
 
 Coefficients coming out of conversions on integer data can grow large;
 arbitrary-precision integers are mandatory, which `Fraction` gives us for
@@ -77,11 +78,6 @@ def row_echelon(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def matrix_rank(data: Iterable[Sequence]) -> int:
-    rows = [[Fraction(x) for x in row] for row in data]
-    return len(row_echelon(rows))
-
-
 def invert(rows: Sequence[Sequence]) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
@@ -132,3 +128,28 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
 
 def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
+
+
+def _independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:
+    """Indices of the rows a greedy pass keeps, in order; their count is the rank.
+
+    A row is kept when it is independent of the rows kept before it; the
+    pass stops once `limit` rows are kept.  Each new row is reduced against
+    the kept rows only, which are stored reduced with one pivot each, in
+    primitive integers (scaling a row does not change independence).
+    """
+    kept: list[int] = []
+    reduced: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, integer row)
+    for idx, row in enumerate(rows):
+        r = primitive(row)
+        for c, b in reduced:
+            if r[c]:
+                r = primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
+        pivot = next((c for c, x in enumerate(r) if x), None)
+        if pivot is None:
+            continue
+        reduced.append((pivot, r))
+        kept.append(idx)
+        if len(kept) == limit:
+            break
+    return kept

@@ -50,7 +50,7 @@ from polydiam.constructions import (
     wedge,
 )
 from polydiam.paths import bfs_distances, diameter, nonrevisiting_path, nonrevisiting_property
-from polydiam.polyhedron import HPolyhedron, affine_dim, facet_row_indices
+from polydiam.polyhedron import HPolyhedron, facet_row_indices
 from polydiam.simplicial import anti_star, boundary_complex, facet_name, ridge_graph
 
 from corpus import converted, corpus
@@ -114,7 +114,7 @@ def test_criterion_03_wedge_law():
             diam = diameter(inc.graph)[0]
             facets = facet_row_indices(inc)
             for k in facets:
-                w = wedge(h, k)
+                w = wedge(inc, k)
                 winc = _analyzed(w)
                 wn, wdiam = len(facet_row_indices(winc)), diameter(winc.graph)[0]
                 assert w.d == h.d + 1
@@ -157,15 +157,15 @@ def test_criterion_05_unbounded_counterexample():
             i for i in facet_row_indices(inc)
             if q4.value(i, wu) > 0 and q4.value(i, wv) > 0
         )
-        h8 = unbound_at_facet(q4, k)
+        h8 = unbound_at_facet(inc, k)
         v8 = hrep_to_vrep(h8)
         inc8 = incidence(h8, v8)
         assert len(facet_row_indices(inc8)) == 8
-        assert affine_dim(v8) == 4
+        assert inc8.dim == 4
         assert v8.rays, "result must be unbounded"
         g8 = skeleton_graph(inc8)
-        image_u = unbound_point_map(q4, k, v, wu)
-        image_v = unbound_point_map(q4, k, v, wv)
+        image_u = unbound_point_map(inc, k, wu)
+        image_v = unbound_point_map(inc, k, wv)
         labels8 = list(v8.all_labels())
         lu8 = labels8[list(v8.vertices).index(image_u)]
         lv8 = labels8[list(v8.vertices).index(image_v)]
@@ -200,7 +200,7 @@ def test_criterion_07_zero_one_polytopes():
                 graph = skeleton_graph(inc)
                 diam, _ = diameter(graph)
                 n = len(facet_row_indices(inc))
-                dim = affine_dim(v2)
+                dim = inc.dim
                 assert dim == d
                 assert diam <= n - dim
                 assert diam <= dim  # lattice polytope in [0,1]^d: k = 1
@@ -255,7 +255,7 @@ def test_criterion_09_oracle_equivalence():
             crosspolytope(2), crosspolytope(3),
             *(ngon(n) for n in range(3, 13)),
             q4,
-            *(wedge(q4, k) for k in (0, 4, 8)),
+            *(wedge(_analyzed(q4), k) for k in (0, 4, 8)),
             square_redundant,
             pyramid,
             orthant_polytope(4, 3),
@@ -263,10 +263,10 @@ def test_criterion_09_oracle_equivalence():
             transportation([1, 1], [1, 1]),
             transportation([2, 1], [1, 1, 1]),
             transportation([1, 1, 1], [1, 1, 1]),
-            unbound_at_facet(cube(2), 1),
-            unbound_at_facet(q4, 0),
+            unbound_at_facet(_analyzed(cube(2)), 1),
+            unbound_at_facet(_analyzed(q4), 0),
             product(simplex(2), simplex(2)),
-            wedge(ngon(5), 0),
+            wedge(_analyzed(ngon(5)), 0),
         ]
         for h in instances:
             assert h.nrows <= 12 and h.d <= 5, "instance outside the sweep range"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polydiam import hrep_to_vrep, incidence
 from polydiam.bounds import (
     KNOWN_EXACT_TABLE,
     bound_table,
@@ -158,8 +159,9 @@ def test_hirsch_report_cube():
 def test_hirsch_report_unbounded_counterexample():
     _, q4 = klee_walkup()
     report8 = None
+    inc = incidence(q4, hrep_to_vrep(q4))
     for k in range(q4.nrows):
-        h8 = unbound_at_facet(q4, k)
+        h8 = unbound_at_facet(inc, k)
         report = hirsch_report(h8)
         assert report["n"] == 8 and report["d"] == 4
         assert report["bounded"] is False

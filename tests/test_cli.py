@@ -201,6 +201,39 @@ _PINNED_JSON_OUTPUT = {
 }
 
 
+# stdout of each operator verb on the generated H-file ("ine") and on its
+# `convert --to v` V-file ("ext"), pinned byte for byte by sha256.
+_OPERATOR_VERBS = {
+    "wedge": ("wedge", "--facet", "1"),
+    "unbound": ("unbound", "--facet", "1"),
+    "truncate": ("truncate", "--vertex", "1"),
+    "polar": ("polar",),
+    "check": ("check", "--json"),
+}
+_PINNED_OPERATOR_OUTPUT = {
+    ("cube", "ine", "wedge"): "3ac1615151f3a61ce1bb18ab6493ca85c90c31a2e40429f3d9560c06f1adf315",
+    ("cube", "ine", "unbound"): "49b37f5cbf64d950f98b4e1ab93ee25344cf88322d949e31c722f87b39d9327a",
+    ("cube", "ine", "truncate"): "bbbd7a25d3ed97d834702f747f378066c135465c499bf7435943f8fd36bf5286",
+    ("cube", "ine", "polar"): "07afcdd65eafc25c47203c72cab2769170ccc083201d0fd667dbc8f8806471cf",
+    ("cube", "ine", "check"): "f1df3835603b211208154fe5edbd071f55cabcddf69fdf094230ee676014fb1e",
+    ("cube", "ext", "wedge"): "e2e7c25c22f1aec756e5fb3379b71bfe51d77b93234347d49f5cf497ac6ccdc1",
+    ("cube", "ext", "unbound"): "0dc89e4297362da922338a822a2c32d4e00db485d8a8f24834fd0b41d79867a4",
+    ("cube", "ext", "truncate"): "b074fd3a6ab2c958616849dde5670a8a833830014aa6cf2b7f8bd13b7d65e748",
+    ("cube", "ext", "polar"): "07afcdd65eafc25c47203c72cab2769170ccc083201d0fd667dbc8f8806471cf",
+    ("cube", "ext", "check"): "f1df3835603b211208154fe5edbd071f55cabcddf69fdf094230ee676014fb1e",
+    ("kleewalkup", "ine", "wedge"): "9c65122478f0cc9ac8eb80bcceb5b9005ebe699dacd9ed8a7406b97c894b6863",
+    ("kleewalkup", "ine", "unbound"): "fde6bf6158580543fecfc602c6f9eab80f6f48a0d953b7e6441855b7da09ac19",
+    ("kleewalkup", "ine", "truncate"): "0bb6359374087197e4df7fe7cf603ae5d170ebec02c2b29a476e3106a7a825ca",
+    ("kleewalkup", "ine", "polar"): "cf372483202de38b36e0539fb0dcf428dec90f4ceccb15dbaa62f12f8d51b6ab",
+    ("kleewalkup", "ine", "check"): "cd3864a57732a9067c4a082c27ae3c6ef1034fab38a807abc60823a547cf9629",
+    ("kleewalkup", "ext", "wedge"): "33d3d8182cd2e1e622bcb6bd807140490a33bacda5ad183a4575ead998d89e36",
+    ("kleewalkup", "ext", "unbound"): "81689db387b082ad985599301b5f4007304419541ae1e8493ef03096565546b6",
+    ("kleewalkup", "ext", "truncate"): "52387cbb6ee449b01308535decf5aeef0e4a7dfc1873ddc06111ab609b9b902c",
+    ("kleewalkup", "ext", "polar"): "cf372483202de38b36e0539fb0dcf428dec90f4ceccb15dbaa62f12f8d51b6ab",
+    ("kleewalkup", "ext", "check"): "cd3864a57732a9067c4a082c27ae3c6ef1034fab38a807abc60823a547cf9629",
+}
+
+
 @pytest.mark.parametrize("generator", ["cube", "kleewalkup"])
 def test_graph_verbs_stdout_is_pinned(capsys, tmp_path, generator):
     import hashlib
@@ -220,6 +253,59 @@ def test_graph_verbs_stdout_is_pinned(capsys, tmp_path, generator):
         lines = run(capsys, "graph", str(path))[1].splitlines()
         assert lines.index("v10 v8") + 1 == lines.index("v11 v15")
         assert lines.index("v1 v9") + 1 == lines.index("v10 v11")
+    vpath = tmp_path / "p.ext"
+    assert run(capsys, "convert", "--to", "v", str(path), "--out", str(vpath))[0] == 0
+    for form, file in (("ine", path), ("ext", vpath)):
+        for verb, argv in _OPERATOR_VERBS.items():
+            code, out, _ = run(capsys, *argv, str(file))
+            assert code == 0
+            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert digest == _PINNED_OPERATOR_OUTPUT[generator, form, verb], (form, verb, out)
+
+
+_ONE_CONVERSION_VERBS = [
+    ("convert", "--to", "v"),
+    ("convert", "--to", "h"),
+    ("graph",),
+    ("dualgraph",),
+    ("diameter",),
+    ("distance", "--from", "v0", "--to", "v7"),
+    ("wedge", "--facet", "1"),
+    ("unbound", "--facet", "1"),
+    ("truncate", "--vertex", "1"),
+    ("polar",),
+    ("check",),
+]
+
+
+@pytest.mark.parametrize("form", ["ine", "ext"])
+def test_each_verb_runs_at_most_one_conversion(capsys, tmp_path, monkeypatch, form):
+    import sys
+
+    import polydiam.dd
+
+    path = tmp_path / "c.ine"
+    assert run(capsys, "gen", "cube", "3", "--out", str(path))[0] == 0
+    if form == "ext":
+        vpath = tmp_path / "c.ext"
+        assert run(capsys, "convert", "--to", "v", str(path), "--out", str(vpath))[0] == 0
+        path = vpath
+    calls = []
+    for name in ("hrep_to_vrep", "vrep_to_hrep"):
+        original = getattr(polydiam.dd, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("polydiam")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    for argv in _ONE_CONVERSION_VERBS:
+        calls.clear()
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 0, (argv, err)
+        assert len(calls) <= 1, (argv, calls)
 
 
 def test_dualgraph(capsys, tmp_path):

@@ -33,7 +33,7 @@ from polydiam.constructions import (
     wedge,
 )
 from polydiam.paths import bfs_distances, diameter
-from polydiam.polyhedron import affine_dim, facet_row_indices
+from polydiam.polyhedron import facet_row_indices
 
 from oracles import brute_force_vertices
 
@@ -105,14 +105,14 @@ def test_product_additivity():
 
 
 def test_wedge_of_pentagon():
-    h = wedge(ngon(5), 0)
+    h = wedge(_full(ngon(5))[1], 0)
     v, inc, _ = _full(h)
     assert h.d == 3
     assert len(facet_row_indices(inc)) == 6
 
 
 def test_wedge_of_square_is_prism():
-    h = wedge(cube(2), 1)
+    h = wedge(_full(cube(2))[1], 1)
     v, inc, _ = _full(h)
     assert h.d == 3
     assert len(facet_row_indices(inc)) == 5
@@ -121,8 +121,9 @@ def test_wedge_of_square_is_prism():
 
 def test_wedge_klee_walkup_keeps_diameter():
     _, q4 = klee_walkup()
+    inc = _full(q4)[1]
     for k in range(q4.nrows):
-        w = wedge(q4, k)
+        w = wedge(inc, k)
         assert w.d == 5
         assert _diam(w) >= 5
 
@@ -133,7 +134,7 @@ def test_wedge_rejects_redundant_row():
 
     padded = HPolyhedron(2, square_extra.rows + ((Fraction(9), (Fraction(1), Fraction(0))),))
     with pytest.raises(ValueError, match="redundant"):
-        wedge(padded, padded.nrows - 1)
+        wedge(_full(padded)[1], padded.nrows - 1)
 
 
 def test_wedge_rejects_unbounded():
@@ -141,7 +142,7 @@ def test_wedge_rejects_unbounded():
 
     strip = HPolyhedron.from_rows(2, [(0, 1, 0), (0, 0, 1), (1, 0, -1)])
     with pytest.raises(Unbounded):
-        wedge(strip, 0)
+        wedge(_full(strip)[1], 0)
 
 
 def test_truncate_cube_vertex():
@@ -184,7 +185,7 @@ def test_klee_walkup_counts():
 
 
 def test_unbound_square():
-    h = unbound_at_facet(cube(2), 1)
+    h = unbound_at_facet(_full(cube(2))[1], 1)
     v = hrep_to_vrep(h)
     assert h.nrows == 3
     assert len(v.vertices) == 2 and len(v.rays) == 2
@@ -192,12 +193,12 @@ def test_unbound_square():
 
 def test_unbound_vertex_map_label_preserving():
     for base in (cube(2), simplex(3), ngon(5)):
-        v0 = hrep_to_vrep(base)
+        v0, inc, _ = _full(base)
         for k in range(base.nrows):
-            out = unbound_at_facet(base, k)
+            out = unbound_at_facet(inc, k)
             vout = hrep_to_vrep(out)
             survivors = {
-                unbound_point_map(base, k, v0, p)
+                unbound_point_map(inc, k, p)
                 for p in v0.vertices
                 if base.value(k, p) > 0
             }
@@ -247,7 +248,7 @@ def test_zeroone_deterministic_per_seed():
 def test_zeroone_full_dimensional():
     for seed in range(5):
         v = random_01_polytope(4, 6, seed=seed)
-        assert affine_dim(v) == 4
+        assert incidence(vrep_to_hrep(v), v).dim == 4
 
 
 def test_zeroone_rejects_bad_sizes():
@@ -337,12 +338,12 @@ def test_wedge_vertex_count_doubles_off_facet():
     h = cube(2)
     v, inc, _ = _full(h)
     on_facet = len(inc.vertices_on_row(0))
-    w = wedge(h, 0)
+    w = wedge(inc, 0)
     vw = hrep_to_vrep(w)
     assert len(vw.vertices) == 2 * len(v.vertices) - on_facet
 
 
 def test_brute_force_agreement_on_wedges():
     _, q4 = klee_walkup()
-    w = wedge(q4, 4)
+    w = wedge(_full(q4)[1], 4)
     assert set(hrep_to_vrep(w).vertices) == set(brute_force_vertices(w))

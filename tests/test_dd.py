@@ -1,4 +1,4 @@
-"""Conversion engine tests: H <-> V, dimension, reduction, degeneracies."""
+"""Conversion engine tests: H <-> V, affine hull, reduction, degeneracies."""
 
 from fractions import Fraction
 from itertools import product as iproduct
@@ -11,14 +11,15 @@ from polydiam import (
     Infeasible,
     NotPointed,
     VPolyhedron,
-    dimension,
     hrep_to_vrep,
+    incidence,
     reduce_to_full_dim,
     vrep_to_hrep,
 )
 from polydiam.constructions import cube, klee_walkup, simplex, transportation
-from polydiam.dd import _cone_extreme_rays, _independent_rows
-from polydiam.polyhedron import affine_dim, canonical_row
+from polydiam.dd import _cone_extreme_rays
+from polydiam.polyhedron import canonical_row
+from polydiam.ratlin import _independent_rows
 
 from corpus import corpus
 from oracles import (
@@ -111,7 +112,6 @@ def test_unbounded_half_strip():
 
 
 def test_dimension_square_is_ambient():
-    assert dimension(cube(2)) == 2
     h, back = reduce_to_full_dim(cube(2))
     assert h.d == 2
     assert back.apply((Fraction(1), Fraction(-1))) == (Fraction(1), Fraction(-1))
@@ -123,17 +123,17 @@ def test_dimension_transportation_segment():
 
 def test_dimension_point():
     h = HPolyhedron.from_rows(1, [(0, 1), (0, -1)])
-    assert dimension(h) == 0
+    assert reduce_to_full_dim(h)[0].d == 0
 
 
 def test_dimension_infeasible_raises():
     with pytest.raises(Infeasible):
-        dimension(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)]))
+        reduce_to_full_dim(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)]))
 
 
 def test_dimension_of_line_is_defined():
     # not pointed, still has an affine hull
-    assert dimension(HPolyhedron.from_rows(2, [(0, 1, 0), (0, -1, 0)])) == 1
+    assert reduce_to_full_dim(HPolyhedron.from_rows(2, [(0, 1, 0), (0, -1, 0)]))[0].d == 1
 
 
 def test_reduce_transportation_birkhoff2():
@@ -209,7 +209,7 @@ def test_round_trip_on_boxed_random_rows(data):
     v = hrep_to_vrep(h)
     assert v.vertices, "box intersection cannot be empty"
     assert set(v.vertices) == set(brute_force_vertices(h))
-    if affine_dim(v) == d:  # full-dimensional: round trip is canonical
+    if incidence(h, v).dim == d:  # full-dimensional: round trip is canonical
         h2 = vrep_to_hrep(v)
         v2 = hrep_to_vrep(h2)
         assert set(v2.vertices) == set(v.vertices)
@@ -252,10 +252,8 @@ def test_half_strip_round_trip():
 def test_pointed_unbounded_vertices_match_oracle(rows):
     # no box this time: skip non-pointed draws, compare vertex sets; the
     # oracle enumerates vertices regardless of rays
-    from polydiam.ratlin import matrix_rank
-
     h = HPolyhedron.from_rows(3, rows)
-    if matrix_rank([r[1] for r in h.rows]) < 3:
+    if echelon_rank([r[1] for r in h.rows]) < 3:
         return  # not pointed: out of scope for vertex enumeration
     v = hrep_to_vrep(h)
     assert sorted(v.vertices) == brute_force_vertices(h)

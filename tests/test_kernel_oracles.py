@@ -9,11 +9,12 @@ polytopes; and on unbounded inputs, so the ray masks are covered.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydiam import hrep_to_vrep, incidence, skeleton_graph, vrep_to_hrep
 from polydiam.constructions import klee_walkup, random_01_polytope, unbound_at_facet
-from polydiam.polyhedron import HPolyhedron, affine_dim, dual_graph, facet_row_indices
+from polydiam.polyhedron import HPolyhedron, VPolyhedron, dual_graph, facet_row_indices
 
 from corpus import corpus
 from oracles import (
@@ -25,9 +26,10 @@ from oracles import (
 )
 
 _Q4 = klee_walkup()[1]
+_Q4_INC = incidence(_Q4, hrep_to_vrep(_Q4))
 UNBOUNDED = (
-    ("q4_unbound_1", unbound_at_facet(_Q4, 0)),
-    ("q4_unbound_6", unbound_at_facet(_Q4, 5)),
+    ("q4_unbound_1", unbound_at_facet(_Q4_INC, 0)),
+    ("q4_unbound_6", unbound_at_facet(_Q4_INC, 5)),
     ("quadrant_cut", HPolyhedron.from_rows(2, [(0, 1, 0), (0, 0, 1), (-1, 1, 1)])),
 )
 BASES = dict(corpus() + UNBOUNDED)
@@ -75,7 +77,7 @@ def _check_against_oracles(h, v):
     assert list(inc.ray_masks) == rmasks
     facets = facet_row_indices(inc)
     assert facets == rank_facet_rows(h, v, vmasks, rmasks)
-    assert affine_dim(v) == rank_affine_dim(v.vertices, v.rays)
+    assert inc.dim == rank_affine_dim(v.vertices, v.rays)
     where = {label: k for k, label in enumerate(v.all_labels())}
     edges = {
         tuple(sorted((where[a], where[b]))) for a, b in skeleton_graph(inc).edges
@@ -96,9 +98,9 @@ def test_kernel_matches_oracles_on_placed_inputs(case):
     name, base, h = case
     v = hrep_to_vrep(h)
     facets = _check_against_oracles(h, v)
-    base_v = hrep_to_vrep(base)
-    assert len(facets) == len(facet_row_indices(incidence(base, base_v)))
-    assert affine_dim(v) == affine_dim(base_v)
+    base_inc = incidence(base, hrep_to_vrep(base))
+    assert len(facets) == len(base_inc.facets)
+    assert base_inc.dim == rank_affine_dim(v.vertices, v.rays)
 
 
 @settings(max_examples=5, deadline=None)
@@ -108,3 +110,28 @@ def test_kernel_matches_oracles_on_01_hulls(seed):
     h = vrep_to_hrep(v)
     facets = _check_against_oracles(h, v)
     assert facets == list(range(h.nrows))  # a hull's rows are all facets
+
+
+# Lower-dimensional and unbounded: an implicit equality must be tight on
+# every ray as well as on every vertex, and need not be a linearity row.
+_HALF_LINE_H = HPolyhedron.from_rows(2, [(0, 1, 0), (0, 0, 1), (0, 0, -1)])
+_QUADRANT_Z0_ROWS = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("poly,dim", [
+    pytest.param(_HALF_LINE_H, 1, id="half_line/h"),
+    pytest.param(VPolyhedron.from_points([(0, 0)], rays=[(1, 0)]), 1, id="half_line/v"),
+    pytest.param(HPolyhedron.from_rows(3, _QUADRANT_Z0_ROWS, linearity=[2]), 2,
+                 id="quadrant_z0_linearity/h"),
+    pytest.param(HPolyhedron.from_rows(3, _QUADRANT_Z0_ROWS + [(0, 0, 0, -1)]), 2,
+                 id="quadrant_z0_implicit_pair/h"),
+    pytest.param(VPolyhedron.from_points([(0, 0, 0)], rays=[(1, 0, 0), (0, 1, 0)]), 2,
+                 id="quadrant_z0/v"),
+])
+def test_dim_of_lower_dimensional_unbounded_input(poly, dim):
+    if isinstance(poly, HPolyhedron):
+        inc = incidence(poly, hrep_to_vrep(poly))
+    else:
+        inc = incidence(vrep_to_hrep(poly), poly)
+    assert inc.v.rays
+    assert inc.dim == dim == rank_affine_dim(inc.v.vertices, inc.v.rays)

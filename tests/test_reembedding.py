@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from polydiam import HPolyhedron, dual_graph, hrep_to_vrep, incidence
 from polydiam.bounds import hirsch_report
-from polydiam.ratlin import dot, matrix_rank
+from polydiam.ratlin import dot
 
 from corpus import converted, corpus
+from oracles import echelon_rank
 
 # names, not facts: these fields depend on the vertex order of the input
 _NAME_FIELDS = ("witness_pair", "nonrevisiting_witness", "monotone")
@@ -31,7 +32,7 @@ def _embedding(d, k, rng):
     entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
     while True:
         m = [[entry() for _ in range(size)] for _ in range(size)]
-        if matrix_rank(m) == size:
+        if echelon_rank(m) == size:
             return m, [entry() for _ in range(size)]
 
 
