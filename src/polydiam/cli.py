@@ -29,7 +29,9 @@ from .polyhedron import (
     GeometryError,
     HPolyhedron,
     Incidence,
+    NotPointed,
     VPolyhedron,
+    _tight_on_all,
     dual_graph,
     incidence,
     polar,
@@ -56,12 +58,25 @@ def _load_pair(text: str) -> Incidence:
     """The `Incidence` of the input, whichever representation the file holds.
 
     The vertices of a V-file keep their order in the file, so the labels
-    v0, v1, ... are the same for every verb.
+    v0, v1, ... are the same for every verb.  A listed point that is not a
+    vertex is dropped, the others keeping their labels: point k is a vertex
+    exactly when no other point and no ray is tight on every row it is.  No
+    vertex at all means the set holds a line.
     """
     obj = fileio.read_polyfile(text)
     if isinstance(obj, HPolyhedron):
         return incidence(obj, hrep_to_vrep(obj))
-    return incidence(vrep_to_hrep(obj), obj)
+    inc = incidence(vrep_to_hrep(obj), obj)
+    keep = [
+        k for k, m in enumerate(inc.masks)
+        if _tight_on_all(inc.columns, m, inc.everything, 1 << k) == 1 << k
+    ]
+    if len(keep) == inc.nverts:
+        return inc
+    if not keep:  # a pointed polyhedron has a vertex among its points
+        raise NotPointed("feasible set contains a line: no vertices exist")
+    points = [obj.vertices[k] for k in keep]
+    return incidence(inc.h, VPolyhedron.from_points(points, obj.rays, map(obj.label, keep)))
 
 
 def _load_h(text: str) -> HPolyhedron:

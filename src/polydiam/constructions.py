@@ -24,13 +24,14 @@ from .polyhedron import (
     GeometryError,
     HPolyhedron,
     Incidence,
+    Infeasible,
     Row,
     Unbounded,
     VPolyhedron,
     canonical_row,
     incidence,
 )
-from .ratlin import Vector, _independent_rows, dot, nullspace
+from .ratlin import Vector, _echelon, dot, nullspace
 
 # Klee-Walkup coordinates: nine points whose convex hull is a simplicial
 # 4-polytope; the inequalities point.x <= 1 cut out its simple polar, a
@@ -144,6 +145,8 @@ def wedge(poly: Incidence | HPolyhedron, k: int) -> HPolyhedron:
     """
     inc = poly if isinstance(poly, Incidence) else incidence(poly, hrep_to_vrep(poly))
     h = inc.h
+    if not inc.v.vertices:
+        raise Infeasible("infeasible")
     if not 0 <= k < h.nrows:
         raise ValueError(f"facet index {k} out of range")
     if h.linearity:
@@ -171,6 +174,8 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     polytope must be full-dimensional (d is the ambient dimension).
     """
     h, v = inc.h, inc.v
+    if not v.vertices:
+        raise Infeasible("infeasible")
     if v.rays:
         raise Unbounded("truncation requires a bounded polytope")
     labels = v.all_labels()
@@ -225,6 +230,8 @@ def unbound_at_facet(inc: Incidence, k: int) -> HPolyhedron:
     subgraph induced on the surviving vertices.
     """
     h, v = inc.h, inc.v
+    if not v.vertices:
+        raise Infeasible("infeasible")
     if not 0 <= k < h.nrows:
         raise ValueError(f"facet index {k} out of range")
     if h.linearity:
@@ -314,7 +321,7 @@ def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhed
         pts = [tuple(Fraction(code >> i & 1) for i in range(d)) for code in codes]
         p0 = pts[0]
         span = [[x - y for x, y in zip(pt, p0)] for pt in pts[1:]]
-        if len(_independent_rows(span, d)) == d:
+        if len(_echelon(span, d)[0]) == d:
             return VPolyhedron.from_points(sorted(pts))
     raise GeometryError(f"could not reach full dimension in {retries} draws")
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .polyhedron import (
     HPolyhedron,
@@ -39,7 +40,7 @@ from .polyhedron import (
     canonical_equality_row,
     canonical_row,
 )
-from .ratlin import Vector, _independent_rows, dot, invert, nullspace, primitive, row_echelon
+from .ratlin import Vector, _echelon, dot, nullspace, primitive
 
 
 def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
@@ -61,15 +62,22 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     removed rays stay in the columns; `alive` hides them.
     """
     rows = sorted(set(rows))
-    # Greedy initial basis in insertion order, then its inverse columns are
-    # the extreme rays of the simplicial start cone.  Fewer than `dim`
+    # Greedy initial basis B in insertion order; the columns of B^-1 are the
+    # extreme rays of the simplicial start cone.  Fewer than `dim`
     # independent rows means the rank is short: the cone holds a line.
-    basis_idx = _independent_rows(rows, dim)
+    basis_idx, _ = _echelon(rows, dim)
     if len(basis_idx) < dim:
         raise NotPointed("cone has a nonzero lineality space")
-    inv = invert([rows[i] for i in basis_idx])
-    assert inv is not None
-    rays = [primitive([inv[i][j] for i in range(dim)]) for j in range(dim)]
+    # [B | I] reduces to [I | B^-1] with row i scaled by reduced[i][i]; at
+    # the common multiple `scale`, each right-half column is a positive
+    # multiple of a column of B^-1.
+    unit = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    _, reduced = _echelon([rows[k] + unit[i] for i, k in enumerate(basis_idx)])
+    scale = lcm(*(reduced[i][i] for i in range(dim)))
+    rays = [
+        primitive([reduced[i][dim + j] * (scale // reduced[i][i]) for i in range(dim)])
+        for j in range(dim)
+    ]
     # Ray j has id j and is tight on every basis row but row j, so the
     # start columns equal the start masks; zero-set bitmasks are indexed by
     # processed-row position.
@@ -146,17 +154,14 @@ def _eliminate_equalities(
         ]
         return x0, basis, [h.rows[i] for i in h.inequality_indices()]
 
-    aug = [
-        [*h.rows[i][1], -h.rows[i][0]] for i in sorted(h.linearity)
-    ]  # a.x = -b
-    pivots = row_echelon(aug)
-    if d in pivots:
+    # One pass over the homogenized rows (a | b): null vectors (x, 1) are the
+    # solutions of b + a.x = 0, and the non-pivot column d carries the
+    # particular one; a pivot at d means the system is inconsistent.
+    kernel = nullspace((*h.rows[i][1], h.rows[i][0]) for i in sorted(h.linearity))
+    if not kernel or kernel[-1][d] == 0:
         return None
-    x0_list = [Fraction(0)] * d
-    for r, c in enumerate(pivots):
-        x0_list[c] = aug[r][d]
-    x0 = tuple(x0_list)
-    basis = nullspace([row[:d] for row in aug])
+    x0 = kernel[-1][:d]
+    basis = [n[:d] for n in kernel[:-1]]
     reduced = []
     for i in h.inequality_indices():
         b, a = h.rows[i]
@@ -255,7 +260,7 @@ def _affine_hull(h: HPolyhedron) -> tuple[Vector, list[Vector]]:
     span = [tuple(x - y for x, y in zip(p, p0)) for p in v.vertices[1:]]
     span += [tuple(r) for r in v.rays]
     span += [tuple(u) for u in lin_dirs]
-    return p0, [tuple(Fraction(x) for x in span[i]) for i in _independent_rows(span)]
+    return p0, [tuple(Fraction(x) for x in span[i]) for i in _echelon(span)[0]]
 
 
 def reduce_to_full_dim(h: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
@@ -319,9 +324,7 @@ def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
     p0 = v.vertices[0]
     span = [[x - y for x, y in zip(p, p0)] for p in v.vertices[1:]]
     span += [list(r) for r in v.rays]
-    normals = nullspace(span) if span else [
-        tuple(Fraction(int(i == j)) for j in range(v.d)) for i in range(v.d)
-    ]
+    normals = nullspace(span or [[0] * v.d])  # a single point: every e_i
     if not normals:
         return _vrep_to_hrep_fulldim(v)
 
@@ -329,8 +332,7 @@ def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
     eq_rows = [
         canonical_equality_row((-dot(e, p0), tuple(e))) for e in normals
     ]
-    eq_coeffs = [[*a] for _, a in eq_rows]
-    pivots = row_echelon(eq_coeffs)
+    pivots = _echelon(a for _, a in eq_rows)[1]
     free = [c for c in range(v.d) if c not in pivots]
     if not free:
         return HPolyhedron(v.d, tuple(sorted(eq_rows)), frozenset(range(len(eq_rows))))

@@ -8,7 +8,7 @@ vertex and which ray is tight on which row, as bitmasks both ways; every
 graph and classification question in this package is answered from that
 tightness data, never from floating point.  The only ranks taken here are
 of the implicit equalities behind `Incidence.dim` (usual input has none)
-and in `polar`'s full-dimension check, both by `ratlin._independent_rows`.
+and in `polar`'s full-dimension check, both by `ratlin._echelon`.
 
 For a pointed polyhedron P every nonempty face is conv + cone of the
 vertices and rays tight on it, so a face is determined by its tight set
@@ -36,7 +36,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .ratlin import Vector, _independent_rows, dot, primitive
+from .ratlin import Vector, _echelon, dot, primitive
 
 Row = tuple[Fraction, Vector]  # (b, a) meaning b + a.x >= 0
 Point = Vector
@@ -252,7 +252,7 @@ class Incidence:
         implicit = [
             self.h.rows[i][1] for i, col in enumerate(self.columns) if col == self.everything
         ]
-        return self.h.d - len(_independent_rows(implicit))
+        return self.h.d - len(_echelon(implicit)[0])
 
     @cached_property
     def graph(self) -> PolyGraph:
@@ -487,7 +487,7 @@ def polar(v: VPolyhedron) -> tuple[HPolyhedron, Vector]:
     if v.rays:
         raise Unbounded("polar requires a bounded polytope")
     span = [[x - y for x, y in zip(p, v.vertices[0])] for p in v.vertices[1:]]
-    if not v.vertices or len(_independent_rows(span, v.d)) != v.d:
+    if not v.vertices or len(_echelon(span, v.d)[0]) != v.d:
         raise GeometryError("polar requires a full-dimensional polytope")
     shift = tuple(-c for c in v.centroid())
     rows = tuple(

@@ -3,9 +3,10 @@
 Everything downstream (representation conversion, incidence, graph
 construction) assumes arithmetic is exact.  This module provides the
 substrate: `fractions.Fraction` scalars (always stored in lowest terms with a
-positive denominator), vectors as tuples, fraction-managed Gaussian
-elimination for inversion and null spaces, and the package's one rank,
-`_independent_rows`, a greedy pass in primitive integers.
+positive denominator), vectors as tuples, null spaces, and the package's
+one elimination, `_echelon`: a fraction-free Gauss-Jordan pass that keeps
+every row in primitive integers, from which every rank, inverse, solve and
+null space of the package is read.
 
 Coefficients coming out of conversions on integer data can grow large;
 arbitrary-precision integers are mandatory, which `Fraction` gives us for
@@ -49,62 +50,25 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def row_echelon(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce `rows` in place to reduced row-echelon form.
-
-    Returns the pivot column indices.  Plain fraction-managed elimination:
-    exactness is the contract, the elimination strategy is internal.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def invert(rows: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    pivots = row_echelon(aug)
-    if pivots != list(range(n)):
-        return None
-    return [r[n:] for r in aug]
-
-
 def nullspace(data: Iterable[Sequence]) -> list[Vector]:
-    """Basis of the right null space of the given rows."""
-    rows = [[Fraction(x) for x in row] for row in data]
+    """Basis of the right null space of the given rows.
+
+    One vector per non-pivot column c of the reduced row-echelon form R:
+    1 at c and -R[p][c] at each pivot p, so the basis is unique.
+    """
+    rows = list(data)
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots = row_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    _, reduced = _echelon(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for pc, r in reduced.items():
+            v[pc] = Fraction(-r[fc], r[pc])
         basis.append(tuple(v))
     return basis
 
@@ -130,26 +94,32 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def _independent_rows(rows: Iterable[Sequence], limit: int | None = None) -> list[int]:
-    """Indices of the rows a greedy pass keeps, in order; their count is the rank.
+def _echelon(
+    rows: Iterable[Sequence], limit: int | None = None
+) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """The package's one elimination: Gauss-Jordan in primitive integers.
 
-    A row is kept when it is independent of the rows kept before it; the
-    pass stops once `limit` rows are kept.  Each new row is reduced against
-    the kept rows only, which are stored reduced with one pivot each, in
-    primitive integers (scaling a row does not change independence).
+    Returns (kept, reduced).  `kept` lists, in order, the indices of the
+    rows independent of the rows kept before them, up to `limit` of them;
+    their count is the rank.  `reduced` maps each pivot column c to an integer row led at c
+    and zero at every other pivot, so reduced[c] / reduced[c][c] is a row
+    of the (unique) reduced row-echelon form of the kept rows.
     """
     kept: list[int] = []
-    reduced: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, integer row)
+    reduced: dict[int, tuple[int, ...]] = {}
     for idx, row in enumerate(rows):
         r = primitive(row)
-        for c, b in reduced:
+        for c, b in reduced.items():
             if r[c]:
                 r = primitive([b[c] * x - r[c] * y for x, y in zip(r, b)])
         pivot = next((c for c, x in enumerate(r) if x), None)
         if pivot is None:
             continue
-        reduced.append((pivot, r))
+        for c, b in reduced.items():  # back-substitute: clear the new pivot
+            if b[pivot]:
+                reduced[c] = primitive([r[pivot] * x - b[pivot] * y for x, y in zip(b, r)])
+        reduced[pivot] = r
         kept.append(idx)
         if len(kept) == limit:
             break
-    return kept
+    return kept, reduced

@@ -3,6 +3,7 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling the library: brute-force vertex enumeration
 over row subsets, forward-elimination rank counting, `Fraction`
+reduced row-echelon form and the null spaces read off it, `Fraction`
 incidence, facets and ridges by affine rank, the literal third-vertex
 edge test, double description with the literal third-ray adjacency scan,
 a queue BFS for diameters and their witness pairs, simple-path
@@ -34,6 +35,50 @@ def solve_square(rows, rhs):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(m[i][n] for i in range(n))
+
+
+def row_echelon(rows):
+    """Reduce `rows` (lists of `Fraction`) in place to reduced row-echelon form.
+
+    Returns the pivot column indices.  Plain fraction-managed Gauss-Jordan
+    elimination, the reference for the library's integer pass.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rref_nullspace(rows):
+    """Null-space basis read off the reference RREF: per free column c, the
+    vector with 1 at c and minus that column's entry at each pivot."""
+    m = [list(map(Fraction, r)) for r in rows]
+    pivots = row_echelon(m)
+    basis = []
+    for fc in (c for c in range(len(m[0])) if c not in pivots):
+        v = [Fraction(0)] * len(m[0])
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def brute_force_vertices(h):

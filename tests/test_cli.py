@@ -471,3 +471,37 @@ def test_stdin_pipeline(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(c.read_text()))
     code, out, _ = run(capsys, "diameter")
     assert code == 0 and out.strip() == "3"
+
+
+@pytest.mark.parametrize("points,graph,diam", [
+    (["0 0", "2 0", "0 2", "2 2", "1/2 1/2"],
+     "nodes v0 v1 v2 v3\nv0 v1\nv0 v2\nv1 v3\nv2 v3\n", "2"),
+    (["0 0", "1 1", "2 2"], "nodes v0 v2\nv0 v2\n", "1"),
+], ids=["square-and-inner-point", "segment-and-midpoint"])
+def test_listed_points_that_are_not_vertices_are_dropped(capsys, tmp_path, points, graph, diam):
+    # The kept vertices keep their labels from the file.
+    f = tmp_path / "pts.ext"
+    f.write_text("V-representation\nbegin\n"
+                 f"{len(points)} 3 rational\n" + "".join(f"1 {p}\n" for p in points) + "end\n")
+    assert run(capsys, "graph", str(f)) == (0, graph, "")
+    assert run(capsys, "diameter", str(f)) == (0, diam + "\n", "")
+    code, out, _ = run(capsys, "check", str(f), "--json")
+    assert code == 0 and json.loads(out)["diameter"] == int(diam)
+
+
+def test_points_of_a_line_have_no_vertex(capsys, tmp_path):
+    f = tmp_path / "line.ext"
+    f.write_text("V-representation\nbegin\n3 2 rational\n1 0\n0 1\n0 -1\nend\n")
+    code, out, err = run(capsys, "graph", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: feasible set contains a line: no vertices exist\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["unbound", "--facet", "1"], ["wedge", "--facet", "1"], ["truncate", "--vertex", "1"],
+], ids=lambda argv: argv[0])
+def test_empty_input_says_infeasible(capsys, tmp_path, argv):
+    f = tmp_path / "empty.ine"
+    f.write_text(write_hfile(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)])))  # x >= 1, x <= 0
+    code, out, err = run(capsys, *argv, str(f))
+    assert (code, out, err) == (1, "", "error: infeasible\n")

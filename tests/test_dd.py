@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polydiam import (
     HPolyhedron,
@@ -17,15 +17,18 @@ from polydiam import (
     vrep_to_hrep,
 )
 from polydiam.constructions import cube, klee_walkup, simplex, transportation
-from polydiam.dd import _cone_extreme_rays
+from polydiam.dd import _cone_extreme_rays, _eliminate_equalities
 from polydiam.polyhedron import canonical_row
-from polydiam.ratlin import _independent_rows
+from polydiam.ratlin import _echelon
 
 from corpus import corpus
 from oracles import (
     brute_force_vertices,
     echelon_rank,
     primitive_ints,
+    row_echelon,
+    rref_nullspace,
+    solve_square,
     third_ray_scan_extreme_rays,
 )
 
@@ -278,12 +281,49 @@ def test_round_trip_canonical_generators():
 def test_independent_rows_is_the_greedy_basis(rows, limit):
     # The kept rows are exactly the rows that raise the rank of the rows
     # before them, checked with the independent elimination oracle.
-    kept = _independent_rows(rows)
+    kept = _echelon(rows)[0]
     greedy = [i for i in range(len(rows))
               if echelon_rank(rows[:i + 1]) > echelon_rank(rows[:i])]
     assert kept == greedy
     assert len(kept) == echelon_rank(rows)
-    assert _independent_rows(rows, limit) == greedy[:limit]
+    assert _echelon(rows, limit)[0] == greedy[:limit]
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_start_rays_are_the_columns_of_the_inverse(rows):
+    # With exactly `dim` independent rows, DD returns its start cone: the
+    # columns of B^-1 for the sorted rows B, each as primitive integers.
+    n = len(rows)
+    basis = sorted({primitive_ints(r) for r in rows})
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    assume(len(basis) == n and solve_square(basis, unit[0]) is not None)
+    assert _cone_extreme_rays(basis, n) == [primitive_ints(solve_square(basis, e)) for e in unit]
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=d + 1, max_size=d + 1),
+             min_size=1, max_size=3))))
+def test_eliminate_equalities_matches_the_reference_rref(data):
+    # Equality rows b + a.x = 0: no solution exactly when the reference RREF
+    # of [a | -b] has a pivot in the last column; otherwise the particular
+    # point sets each pivot variable to that column and the free ones to 0,
+    # and the basis is the null space of a.
+    d, rows = data
+    h = HPolyhedron.from_rows(d, rows, linearity=range(len(rows)))
+    ref = [[Fraction(x) for x in (*r[1:], -r[0])] for r in rows]
+    pivots = row_echelon(ref)
+    got = _eliminate_equalities(h)
+    if d in pivots:
+        assert got is None
+        return
+    x0 = [Fraction(0)] * d
+    for r, c in enumerate(pivots):
+        x0[c] = ref[r][d]
+    assert got[0] == tuple(x0)
+    assert got[1] == rref_nullspace([r[1:] for r in rows])
 
 
 def _cone_rays_match_oracle(rows, dim):

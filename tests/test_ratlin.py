@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polydiam.ratlin import (
-    _independent_rows,
+    _echelon,
     dot,
     format_rational,
     nullspace,
@@ -13,9 +13,13 @@ from polydiam.ratlin import (
 )
 from polydiam.constructions import KLEE_WALKUP_POINTS
 
-from oracles import echelon_rank
+from oracles import echelon_rank, row_echelon, rref_nullspace
 
 small_ints = st.integers(min_value=-6, max_value=6)
+entries = st.one_of(small_ints, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+# Small integer and `Fraction` matrices, 1 to 5 columns, 0 to 5 rows.
+matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
 
 
 @pytest.mark.parametrize(
@@ -39,7 +43,7 @@ def test_format_round_trip():
 
 
 def rank(rows):
-    return len(_independent_rows(rows))
+    return len(_echelon(rows)[0])
 
 
 def test_rank_identity():
@@ -81,3 +85,22 @@ def test_primitive():
     assert primitive([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert primitive([0, 0]) == (0, 0)
     assert primitive([Fraction(-2), Fraction(4)]) == (-1, 2)
+
+
+@given(matrices)
+def test_echelon_is_the_reference_rref(rows):
+    # Pivots and every row reduced[c] / reduced[c][c] match the reference
+    # `Fraction` reduced row-echelon form.
+    kept, reduced = _echelon(rows)
+    ref = [list(map(Fraction, r)) for r in rows]
+    pivots = row_echelon(ref)
+    assert sorted(reduced) == pivots
+    assert len(kept) == len(pivots)
+    for r, c in enumerate(pivots):
+        assert all(isinstance(x, int) for x in reduced[c])
+        assert [Fraction(x, reduced[c][c]) for x in reduced[c]] == ref[r]
+
+
+@given(matrices.filter(bool))
+def test_nullspace_is_read_off_the_reference_rref(rows):
+    assert nullspace(rows) == rref_nullspace(rows)
