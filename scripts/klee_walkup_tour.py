@@ -5,9 +5,13 @@ The nine-point simplicial 4-polytope, its simple polar with nine facets and
 graph diameter five, the anti-star of the apex with its 15 tetrahedra, and
 the unbounded eight-facet counterexample obtained by sending a facet to
 infinity.
+
+Run with the package on the path, e.g. `PYTHONPATH=src python
+scripts/klee_walkup_tour.py`; CI compares its stdout with
+`scripts/klee_walkup_tour.expected`.
 """
 
-from polydiam import hrep_to_vrep, incidence, vrep_to_hrep
+from polydiam import analyse
 from polydiam.bounds import bound_table, hirsch_report
 from polydiam.constructions import klee_walkup, unbound_at_facet, unbound_point_map
 from polydiam.paths import bfs_distances, diameter
@@ -20,7 +24,7 @@ def main() -> None:
     for label, point in zip(vstar.all_labels(), vstar.vertices):
         print(f"  {label} = {tuple(int(x) for x in point)}")
 
-    complex_ = boundary_complex(incidence(vrep_to_hrep(vstar), vstar))
+    complex_ = boundary_complex(analyse(vstar))
     print(f"\nboundary of Q4*: {len(complex_.facets)} tetrahedra on 9 vertices")
     rg = ridge_graph(complex_)
     dist = bfs_distances(rg, "abcd")
@@ -30,21 +34,21 @@ def main() -> None:
     print(f"anti-star of w: {len(star_15.facets)} tetrahedra")
     print(" ", " ".join(sorted(facet_name(f) for f in star_15.facets)))
 
-    report = hirsch_report(q4)
+    inc = analyse(q4)
+    report = hirsch_report(inc)
     print("\nQ4 (polar view):")
     for key in ("n", "d", "vertex_count", "diameter", "n_minus_d",
                 "satisfies_hirsch", "hirsch_sharp", "simple"):
         print(f"  {key}: {report[key]}")
 
     # pick a facet avoiding a diameter witness pair and unbound it
-    inc = incidence(q4, hrep_to_vrep(q4))
     v = inc.v
     _, (lu, lv) = diameter(inc.graph)
     labels = v.all_labels()
     wu, wv = v.vertices[labels.index(lu)], v.vertices[labels.index(lv)]
     k = next(i for i in inc.facets if q4.value(i, wu) > 0 and q4.value(i, wv) > 0)
     h8 = unbound_at_facet(inc, k)
-    inc8 = incidence(h8, hrep_to_vrep(h8))
+    inc8 = analyse(h8)
     v8 = inc8.v
     iu, iv = unbound_point_map(inc, k, wu), unbound_point_map(inc, k, wv)
     labels8 = v8.all_labels()

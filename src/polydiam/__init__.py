@@ -18,7 +18,7 @@ from .polyhedron import (
     polar,
     skeleton_graph,
 )
-from .dd import hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
+from .dd import analyse, hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
 from .ratlin import Rational, parse_rational
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "Rational",
     "Unbounded",
     "VPolyhedron",
+    "analyse",
     "classify",
     "dual_graph",
     "hrep_to_vrep",

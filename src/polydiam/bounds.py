@@ -21,16 +21,13 @@ from fractions import Fraction
 
 import mpmath
 
-from .dd import hrep_to_vrep
+from .dd import hrep_to_vrep  # noqa: F401
 from .paths import diameter, monotone_eccentricity, nonrevisiting_property
-from .polyhedron import (
-    HPolyhedron,
-    Incidence,
-    Infeasible,
-    classify,
-    facet_row_indices,
-    incidence,
-)
+from .polyhedron import Incidence, Infeasible, classify, facet_row_indices  # noqa: F401
+
+# `hrep_to_vrep` and `facet_row_indices` are not called here.  They stay
+# importable by name because perfbench's tracer self-test checks that this
+# import site gets the same wrapper as the defining module.
 
 # Proved maximum diameters H(n, d) beyond the closed forms for d <= 3:
 # frozen data, no extrapolation.
@@ -166,25 +163,23 @@ def bound_table(n: int, d: int) -> BoundTable:
 
 
 def hirsch_report(
-    poly: HPolyhedron | Incidence,
+    inc: Incidence,
     *,
     check_nonrevisiting: bool = False,
     monotone_c=None,
 ) -> dict:
     """Everything the diameter story says about one polyhedron, as JSON data.
 
-    `poly` is the `Incidence` of the polyhedron, whose `v` names the
-    vertices, or an H-description, which is converted to one first.  Counts
-    only irredundant facets as n, takes the dimension of the affine hull as
-    d, and measures the diameter of the bounded-edge graph.  The optional
-    extras run the non-revisiting all-pairs check and the monotone path
-    analysis for a given functional.
+    `inc` is the `Incidence` of the polyhedron (see `dd.analyse`), whose `v`
+    names the vertices.  Counts only irredundant facets as n, takes the
+    dimension of the affine hull as d, and measures the diameter of the
+    bounded-edge graph.  The optional extras run the non-revisiting
+    all-pairs check and the monotone path analysis for a given functional.
     """
-    inc = poly if isinstance(poly, Incidence) else incidence(poly, hrep_to_vrep(poly))
     v = inc.v
     if not v.vertices:
         raise Infeasible("infeasible")
-    n = len(facet_row_indices(inc))
+    n = len(inc.facets)
     d = inc.dim
     bounded = v.bounded
     diam, witness = diameter(inc.graph)

@@ -8,7 +8,9 @@ error (infeasible input, non-pointed set, bad parameters), 2 usage error.
 Facet and vertex indices in flags are 1-based, matching the `linearity`
 convention of the H-file format.  Every randomized command requires an
 explicit --seed; every generated file embeds its construction recipe as a
-`# recipe` comment and is byte-identical under replay.
+`# recipe` comment and is byte-identical under replay (`gen` writes the
+replay of the recipe it names).  Every verb that reads a polyhedron builds
+its `Incidence` by `dd.analyse`.
 """
 
 from __future__ import annotations
@@ -23,19 +25,9 @@ from . import abstraction as abst
 from . import bounds as bnd
 from . import constructions as cons
 from . import fileio
-from .dd import hrep_to_vrep, vrep_to_hrep
+from .dd import analyse, hrep_to_vrep, vrep_to_hrep
 from .paths import bfs_distances, diameter
-from .polyhedron import (
-    GeometryError,
-    HPolyhedron,
-    Incidence,
-    NotPointed,
-    VPolyhedron,
-    _tight_on_all,
-    dual_graph,
-    incidence,
-    polar,
-)
+from .polyhedron import GeometryError, HPolyhedron, VPolyhedron, dual_graph, polar
 from .ratlin import format_rational, parse_rational
 
 
@@ -52,31 +44,6 @@ def _write_text(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _load_pair(text: str) -> Incidence:
-    """The `Incidence` of the input, whichever representation the file holds.
-
-    The vertices of a V-file keep their order in the file, so the labels
-    v0, v1, ... are the same for every verb.  A listed point that is not a
-    vertex is dropped, the others keeping their labels: point k is a vertex
-    exactly when no other point and no ray is tight on every row it is.  No
-    vertex at all means the set holds a line.
-    """
-    obj = fileio.read_polyfile(text)
-    if isinstance(obj, HPolyhedron):
-        return incidence(obj, hrep_to_vrep(obj))
-    inc = incidence(vrep_to_hrep(obj), obj)
-    keep = [
-        k for k, m in enumerate(inc.masks)
-        if _tight_on_all(inc.columns, m, inc.everything, 1 << k) == 1 << k
-    ]
-    if len(keep) == inc.nverts:
-        return inc
-    if not keep:  # a pointed polyhedron has a vertex among its points
-        raise NotPointed("feasible set contains a line: no vertices exist")
-    points = [obj.vertices[k] for k in keep]
-    return incidence(inc.h, VPolyhedron.from_points(points, obj.rays, map(obj.label, keep)))
 
 
 def _load_h(text: str) -> HPolyhedron:
@@ -96,38 +63,35 @@ def _graph_text(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_gen(args) -> int:
-    recipe = None
-    if args.generator in ("simplex", "cube", "crosspolytope"):
-        out = cons.generate_canonical(args.generator, args.d)
-        recipe = cons.ConstructionRecipe(args.generator, {"d": args.d})
-    elif args.generator == "kleewalkup":
-        out = cons.klee_walkup()[1]
-        recipe = cons.ConstructionRecipe("kleewalkup")
-    elif args.generator == "transportation":
+def _gen_recipe(args) -> cons.ConstructionRecipe:
+    """The recipe named on the command line; `gen` writes its replay."""
+    kind = args.generator
+    if kind in ("simplex", "cube", "crosspolytope"):
+        return cons.ConstructionRecipe(kind, {"d": args.d})
+    if kind == "transportation":
         rows = _parse_rational_list(args.rows)
         cols = _parse_rational_list(args.cols)
-        out = cons.transportation(rows, cols)
-        recipe = cons.ConstructionRecipe(
-            "transportation",
+        return cons.ConstructionRecipe(
+            kind,
             {"rows": [format_rational(x) for x in rows],
              "cols": [format_rational(x) for x in cols]},
         )
-    elif args.generator == "zeroone":
-        vout = cons.random_01_polytope(args.dim, args.points, args.seed)
-        recipe = cons.ConstructionRecipe(
-            "zeroone", {"dim": args.dim, "points": args.points, "seed": args.seed}
+    if kind == "zeroone":
+        return cons.ConstructionRecipe(
+            kind, {"dim": args.dim, "points": args.points, "seed": args.seed}
         )
-        _write_text(fileio.write_vfile(vout, recipe), args.out)
-        return 0
-    elif args.generator == "hirschsharp":
-        out = cons.hirsch_sharp(args.dim, args.facets)
-        recipe = cons.ConstructionRecipe(
+    if kind == "hirschsharp":
+        return cons.ConstructionRecipe(
             "hirsch_sharp", {"dim": args.dim, "facets": args.facets}
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {args.generator!r}")
-    _write_text(fileio.write_hfile(out, recipe), args.out)
+    return cons.ConstructionRecipe(kind)  # kleewalkup, which has no parameters
+
+
+def _cmd_gen(args) -> int:
+    recipe = _gen_recipe(args)
+    out = cons.replay(recipe)
+    write = fileio.write_vfile if isinstance(out, VPolyhedron) else fileio.write_hfile
+    _write_text(write(out, recipe), args.out)
     return 0
 
 
@@ -144,19 +108,20 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    graph = _load_pair(_read_text(args.file)).graph
+    graph = analyse(fileio.read_polyfile(_read_text(args.file))).graph
     _write_text(_graph_text(graph), args.out)
     return 0
 
 
 def _cmd_dualgraph(args) -> int:
-    graph = dual_graph(_load_pair(_read_text(args.file)))
+    graph = dual_graph(analyse(fileio.read_polyfile(_read_text(args.file))))
     _write_text(_graph_text(graph), args.out)
     return 0
 
 
 def _cmd_diameter(args) -> int:
-    value, witness = diameter(_load_pair(_read_text(args.file)).graph)
+    inc = analyse(fileio.read_polyfile(_read_text(args.file)))
+    value, witness = diameter(inc.graph)
     if args.json:
         print(json.dumps({"diameter": value, "witness": list(witness)}))
     else:
@@ -165,7 +130,8 @@ def _cmd_diameter(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    dist = bfs_distances(_load_pair(_read_text(args.file)).graph, args.src)
+    inc = analyse(fileio.read_polyfile(_read_text(args.file)))
+    dist = bfs_distances(inc.graph, args.src)
     value = dist.get(args.dst)
     if value is None:
         raise ValueError(f"unknown target node {args.dst!r}")
@@ -186,7 +152,7 @@ def _wrap_recipe(kind: str, parameters: dict, text: str):
 
 def _cmd_wedge(args) -> int:
     text = _read_text(args.file)
-    out = cons.wedge(_load_pair(text), args.facet - 1)
+    out = cons.wedge(analyse(fileio.read_polyfile(text)), args.facet - 1)
     recipe = _wrap_recipe("wedge", {"facet": args.facet}, text)
     _write_text(fileio.write_hfile(out, recipe), args.out)
     return 0
@@ -205,7 +171,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_truncate(args) -> int:
     text = _read_text(args.file)
-    inc = _load_pair(text)
+    inc = analyse(fileio.read_polyfile(text))
     vertex: str | int = args.vertex
     if vertex not in inc.v.all_labels():
         try:
@@ -219,10 +185,8 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_polar(args) -> int:
-    text = _read_text(args.file)
-    obj = fileio.read_polyfile(text)
-    v = hrep_to_vrep(obj) if isinstance(obj, HPolyhedron) else obj
-    out, shift = polar(v)
+    inc = analyse(fileio.read_polyfile(_read_text(args.file)))
+    out, shift = polar(inc.v)
     body = fileio.write_hfile(out)
     comment = "# polar translation applied: " + " ".join(
         format_rational(x) for x in shift
@@ -233,14 +197,14 @@ def _cmd_polar(args) -> int:
 
 def _cmd_unbound(args) -> int:
     text = _read_text(args.file)
-    out = cons.unbound_at_facet(_load_pair(text), args.facet - 1)
+    out = cons.unbound_at_facet(analyse(fileio.read_polyfile(text)), args.facet - 1)
     recipe = _wrap_recipe("unbound", {"facet": args.facet}, text)
     _write_text(fileio.write_hfile(out, recipe), args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
-    inc = _load_pair(_read_text(args.file))
+    inc = analyse(fileio.read_polyfile(_read_text(args.file)))
     c = _parse_rational_list(args.monotone) if args.monotone else None
     report = bnd.hirsch_report(
         inc, check_nonrevisiting=args.nonrevisiting, monotone_c=c

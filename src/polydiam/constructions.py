@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dd import hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
+from .dd import analyse, reduce_to_full_dim, vrep_to_hrep
 from .paths import diameter
 from .polyhedron import (
     GeometryError,
@@ -29,7 +29,6 @@ from .polyhedron import (
     Unbounded,
     VPolyhedron,
     canonical_row,
-    incidence,
 )
 from .ratlin import Vector, _echelon, dot, nullspace
 
@@ -138,12 +137,12 @@ def wedge(poly: Incidence | HPolyhedron, k: int) -> HPolyhedron:
     """Wedge over facet row k (0-based): one dimension and one facet more.
 
     `poly` is the `Incidence` of the base polytope, or an H-description,
-    which is converted to one first.  In coordinates (x, t): every other
-    row keeps coefficient 0 on t, a new row t >= 0 is appended, and row k
-    becomes b_k + a_k.x - t >= 0 (the two of them are the copies of the
-    base polytope, glued along facet k).  The diameter never decreases.
+    which `analyse` turns into one first.  In coordinates (x, t): every
+    other row keeps coefficient 0 on t, a new row t >= 0 is appended, and
+    row k becomes b_k + a_k.x - t >= 0 (the two of them are the copies of
+    the base polytope, glued along facet k).  The diameter never decreases.
     """
-    inc = poly if isinstance(poly, Incidence) else incidence(poly, hrep_to_vrep(poly))
+    inc = poly if isinstance(poly, Incidence) else analyse(poly)
     h = inc.h
     if not inc.v.vertices:
         raise Infeasible("infeasible")
@@ -401,7 +400,7 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
     truncations = n - d - 5
     h = klee_walkup()[1]
     cur_d, cur_n = 4, 9
-    inc = incidence(h, hrep_to_vrep(h))
+    inc = analyse(h)
     wu, wv = _sharp_witness(inc, cur_d, cur_n)
     for _ in range(wedges):
         h = wedge(inc, _facet_avoiding(inc, wu, wv))
@@ -409,14 +408,14 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
         cur_n += 1
         zero = (Fraction(0),)
         wu, wv = wu + zero, wv + zero  # lifted copies on the facet t = 0
-        inc = incidence(h, hrep_to_vrep(h))
+        inc = analyse(h)
         for target in (wu, wv):
             if truncations == 0:
                 break
             h = truncate_vertex(inc, inc.v.vertices.index(target))
             cur_n += 1
             truncations -= 1
-            inc = incidence(h, hrep_to_vrep(h))
+            inc = analyse(h)
         wu, wv = _sharp_witness(inc, cur_d, cur_n)
     return h
 
@@ -480,11 +479,11 @@ def replay(recipe: ConstructionRecipe) -> HPolyhedron | VPolyhedron:
     if kind == "hirsch_sharp":
         return hirsch_sharp(int(p["dim"]), int(p["facets"]))
     if kind == "wedge":
-        return wedge(_replay_pair(recipe.base), int(p["facet"]) - 1)
+        return wedge(analyse(_replay_operand(recipe.base)), int(p["facet"]) - 1)
     if kind == "unbound":
-        return unbound_at_facet(_replay_pair(recipe.base), int(p["facet"]) - 1)
+        return unbound_at_facet(analyse(_replay_operand(recipe.base)), int(p["facet"]) - 1)
     if kind == "truncate":
-        return truncate_vertex(_replay_pair(recipe.base), p["vertex"])
+        return truncate_vertex(analyse(_replay_operand(recipe.base)), p["vertex"])
     if kind == "product":
         return product(_replay_h(recipe.base), _replay_h(recipe.other))
     raise ValueError(f"unknown recipe kind {kind!r}")
@@ -499,11 +498,3 @@ def _replay_operand(recipe: ConstructionRecipe | None) -> HPolyhedron | VPolyhed
 def _replay_h(recipe: ConstructionRecipe | None) -> HPolyhedron:
     out = _replay_operand(recipe)
     return vrep_to_hrep(out) if isinstance(out, VPolyhedron) else out
-
-
-def _replay_pair(recipe: ConstructionRecipe | None) -> Incidence:
-    """The `Incidence` of an operand, after one conversion either way."""
-    out = _replay_operand(recipe)
-    if isinstance(out, VPolyhedron):
-        return incidence(vrep_to_hrep(out), out)
-    return incidence(out, hrep_to_vrep(out))

@@ -22,6 +22,9 @@ column bitsets: per processed row, the set of rays tight on it, so "which
 rays are tight on all of z" is one AND of |z| big integers rather than a
 scan over every ray.  A short rank of the cone rows (a line in the input)
 surfaces there too, as `NotPointed`, with no separate rank test.
+
+`analyse` is the one way from a description, H or V, to its `Incidence`:
+it converts once and pairs the input with its converse.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from math import lcm
 
 from .polyhedron import (
     HPolyhedron,
+    Incidence,
     Infeasible,
     NotPointed,
     Row,
@@ -39,6 +43,7 @@ from .polyhedron import (
     _tight_on_all,
     canonical_equality_row,
     canonical_row,
+    incidence,
 )
 from .ratlin import Vector, _echelon, dot, nullspace, primitive
 
@@ -351,3 +356,28 @@ def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
         lifted.append((b, tuple(amb)))
     all_rows = tuple(sorted(eq_rows)) + tuple(sorted(lifted))
     return HPolyhedron(v.d, all_rows, frozenset(range(len(eq_rows))))
+
+
+def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
+    """The `Incidence` of a polyhedron given by either description.
+
+    The other description is computed by one conversion.  The vertices of a
+    V-description keep their order and labels, so v0, v1, ... name the same
+    points for every caller.  A listed point that is not a vertex is
+    dropped, the others keeping their labels: point k is a vertex exactly
+    when no other point and no ray is tight on every row it is.  No vertex
+    at all means the set holds a line.
+    """
+    if isinstance(poly, HPolyhedron):
+        return incidence(poly, hrep_to_vrep(poly))
+    inc = incidence(vrep_to_hrep(poly), poly)
+    keep = [
+        k for k, m in enumerate(inc.masks)
+        if _tight_on_all(inc.columns, m, inc.everything, 1 << k) == 1 << k
+    ]
+    if len(keep) == inc.nverts:
+        return inc
+    if not keep:  # a pointed polyhedron has a vertex among its points
+        raise NotPointed("feasible set contains a line: no vertices exist")
+    points = [poly.vertices[k] for k in keep]
+    return incidence(inc.h, VPolyhedron.from_points(points, poly.rays, map(poly.label, keep)))

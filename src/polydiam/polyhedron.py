@@ -195,10 +195,9 @@ class Incidence:
     tight on a whole row set are one AND of columns.
 
     The derived data is computed the first time it is asked for and then
-    kept: `facets` (by `facet_row_indices`, which stores its answer here,
-    so a direct call and the attribute share one computation),
-    `facet_masks`, `dim` and `graph` (by `skeleton_graph`).  Build one with
-    `incidence(h, v)`.
+    kept: `facets` (by `facet_row_indices`), `facet_masks`, `dim` and
+    `graph` (by `skeleton_graph`).  Build one with `dd.analyse(poly)` from
+    either description, or with `incidence(h, v)` when both are known.
     """
 
     def __init__(
@@ -218,14 +217,11 @@ class Incidence:
                 columns[low.bit_length() - 1] |= 1 << k
                 m ^= low
         self.columns = tuple(columns)
-        self._facets: tuple[int, ...] | None = None
 
-    @property
+    @cached_property
     def facets(self) -> tuple[int, ...]:
         """Indices of the facet rows, in increasing order."""
-        if self._facets is None:
-            facet_row_indices(self)
-        return self._facets
+        return tuple(facet_row_indices(self))
 
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:
@@ -420,18 +416,16 @@ def facet_row_indices(inc: Incidence) -> list[int]:
     inclusion-maximal among the rows' tight sets; this is exact for
     pointed polyhedra, where a face is determined by its tight set.  Rows
     with the same tight set define the same facet and are reported once,
-    by the lowest row index.  This is the `n` of every Hirsch quantity.
-    The answer is stored on `inc` (read it again as `inc.facets`).
+    by the lowest row index.  This is the `n` of every Hirsch quantity;
+    `inc.facets` keeps the answer.
     """
-    if inc._facets is None:
-        vertex_bits = (1 << inc.nverts) - 1
-        first: dict[int, int] = {}
-        for i in inc.h.inequality_indices():
-            s = inc.columns[i]
-            if s & vertex_bits and s != inc.everything:
-                first.setdefault(s, i)
-        inc._facets = tuple(sorted(first[s] for s in _maximal(first)))
-    return list(inc._facets)
+    vertex_bits = (1 << inc.nverts) - 1
+    first: dict[int, int] = {}
+    for i in inc.h.inequality_indices():
+        s = inc.columns[i]
+        if s & vertex_bits and s != inc.everything:
+            first.setdefault(s, i)
+    return sorted(first[s] for s in _maximal(first))
 
 
 def dual_graph(inc: Incidence) -> PolyGraph:

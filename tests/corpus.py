@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from polydiam import hrep_to_vrep, incidence
+from polydiam import analyse
 from polydiam.constructions import (
     crosspolytope,
     cube,
@@ -35,5 +35,4 @@ def corpus():
 @lru_cache(maxsize=None)
 def converted(name):
     """The `Incidence` of a corpus entry, built once."""
-    h = dict(corpus())[name]
-    return incidence(h, hrep_to_vrep(h))
+    return analyse(dict(corpus())[name])

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from polydiam import (
+    analyse,
     classify,
     hrep_to_vrep,
     incidence,
@@ -73,7 +74,7 @@ def criterion(num, description, limit_seconds):
 
 @lru_cache(maxsize=None)
 def _analyzed(h):
-    return incidence(h, hrep_to_vrep(h))
+    return analyse(h)
 
 
 def test_criterion_01_klee_walkup(capsys, tmp_path):
@@ -277,7 +278,7 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_abstraction():
     with criterion(10, "subset-graph abstraction: validity, bounds, extremum", 120):
         for h in (cube(3), cube(4), simplex(4), klee_walkup()[1], hirsch_sharp(5, 8)):
-            g = from_simple_polytope(incidence(h, hrep_to_vrep(h)))
+            g = from_simple_polytope(_analyzed(h))
             ok, witness = validate_layer_property(g)
             assert ok and witness is None
             res = subset_graph_diameter(g)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydiam import hrep_to_vrep, incidence
+from polydiam import analyse
 from polydiam.bounds import (
     KNOWN_EXACT_TABLE,
     bound_table,
@@ -141,7 +141,7 @@ def test_known_exact_reproduced_by_generators():
 
 def test_hirsch_report_klee_walkup():
     _, q4 = klee_walkup()
-    report = hirsch_report(q4)
+    report = hirsch_report(analyse(q4))
     assert report["n"] == 9 and report["d"] == 4
     assert report["diameter"] == 5 == report["n_minus_d"]
     assert report["satisfies_hirsch"] and report["hirsch_sharp"]
@@ -151,7 +151,7 @@ def test_hirsch_report_klee_walkup():
 
 
 def test_hirsch_report_cube():
-    report = hirsch_report(cube(4))
+    report = hirsch_report(analyse(cube(4)))
     assert report["diameter"] == 4 == report["n_minus_d"]
     assert report["hirsch_sharp"]
 
@@ -159,10 +159,10 @@ def test_hirsch_report_cube():
 def test_hirsch_report_unbounded_counterexample():
     _, q4 = klee_walkup()
     report8 = None
-    inc = incidence(q4, hrep_to_vrep(q4))
+    inc = analyse(q4)
     for k in range(q4.nrows):
         h8 = unbound_at_facet(inc, k)
-        report = hirsch_report(h8)
+        report = hirsch_report(analyse(h8))
         assert report["n"] == 8 and report["d"] == 4
         assert report["bounded"] is False
         if report["diameter"] >= 5:
@@ -172,15 +172,15 @@ def test_hirsch_report_unbounded_counterexample():
 
 
 def test_hirsch_report_nonrevisiting_flag():
-    report = hirsch_report(cube(3), check_nonrevisiting=True)
+    report = hirsch_report(analyse(cube(3)), check_nonrevisiting=True)
     assert report["nonrevisiting"] is True
 
 
 def test_hirsch_report_monotone():
-    report = hirsch_report(cube(3), monotone_c=(1, 2, 4))
+    report = hirsch_report(analyse(cube(3)), monotone_c=(1, 2, 4))
     assert report["monotone"]["worst_length"] == 3
 
 
 def test_hirsch_report_infeasible():
     with pytest.raises(Infeasible):
-        hirsch_report(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)]))
+        hirsch_report(analyse(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)])))

@@ -6,8 +6,15 @@ import pytest
 
 from polydiam.cli import main
 from polydiam.constructions import replay
-from polydiam.fileio import read_hfile, read_recipe, read_subset_graph, write_hfile, write_vfile
-from polydiam import HPolyhedron, VPolyhedron
+from polydiam.fileio import (
+    read_hfile,
+    read_recipe,
+    read_subset_graph,
+    read_vfile,
+    write_hfile,
+    write_vfile,
+)
+from polydiam import HPolyhedron, NotPointed, VPolyhedron, analyse
 
 
 def run(capsys, *argv):
@@ -54,14 +61,50 @@ def test_gen_wedge_check_pipeline(capsys, tmp_path):
     assert report["n"] == 10 and report["d"] == 5 and report["diameter"] == 5
 
 
-def test_recipe_replay_byte_identical(capsys, tmp_path):
-    out_path = tmp_path / "hs.ine"
-    run(capsys, "gen", "hirschsharp", "--dim", "5", "--facets", "11",
-        "--out", str(out_path))
-    text = out_path.read_text()
+# stdout of `gen`, pinned byte for byte by sha256.  `gen` writes the replay
+# of the recipe it names, so these pins are what catches a changed byte.
+_PINNED_GEN_OUTPUT = {
+    "simplex": (("simplex", "3"),
+                "f48e41012d64c50915c378c47ea8b60afd6187717ee26ef15e20c748a8c5beea"),
+    "cube": (("cube", "3"),
+             "928ca2288ebc3e8dc8c322359483d9ecc226c527b02f49a725b4ad5743994f11"),
+    "crosspolytope": (("crosspolytope", "3"),
+                      "98f6a35b2d362abbb291204b82d8784db55dee52588ce17e2b1082a7e3573cfd"),
+    "kleewalkup": (("kleewalkup",),
+                   "08b3463cba837cc5221859c4bb2f0dab791cb11f74654facfd418376a4e0f21e"),
+    "transportation": (("transportation", "--rows", "2/4,3/2", "--cols", "1,1"),
+                       "9a29b7a701c2165b6af7dbf33d3a53467f243d81befb65f18096bee2e25a6eaa"),
+    "zeroone": (("zeroone", "--dim", "4", "--points", "7", "--seed", "3"),
+                "58d3a7ff21301a213ee38ba82f0125c01e5bbafb33a86eac1ad9635c03982810"),
+    "hirschsharp-5-11": (("hirschsharp", "--dim", "5", "--facets", "11"),
+                         "9715e5dd7ff3b954f4f21c630d15503b98fa4694a595abf36c244e7ab2e489eb"),
+    "hirschsharp-4-6": (("hirschsharp", "--dim", "4", "--facets", "6"),
+                        "f993a509daacdd75f38ea57c43d78fefa661aca9e2c4ffe65f038d70421c6e3d"),
+}
+
+
+@pytest.mark.parametrize("generator", list(_PINNED_GEN_OUTPUT))
+def test_recipe_replay_byte_identical(capsys, generator):
+    import hashlib
+
+    argv, digest = _PINNED_GEN_OUTPUT[generator]
+    code, text, err = run(capsys, "gen", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, text
     recipe = read_recipe(text)
     assert recipe is not None
-    assert write_hfile(replay(recipe), recipe) == text
+    write = write_vfile if generator == "zeroone" else write_hfile
+    assert write(replay(recipe), recipe) == text
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("cube", "0"), "error: d must be >= 1\n"),
+    (("hirschsharp", "--dim", "3", "--facets", "9"),
+     "error: no construction for (d=3, n=9): diameter-sharp polytopes are available "
+     "for d < n <= 2d, or 2d < n <= 3d-3 with d >= 4\n"),
+], ids=["cube-0", "hirschsharp-3-9"])
+def test_gen_errors_are_pinned(capsys, argv, err):
+    assert run(capsys, "gen", *argv) == (1, "", err)
 
 
 def test_wedge_recipe_wraps_base(capsys, tmp_path):
@@ -316,6 +359,28 @@ def test_dualgraph(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 1 + 12
 
 
+def _point_file(tmp_path, points):
+    """A V-file of planar points, one "x y" string each."""
+    f = tmp_path / "pts.ext"
+    f.write_text("V-representation\nbegin\n"
+                 f"{len(points)} 3 rational\n" + "".join(f"1 {p}\n" for p in points) + "end\n")
+    return f
+
+
+def test_polar_ignores_listed_points_that_are_not_vertices(capsys, tmp_path):
+    # The square alone, and the square with the inner point (1/2, 1/2).
+    square = ["0 0", "2 0", "0 2", "2 2"]
+    outs = []
+    for points in (square, square + ["1/2 1/2"]):
+        f = _point_file(tmp_path, points)
+        code, out, _ = run(capsys, "polar", str(f))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("# polar translation applied: -1 -1\n")
+    assert read_hfile(outs[0]).nrows == 4
+
+
 def test_polar_output(capsys, tmp_path):
     c = tmp_path / "cube.ine"
     p = tmp_path / "polar.ine"
@@ -480,9 +545,9 @@ def test_stdin_pipeline(capsys, monkeypatch, tmp_path):
 ], ids=["square-and-inner-point", "segment-and-midpoint"])
 def test_listed_points_that_are_not_vertices_are_dropped(capsys, tmp_path, points, graph, diam):
     # The kept vertices keep their labels from the file.
-    f = tmp_path / "pts.ext"
-    f.write_text("V-representation\nbegin\n"
-                 f"{len(points)} 3 rational\n" + "".join(f"1 {p}\n" for p in points) + "end\n")
+    f = _point_file(tmp_path, points)
+    inc = analyse(read_vfile(f.read_text()))
+    assert " ".join(inc.v.all_labels()) == graph.splitlines()[0].removeprefix("nodes ")
     assert run(capsys, "graph", str(f)) == (0, graph, "")
     assert run(capsys, "diameter", str(f)) == (0, diam + "\n", "")
     code, out, _ = run(capsys, "check", str(f), "--json")
@@ -492,6 +557,8 @@ def test_listed_points_that_are_not_vertices_are_dropped(capsys, tmp_path, point
 def test_points_of_a_line_have_no_vertex(capsys, tmp_path):
     f = tmp_path / "line.ext"
     f.write_text("V-representation\nbegin\n3 2 rational\n1 0\n0 1\n0 -1\nend\n")
+    with pytest.raises(NotPointed):
+        analyse(read_vfile(f.read_text()))
     code, out, err = run(capsys, "graph", str(f))
     assert (code, out) == (1, "")
     assert err == "error: feasible set contains a line: no vertices exist\n"

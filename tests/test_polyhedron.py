@@ -10,6 +10,7 @@ from polydiam import (
     PolyGraph,
     Unbounded,
     VPolyhedron,
+    analyse,
     classify,
     dual_graph,
     hrep_to_vrep,
@@ -162,7 +163,7 @@ def test_rows_cutting_the_same_facet_are_merged(form):
     h = SEGMENTS_WITH_EXTRA_ROW[form]
     v, inc = _pipeline(h)
     assert facet_row_indices(inc) == [0, 1]
-    report = hirsch_report(h)
+    report = hirsch_report(analyse(h))
     assert (report["n"], report["d"], report["diameter"]) == (2, 1, 1)
     assert report["hirsch_sharp"] is True
 
@@ -197,7 +198,7 @@ def test_classify_placed_cube_like_cube():
     rows = [(b, *a, 0) for b, a in cube(3).rows] + [(0, 0, 0, 0, 1)]
     placed = HPolyhedron.from_rows(4, rows, linearity=[6])
     assert classify(incidence(placed, hrep_to_vrep(placed))) == (True, False)
-    report = hirsch_report(placed)
+    report = hirsch_report(analyse(placed))
     assert report["d"] == 3
     assert report["simple"] is True and report["simplicial"] is False
 
