@@ -2,10 +2,11 @@
 
 A graph is one `PolyGraph`: node labels plus one neighbour bitset per node
 (`adj`), with `edges` a derived view for printing.  Every search reads
-`adj`, and every distance comes from one BFS, `_bfs_layers`, which returns
-one bitset of nodes per distance.  It serves distances, diameters, the
-monotone BFS (on bitsets of lower-valued neighbours), the non-revisiting
-search's distance cut, and the abstraction's reachability inside a filter.
+`adj`.  One BFS, `_bfs_layers`, returns one bitset of nodes per distance;
+it serves distances, the monotone BFS (on bitsets of lower-valued
+neighbours), the non-revisiting search's distance cut, and the
+abstraction's reachability inside a filter.  Diameters run every source at
+once (`mask_diameter`), with one bitset of sources per node.
 
 The non-revisiting search asks for an edge path that never re-enters a
 facet it previously left; such paths are never longer than n - d, with d
@@ -110,19 +111,38 @@ def mask_diameter(adj: Sequence[int]) -> tuple[int, tuple[int, int]] | None:
     disconnected.  Ties are broken by node order, so the witness is
     reproducible: the first source of greatest eccentricity, and the first
     node in its last BFS layer.
+
+    All sources run at once, as in the multi-source BFS of Then et al.
+    (*The More the Merrier*, VLDB 2014): each node keeps the bitset of the
+    sources that have reached it, and each layer ORs in its neighbours'
+    bitsets, so the cost is one OR per edge end per layer, not one BFS per
+    node.  The diameter is the first layer at which every bitset is full;
+    a layer that changes nothing before that means the graph is
+    disconnected.  The graph is undirected, so the sources within k steps
+    of a node are the nodes within k steps of it: the sources of greatest
+    eccentricity are the nodes whose bitset is not full one layer earlier,
+    and the lowest node missing from the first of them is the first node
+    of its last BFS layer.
     """
-    everyone = (1 << len(adj)) - 1
-    best = -1
-    witness = (0, 0)
-    for source in range(len(adj)):
-        layers = _bfs_layers(adj, source)
-        if sum(layers) != everyone:  # layers are disjoint: the sum is their union
+    if not adj:
+        return -1, (0, 0)
+    n = len(adj)
+    everyone = (1 << n) - 1
+    nbrs = [list(_bits(a)) for a in adj]
+    reach = [1 << i for i in range(n)]  # the sources within `layer` steps
+    before, layer = reach, 0
+    while reach.count(everyone) != n:
+        step = []
+        for r, ns in zip(reach, nbrs):
+            for w in ns:
+                r |= reach[w]
+            step.append(r)
+        if step == reach:
             return None
-        if len(layers) - 1 > best:
-            best = len(layers) - 1
-            last = layers[-1]
-            witness = (source, (last & -last).bit_length() - 1)
-    return best, witness
+        before, reach, layer = reach, step, layer + 1
+    source = next((i for i, r in enumerate(before) if r != everyone), 0)
+    missing = everyone ^ before[source]
+    return layer, (source, (missing & -missing).bit_length() - 1 if missing else source)
 
 
 def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:

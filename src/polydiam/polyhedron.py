@@ -18,11 +18,17 @@ and one face lies in another exactly when its tight set does.  Hence:
   facet, and every proper face lies in a facet, so the facets are exactly
   the inclusion-maximal tight sets among the rows whose tight set is
   nonempty and not all of P.
-* Edges (`skeleton_graph`): the smallest face holding vertices u and v is
-  the set tight on T(u) & T(v); it is the segment uv exactly when the
-  vertices tight on those rows are u and v alone and no ray is tight on
-  them.  That set is one AND of per-row bitsets, and the test stays right
-  on degenerate, non-simple inputs where a rank shortcut would lie.
+* Edges (`skeleton_graph`): a vertex on exactly dim facets is simple, and
+  the vertex figure of a simple vertex is a simplex (Ziegler, *Lectures
+  on Polytopes*, §3), so its edges are the faces tight on all but one of
+  its facets: one AND of dim - 1 columns per facet, which is the vertex
+  and its neighbour, or holds a ray bit when the edge is unbounded.
+  Every edge with a simple end is read off that end.  Between two
+  non-simple vertices u and v the smallest face holding both is the set
+  tight on T(u) & T(v), and uv is an edge exactly when the vertices tight
+  on those rows are u and v alone and no ray is (`Incidence.is_edge`);
+  that test stays right on degenerate input where a rank shortcut would
+  lie.
 * Ridges (`dual_graph`): the facets of a facet F are the maximal faces
   F & G over the other facets G, so two facets are adjacent exactly when
   their common vertex set is inclusion-maximal among F's intersections.
@@ -33,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import accumulate
+from operator import and_, mul
 from typing import Iterable, Iterator, Sequence
 
 from .ratlin import Vector, _echelon, dot, primitive
@@ -392,19 +399,55 @@ def _maximal(sets: Iterable[int]) -> list[int]:
 def skeleton_graph(inc: Incidence) -> PolyGraph:
     """Graph of the polyhedron: vertices plus bounded edges.
 
-    Edge test (`Incidence.is_edge`): the minimal face containing {u, v} is
-    the set of points tight on T(u) & T(v); it is the segment uv exactly
-    when its vertex set is {u, v} and no extreme ray is tight on all those
-    rows.
+    A vertex u on exactly `inc.dim` facets is simple, and the vertex
+    figure of a simple vertex is a simplex (Ziegler, *Lectures on
+    Polytopes*, §3), so each facet f of u leaves one 1-dimensional face:
+    the face tight on the other dim - 1 facets of u.  That face is the
+    edge uw when the AND of those columns is {u, w}, and an unbounded edge
+    when it holds a ray bit.  So every edge with a simple end is read off
+    3·dim ANDs at that end (`_simple_neighbours`), and only pairs of
+    non-simple vertices run `Incidence.is_edge`.
+
+    The facets of u are the inclusion-maximal proper faces among the rows
+    tight at u, since a face holding u lies in a facet holding u; and u is
+    on at least dim facets, so when exactly dim distinct proper faces are
+    tight at u they are its facets.  No global facet list is needed.
     """
-    n = inc.nverts
+    n, dim, everything = inc.nverts, inc.dim, inc.everything
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inc.is_edge(i, j):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    other = []  # the non-simple vertices
+    for u, m in enumerate(inc.masks):
+        faces = {inc.columns[i] for i in _bits(m)} - {everything}
+        if len(faces) > dim:
+            faces = _maximal(faces)
+        if len(faces) != dim:
+            other.append(u)
+            continue
+        nbrs = _simple_neighbours(list(faces), everything, n) & ~(1 << u)
+        adj[u] |= nbrs
+        for w in _bits(nbrs):
+            adj[w] |= 1 << u
+    for x, u in enumerate(other):
+        for w in other[x + 1:]:
+            if inc.is_edge(u, w):
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
     return PolyGraph(inc.v.all_labels(), tuple(adj))
+
+
+def _simple_neighbours(columns: Sequence[int], everything: int, nverts: int) -> int:
+    """The vertex and its bounded-edge neighbours, as one bitset, for a
+    simple vertex whose facets have the given columns: per facet, the AND
+    of the other columns is the vertex and one neighbour, or it holds a ray
+    bit (bit `nverts` and up) and the edge is unbounded."""
+    before = list(accumulate(columns, and_, initial=everything))
+    after = list(accumulate(reversed(columns), and_, initial=everything))[::-1]
+    found = 0
+    for k in range(len(columns)):
+        face = before[k] & after[k + 1]
+        if not face >> nverts:
+            found |= face
+    return found
 
 
 def facet_row_indices(inc: Incidence) -> list[int]:

@@ -77,8 +77,12 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to primitive integers.
 
     The zero vector maps to itself.  The direction (sign pattern) is kept,
-    so this is safe for inequality rows and for cone rays.
+    so this is safe for inequality rows and for cone rays.  An all-`int`
+    vector only needs its gcd divided out.
     """
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return tuple(vec) if g <= 1 else tuple(x // g for x in vec)
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
     den = 1
     for q in fracs:

@@ -5,8 +5,9 @@ definitions, not by calling the library: brute-force vertex enumeration
 over row subsets, forward-elimination rank counting, `Fraction`
 reduced row-echelon form and the null spaces read off it, `Fraction`
 incidence, facets and ridges by affine rank, the literal third-vertex
-edge test, double description with the literal third-ray adjacency scan,
-a queue BFS for diameters and their witness pairs, simple-path
+edge test and the all-pairs AND-of-columns skeleton, double description
+with the literal third-ray adjacency scan, a queue BFS and a per-source
+bitset BFS for diameters and their witness pairs, simple-path
 enumeration for the non-revisiting property, a literal interval check
 of what "never revisits a facet" means, the non-revisiting search
 without its distance cut, and the subset-graph search that re-checks
@@ -235,6 +236,25 @@ def third_vertex_edges(vmasks, rmasks):
     return edges
 
 
+def pairwise_skeleton_adj(masks, columns, everything):
+    """Neighbour bitsets by the all-pairs edge test: vertices u and w are
+    adjacent when the AND of the columns of the rows tight at both is
+    exactly {u, w}, with no ray bit.  Every vertex pair is tested."""
+    n = len(masks)
+    adj = [0] * n
+    for u in range(n):
+        for w in range(u + 1, n):
+            common = masks[u] & masks[w]
+            face = everything
+            for i, col in enumerate(columns):
+                if common >> i & 1:
+                    face &= col
+            if face == 1 << u | 1 << w:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+    return tuple(adj)
+
+
 def rank_ridge_pairs(points, vmasks, facets):
     """Facet row pairs (i, j), i < j in `facets` order, whose common
     vertices span an affine space of dimension dim(P) - 2."""
@@ -272,6 +292,33 @@ def queue_bfs_diameter(nodes, edges):
         if far > best:
             best = far
             witness = (source, next(u for u in nodes if dist[u] == far))
+    return best, witness
+
+
+def per_source_diameter(adj):
+    """(diameter, (source, target)) of a graph given as neighbour bitsets,
+    by one bitset BFS per source, or None when it is disconnected.  The
+    witness is the first source of greatest eccentricity and the lowest
+    node of its last BFS layer; no nodes give (-1, (0, 0))."""
+    everyone = (1 << len(adj)) - 1
+    best, witness = -1, (0, 0)
+    for source in range(len(adj)):
+        layers = []
+        frontier = seen = 1 << source
+        while frontier:
+            layers.append(frontier)
+            nxt = 0
+            for i in range(len(adj)):
+                if frontier >> i & 1:
+                    nxt |= adj[i]
+            frontier = nxt & ~seen
+            seen |= frontier
+        if seen != everyone:
+            return None
+        if len(layers) - 1 > best:
+            best = len(layers) - 1
+            last = layers[-1]
+            witness = (source, min(i for i in range(len(adj)) if last >> i & 1))
     return best, witness
 
 

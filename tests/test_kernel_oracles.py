@@ -4,26 +4,37 @@ Incidence, facet rows, skeleton edges, dual-graph edges and the affine
 dimension are compared with the from-scratch versions in `oracles.py` on
 corpus polytopes placed by a random signed permutation and shift, with
 rows rescaled, duplicated and padded by redundant rows; on random 0/1
-polytopes; and on unbounded inputs, so the ray masks are covered.
+polytopes; and on unbounded inputs, so the ray masks are covered.  The
+skeleton, which reads the edges of simple vertices off column ANDs, is
+also compared with the all-pairs edge test on non-simple, unbounded and
+re-embedded lower-dimensional input.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiam import hrep_to_vrep, incidence, skeleton_graph, vrep_to_hrep
-from polydiam.constructions import klee_walkup, random_01_polytope, unbound_at_facet
+from polydiam import analyse, hrep_to_vrep, incidence, skeleton_graph, vrep_to_hrep
+from polydiam.constructions import (
+    crosspolytope,
+    klee_walkup,
+    random_01_polytope,
+    unbound_at_facet,
+)
 from polydiam.polyhedron import HPolyhedron, VPolyhedron, dual_graph, facet_row_indices
 
 from corpus import corpus
 from oracles import (
     fraction_incidence,
+    pairwise_skeleton_adj,
     rank_affine_dim,
     rank_facet_rows,
     rank_ridge_pairs,
     third_vertex_edges,
 )
+from test_reembedding import _embedded_rows, _embedding
 
 _Q4 = klee_walkup()[1]
 _Q4_INC = incidence(_Q4, hrep_to_vrep(_Q4))
@@ -83,6 +94,7 @@ def _check_against_oracles(h, v):
         tuple(sorted((where[a], where[b]))) for a, b in skeleton_graph(inc).edges
     }
     assert edges == third_vertex_edges(vmasks, rmasks)
+    assert skeleton_graph(inc).adj == pairwise_skeleton_adj(inc.masks, inc.columns, inc.everything)
     if v.bounded:
         ridges = {
             (int(a[1:]) - 1, int(b[1:]) - 1) for a, b in dual_graph(inc).edges
@@ -135,3 +147,45 @@ def test_dim_of_lower_dimensional_unbounded_input(poly, dim):
         inc = incidence(vrep_to_hrep(poly), poly)
     assert inc.v.rays
     assert inc.dim == dim == rank_affine_dim(inc.v.vertices, inc.v.rays)
+
+
+# Inputs with non-simple vertices, with rays, or both.  In the square
+# pyramid the apex is on four facets and each base vertex on three.
+PYRAMID = VPolyhedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+SKELETON_CASES = {
+    "cross3": crosspolytope(3),
+    "cross4": crosspolytope(4),
+    "klee_walkup_star": klee_walkup()[0],
+    "q4": _Q4,
+    "pyramid": PYRAMID,
+    "zero_one_5_10": random_01_polytope(5, 10, 7),
+    "zero_one_6_16": random_01_polytope(6, 16, 3),
+    "half_line": _HALF_LINE_H,
+    "quadrant_z0": HPolyhedron.from_rows(3, _QUADRANT_Z0_ROWS + [(0, 0, 0, -1)]),
+    "cone_over_square": VPolyhedron.from_points(
+        [(0, 0, 0)], rays=[(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    ),
+    **dict(UNBOUNDED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_CASES))
+def test_skeleton_matches_the_all_pairs_reference(name):
+    inc = analyse(SKELETON_CASES[name])
+    assert skeleton_graph(inc).adj == pairwise_skeleton_adj(inc.masks, inc.columns, inc.everything)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BASES)),
+    k=st.integers(1, 2),
+    way=st.sampled_from(["linearity", "pairs", "redundant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skeleton_matches_the_all_pairs_reference_when_re_embedded(name, k, way, seed):
+    rng = random.Random(seed)
+    base = BASES[name]
+    m, shift = _embedding(base.d, k, rng)
+    inc = analyse(_embedded_rows(base, m, shift, way, rng))
+    assert inc.dim == analyse(base).dim < inc.h.d
+    assert skeleton_graph(inc).adj == pairwise_skeleton_adj(inc.masks, inc.columns, inc.everything)

@@ -12,15 +12,25 @@ from polydiam import (
     GeometryError,
     HPolyhedron,
     PolyGraph,
+    analyse,
     hrep_to_vrep,
     incidence,
     skeleton_graph,
 )
-from polydiam.constructions import crosspolytope, cube, klee_walkup, ngon, simplex
+from polydiam.constructions import (
+    crosspolytope,
+    cube,
+    hirsch_sharp,
+    klee_walkup,
+    ngon,
+    simplex,
+    transportation,
+)
 from polydiam.paths import (
     SearchBudget,
     bfs_distances,
     diameter,
+    mask_diameter,
     monotone_eccentricity,
     nonrevisiting_dfs,
     nonrevisiting_path,
@@ -34,6 +44,7 @@ from oracles import (
     nonrevisiting_exists_naive,
     path_is_nonrevisiting,
     pentagon_monotone_worst,
+    per_source_diameter,
     queue_bfs_diameter,
     unpruned_nonrevisiting_dfs,
 )
@@ -130,6 +141,46 @@ def test_diameter_and_witness_match_queue_bfs_on_random_graphs(data):
             diameter(g)
     else:
         assert diameter(g) == expected
+
+
+@pytest.mark.parametrize("adj,expected", [
+    pytest.param([], (-1, (0, 0)), id="no_nodes"),
+    pytest.param([0], (0, (0, 0)), id="one_node"),
+    pytest.param([0b10, 0b01], (1, (0, 1)), id="one_edge"),
+    pytest.param([0, 0], None, id="two_nodes_apart"),
+    pytest.param([0b010, 0b001, 0], None, id="edge_and_isolated_node"),
+    pytest.param([0b0010, 0b0001, 0b1000, 0b0100], None, id="two_edges"),
+])
+def test_mask_diameter_on_tiny_graphs(adj, expected):
+    assert mask_diameter(adj) == expected == per_source_diameter(adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mask_diameter_matches_the_per_source_reference(data):
+    n = data.draw(st.integers(0, 16))
+    pairs = list(combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    order = data.draw(st.permutations(range(n)))
+    shape = data.draw(st.sampled_from(["as_drawn", "tree", "path"]))
+    if shape == "tree":  # connected, with the labels shuffled
+        chosen += [(order[data.draw(st.integers(0, k - 1))], order[k]) for k in range(1, n)]
+    elif shape == "path":  # the longest diameter for n nodes, and its end ties
+        chosen += [(order[k - 1], order[k]) for k in range(1, n)]
+    adj = [0] * n
+    for i, j in chosen:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    assert mask_diameter(adj) == per_source_diameter(adj)
+
+
+def test_mask_diameter_matches_the_per_source_reference_on_polytopes():
+    graphs = [converted(name).graph for name, _ in corpus()] + [
+        analyse(h).graph
+        for h in (cube(7), transportation((7, 11, 13), (5, 6, 9, 11)), hirsch_sharp(5, 11))
+    ]
+    for g in graphs:
+        assert mask_diameter(g.adj) == per_source_diameter(g.adj)
 
 
 def test_nonrevisiting_cube_antipodal():

@@ -7,6 +7,7 @@ import pytest
 
 from polydiam import (
     HPolyhedron,
+    Incidence,
     PolyGraph,
     Unbounded,
     VPolyhedron,
@@ -20,7 +21,16 @@ from polydiam import (
     vrep_to_hrep,
 )
 from polydiam.bounds import hirsch_report
-from polydiam.constructions import crosspolytope, cube, klee_walkup, ngon, simplex
+from polydiam.constructions import (
+    crosspolytope,
+    cube,
+    hirsch_sharp,
+    klee_walkup,
+    ngon,
+    random_01_polytope,
+    simplex,
+    transportation,
+)
 from polydiam.polyhedron import facet_row_indices
 from polydiam.paths import bfs_distances
 
@@ -93,6 +103,56 @@ def test_skeleton_crosspolytope_misses_antipodal_pairs():
     all_pairs = {tuple(sorted(e)) for e in combinations(labels, 2)}
     assert g.edges == frozenset(all_pairs - missing)
     assert len(missing) == 3
+
+
+def _pair_tests(monkeypatch, inc):
+    """The vertex pairs `skeleton_graph(inc)` hands to `Incidence.is_edge`."""
+    tested = []
+    real = Incidence.is_edge
+
+    def counting(self, u, w):
+        tested.append((u, w))
+        return real(self, u, w)
+
+    monkeypatch.setattr(Incidence, "is_edge", counting)
+    skeleton_graph(inc)
+    return tested
+
+
+_CUBE3_ROWS = [(b, *a) for b, a in cube(3).rows]
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(cube(6), id="cube6"),
+    pytest.param(transportation((19, 21, 20), (16, 14, 15, 15)), id="transport3x4"),
+    pytest.param(hirsch_sharp(5, 11), id="hirsch_sharp_5_11"),
+    # rows tight at some vertices that are not facets: a doubled facet row,
+    # and the sum of two facet rows, tight on the edge where both are
+    pytest.param(HPolyhedron.from_rows(3, _CUBE3_ROWS + [
+        [2 * x for x in _CUBE3_ROWS[0]],
+        [x + y for x, y in zip(_CUBE3_ROWS[0], _CUBE3_ROWS[2])],
+    ]), id="cube3_with_redundant_rows"),
+    # the cube in the hyperplane x4 = 0 of R^4: the equality is tight everywhere
+    pytest.param(HPolyhedron.from_rows(4, [[*r, 0] for r in _CUBE3_ROWS] + [[0, 0, 0, 0, 1]],
+                                       linearity=[6]), id="cube3_in_r4"),
+])
+def test_skeleton_of_a_simple_polytope_tests_no_vertex_pair(monkeypatch, h):
+    inc = analyse(h)
+    assert all(fm.bit_count() == inc.dim for fm in inc.facet_masks)
+    assert _pair_tests(monkeypatch, inc) == []
+
+
+@pytest.mark.parametrize("poly", [
+    pytest.param(crosspolytope(3), id="cross3"),
+    pytest.param(klee_walkup()[1], id="q4"),
+    pytest.param(random_01_polytope(5, 10, 7), id="zero_one_5_10"),
+    pytest.param(VPolyhedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]),
+                 id="square_pyramid"),
+])
+def test_skeleton_tests_only_pairs_of_non_simple_vertices(monkeypatch, poly):
+    inc = analyse(poly)
+    non_simple = [u for u, fm in enumerate(inc.facet_masks) if fm.bit_count() != inc.dim]
+    assert sorted(_pair_tests(monkeypatch, inc)) == list(combinations(non_simple, 2))
 
 
 def test_dual_graph_cube_is_octahedron():

@@ -13,7 +13,7 @@ from polydiam.ratlin import (
 )
 from polydiam.constructions import KLEE_WALKUP_POINTS
 
-from oracles import echelon_rank, row_echelon, rref_nullspace
+from oracles import echelon_rank, primitive_ints, row_echelon, rref_nullspace
 
 small_ints = st.integers(min_value=-6, max_value=6)
 entries = st.one_of(small_ints, st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -85,6 +85,14 @@ def test_primitive():
     assert primitive([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert primitive([0, 0]) == (0, 0)
     assert primitive([Fraction(-2), Fraction(4)]) == (-1, 2)
+
+
+@given(st.lists(st.one_of(st.integers(-10**20, 10**20), st.sampled_from([0, 6, -12])),
+                min_size=1, max_size=6))
+def test_primitive_of_ints_is_the_reference(vec):
+    got = primitive(vec)
+    assert got == primitive_ints(vec) == primitive([Fraction(x) for x in vec])
+    assert all(type(x) is int for x in got)
 
 
 @given(matrices)
