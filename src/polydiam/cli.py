@@ -186,7 +186,7 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_polar(args) -> int:
     inc = analyse(fileio.read_polyfile(_read_text(args.file)))
-    out, shift = polar(inc.v)
+    out, shift = polar(inc)
     body = fileio.write_hfile(out)
     comment = "# polar translation applied: " + " ".join(
         format_rational(x) for x in shift

@@ -28,6 +28,8 @@ from .polyhedron import (
     Row,
     Unbounded,
     VPolyhedron,
+    _bits,
+    _simple_neighbours,
     canonical_row,
 )
 from .ratlin import Vector, _echelon, dot, nullspace
@@ -140,27 +142,28 @@ def wedge(poly: Incidence | HPolyhedron, k: int) -> HPolyhedron:
     which `analyse` turns into one first.  In coordinates (x, t): every
     other row keeps coefficient 0 on t, a new row t >= 0 is appended, and
     row k becomes b_k + a_k.x - t >= 0 (the two of them are the copies of
-    the base polytope, glued along facet k).  The diameter never decreases.
+    the base polytope, glued along facet k).  Linearity rows stay
+    equalities, so a base that is not full-dimensional keeps its hull
+    equations and the wedge lies in hull x R.  The diameter never
+    decreases.  Error messages give k 1-based, as the command line does.
     """
     inc = poly if isinstance(poly, Incidence) else analyse(poly)
     h = inc.h
     if not inc.v.vertices:
         raise Infeasible("infeasible")
     if not 0 <= k < h.nrows:
-        raise ValueError(f"facet index {k} out of range")
-    if h.linearity:
-        raise ValueError("wedge expects an inequality-only description")
+        raise ValueError(f"facet index {k + 1} out of range")
     if inc.v.rays:
         raise Unbounded("wedge requires a bounded polytope")
     if k not in inc.facets:
-        raise ValueError(f"row {k} is redundant: wedge needs a facet-defining row")
+        raise ValueError(f"row {k + 1} is redundant: wedge needs a facet-defining row")
     rows: list[Row] = []
     zero = Fraction(0)
     for i, (b, a) in enumerate(h.rows):
         t_coef = Fraction(-1) if i == k else zero
         rows.append((b, tuple(a) + (t_coef,)))
     rows.append((zero, tuple(zero for _ in range(h.d)) + (Fraction(1),)))
-    return HPolyhedron(h.d + 1, tuple(rows))
+    return HPolyhedron(h.d + 1, tuple(rows), h.linearity)
 
 
 def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
@@ -168,9 +171,15 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
 
     The cut passes strictly between the vertex and everything else (any
     vertex on the wrong side would be a convex combination of the vertex and
-    its neighbors, impossible for an extreme point), so exactly d new simple
-    vertices replace the old one and the facet count grows by one.  The
-    polytope must be full-dimensional (d is the ambient dimension).
+    its neighbors, impossible for an extreme point), so exactly dim new
+    simple vertices replace the old one and the facet count grows by one.
+    Here dim is `inc.dim`, the dimension of the affine hull: the vertex is
+    simple when it lies on dim facets, and its dim neighbours are read off
+    its facet columns (`_simple_neighbours`).  The rows (1, m) of the
+    midpoints m have a null space of dimension 1 + d - dim; the directions
+    of the hull equations vanish at the vertex too, so the cut is the first
+    null vector that does not.  An integer `vertex` is 0-based, and error
+    messages give it 1-based, as the command line does.
     """
     h, v = inc.h, inc.v
     if not v.vertices:
@@ -185,28 +194,26 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     else:
         vi = vertex
         if not 0 <= vi < len(v.vertices):
-            raise ValueError(f"vertex index {vi} out of range")
-    d = h.d
-    if inc.facet_masks[vi].bit_count() != d:
+            raise ValueError(f"vertex index {vi + 1} out of range")
+    vertex_facets = inc.facet_masks[vi]
+    if vertex_facets.bit_count() != inc.dim:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
-
-    neighbors = [
-        wi for wi in range(len(v.vertices)) if wi != vi and inc.is_edge(vi, wi)
-    ]
-    if len(neighbors) != d:
-        raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
+    if not vertex_facets:
+        raise GeometryError(f"vertex {labels[vi]} has no edge: truncation undefined")
+    columns = [inc.columns[inc.facets[pos]] for pos in _bits(vertex_facets)]
+    neighbors = _bits(_simple_neighbours(columns, inc.everything, inc.nverts) & ~(1 << vi))
 
     p = v.vertices[vi]
     midpoints = [
         tuple((a + b) / 2 for a, b in zip(p, v.vertices[wi])) for wi in neighbors
     ]
-    normals = nullspace([(1, *m) for m in midpoints])
-    assert len(normals) == 1, "midpoints of a simple vertex are affinely independent"
-    b_new, a_new = normals[0][0], tuple(normals[0][1:])
+    b_new, *a_new = next(
+        n for n in nullspace([(1, *m) for m in midpoints]) if n[0] + dot(n[1:], p)
+    )
     if b_new + dot(a_new, p) > 0:
-        b_new, a_new = -b_new, tuple(-x for x in a_new)
-    cut = canonical_row((b_new, a_new))
-    return HPolyhedron(d, h.rows + (cut,), h.linearity)
+        b_new, a_new = -b_new, [-x for x in a_new]
+    cut = canonical_row((b_new, tuple(a_new)))
+    return HPolyhedron(h.d, h.rows + (cut,), h.linearity)
 
 
 def klee_walkup() -> tuple[VPolyhedron, HPolyhedron]:
@@ -222,33 +229,38 @@ def klee_walkup() -> tuple[VPolyhedron, HPolyhedron]:
 def unbound_at_facet(inc: Incidence, k: int) -> HPolyhedron:
     """Send facet row k of `inc.h` to infinity by a projective change of coordinates.
 
-    After translating the vertex centroid to the origin (so every offset
-    b_i is positive), the map keeps all vertices off facet k, turns the
-    vertices on it into extreme rays, and drops the row: n-1 facets, same
-    dimension, unbounded.  The bounded-edge graph of the result is the
-    subgraph induced on the surviving vertices.
+    After translating the vertex centroid to the origin, every row is
+    b_i + a_i.x >= 0 with b_i >= 0, and b_k > 0 since facet k misses the
+    centroid.  The map x -> x / (b_k + a_k.x) keeps all vertices off facet
+    k, turns the vertices on it into extreme rays, and drops the row: n-1
+    facets, same dimension, unbounded.  Row i becomes
+    b_i + (b_k a_i - b_i a_k).y >= 0.  An equality holds at the centroid,
+    so its b_i is 0 and its image (0, b_k a_i) is an equality again; the
+    linearity rows stay linearity rows.  The bounded-edge graph of the
+    result is the subgraph induced on the surviving vertices.  Row k must
+    be facet-defining; error messages give it 1-based, as the command line
+    does.
     """
     h, v = inc.h, inc.v
     if not v.vertices:
         raise Infeasible("infeasible")
     if not 0 <= k < h.nrows:
-        raise ValueError(f"facet index {k} out of range")
-    if h.linearity:
-        raise ValueError("unbound expects an inequality-only description")
+        raise ValueError(f"facet index {k + 1} out of range")
     if v.rays:
         raise Unbounded("input must be bounded")
+    if k not in inc.facets:
+        raise ValueError(f"row {k + 1} is redundant: unbound needs a facet-defining row")
     centroid = v.centroid()
     shifted = [(b + dot(a, centroid), a) for b, a in h.rows]
     bk, ak = shifted[k]
-    if bk <= 0:
-        raise GeometryError("facet offset not positive after centering: not full-dimensional")
     rows = []
     for i, (b, a) in enumerate(shifted):
         if i == k:
             continue
         coeffs = tuple(bk * ai - b * aki for ai, aki in zip(a, ak))
         rows.append(canonical_row((b, coeffs)))
-    return HPolyhedron(h.d, tuple(rows))
+    linearity = frozenset(i - (i > k) for i in h.linearity)
+    return HPolyhedron(h.d, tuple(rows), linearity)
 
 
 def unbound_point_map(inc: Incidence, k: int, point: Vector) -> Vector:
@@ -299,8 +311,7 @@ def transportation(a, b) -> HPolyhedron:
             coeff[i * q + j] = Fraction(1)
         rows.append((-b[j], tuple(coeff)))
     raw = HPolyhedron(d, tuple(rows), frozenset(range(d, d + p + q)))
-    reduced, _ = reduce_to_full_dim(raw)
-    return reduced
+    return reduce_to_full_dim(raw)
 
 
 def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhedron:

@@ -29,7 +29,6 @@ it converts once and pairs the input with its converse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -227,69 +226,21 @@ def hrep_to_vrep(h: HPolyhedron) -> VPolyhedron:
     return VPolyhedron(h.d, tuple(sorted(verts)), tuple(sorted(dirs)))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x = offset + matrix . y, mapping reduced coordinates back to ambient."""
+def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
+    """Rewrite a pointed `h` in coordinates of its own affine hull.
 
-    offset: Vector
-    columns: tuple[Vector, ...]  # one ambient vector per reduced coordinate
-
-    def apply(self, y: Vector) -> Vector:
-        return tuple(
-            self.offset[j] + sum(c * col[j] for c, col in zip(y, self.columns))
-            for j in range(len(self.offset))
-        )
-
-
-def _affine_hull(h: HPolyhedron) -> tuple[Vector, list[Vector]]:
-    """A point of the polyhedron and a direction basis of its affine hull.
-
-    Works for non-pointed input by first slicing away the lineality space
-    (adding u.x = 0 for a lineality basis u keeps the set nonempty and cuts
-    its dimension by exactly the lineality dimension).
+    The coordinates are those of the first vertex plus a greedy basis of
+    the differences to the other vertices, in vertex order, then of the
+    rays.  The reduced polyhedron is full-dimensional.  Rows that become
+    identically satisfied (equalities of the hull, constant-true
+    inequalities) are dropped.  Raises NotPointed when `h` holds a line.
     """
-    lin_dirs = nullspace([a for _, a in h.rows])
-    if lin_dirs:
-        extra = tuple((Fraction(0), u) for u in lin_dirs)
-        sliced = HPolyhedron(
-            h.d,
-            h.rows + extra,
-            h.linearity | frozenset(range(h.nrows, h.nrows + len(extra))),
-        )
-        v = hrep_to_vrep(sliced)
-    else:
-        v = hrep_to_vrep(h)
+    v = hrep_to_vrep(h)
     if not v.vertices:
         raise Infeasible("infeasible")
-    p0 = v.vertices[0]
-    span = [tuple(x - y for x, y in zip(p, p0)) for p in v.vertices[1:]]
-    span += [tuple(r) for r in v.rays]
-    span += [tuple(u) for u in lin_dirs]
-    return p0, [tuple(Fraction(x) for x in span[i]) for i in _echelon(span)[0]]
-
-
-def reduce_to_full_dim(h: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
-    """Rewrite `h` in coordinates of its own affine hull.
-
-    The reduced polyhedron is full-dimensional; the returned map
-    reconstructs ambient points exactly.  Rows that become identically
-    satisfied (equalities of the hull, constant-true inequalities) are
-    dropped.
-    """
-    x0, basis = _affine_hull(h)
-    k = len(basis)
-    if k == h.d:
-        identity = AffineMap(
-            tuple(Fraction(0) for _ in range(h.d)),
-            tuple(
-                tuple(Fraction(int(i == j)) for j in range(h.d)) for i in range(h.d)
-            ),
-        )
-        if not h.linearity:
-            return h, identity
-        kept = tuple(h.rows[i] for i in h.inequality_indices())
-        return HPolyhedron(h.d, kept), identity
-    back = AffineMap(x0, tuple(basis))
+    x0 = v.vertices[0]
+    span = [tuple(x - y for x, y in zip(p, x0)) for p in v.vertices[1:]] + list(v.rays)
+    basis = [span[i] for i in _echelon(span)[0]]
     rows: list[Row] = []
     for i in h.inequality_indices():
         b, a = h.rows[i]
@@ -298,7 +249,7 @@ def reduce_to_full_dim(h: HPolyhedron) -> tuple[HPolyhedron, AffineMap]:
         if all(x == 0 for x in a2):
             continue  # constant on the hull; feasibility makes it vacuous
         rows.append((b2, a2))
-    return HPolyhedron(k, tuple(rows)), back
+    return HPolyhedron(len(basis), tuple(rows))
 
 
 def _vrep_to_hrep_fulldim(v: VPolyhedron) -> HPolyhedron:

@@ -1,4 +1,4 @@
-"""Text formats: H-files, V-files, complex files, subset-graph files.
+"""Text formats: H-files, V-files, subset-graph files.
 
 All formats are whitespace-separated UTF-8 with exact rational literals
 (optional sign, integer, optional "/denominator"; decimals rejected) and
@@ -24,7 +24,6 @@ from .abstraction import SubsetFamilyGraph
 from .constructions import ConstructionRecipe
 from .polyhedron import HPolyhedron, VPolyhedron, _bits
 from .ratlin import format_rational, parse_rational
-from .simplicial import SimplicialComplex
 
 RECIPE_PREFIX = "# recipe "
 
@@ -158,19 +157,6 @@ def write_vfile(v: VPolyhedron, recipe: ConstructionRecipe | None = None) -> str
     for r in v.rays:
         lines.append("0 " + " ".join(format_rational(x) for x in r))
     lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def read_complex(text: str) -> SimplicialComplex:
-    """One facet per line, space-separated labels; `#` comments allowed."""
-    facets = [line.split() for line in _content_lines(text)]
-    if not facets:
-        raise ValueError("empty complex file")
-    return SimplicialComplex.from_facets(facets)
-
-
-def write_complex(k: SimplicialComplex) -> str:
-    lines = [" ".join(sorted(f)) for f in k.sorted_facets()]
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,6 @@ paths in the same order, and finds the same first one, as without it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from math import inf
@@ -42,17 +41,6 @@ class PathReport:
     length: int
     path: tuple[str, ...]
     kind: str  # shortest | non-revisiting | monotone
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "source": self.source,
-                "target": self.target,
-                "length": self.length,
-                "path": list(self.path),
-                "kind": self.kind,
-            }
-        )
 
 
 @dataclass(frozen=True)

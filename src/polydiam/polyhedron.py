@@ -6,9 +6,10 @@ optionally with some rows marked as equalities ("linearity").  A
 empty exactly when the polyhedron is bounded.  `Incidence` records which
 vertex and which ray is tight on which row, as bitmasks both ways; every
 graph and classification question in this package is answered from that
-tightness data, never from floating point.  The only ranks taken here are
-of the implicit equalities behind `Incidence.dim` (usual input has none)
-and in `polar`'s full-dimension check, both by `ratlin._echelon`.
+tightness data, never from floating point.  The one rank taken here is
+of the implicit equalities behind `Incidence.dim` (usual input has none),
+by `ratlin._echelon`; those rows are the polyhedron's affine hull, and
+`polar` and the operators of `constructions` read the hull from them.
 
 For a pointed polyhedron P every nonempty face is conv + cone of the
 vertices and rays tight on it, so a face is determined by its tight set
@@ -202,9 +203,10 @@ class Incidence:
     tight on a whole row set are one AND of columns.
 
     The derived data is computed the first time it is asked for and then
-    kept: `facets` (by `facet_row_indices`), `facet_masks`, `dim` and
-    `graph` (by `skeleton_graph`).  Build one with `dd.analyse(poly)` from
-    either description, or with `incidence(h, v)` when both are known.
+    kept: `facets` (by `facet_row_indices`), `facet_masks`, `implicit`,
+    `dim` and `graph` (by `skeleton_graph`).  Build one with
+    `dd.analyse(poly)` from either description, or with `incidence(h, v)`
+    when both are known.
     """
 
     def __init__(
@@ -239,23 +241,26 @@ class Incidence:
         )
 
     @cached_property
+    def implicit(self) -> tuple[int, ...]:
+        """Indices of the implicit equalities, the rows tight on all of the
+        polyhedron: a row is tight on all of conv(V) + cone(R) exactly when
+        it is tight on every vertex and on every ray, that is when its
+        column is `everything`.  The linearity rows are among them, and a
+        nonempty polyhedron's affine hull is the set where they all hold
+        (Schrijver, *Theory of Linear and Integer Programming*, ch. 8)."""
+        return tuple(i for i, col in enumerate(self.columns) if col == self.everything)
+
+    @cached_property
     def dim(self) -> int:
         """Dimension of the affine hull of the polyhedron; -1 when it is empty.
 
-        The affine hull of a nonempty polyhedron is cut out by its implicit
-        equalities, the rows tight on all of it (Schrijver, *Theory of
-        Linear and Integer Programming*, ch. 8).  A row is tight on all of
-        conv(V) + cone(R) exactly when it is tight on every vertex and on
-        every ray, that is when its column is `everything`; the linearity
-        rows are among them.  So the dimension is d minus the rank of those
-        rows' normals, and input without such a row needs no elimination.
+        The hull is cut out by the `implicit` rows, so the dimension is d
+        minus the rank of their normals, and input without such a row needs
+        no elimination.
         """
         if not self.nverts:
             return -1
-        implicit = [
-            self.h.rows[i][1] for i, col in enumerate(self.columns) if col == self.everything
-        ]
-        return self.h.d - len(_echelon(implicit)[0])
+        return self.h.d - len(_echelon(self.h.rows[i][1] for i in self.implicit)[0])
 
     @cached_property
     def graph(self) -> PolyGraph:
@@ -513,22 +518,26 @@ def classify(inc: Incidence) -> tuple[bool, bool]:
     return simple, simplicial
 
 
-def polar(v: VPolyhedron) -> tuple[HPolyhedron, Vector]:
-    """Polar polytope of a full-dimensional bounded V-polytope.
+def polar(inc: Incidence) -> tuple[HPolyhedron, Vector]:
+    """Polar polytope of a bounded polytope, taken inside its affine hull.
 
-    Translates by the negated vertex centroid so the origin is interior,
-    then emits one row ``1 - p.x >= 0`` per translated vertex p.  Returns
-    the H-description whose vertex set is the polar, and the translation
-    that was applied to the input points.
+    Translates by the negated vertex centroid so the origin is interior to
+    the polytope within its hull, then emits one row ``1 - p.x >= 0`` per
+    translated vertex p.  Each implicit equality b + a.x = 0 of `inc.h`
+    holds at the centroid, so it reads a.x = 0 after the translation and is
+    kept as the linearity row ``(0, a)``: the polar lives in the same
+    subspace.  Full-dimensional input has no such row.  Returns the
+    H-description whose vertex set is the polar, and the translation that
+    was applied to the input points.
     """
+    v = inc.v
+    if not v.vertices:
+        raise Infeasible("infeasible")
     if v.rays:
         raise Unbounded("polar requires a bounded polytope")
-    span = [[x - y for x, y in zip(p, v.vertices[0])] for p in v.vertices[1:]]
-    if not v.vertices or len(_echelon(span, v.d)[0]) != v.d:
-        raise GeometryError("polar requires a full-dimensional polytope")
     shift = tuple(-c for c in v.centroid())
     rows = tuple(
         (Fraction(1), tuple(-(p[j] + shift[j]) for j in range(v.d)))
         for p in v.vertices
-    )
-    return HPolyhedron(v.d, rows), shift
+    ) + tuple((Fraction(0), inc.h.rows[i][1]) for i in inc.implicit)
+    return HPolyhedron(v.d, rows, frozenset(range(len(v.vertices), len(rows)))), shift

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from polydiam.cli import main
-from polydiam.constructions import replay
+from polydiam.constructions import cube, replay
 from polydiam.fileio import (
     read_hfile,
     read_recipe,
@@ -566,9 +566,51 @@ def test_points_of_a_line_have_no_vertex(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["unbound", "--facet", "1"], ["wedge", "--facet", "1"], ["truncate", "--vertex", "1"],
+    ["polar"],
 ], ids=lambda argv: argv[0])
 def test_empty_input_says_infeasible(capsys, tmp_path, argv):
     f = tmp_path / "empty.ine"
     f.write_text(write_hfile(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)])))  # x >= 1, x <= 0
     code, out, err = run(capsys, *argv, str(f))
     assert (code, out, err) == (1, "", "error: infeasible\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["wedge", "--facet", "9"], "facet index 9 out of range"),
+    (["wedge", "--facet", "7"], "row 7 is redundant: wedge needs a facet-defining row"),
+    (["unbound", "--facet", "0"], "facet index 0 out of range"),
+    (["unbound", "--facet", "7"], "row 7 is redundant: unbound needs a facet-defining row"),
+    (["truncate", "--vertex", "99"], "vertex index 99 out of range"),
+    (["truncate", "--vertex", "0"], "vertex index 0 out of range"),
+], ids=["wedge-9", "wedge-redundant", "unbound-0", "unbound-redundant", "truncate-99",
+        "truncate-0"])
+def test_operator_errors_give_the_flag_1_based(capsys, tmp_path, argv, err):
+    # cube(3) plus the redundant row 5 + x1 >= 0 as row 7
+    rows = [(b, *a) for b, a in cube(3).rows] + [(5, 1, 0, 0)]
+    f = tmp_path / "cube_plus.ine"
+    f.write_text(write_hfile(HPolyhedron.from_rows(3, rows)))
+    assert run(capsys, *argv, str(f)) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["truncate", "--vertex", "1"], ["polar"], ["wedge", "--facet", "1"],
+    ["unbound", "--facet", "1"],
+], ids=lambda argv: argv[0])
+def test_operators_accept_a_linearity_row(capsys, tmp_path, argv):
+    # cube(3) in the hyperplane x4 = 0 of R^4, given by a linearity row:
+    # each operator's output checks like its output on cube(3) in R^3
+    flat, placed = tmp_path / "cube.ine", tmp_path / "placed.ine"
+    flat.write_text(write_hfile(cube(3)))
+    rows = [(b, *a, 0) for b, a in cube(3).rows] + [(0, 0, 0, 0, 1)]
+    placed.write_text(write_hfile(HPolyhedron.from_rows(4, rows, linearity=[6])))
+    reports = []
+    for f in (flat, placed):
+        code, out, err = run(capsys, *argv, str(f))
+        assert (code, err) == (0, "")
+        (f.parent / "out.ine").write_text(out)
+        code, out, _ = run(capsys, "check", "--json", str(f.parent / "out.ine"))
+        assert code == 0
+        reports.append({k: v for k, v in json.loads(out).items() if k != "witness_pair"})
+    assert reports[0] == reports[1]
+    want = {"truncate": (3, 7), "polar": (3, 8), "wedge": (4, 7), "unbound": (3, 5)}
+    assert (reports[1]["d"], reports[1]["n"]) == want[argv[0]]

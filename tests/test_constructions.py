@@ -177,6 +177,25 @@ def test_truncate_rejects_non_simple_vertex():
         truncate_vertex(inc, 0)
 
 
+def test_truncate_rejects_the_vertex_of_a_point():
+    from polydiam.polyhedron import HPolyhedron
+
+    point = HPolyhedron.from_rows(2, [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    with pytest.raises(GeometryError, match="has no edge"):
+        truncate_vertex(_full(point)[1], 0)
+
+
+def test_unbound_keeps_linearity_rows_after_the_dropped_facet():
+    # the square in z = 0 of R^3, the equality written between facet rows
+    from polydiam.polyhedron import HPolyhedron
+
+    rows = [(1, 1, 0, 0), (0, 0, 0, 1), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0)]
+    placed = HPolyhedron.from_rows(3, rows, linearity=[1])
+    out = unbound_at_facet(_full(placed)[1], 0)
+    assert out.linearity == {0} and out.rows[0] == (0, (0, 0, 1))
+    assert unbound_at_facet(_full(placed)[1], 2).linearity == {1}
+
+
 def test_klee_walkup_counts():
     vstar, q4 = klee_walkup()
     assert len(vstar.vertices) == 9

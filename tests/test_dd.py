@@ -115,9 +115,9 @@ def test_unbounded_half_strip():
 
 
 def test_dimension_square_is_ambient():
-    h, back = reduce_to_full_dim(cube(2))
-    assert h.d == 2
-    assert back.apply((Fraction(1), Fraction(-1))) == (Fraction(1), Fraction(-1))
+    h = reduce_to_full_dim(cube(2))
+    assert h.d == 2 and not h.linearity
+    assert len(hrep_to_vrep(h).vertices) == 4
 
 
 def test_dimension_transportation_segment():
@@ -126,7 +126,7 @@ def test_dimension_transportation_segment():
 
 def test_dimension_point():
     h = HPolyhedron.from_rows(1, [(0, 1), (0, -1)])
-    assert reduce_to_full_dim(h)[0].d == 0
+    assert reduce_to_full_dim(h).d == 0
 
 
 def test_dimension_infeasible_raises():
@@ -134,23 +134,23 @@ def test_dimension_infeasible_raises():
         reduce_to_full_dim(HPolyhedron.from_rows(1, [(-1, 1), (0, -1)]))
 
 
-def test_dimension_of_line_is_defined():
-    # not pointed, still has an affine hull
-    assert reduce_to_full_dim(HPolyhedron.from_rows(2, [(0, 1, 0), (0, -1, 0)]))[0].d == 1
+def test_reduce_of_a_line_is_not_pointed():
+    with pytest.raises(NotPointed):
+        reduce_to_full_dim(HPolyhedron.from_rows(2, [(0, 1, 0), (0, -1, 0)]))
+
+
+def test_reduce_of_a_half_line_keeps_its_direction():
+    # x >= 0 in the line y = 0 of R^2: one vertex, one ray, dimension 1
+    h = reduce_to_full_dim(HPolyhedron.from_rows(2, [(0, 1, 0), (0, 0, 1)], linearity=[1]))
+    assert h.d == 1 and h.nrows == 1
+    assert len(hrep_to_vrep(h).rays) == 1
 
 
 def test_reduce_transportation_birkhoff2():
-    h, back = reduce_to_full_dim(
-        _raw_transportation([1, 1], [1, 1])
-    )
+    h = reduce_to_full_dim(_raw_transportation([1, 1], [1, 1]))
+    # a segment between the two permutation matrices
     assert h.d == 1
-    v = hrep_to_vrep(h)
-    ambient = {back.apply(p) for p in v.vertices}
-    # the two permutation matrices, flattened row-major
-    assert ambient == {
-        (1, 0, 0, 1),
-        (0, 1, 1, 0),
-    }
+    assert len(hrep_to_vrep(h).vertices) == 2
 
 
 def _raw_transportation(a, b):

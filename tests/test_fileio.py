@@ -6,18 +6,15 @@ from polydiam import HPolyhedron, VPolyhedron, hrep_to_vrep
 from polydiam.abstraction import SubsetFamilyGraph
 from polydiam.constructions import ConstructionRecipe, cube, klee_walkup, transportation
 from polydiam.fileio import (
-    read_complex,
     read_hfile,
     read_polyfile,
     read_recipe,
     read_subset_graph,
     read_vfile,
-    write_complex,
     write_hfile,
     write_subset_graph,
     write_vfile,
 )
-from polydiam.simplicial import SimplicialComplex
 
 
 def test_hfile_round_trip():
@@ -79,17 +76,6 @@ def test_rational_entries_survive():
 def test_malformed_rejected(bad):
     with pytest.raises(ValueError):
         read_polyfile(bad)
-
-
-def test_complex_round_trip():
-    k = SimplicialComplex.from_facets(["abc", "abd", "acd", "bcd"])
-    assert read_complex(write_complex(k)) == k
-
-
-def test_complex_file_with_comment_and_multichar_labels():
-    text = "# tetra\nv1 v2 v3\nv1 v2 v4\n"
-    k = read_complex(text)
-    assert len(k.facets) == 2 and k.facet_size == 3
 
 
 def test_subset_graph_round_trip():

@@ -264,18 +264,6 @@ def test_nonrevisiting_on_square_in_a_plane_of_r3(plane):
     assert path is not None and path.length == 2
 
 
-def test_path_report_json_fields():
-    import json
-
-    h, v, inc, g = _pipeline(cube(2))
-    labels = v.all_labels()
-    report = nonrevisiting_path(inc, labels[0], labels[3])
-    data = json.loads(report.to_json())
-    assert set(data) == {"source", "target", "length", "path", "kind"}
-    assert data["kind"] == "non-revisiting"
-    assert data["length"] == len(data["path"]) - 1
-
-
 def test_nonrevisiting_property_holds_on_cubes_and_q4():
     for d in (2, 3, 4):
         h, v, inc, g = _pipeline(cube(d))

@@ -265,7 +265,7 @@ def test_classify_placed_cube_like_cube():
 
 def test_polar_klee_walkup():
     vstar, q4 = klee_walkup()
-    h, shift = polar(vstar)
+    h, shift = polar(analyse(vstar))
     assert h.nrows == 9
     # centroid of the nine points is (0, 0, 0, 2), so the reported
     # translation is its negative and the rows differ from the raw ones
@@ -277,8 +277,7 @@ def test_polar_klee_walkup():
 
 
 def test_polar_cube_is_crosspolytope():
-    v = hrep_to_vrep(cube(3))
-    h, shift = polar(v)
+    h, shift = polar(analyse(cube(3)))
     assert shift == (0, 0, 0)
     assert {tuple(p) for p in hrep_to_vrep(h).vertices} == {
         tuple(q) for q in hrep_to_vrep(crosspolytope(3)).vertices
@@ -286,8 +285,7 @@ def test_polar_cube_is_crosspolytope():
 
 
 def test_polar_triangle_is_triangle():
-    v = hrep_to_vrep(simplex(2))
-    h, _ = polar(v)
+    h, _ = polar(analyse(simplex(2)))
     assert h.nrows == 3
     assert len(hrep_to_vrep(h).vertices) == 3
 
@@ -296,7 +294,7 @@ def test_polarity_swaps_classification_and_graphs():
     for base in (cube(3), simplex(3), crosspolytope(3)):
         v, inc = _pipeline(base)
         s, t = classify(inc)
-        hp, _ = polar(v)
+        hp, _ = polar(inc)
         vp, incp = _pipeline(hp)
         assert classify(incp) == (t, s)
         # G(P*) is isomorphic to the dual graph of P, matching polar
