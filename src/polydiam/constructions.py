@@ -1,6 +1,6 @@
 """Polytope generators and constructive operators.
 
-Canonical families (simplex, cube, cross-polytope, polygons), Cartesian
+Canonical families (simplex, cube, cross-polytope), Cartesian
 products, the wedge over a facet, vertex truncation, the Klee-Walkup
 4-polytope with nine facets and diameter five, projective unbounding of a
 facet, transportation polytopes, random 0/1 polytopes, and the
@@ -99,31 +99,12 @@ def generate_canonical(kind: str, d: int) -> HPolyhedron:
     return makers[kind](d)
 
 
-def ngon(n: int) -> HPolyhedron:
-    """A convex n-gon with rational vertices on the unit circle.
-
-    Uses the Pythagorean parametrization t -> ((1-t^2), 2t) / (1+t^2) at
-    t = 0..n-1; any n distinct circle points are in convex position, so the
-    graph is the n-cycle with diameter floor(n/2).
-    """
-    if n < 3:
-        raise ValueError("a polygon needs at least 3 vertices")
-    pts = []
-    for k in range(n):
-        t = Fraction(k)
-        den = 1 + t * t
-        pts.append(((1 - t * t) / den, 2 * t / den))
-    return vrep_to_hrep(VPolyhedron.from_points(pts))
-
-
 def product(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
     """Cartesian product by block-diagonal stacking of the two row systems.
 
-    Dimension, facet count, and diameter are all additive for bounded
-    full-dimensional operands.
+    Linearity rows of either operand stay equalities.  Dimension, facet
+    count, and diameter are all additive for bounded operands.
     """
-    if p.linearity or q.linearity:
-        raise ValueError("product expects inequality-only descriptions")
     d = p.d + q.d
     rows: list[Row] = []
     zeros_q = tuple(Fraction(0) for _ in range(q.d))
@@ -132,7 +113,7 @@ def product(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
         rows.append((b, tuple(a) + zeros_q))
     for b, a in q.rows:
         rows.append((b, zeros_p + tuple(a)))
-    return HPolyhedron(d, tuple(rows))
+    return HPolyhedron(d, tuple(rows), p.linearity | {i + p.nrows for i in q.linearity})
 
 
 def wedge(poly: Incidence | HPolyhedron, k: int) -> HPolyhedron:
@@ -172,14 +153,16 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     The cut passes strictly between the vertex and everything else (any
     vertex on the wrong side would be a convex combination of the vertex and
     its neighbors, impossible for an extreme point), so exactly dim new
-    simple vertices replace the old one and the facet count grows by one.
-    Here dim is `inc.dim`, the dimension of the affine hull: the vertex is
-    simple when it lies on dim facets, and its dim neighbours are read off
-    its facet columns (`_simple_neighbours`).  The rows (1, m) of the
-    midpoints m have a null space of dimension 1 + d - dim; the directions
-    of the hull equations vanish at the vertex too, so the cut is the first
-    null vector that does not.  An integer `vertex` is 0-based, and error
-    messages give it 1-based, as the command line does.
+    simple vertices replace the old one.  For dim >= 2 the facet count
+    grows by one; on a segment the cut makes the vertex's own facet row
+    redundant, so the count stays 2.  Here dim is `inc.dim`, the dimension
+    of the affine hull: the vertex is simple when it lies on dim facets,
+    and its dim neighbours are read off its facet columns
+    (`_simple_neighbours`).  The rows (1, m) of the midpoints m have a null
+    space of dimension 1 + d - dim; the directions of the hull equations
+    vanish at the vertex too, so the cut is the first null vector that does
+    not.  An integer `vertex` is 0-based, and error messages give it
+    1-based, as the command line does.
     """
     h, v = inc.h, inc.v
     if not v.vertices:
@@ -334,33 +317,6 @@ def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhed
         if len(_echelon(span, d)[0]) == d:
             return VPolyhedron.from_points(sorted(pts))
     raise GeometryError(f"could not reach full dimension in {retries} draws")
-
-
-def orthant_polytope(d: int, k: int) -> HPolyhedron:
-    """Intersection of the nonnegative orthant with k half-spaces at distance k.
-
-    The k extra functionals vanish at (1,..,1,0,..,0) (k ones) and are
-    positive at the origin; walking between those two vertices must enter
-    each of the k facets x_j = 0 one step at a time, so the diameter is at
-    least k = n - d.  One functional is k - sum(x), which bounds the
-    polytope; the others carry distinct small tilts to keep it simple.
-    """
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
-    rows: list[tuple] = []
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        rows.append((Fraction(0), tuple(e)))
-    rows.append((Fraction(k), tuple(Fraction(-1) for _ in range(d))))
-    for j in range(1, k):
-        coeff = [Fraction(0)] * d
-        coeff[j] = Fraction(-1)
-        eps = Fraction(1, j + 2)
-        for i in range(k, d):
-            coeff[i] = eps
-        rows.append((Fraction(1), tuple(coeff)))
-    return HPolyhedron(d, tuple(rows))
 
 
 def _sharp_witness(inc: Incidence, d: int, n: int) -> tuple[Vector, Vector]:

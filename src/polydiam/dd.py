@@ -5,9 +5,9 @@ arithmetic throughout:
 
 * H -> V: the polyhedron {x : b + a.x >= 0} lifts to the pointed cone
   {(t, x) : t >= 0, b t + a.x >= 0}; extreme rays with t > 0 are vertices,
-  rays with t = 0 are extreme directions.  Equality rows are eliminated
-  first by exact substitution, so the cone step only ever sees
-  inequalities.
+  rays with t = 0 are extreme directions.  An equality row enters as two
+  opposite inequality rows; the zero-set adjacency test below is exact on
+  such degenerate pairs, so equalities need no elimination step.
 * V -> H: the facet inequalities (b, a) of conv(V) + cone(R) form the cone
   {(b, a) : b + a.v >= 0 for all vertices, a.r >= 0 for all rays}; its
   extreme rays with a nonzero linear part are exactly the facet rows when
@@ -141,86 +141,35 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
     return rays
 
 
-def _eliminate_equalities(
-    h: HPolyhedron,
-) -> tuple[Vector, list[Vector], list[Row]] | None:
-    """Solve the linearity rows exactly.
-
-    Returns (particular point, nullspace basis, reduced inequality rows) or
-    None when the equality system is inconsistent.  Without equalities this
-    is the identity parametrization.
-    """
-    d = h.d
-    if not h.linearity:
-        x0 = tuple(Fraction(0) for _ in range(d))
-        basis = [
-            tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-        ]
-        return x0, basis, [h.rows[i] for i in h.inequality_indices()]
-
-    # One pass over the homogenized rows (a | b): null vectors (x, 1) are the
-    # solutions of b + a.x = 0, and the non-pivot column d carries the
-    # particular one; a pivot at d means the system is inconsistent.
-    kernel = nullspace((*h.rows[i][1], h.rows[i][0]) for i in sorted(h.linearity))
-    if not kernel or kernel[-1][d] == 0:
-        return None
-    x0 = kernel[-1][:d]
-    basis = [n[:d] for n in kernel[:-1]]
-    reduced = []
-    for i in h.inequality_indices():
-        b, a = h.rows[i]
-        b2 = b + dot(a, x0)
-        a2 = tuple(dot(a, n) for n in basis)
-        reduced.append((b2, a2))
-    return x0, basis, reduced
-
-
 def hrep_to_vrep(h: HPolyhedron) -> VPolyhedron:
     """All vertices and one representative per extreme ray, exactly.
 
-    Empty output signals infeasibility.  Raises NotPointed when the
-    feasible set contains a line (it then has no vertices at all).
+    A linearity row b + a.x = 0 is the pair of opposite rows b + a.x >= 0
+    and -b - a.x >= 0, so every description goes through one cone.  Empty
+    output signals infeasibility.  Raises NotPointed when the linear parts
+    a of the rows have rank below d, so that a nonempty feasible set holds
+    a line; an inconsistent system with such rows raises it too.
     """
-    elim = _eliminate_equalities(h)
-    if elim is None:
-        return VPolyhedron(h.d, (), ())
-    x0, basis, reduced = elim
-    k = len(basis)
-
-    if k == 0:
-        feasible = all(b >= 0 for b, _ in reduced)
-        return VPolyhedron(h.d, (x0,) if feasible else (), ())
-
     # The cone rows span e0 and every (0, a), so their rank is 1 + rank{a}:
     # the cone is pointed exactly when the feasible set holds no line.
-    cone_rows = {primitive((1,) + (0,) * k)}
-    for b, a in reduced:
-        cone_rows.add(primitive((b, *a)))
+    cone_rows = {primitive((1,) + (0,) * h.d)}
+    for i, (b, a) in enumerate(h.rows):
+        row = primitive((b, *a))
+        cone_rows.add(row)
+        if i in h.linearity:
+            cone_rows.add(tuple(-x for x in row))
     try:
-        rays = _cone_extreme_rays(sorted(cone_rows), k + 1)
+        rays = _cone_extreme_rays(sorted(cone_rows), h.d + 1)
     except NotPointed:
         raise NotPointed("feasible set contains a line: no vertices exist") from None
 
-    # Without equality rows the parametrization is the identity, and the
-    # cone coordinates are already ambient ones.
-    identity = not h.linearity
     verts: list[Vector] = []
     dirs: list[Vector] = []
-    for ray in rays:
-        t, y = ray[0], ray[1:]
+    for t, *y in rays:
         if t > 0:
-            red = tuple(Fraction(c, t) for c in y)
-            verts.append(
-                red if identity else tuple(
-                    x0[j] + sum(red[i] * basis[i][j] for i in range(k))
-                    for j in range(h.d)
-                )
-            )
+            verts.append(tuple(Fraction(c, t) for c in y))
         else:
-            amb = y if identity else tuple(
-                sum(y[i] * basis[i][j] for i in range(k)) for j in range(h.d)
-            )
-            dirs.append(tuple(Fraction(z) for z in primitive(amb)))
+            dirs.append(tuple(map(Fraction, y)))
     if not verts:
         return VPolyhedron(h.d, (), ())  # pointed and vertex-free: infeasible
     return VPolyhedron(h.d, tuple(sorted(verts)), tuple(sorted(dirs)))
@@ -242,8 +191,7 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     span = [tuple(x - y for x, y in zip(p, x0)) for p in v.vertices[1:]] + list(v.rays)
     basis = [span[i] for i in _echelon(span)[0]]
     rows: list[Row] = []
-    for i in h.inequality_indices():
-        b, a = h.rows[i]
+    for b, a in h.rows:
         b2 = b + dot(a, x0)
         a2 = tuple(dot(a, n) for n in basis)
         if all(x == 0 for x in a2):

@@ -124,22 +124,9 @@ class HPolyhedron:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def inequality_indices(self) -> list[int]:
-        return [i for i in range(len(self.rows)) if i not in self.linearity]
-
     def value(self, i: int, x: Sequence) -> Fraction:
         b, a = self.rows[i]
         return b + dot(a, x)
-
-    def contains(self, x: Sequence) -> bool:
-        for i in range(len(self.rows)):
-            v = self.value(i, x)
-            if i in self.linearity:
-                if v != 0:
-                    return False
-            elif v < 0:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -460,17 +447,17 @@ def facet_row_indices(inc: Incidence) -> list[int]:
 
     A row's face is the set of vertices and rays tight on it.  A row is
     facet-defining when that set holds a vertex (else the face is empty),
-    is not everything (else the row is an implicit equality), and is
-    inclusion-maximal among the rows' tight sets; this is exact for
-    pointed polyhedra, where a face is determined by its tight set.  Rows
+    is not everything (else the row is an implicit equality, as every
+    linearity row is), and is inclusion-maximal among the rows' tight
+    sets; this is exact for pointed polyhedra, where a face is determined
+    by its tight set.  Rows
     with the same tight set define the same facet and are reported once,
     by the lowest row index.  This is the `n` of every Hirsch quantity;
     `inc.facets` keeps the answer.
     """
     vertex_bits = (1 << inc.nverts) - 1
     first: dict[int, int] = {}
-    for i in inc.h.inequality_indices():
-        s = inc.columns[i]
+    for i, s in enumerate(inc.columns):
         if s & vertex_bits and s != inc.everything:
             first.setdefault(s, i)
     return sorted(first[s] for s in _maximal(first))

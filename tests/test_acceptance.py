@@ -39,8 +39,6 @@ from polydiam.constructions import (
     cube,
     hirsch_sharp,
     klee_walkup,
-    ngon,
-    orthant_polytope,
     product,
     random_01_polytope,
     simplex,
@@ -54,7 +52,7 @@ from polydiam.paths import bfs_distances, diameter, nonrevisiting_path, nonrevis
 from polydiam.polyhedron import HPolyhedron, facet_row_indices
 from polydiam.simplicial import anti_star, boundary_complex, facet_name, ridge_graph
 
-from corpus import converted, corpus
+from corpus import converted, corpus, ngon, orthant_polytope
 from oracles import brute_force_vertices
 from test_simplicial import ANTISTAR_W, ANTISTAR_W_EDGES
 

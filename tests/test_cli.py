@@ -74,6 +74,10 @@ _PINNED_GEN_OUTPUT = {
                    "08b3463cba837cc5221859c4bb2f0dab791cb11f74654facfd418376a4e0f21e"),
     "transportation": (("transportation", "--rows", "2/4,3/2", "--cols", "1,1"),
                        "9a29b7a701c2165b6af7dbf33d3a53467f243d81befb65f18096bee2e25a6eaa"),
+    "transportation-3x4": (("transportation", "--rows", "19,21,20", "--cols", "16,14,15,15"),
+                           "11fc477d563c33485046cc94e70a372800cc8198c7a30677fd4e4d6a42ea11fc"),
+    "transportation-3x5": (("transportation", "--rows", "45,52,7", "--cols", "6,15,55,22,6"),
+                           "8b9ba842e46e5ac5b2de48021e4efcd47f4b33345a907c6dc11ee29217be28fa"),
     "zeroone": (("zeroone", "--dim", "4", "--points", "7", "--seed", "3"),
                 "58d3a7ff21301a213ee38ba82f0125c01e5bbafb33a86eac1ad9635c03982810"),
     "hirschsharp-5-11": (("hirschsharp", "--dim", "5", "--facets", "11"),
@@ -171,10 +175,16 @@ def test_not_pointed_exit_1(capsys, tmp_path):
     p.write_text(write_hfile(HPolyhedron.from_rows(2, [(0, 1, 0)])))
     code, _, err = run(capsys, "graph", str(p))
     assert code == 1 and "error" in err
-    # a line, and an infeasible set that contains a line (x >= 1, -x >= 0)
+    # a line, and an infeasible set that contains a line (x >= 1, -x >= 0),
+    # each as inequalities and as linearity rows (y = 0; x = 0 and x = 1)
     empty = tmp_path / "empty_line.ine"
     empty.write_text(write_hfile(HPolyhedron.from_rows(2, [(-1, 1, 0), (0, -1, 0)])))
-    for path in (p, empty):
+    eq_line = tmp_path / "eq_line.ine"
+    eq_line.write_text(write_hfile(HPolyhedron.from_rows(2, [(0, 0, 1)], linearity=[0])))
+    eq_empty = tmp_path / "eq_empty_line.ine"
+    eq_empty.write_text(write_hfile(
+        HPolyhedron.from_rows(2, [(0, 1, 0), (-1, 1, 0)], linearity=[0, 1])))
+    for path in (p, empty, eq_line, eq_empty):
         code, out, err = run(capsys, "convert", "--to", "v", str(path))
         assert code == 1 and out == ""
         assert err == "error: feasible set contains a line: no vertices exist\n"
@@ -419,8 +429,35 @@ def test_truncate_vertex_label_as_in_graph_on_v_file(capsys, tmp_path):
     assert out == "nodes v0 v1 v2 v3\nv0 v2\nv0 v3\nv1 v2\nv1 v3\n"
     assert run(capsys, "truncate", "--vertex", "v0", str(path), "--out", str(out_path))[0] == 0
     cut = read_hfile(out_path.read_text())
-    assert not cut.contains((1, 1))
-    assert cut.contains((0, 0))
+    assert not cut.linearity
+    assert any(cut.value(i, (1, 1)) < 0 for i in range(cut.nrows))
+    assert all(cut.value(i, (0, 0)) >= 0 for i in range(cut.nrows))
+
+
+def test_truncate_of_a_segment_adds_no_facet(capsys, tmp_path):
+    # The cut through the one edge midpoint makes the vertex's own facet row
+    # redundant, so the segment keeps two facets.
+    c, t = tmp_path / "c.ine", tmp_path / "t.ine"
+    run(capsys, "gen", "cube", "1", "--out", str(c))
+    assert run(capsys, "truncate", "--vertex", "1", str(c), "--out", str(t))[0] == 0
+    code, out, _ = run(capsys, "check", "--json", str(t))
+    report = json.loads(out)
+    assert code == 0 and (report["d"], report["n"], report["vertex_count"]) == (1, 2, 2)
+
+
+def test_product_keeps_linearity_rows(capsys, tmp_path):
+    # cube(3) in the hyperplane x4 = 0 of R^4, given by a linearity row,
+    # times the triangle, in either order, checks as cube(3) x simplex(2) does
+    placed, tri, p = (tmp_path / x for x in ("placed.ine", "s.ine", "p.ine"))
+    rows = [(b, *a, 0) for b, a in cube(3).rows] + [(0, 0, 0, 0, 1)]
+    placed.write_text(write_hfile(HPolyhedron.from_rows(4, rows, linearity=[6])))
+    run(capsys, "gen", "simplex", "2", "--out", str(tri))
+    for pair in ((placed, tri), (tri, placed)):
+        assert run(capsys, "product", *map(str, pair), "--out", str(p))[0] == 0
+        code, out, _ = run(capsys, "check", "--json", str(p))
+        report = json.loads(out)
+        assert code == 0
+        assert tuple(report[k] for k in ("d", "n", "diameter", "vertex_count")) == (5, 9, 4, 24)
 
 
 def test_product_pipeline(capsys, tmp_path):

@@ -20,8 +20,6 @@ from polydiam.constructions import (
     generate_canonical,
     hirsch_sharp,
     klee_walkup,
-    ngon,
-    orthant_polytope,
     product,
     random_01_polytope,
     replay,
@@ -35,6 +33,7 @@ from polydiam.constructions import (
 from polydiam.paths import bfs_distances, diameter
 from polydiam.polyhedron import facet_row_indices
 
+from corpus import ngon, orthant_polytope
 from oracles import brute_force_vertices
 
 

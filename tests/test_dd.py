@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polydiam import (
     HPolyhedron,
@@ -17,7 +17,7 @@ from polydiam import (
     vrep_to_hrep,
 )
 from polydiam.constructions import cube, klee_walkup, simplex, transportation
-from polydiam.dd import _cone_extreme_rays, _eliminate_equalities
+from polydiam.dd import _cone_extreme_rays
 from polydiam.polyhedron import canonical_row
 from polydiam.ratlin import _echelon
 
@@ -26,8 +26,6 @@ from oracles import (
     brute_force_vertices,
     echelon_rank,
     primitive_ints,
-    row_echelon,
-    rref_nullspace,
     solve_square,
     third_ray_scan_extreme_rays,
 )
@@ -100,10 +98,17 @@ def test_infeasible_with_free_direction_is_still_empty():
 
 
 def test_not_pointed_raises():
-    # a line, and an infeasible set that contains a line (x >= 1, -x >= 0)
-    for rows in ([(0, 1, 0)], [(-1, 1, 0), (0, -1, 0)]):
+    # a line, and an infeasible set that contains a line (x >= 1, -x >= 0),
+    # each as inequalities and as linearity rows (y = 0; x = 0 and x = 1)
+    cases = [
+        HPolyhedron.from_rows(2, [(0, 1, 0)]),
+        HPolyhedron.from_rows(2, [(-1, 1, 0), (0, -1, 0)]),
+        HPolyhedron.from_rows(2, [(0, 0, 1)], linearity=(0,)),
+        HPolyhedron.from_rows(2, [(0, 1, 0), (-1, 1, 0)], linearity=(0, 1)),
+    ]
+    for h in cases:
         with pytest.raises(NotPointed) as caught:
-            hrep_to_vrep(HPolyhedron.from_rows(2, rows))
+            hrep_to_vrep(h)
         assert str(caught.value) == "feasible set contains a line: no vertices exist"
 
 
@@ -302,28 +307,33 @@ def test_start_rays_are_the_columns_of_the_inverse(rows):
     assert _cone_extreme_rays(basis, n) == [primitive_ints(solve_square(basis, e)) for e in unit]
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+def _as_pairs(h):
+    """`h` with each linearity row written as two opposite inequality rows."""
+    rows = list(h.rows)
+    rows += [(-h.rows[i][0], tuple(-x for x in h.rows[i][1])) for i in sorted(h.linearity)]
+    return HPolyhedron(h.d, tuple(rows))
+
+
+_SQUARE = [[0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1]]
+
+
+@settings(max_examples=150, deadline=None)
+@example((2, [[-1, 1, 1]], _SQUARE))  # x + y = 1: a diagonal of the square
+@example((2, [[-3, 1, 1]], _SQUARE))  # x + y = 3 misses it: infeasible
+@example((2, [[-1, 2, 0], [-1, 0, 2]], []))  # x = y = 1/2: one point
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda d: st.tuples(
     st.just(d),
-    st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=d + 1, max_size=d + 1),
-             min_size=1, max_size=3))))
-def test_eliminate_equalities_matches_the_reference_rref(data):
-    # Equality rows b + a.x = 0: no solution exactly when the reference RREF
-    # of [a | -b] has a pivot in the last column; otherwise the particular
-    # point sets each pivot variable to that column and the free ones to 0,
-    # and the basis is the null space of a.
-    d, rows = data
-    h = HPolyhedron.from_rows(d, rows, linearity=range(len(rows)))
-    ref = [[Fraction(x) for x in (*r[1:], -r[0])] for r in rows]
-    pivots = row_echelon(ref)
-    got = _eliminate_equalities(h)
-    if d in pivots:
-        assert got is None
-        return
-    x0 = [Fraction(0)] * d
-    for r, c in enumerate(pivots):
-        x0[c] = ref[r][d]
-    assert got[0] == tuple(x0)
-    assert got[1] == rref_nullspace([r[1:] for r in rows])
+    st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=d + 1, max_size=d + 1),
+             min_size=1, max_size=d + 1),
+    st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=d + 1, max_size=d + 1),
+             min_size=0, max_size=4))))
+def test_linearity_rows_give_the_vertices_of_their_pairs(data):
+    # Equality rows first, then inequalities, then the box |x_j| <= 3, which
+    # keeps every system bounded, so its vertices are the whole answer.
+    d, eqs, ineqs = data
+    box = [(3, *(s * int(i == j) for i in range(d))) for j in range(d) for s in (1, -1)]
+    h = HPolyhedron.from_rows(d, eqs + ineqs + box, linearity=range(len(eqs)))
+    assert list(hrep_to_vrep(h).vertices) == brute_force_vertices(_as_pairs(h))
 
 
 def _cone_rays_match_oracle(rows, dim):

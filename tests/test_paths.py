@@ -22,7 +22,6 @@ from polydiam.constructions import (
     cube,
     hirsch_sharp,
     klee_walkup,
-    ngon,
     simplex,
     transportation,
 )
@@ -38,7 +37,7 @@ from polydiam.paths import (
 )
 from polydiam.polyhedron import facet_row_indices
 
-from corpus import converted, corpus
+from corpus import converted, corpus, ngon
 from oracles import (
     nonrevisiting_all_pairs,
     nonrevisiting_exists_naive,

@@ -26,13 +26,14 @@ from polydiam.constructions import (
     cube,
     hirsch_sharp,
     klee_walkup,
-    ngon,
     random_01_polytope,
     simplex,
     transportation,
 )
 from polydiam.polyhedron import facet_row_indices
 from polydiam.paths import bfs_distances
+
+from corpus import ngon
 
 
 def _pipeline(h):
