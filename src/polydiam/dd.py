@@ -8,11 +8,12 @@ arithmetic throughout:
   rays with t = 0 are extreme directions.  An equality row enters as two
   opposite inequality rows; the zero-set adjacency test below is exact on
   such degenerate pairs, so equalities need no elimination step.
-* V -> H: the facet inequalities (b, a) of conv(V) + cone(R) form the cone
-  {(b, a) : b + a.v >= 0 for all vertices, a.r >= 0 for all rays}; its
-  extreme rays with a nonzero linear part are exactly the facet rows when
-  the input is full-dimensional.  Lower-dimensional input is projected onto
-  the free coordinates of its affine hull first and the facets lifted back.
+* V -> H: the valid inequalities (b, a) of conv(V) + cone(R) form the cone
+  {(b, a) : b + a.v >= 0 for all vertices, a.r >= 0 for all rays}.  Its
+  lineality (the null space of its rows) is the set of affine hull
+  equations; with their pivot coefficients fixed at zero the cone is
+  pointed, and its extreme rays with a nonzero linear part are the facet
+  rows.  One cone serves every input, lower-dimensional or not.
 
 Ray insertion order is deterministic (rows sorted lexicographically after
 canonical scaling) and ray adjacency uses the combinatorial zero-set test
@@ -41,7 +42,6 @@ from .polyhedron import (
     VPolyhedron,
     _tight_on_all,
     canonical_equality_row,
-    canonical_row,
     incidence,
 )
 from .ratlin import Vector, _echelon, dot, nullspace, primitive
@@ -200,61 +200,32 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(len(basis), tuple(rows))
 
 
-def _vrep_to_hrep_fulldim(v: VPolyhedron) -> HPolyhedron:
-    cone_rows = set()
-    for p in v.vertices:
-        cone_rows.add(primitive((1, *p)))
-    for r in v.rays:
-        cone_rows.add(primitive((0, *r)))
-    rays = _cone_extreme_rays(sorted(cone_rows), v.d + 1)
-    rows = []
-    for ray in rays:
-        b, a = ray[0], ray[1:]
-        if all(x == 0 for x in a):
-            continue  # the artifact row "1 >= 0" of unbounded input
-        rows.append(canonical_row((Fraction(b), tuple(Fraction(x) for x in a))))
-    return HPolyhedron(v.d, tuple(sorted(rows)))
-
-
 def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
     """Irredundant inequality description of conv(vertices) + cone(rays).
 
-    Facet rows come out canonically scaled (primitive integers) and sorted.
-    Lower-dimensional input additionally gets linearity rows cutting out its
-    affine hull.
+    The rows (b, a) with b + a.p >= 0 on every vertex p and a.r >= 0 on
+    every ray r form one cone whatever the dimension of the input.  Its
+    lineality is the set of affine hull equations, which come first, as
+    linearity rows.  Setting their pivot coefficients to zero leaves a
+    pointed cone whose extreme rays with a nonzero linear part are the
+    facet rows.  Every row is primitive integers, and each block is sorted.
     """
     if not v.vertices:
         raise ValueError("V-representation needs at least one vertex")
-    p0 = v.vertices[0]
-    span = [[x - y for x, y in zip(p, p0)] for p in v.vertices[1:]]
-    span += [list(r) for r in v.rays]
-    normals = nullspace(span or [[0] * v.d])  # a single point: every e_i
-    if not normals:
-        return _vrep_to_hrep_fulldim(v)
-
-    # Affine hull equations e.x = e.p0, one per normal direction.
-    eq_rows = [
-        canonical_equality_row((-dot(e, p0), tuple(e))) for e in normals
-    ]
+    cone_rows = [primitive((1, *p)) for p in v.vertices]
+    cone_rows += [primitive((0, *r)) for r in v.rays]
+    eq_rows = sorted(canonical_equality_row((e[0], e[1:])) for e in nullspace(cone_rows))
     pivots = _echelon(a for _, a in eq_rows)[1]
-    free = [c for c in range(v.d) if c not in pivots]
-    if not free:
-        return HPolyhedron(v.d, tuple(sorted(eq_rows)), frozenset(range(len(eq_rows))))
-
-    proj = VPolyhedron(
-        len(free),
-        tuple(tuple(p[j] for j in free) for p in v.vertices),
-        tuple(tuple(r[j] for j in free) for r in v.rays),
-    )
-    reduced = _vrep_to_hrep_fulldim(proj)
-    lifted: list[Row] = []
-    for b, a in reduced.rows:
-        amb = [Fraction(0)] * v.d
-        for coef, j in zip(a, free):
-            amb[j] = coef
-        lifted.append((b, tuple(amb)))
-    all_rows = tuple(sorted(eq_rows)) + tuple(sorted(lifted))
-    return HPolyhedron(v.d, all_rows, frozenset(range(len(eq_rows))))
+    free = [0] + [j + 1 for j in range(v.d) if j not in pivots]
+    projected = {primitive([c[j] for j in free]) for c in cone_rows}
+    facets: list[Row] = []
+    for ray in _cone_extreme_rays(sorted(projected), len(free)):
+        y = [0] * (v.d + 1)
+        for j, x in zip(free, ray):
+            y[j] = x
+        if any(y[1:]):  # a = 0 is the artifact row "1 >= 0" of unbounded input
+            facets.append((Fraction(y[0]), tuple(map(Fraction, y[1:]))))
+    return HPolyhedron(v.d, tuple(eq_rows) + tuple(sorted(facets)), frozenset(range(len(eq_rows))))
 
 
 def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:

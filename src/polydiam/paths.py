@@ -301,7 +301,13 @@ def monotone_eccentricity(inc: Incidence, c) -> MonotoneReport:
     ties on any edge is rejected (callers perturb, we do not).  For every
     source the shortest strictly-increasing path to the optimum is taken;
     sources with no monotone route are reported, not silently dropped.
+    `c` needs one coefficient per coordinate (ValueError otherwise).
     """
+    if len(c) != inc.v.d:
+        raise ValueError(
+            f"functional has {len(c)} coefficient{'s' * (len(c) != 1)}: "
+            f"the polyhedron is in R^{inc.v.d}"
+        )
     if inc.v.rays:
         raise Unbounded("monotone analysis requires a bounded polytope")
     values = [dot(c, p) for p in inc.v.vertices]

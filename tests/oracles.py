@@ -12,12 +12,27 @@ enumeration for the non-revisiting property, a literal interval check
 of what "never revisits a facet" means, the non-revisiting search
 without its distance cut, and the subset-graph search that re-checks
 the layer property on every pair after every trial deletion.
+
+One reference does call the library: `projected_vrep_to_hrep`, the
+V -> H conversion that projects lower-dimensional input onto the free
+coordinates of its affine hull, converts there and lifts the facets
+back.  It uses the library's null space, elimination and cone, and
+checks the one-cone reduction around them.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from polydiam.dd import _cone_extreme_rays
+from polydiam.polyhedron import (
+    HPolyhedron,
+    VPolyhedron,
+    canonical_equality_row,
+    canonical_row,
+)
+from polydiam.ratlin import _echelon, dot, nullspace, primitive
 
 
 def solve_square(rows, rhs):
@@ -511,3 +526,58 @@ def reference_search_max_diameter(n, d, budget=1_000_000, seed=None):
             explored += 1
             consider(nodes, pair_filters, emask)
     return best[0], best[1], best_diam, complete, explored
+
+
+def _fulldim_vrep_to_hrep(v):
+    cone_rows = set()
+    for p in v.vertices:
+        cone_rows.add(primitive((1, *p)))
+    for r in v.rays:
+        cone_rows.add(primitive((0, *r)))
+    rays = _cone_extreme_rays(sorted(cone_rows), v.d + 1)
+    rows = []
+    for ray in rays:
+        b, a = ray[0], ray[1:]
+        if all(x == 0 for x in a):
+            continue  # the artifact row "1 >= 0" of unbounded input
+        rows.append(canonical_row((Fraction(b), tuple(Fraction(x) for x in a))))
+    return HPolyhedron(v.d, tuple(sorted(rows)))
+
+
+def projected_vrep_to_hrep(v):
+    """`vrep_to_hrep` by projection: full-dimensional input converts
+    directly; lower-dimensional input takes its hull equations from the
+    null space of the vertex differences and rays, converts its projection
+    onto the non-pivot coordinates, and lifts the facets back."""
+    if not v.vertices:
+        raise ValueError("V-representation needs at least one vertex")
+    p0 = v.vertices[0]
+    span = [[x - y for x, y in zip(p, p0)] for p in v.vertices[1:]]
+    span += [list(r) for r in v.rays]
+    normals = nullspace(span or [[0] * v.d])  # a single point: every e_i
+    if not normals:
+        return _fulldim_vrep_to_hrep(v)
+
+    # Affine hull equations e.x = e.p0, one per normal direction.
+    eq_rows = [
+        canonical_equality_row((-dot(e, p0), tuple(e))) for e in normals
+    ]
+    pivots = _echelon(a for _, a in eq_rows)[1]
+    free = [c for c in range(v.d) if c not in pivots]
+    if not free:
+        return HPolyhedron(v.d, tuple(sorted(eq_rows)), frozenset(range(len(eq_rows))))
+
+    proj = VPolyhedron(
+        len(free),
+        tuple(tuple(p[j] for j in free) for p in v.vertices),
+        tuple(tuple(r[j] for j in free) for r in v.rays),
+    )
+    reduced = _fulldim_vrep_to_hrep(proj)
+    lifted = []
+    for b, a in reduced.rows:
+        amb = [Fraction(0)] * v.d
+        for coef, j in zip(a, free):
+            amb[j] = coef
+        lifted.append((b, tuple(amb)))
+    all_rows = tuple(sorted(eq_rows)) + tuple(sorted(lifted))
+    return HPolyhedron(v.d, all_rows, frozenset(range(len(eq_rows))))

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: pipelines, replay, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -219,6 +220,19 @@ def test_convert_round_trip(capsys, tmp_path):
     assert back.nrows == 9 and back.d == 4
 
 
+def test_convert_changes_the_format_only(capsys, tmp_path):
+    # the square plus its inner point (1/2, 1/2): `convert --to v` copies
+    # all five points, the round trip through H keeps the four vertices
+    sq, h = tmp_path / "sq.ext", tmp_path / "sq.ine"
+    points = [(0, 0), (2, 0), (0, 2), (2, 2), (Fraction(1, 2), Fraction(1, 2))]
+    sq.write_text(write_vfile(VPolyhedron.from_points(points)))
+    code, out, _ = run(capsys, "convert", "--to", "v", str(sq))
+    assert code == 0 and len(read_vfile(out).vertices) == 5
+    assert run(capsys, "convert", "--to", "h", str(sq), "--out", str(h))[0] == 0
+    code, out, _ = run(capsys, "convert", "--to", "v", str(h))
+    assert code == 0 and len(read_vfile(out).vertices) == 4
+
+
 def test_graph_and_distance(capsys, tmp_path):
     c = tmp_path / "cube.ine"
     run(capsys, "gen", "cube", "2", "--out", str(c))
@@ -314,6 +328,24 @@ def test_graph_verbs_stdout_is_pinned(capsys, tmp_path, generator):
             assert code == 0
             digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
             assert digest == _PINNED_OPERATOR_OUTPUT[generator, form, verb], (form, verb, out)
+
+
+# sha256 of `convert --to h` on the 3-dimensional V-file that `convert --to v`
+# makes of cube(3) placed in x4 = 0 of R^4 (the operator smoke's placed.ine)
+_PINNED_PLACED_HULL = "b7eeb4f879b139e1e8452d1bca7bbcd62627ba5562506b7884bb18b2aa7195a4"
+
+
+def test_lower_dimensional_v_file_to_h_is_pinned(capsys, tmp_path):
+    import hashlib
+
+    placed, ext = tmp_path / "placed.ine", tmp_path / "placed.ext"
+    rows = [(b, *a, 0) for b, a in cube(3).rows] + [(0, 0, 0, 0, 1)]
+    placed.write_text(write_hfile(HPolyhedron.from_rows(4, rows, linearity=[6])))
+    assert run(capsys, "convert", "--to", "v", str(placed), "--out", str(ext))[0] == 0
+    code, out, err = run(capsys, "convert", "--to", "h", str(ext))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PINNED_PLACED_HULL, out
+    assert read_hfile(out).linearity == frozenset({0})
 
 
 _ONE_CONVERSION_VERBS = [
@@ -477,6 +509,17 @@ def test_check_monotone_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(c), "--monotone", "1,2,4", "--json")
     report = json.loads(out)
     assert report["monotone"]["worst_length"] == 3
+
+
+@pytest.mark.parametrize("c,count", [
+    ("1,2,4,100", "4 coefficients"), ("1,2", "2 coefficients"), ("1", "1 coefficient"),
+])
+def test_check_monotone_needs_one_coefficient_per_coordinate(capsys, tmp_path, c, count):
+    cube3 = tmp_path / "cube.ine"
+    run(capsys, "gen", "cube", "3", "--out", str(cube3))
+    code, out, err = run(capsys, "check", str(cube3), "--monotone", c, "--json")
+    assert (code, out) == (1, "")
+    assert err == f"error: functional has {count}: the polyhedron is in R^3\n"
 
 
 def test_check_nonrevisiting_flag(capsys, tmp_path):

@@ -26,6 +26,7 @@ from oracles import (
     brute_force_vertices,
     echelon_rank,
     primitive_ints,
+    projected_vrep_to_hrep,
     solve_square,
     third_ray_scan_extreme_rays,
 )
@@ -190,6 +191,50 @@ def test_vrep_lower_dimensional_input():
 def test_vrep_single_point():
     h = vrep_to_hrep(VPolyhedron.from_points([(2, 3)]))
     assert set(hrep_to_vrep(h).vertices) == {(2, 3)}
+
+
+@st.composite
+def _points_in_a_flat(draw):
+    """Points of a random k-flat of R^d, 0 <= k <= d <= 4, and rays in it:
+    (points, rays), the rays pairwise non-parallel, sometimes with the
+    opposite of the first one, so that the input holds a line."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d))
+    small = st.integers(min_value=-2, max_value=2)
+    origin = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                           min_size=d, max_size=d))
+    dirs = draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=k, max_size=k))
+    coefs = st.lists(small, min_size=k, max_size=k)
+
+    def along(c):
+        return tuple(sum(x * u[j] for x, u in zip(c, dirs)) for j in range(d))
+
+    points = list(dict.fromkeys(
+        tuple(o + x for o, x in zip(origin, along(c)))
+        for c in draw(st.lists(coefs, min_size=1, max_size=7))))
+    rays = {}
+    for r in map(along, draw(st.lists(coefs, max_size=2))):
+        if any(r):
+            rays.setdefault(primitive_ints(r), r)
+    if rays and draw(st.booleans()):
+        back = tuple(-x for x in next(iter(rays.values())))
+        rays.setdefault(primitive_ints(back), back)
+    return points, list(rays.values())
+
+
+@settings(max_examples=200, deadline=None)
+@example(([(2, 3)], []))  # a single point
+@example(([(0, 0), (1, 1)], []))  # a segment in the plane
+@example(([(0, 0)], [(1, 1)]))  # a half-line
+@example(([(1, 0)], [(1, 2), (-1, -2)]))  # a line
+@given(_points_in_a_flat())
+def test_one_cone_matches_the_projected_conversion(data):
+    # d, rows in order (with their Fraction types) and linearity, exactly
+    points, rays = data
+    v = VPolyhedron.from_points(points, rays)
+    got, want = vrep_to_hrep(v), projected_vrep_to_hrep(v)
+    assert got == want
+    assert repr(got.rows) == repr(want.rows)
 
 
 def _row_strategy(d):
