@@ -25,7 +25,11 @@ scan over every ray.  A short rank of the cone rows (a line in the input)
 surfaces there too, as `NotPointed`, with no separate rank test.
 
 `analyse` is the one way from a description, H or V, to its `Incidence`:
-it converts once and pairs the input with its converse.
+it converts once and pairs the input with its converse.  For an
+H-description the `Incidence` masks are the zero sets the cone already
+holds for every ray, mapped back to the rows of the input, so no dot
+product follows the DD; a V-description's new facet rows are checked
+against its points by `polyhedron.incidence`.
 """
 
 from __future__ import annotations
@@ -44,16 +48,20 @@ from .polyhedron import (
     canonical_equality_row,
     incidence,
 )
-from .ratlin import Vector, _echelon, dot, nullspace, primitive
+from .ratlin import _echelon, dot, nullspace, primitive
 
 
-def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+def _cone_extreme_rays(
+    rows: list[tuple[int, ...]], dim: int, zero_sets: list[int] | None = None
+) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : r.y >= 0 for r in rows}.
 
     `rows` must be primitive integer vectors whose rank is `dim` (else
     NotPointed); they are deduplicated and processed in sorted order.
     Returns primitive integer rays; returns [] when the cone is the origin
-    alone.
+    alone.  When `zero_sets` is a list, it is extended by each ray's zero
+    set, in ray order: bit i is set when the ray is tight on row i of
+    `sorted(set(rows))`.
 
     Adjacency is the combinatorial test of Fukuda & Prodon, *Double
     description method revisited* (1996): a positive ray p and a negative
@@ -82,19 +90,24 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
         primitive([reduced[i][dim + j] * (scale // reduced[i][i]) for i in range(dim)])
         for j in range(dim)
     ]
-    # Ray j has id j and is tight on every basis row but row j, so the
-    # start columns equal the start masks; zero-set bitmasks are indexed by
-    # processed-row position.
+    # Ray j has id j and is tight on every basis row but the j-th.  Bit r
+    # of a zero set, and `columns[r]`, stand for rows[r]; a column is
+    # filled when its row is processed, and no zero set holds a row before.
     ids = list(range(dim))
     alive = (1 << dim) - 1
-    masks = [alive ^ 1 << j for j in range(dim)]
-    columns = masks[:]
+    start = sum(1 << k for k in basis_idx)
+    masks = [start ^ 1 << k for k in basis_idx]
+    columns = [0] * len(rows)
+    for j, k in enumerate(basis_idx):
+        columns[k] = alive ^ 1 << j
     next_id = dim
 
     chosen = set(basis_idx)
-    for row in (row for i, row in enumerate(rows) if i not in chosen):
-        bit = 1 << len(columns)
-        vals = [dot(row, r) for r in rays]
+    for r, row in enumerate(rows):
+        if r in chosen:
+            continue
+        bit = 1 << r
+        vals = [dot(row, y) for y in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
@@ -102,7 +115,7 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
         for k in zero:
             masks[k] |= bit
             column |= 1 << ids[k]
-        columns.append(column)
+        columns[r] = column
         if not neg:
             continue
 
@@ -138,10 +151,12 @@ def _cone_extreme_rays(rows: list[tuple[int, ...]], dim: int) -> list[tuple[int,
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] for k in keep] + new_masks
         ids = [ids[k] for k in keep] + new_ids
+    if zero_sets is not None:
+        zero_sets.extend(masks)
     return rays
 
 
-def hrep_to_vrep(h: HPolyhedron) -> VPolyhedron:
+def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhedron:
     """All vertices and one representative per extreme ray, exactly.
 
     A linearity row b + a.x = 0 is the pair of opposite rows b + a.x >= 0
@@ -149,30 +164,55 @@ def hrep_to_vrep(h: HPolyhedron) -> VPolyhedron:
     output signals infeasibility.  Raises NotPointed when the linear parts
     a of the rows have rank below d, so that a nonempty feasible set holds
     a line; an inconsistent system with such rows raises it too.
+
+    Vertices come out in sorted order, compared as integer vectors at a
+    common denominator, and the `Fraction`s are built once, after the sort.
+    When `zero_sets` is a list, it is extended by the zero set of each
+    returned vertex and then of each ray, mapped from the cone's rows to
+    the rows of `h`: bit i is set when row i is tight.  `analyse` builds
+    the `Incidence` from them, with no dot product.
     """
-    # The cone rows span e0 and every (0, a), so their rank is 1 + rank{a}:
-    # the cone is pointed exactly when the feasible set holds no line.
-    cone_rows = {primitive((1,) + (0,) * h.d)}
+    # where[c] holds the rows of h whose cone row is c: duplicates and
+    # positive multiples share one, a linearity row has c and -c, a row
+    # (b, 0) with b > 0 scales to e0, and an all-zero row maps to the zero
+    # row, which every ray is tight on.  The cone rows span e0 and every
+    # (0, a), so their rank is 1 + rank{a}: the cone is pointed exactly
+    # when the feasible set holds no line.
+    where = {primitive((1,) + (0,) * h.d): 0}
     for i, (b, a) in enumerate(h.rows):
         row = primitive((b, *a))
-        cone_rows.add(row)
-        if i in h.linearity:
-            cone_rows.add(tuple(-x for x in row))
+        halves = (row, tuple(-x for x in row)) if i in h.linearity else (row,)
+        for c in halves:
+            where[c] = where.get(c, 0) | 1 << i
+    cone_rows = sorted(where)
+    masks: list[int] = []
     try:
-        rays = _cone_extreme_rays(sorted(cone_rows), h.d + 1)
+        rays = _cone_extreme_rays(cone_rows, h.d + 1, masks)
     except NotPointed:
         raise NotPointed("feasible set contains a line: no vertices exist") from None
 
-    verts: list[Vector] = []
-    dirs: list[Vector] = []
-    for t, *y in rays:
-        if t > 0:
-            verts.append(tuple(Fraction(c, t) for c in y))
-        else:
-            dirs.append(tuple(map(Fraction, y)))
+    verts = [k for k, ray in enumerate(rays) if ray[0] > 0]
     if not verts:
         return VPolyhedron(h.d, (), ())  # pointed and vertex-free: infeasible
-    return VPolyhedron(h.d, tuple(sorted(verts)), tuple(sorted(dirs)))
+    # Coordinate c / t compares as the integer c * (L // t), so these keys
+    # sort like the `Fraction` vectors they stand for.
+    den = lcm(*(rays[k][0] for k in verts))
+    verts.sort(key=lambda k: tuple(c * (den // rays[k][0]) for c in rays[k][1:]))
+    dirs = sorted((k for k, ray in enumerate(rays) if ray[0] == 0), key=rays.__getitem__)
+    if zero_sets is not None:
+        rows_of = [where[c] for c in cone_rows]
+        for k in verts + dirs:
+            m, tight = masks[k], 0
+            while m:
+                low = m & -m
+                tight |= rows_of[low.bit_length() - 1]
+                m ^= low
+            zero_sets.append(tight)
+    return VPolyhedron(
+        h.d,
+        tuple(tuple(Fraction(c, t) for c in y) for t, *y in (rays[k] for k in verts)),
+        tuple(tuple(map(Fraction, rays[k][1:])) for k in dirs),
+    )
 
 
 def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
@@ -231,7 +271,10 @@ def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
 def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
     """The `Incidence` of a polyhedron given by either description.
 
-    The other description is computed by one conversion.  The vertices of a
+    The other description is computed by one conversion.  An H-description
+    takes its masks from the zero sets of that conversion
+    (`hrep_to_vrep(h, zero_sets)`), a V-description from `incidence`.  The
+    vertices of an H-description come out sorted.  The vertices of a
     V-description keep their order and labels, so v0, v1, ... name the same
     points for every caller.  A listed point that is not a vertex is
     dropped, the others keeping their labels: point k is a vertex exactly
@@ -239,7 +282,10 @@ def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
     at all means the set holds a line.
     """
     if isinstance(poly, HPolyhedron):
-        return incidence(poly, hrep_to_vrep(poly))
+        zero_sets: list[int] = []
+        v = hrep_to_vrep(poly, zero_sets)
+        n = len(v.vertices)
+        return Incidence(poly, v, zero_sets[:n], zero_sets[n:])
     inc = incidence(vrep_to_hrep(poly), poly)
     keep = [
         k for k, m in enumerate(inc.masks)

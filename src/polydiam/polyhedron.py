@@ -192,8 +192,10 @@ class Incidence:
     The derived data is computed the first time it is asked for and then
     kept: `facets` (by `facet_row_indices`), `facet_masks`, `implicit`,
     `dim` and `graph` (by `skeleton_graph`).  Build one with
-    `dd.analyse(poly)` from either description, or with `incidence(h, v)`
-    when both are known.
+    `dd.analyse(poly)` from either description.  For an H-description it
+    takes the masks from the zero sets of the double description; for a
+    V-description, and in tests where both descriptions are known, the
+    masks come from `incidence(h, v)`.
     """
 
     def __init__(
@@ -348,7 +350,9 @@ def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
 
     Rows, vertices (as (1, p)) and rays (as (0, r)) are scaled by positive
     factors to primitive integers, which keeps every sign, so each test is
-    an integer dot product.
+    an integer dot product: n x m of them.  `dd.analyse` runs this on the
+    V path only, where the facet rows are new and the points are given; an
+    H-description's masks are the zero sets its conversion already holds.
     """
     rows = [primitive((b, *a)) for b, a in h.rows]
     masks = []

@@ -11,6 +11,7 @@ from polydiam import (
     Infeasible,
     NotPointed,
     VPolyhedron,
+    analyse,
     hrep_to_vrep,
     incidence,
     reduce_to_full_dim,
@@ -25,6 +26,7 @@ from corpus import corpus
 from oracles import (
     brute_force_vertices,
     echelon_rank,
+    fraction_incidence,
     primitive_ints,
     projected_vrep_to_hrep,
     solve_square,
@@ -421,3 +423,36 @@ def test_cone_extreme_rays_match_third_ray_scan_on_degenerate_inputs():
         _both_directions(points)
     for _, h in corpus():  # crosspolytopes, cubes, Klee-Walkup, products, ...
         _both_directions(hrep_to_vrep(h).vertices)
+
+
+@st.composite
+def _rows_with_linearity(draw):
+    """(d, rows, linearity): up to five small integer rows in R^d, d <= 4,
+    any of them an equality."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=d + 1, max_size=d + 1),
+        max_size=5,
+    ))
+    linearity = draw(st.sets(st.integers(min_value=0, max_value=len(rows) - 1))) if rows else set()
+    return d, rows, linearity
+
+
+@settings(max_examples=200, deadline=None)
+@example((2, [[0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1], [2, 0, 0]], set()))  # square, 2 >= 0
+@example((2, [[0, 1, 0], [0, 0, 1], [2, 0, 0]], set()))  # orthant, 2 >= 0: tight on its rays
+@example((2, [[0, 1, 0], [0, 0, 1], [1, -1, 0], [1, 0, -1], [0, 0, 0]], set()))  # 0 >= 0
+@example((2, [[1, -1, 0], [0, 1, 0], [2, -2, 0], [1, 0, -1], [0, 0, 1]], set()))  # a row, doubled
+@example((2, [[-1, 1, 1], [1, -1, -1], [1, -1, 0], [1, 0, -1]], {0}))  # x + y = 1 and x + y <= 1
+@example((2, [[-1, 0, 0]], set()))  # -1 >= 0: infeasible, no vertex on either path
+@given(_rows_with_linearity())
+def test_analyse_reads_the_incidence_off_the_cone(data):
+    # The rows x_j >= -3 keep every draw pointed and leave room for rays.
+    # The zero sets the conversion hands to `analyse` are the ones the dot
+    # products of `incidence` and of the `Fraction` oracle find.
+    d, rows, linearity = data
+    box = [(3, *(int(i == j) for i in range(d))) for j in range(d)]
+    h = HPolyhedron.from_rows(d, rows + box, linearity)
+    got, want = analyse(h), incidence(h, hrep_to_vrep(h))
+    assert (got.masks, got.ray_masks, got.v) == (want.masks, want.ray_masks, want.v)
+    assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(h, got.v)
