@@ -68,7 +68,7 @@ def from_simple_polytope(inc: Incidence) -> SubsetFamilyGraph:
     Facet rows are renumbered 1..n in row order so the ground set is exactly
     the facets of the polytope.
     """
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("abstraction requires a bounded polytope")
     simple, _ = classify(inc)
     if not simple:

@@ -176,18 +176,17 @@ def hirsch_report(
     bounded-edge graph.  The optional extras run the non-revisiting
     all-pairs check and the monotone path analysis for a given functional.
     """
-    v = inc.v
-    if not v.vertices:
+    if not inc.nverts:
         raise Infeasible("infeasible")
     n = len(inc.facets)
     d = inc.dim
-    bounded = v.bounded
+    bounded = inc.v.bounded
     diam, witness = diameter(inc.graph)
     report: dict = {
         "n": n,
         "d": d,
         "bounded": bounded,
-        "vertex_count": len(v.vertices),
+        "vertex_count": inc.nverts,
         "diameter": diam,
         "n_minus_d": n - d,
         "satisfies_hirsch": diam <= n - d,

@@ -130,11 +130,11 @@ def wedge(poly: Incidence | HPolyhedron, k: int) -> HPolyhedron:
     """
     inc = poly if isinstance(poly, Incidence) else analyse(poly)
     h = inc.h
-    if not inc.v.vertices:
+    if not inc.nverts:
         raise Infeasible("infeasible")
     if not 0 <= k < h.nrows:
         raise ValueError(f"facet index {k + 1} out of range")
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("wedge requires a bounded polytope")
     if k not in inc.facets:
         raise ValueError(f"row {k + 1} is redundant: wedge needs a facet-defining row")
@@ -165,9 +165,9 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     1-based, as the command line does.
     """
     h, v = inc.h, inc.v
-    if not v.vertices:
+    if not v.nverts:
         raise Infeasible("infeasible")
-    if v.rays:
+    if not v.bounded:
         raise Unbounded("truncation requires a bounded polytope")
     labels = v.all_labels()
     if isinstance(vertex, str):
@@ -176,7 +176,7 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
         vi = labels.index(vertex)
     else:
         vi = vertex
-        if not 0 <= vi < len(v.vertices):
+        if not 0 <= vi < v.nverts:
             raise ValueError(f"vertex index {vi + 1} out of range")
     vertex_facets = inc.facet_masks[vi]
     if vertex_facets.bit_count() != inc.dim:
@@ -225,11 +225,11 @@ def unbound_at_facet(inc: Incidence, k: int) -> HPolyhedron:
     does.
     """
     h, v = inc.h, inc.v
-    if not v.vertices:
+    if not v.nverts:
         raise Infeasible("infeasible")
     if not 0 <= k < h.nrows:
         raise ValueError(f"facet index {k + 1} out of range")
-    if v.rays:
+    if not v.bounded:
         raise Unbounded("input must be bounded")
     if k not in inc.facets:
         raise ValueError(f"row {k + 1} is redundant: unbound needs a facet-defining row")
@@ -311,7 +311,7 @@ def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhed
     rng = random.Random(seed)
     for _ in range(retries):
         codes = rng.sample(range(2**d), m)
-        pts = [tuple(Fraction(code >> i & 1) for i in range(d)) for code in codes]
+        pts = [tuple(code >> i & 1 for i in range(d)) for code in codes]
         p0 = pts[0]
         span = [[x - y for x, y in zip(pt, p0)] for pt in pts[1:]]
         if len(_echelon(span, d)[0]) == d:

@@ -44,6 +44,7 @@ from .polyhedron import (
     NotPointed,
     Row,
     VPolyhedron,
+    _point,
     _tight_on_all,
     canonical_equality_row,
     incidence,
@@ -165,8 +166,10 @@ def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhed
     a of the rows have rank below d, so that a nonempty feasible set holds
     a line; an inconsistent system with such rows raises it too.
 
-    Vertices come out in sorted order, compared as integer vectors at a
-    common denominator, and the `Fraction`s are built once, after the sort.
+    The cone's rays are handed over as the `VPolyhedron`'s rows, which are
+    primitive homogeneous integers too; no `Fraction` is built.  Vertices
+    come out in the sorted order of their points, compared as integer
+    vectors at a common denominator.
     When `zero_sets` is a list, it is extended by the zero set of each
     returned vertex and then of each ray, mapped from the cone's rows to
     the rows of `h`: bit i is set when row i is tight.  `analyse` builds
@@ -193,26 +196,23 @@ def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhed
 
     verts = [k for k, ray in enumerate(rays) if ray[0] > 0]
     if not verts:
-        return VPolyhedron(h.d, (), ())  # pointed and vertex-free: infeasible
+        return VPolyhedron._of_rows(h.d, ())  # pointed and vertex-free: infeasible
     # Coordinate c / t compares as the integer c * (L // t), so these keys
     # sort like the `Fraction` vectors they stand for.
     den = lcm(*(rays[k][0] for k in verts))
     verts.sort(key=lambda k: tuple(c * (den // rays[k][0]) for c in rays[k][1:]))
     dirs = sorted((k for k, ray in enumerate(rays) if ray[0] == 0), key=rays.__getitem__)
+    order = verts + dirs
     if zero_sets is not None:
         rows_of = [where[c] for c in cone_rows]
-        for k in verts + dirs:
+        for k in order:
             m, tight = masks[k], 0
             while m:
                 low = m & -m
                 tight |= rows_of[low.bit_length() - 1]
                 m ^= low
             zero_sets.append(tight)
-    return VPolyhedron(
-        h.d,
-        tuple(tuple(Fraction(c, t) for c in y) for t, *y in (rays[k] for k in verts)),
-        tuple(tuple(map(Fraction, rays[k][1:])) for k in dirs),
-    )
+    return VPolyhedron._of_rows(h.d, tuple(rays[k] for k in order))
 
 
 def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
@@ -225,11 +225,20 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     inequalities) are dropped.  Raises NotPointed when `h` holds a line.
     """
     v = hrep_to_vrep(h)
-    if not v.vertices:
+    if not v.nverts:
         raise Infeasible("infeasible")
-    x0 = v.vertices[0]
-    span = [tuple(x - y for x, y in zip(p, x0)) for p in v.vertices[1:]] + list(v.rays)
-    basis = [span[i] for i in _echelon(span)[0]]
+    # Row (t, y) after the first vertex (t0, y0) gives t0 y - t y0, a
+    # positive multiple of the difference of the points or of the ray, so
+    # the greedy basis is picked in integers; only its members, as the
+    # `Fraction` differences and rays, define the coordinates.
+    x0 = _point(v.rows[0])
+    (t0, *y0), others = v.rows[0], v.rows[1:]
+    span = [[t0 * c - t * c0 for c, c0 in zip(y, y0)] for t, *y in others]
+    basis = [
+        tuple(x - y for x, y in zip(_point(others[i]), x0)) if others[i][0]
+        else tuple(map(Fraction, others[i][1:]))
+        for i in _echelon(span)[0]
+    ]
     rows: list[Row] = []
     for b, a in h.rows:
         b2 = b + dot(a, x0)
@@ -250,14 +259,12 @@ def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
     pointed cone whose extreme rays with a nonzero linear part are the
     facet rows.  Every row is primitive integers, and each block is sorted.
     """
-    if not v.vertices:
+    if not v.nverts:
         raise ValueError("V-representation needs at least one vertex")
-    cone_rows = [primitive((1, *p)) for p in v.vertices]
-    cone_rows += [primitive((0, *r)) for r in v.rays]
-    eq_rows = sorted(canonical_equality_row((e[0], e[1:])) for e in nullspace(cone_rows))
+    eq_rows = sorted(canonical_equality_row((e[0], e[1:])) for e in nullspace(v.rows))
     pivots = _echelon(a for _, a in eq_rows)[1]
     free = [0] + [j + 1 for j in range(v.d) if j not in pivots]
-    projected = {primitive([c[j] for j in free]) for c in cone_rows}
+    projected = {primitive([c[j] for j in free]) for c in v.rows}
     facets: list[Row] = []
     for ray in _cone_extreme_rays(sorted(projected), len(free)):
         y = [0] * (v.d + 1)
@@ -284,8 +291,7 @@ def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
     if isinstance(poly, HPolyhedron):
         zero_sets: list[int] = []
         v = hrep_to_vrep(poly, zero_sets)
-        n = len(v.vertices)
-        return Incidence(poly, v, zero_sets[:n], zero_sets[n:])
+        return Incidence(poly, v, zero_sets[: v.nverts], zero_sets[v.nverts:])
     inc = incidence(vrep_to_hrep(poly), poly)
     keep = [
         k for k, m in enumerate(inc.masks)
@@ -295,5 +301,5 @@ def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
         return inc
     if not keep:  # a pointed polyhedron has a vertex among its points
         raise NotPointed("feasible set contains a line: no vertices exist")
-    points = [poly.vertices[k] for k in keep]
-    return incidence(inc.h, VPolyhedron.from_points(points, poly.rays, map(poly.label, keep)))
+    rows = tuple(poly.rows[k] for k in keep) + poly.rows[poly.nverts:]
+    return incidence(inc.h, VPolyhedron._of_rows(poly.d, rows, tuple(map(poly.label, keep))))

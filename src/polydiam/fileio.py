@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .abstraction import SubsetFamilyGraph
 from .constructions import ConstructionRecipe
 from .polyhedron import HPolyhedron, VPolyhedron, _bits
-from .ratlin import format_rational, parse_rational
+from .ratlin import format_rational, parse_rational, primitive
 
 RECIPE_PREFIX = "# recipe "
 
@@ -109,17 +110,13 @@ def read_vfile(text: str) -> VPolyhedron:
     if not lines or lines[0] != "V-representation":
         raise ValueError("not a V-file: missing 'V-representation' header")
     _, cols, rows = _parse_matrix_block(lines, 1)
-    d = cols - 1
-    vertices = []
-    rays = []
-    for row in rows:
-        if row[0] == 1:
-            vertices.append(tuple(row[1:]))
-        elif row[0] == 0:
-            rays.append(tuple(row[1:]))
-        else:
-            raise ValueError("V-file rows must start with 1 (vertex) or 0 (ray)")
-    return VPolyhedron(d, tuple(vertices), tuple(rays))
+    if any(row[0] not in (0, 1) for row in rows):
+        raise ValueError("V-file rows must start with 1 (vertex) or 0 (ray)")
+    # A row (1, x) or (0, r) scaled to primitive integers is the `VPolyhedron`
+    # row of its vertex or ray; the vertices go first, each block in file order.
+    vertices = [primitive(row) for row in rows if row[0]]
+    rays = [primitive(row) for row in rows if not row[0]]
+    return VPolyhedron._of_rows(cols - 1, tuple(vertices + rays))
 
 
 def read_polyfile(text: str) -> HPolyhedron | VPolyhedron:
@@ -151,13 +148,20 @@ def write_vfile(v: VPolyhedron, recipe: ConstructionRecipe | None = None) -> str
     lines = _recipe_comment(recipe)
     lines.append("V-representation")
     lines.append("begin")
-    lines.append(f"{len(v.vertices) + len(v.rays)} {v.d + 1} rational")
-    for p in v.vertices:
-        lines.append("1 " + " ".join(format_rational(x) for x in p))
-    for r in v.rays:
-        lines.append("0 " + " ".join(format_rational(x) for x in r))
+    lines.append(f"{len(v.rows)} {v.d + 1} rational")
+    for t, *y in v.rows:
+        if t:
+            lines.append("1 " + " ".join(_quotient(c, t) for c in y))
+        else:
+            lines.append("0 " + " ".join(map(str, y)))
     lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+def _quotient(c: int, t: int) -> str:
+    """c / t in lowest terms, for t > 0, as `format_rational` writes it."""
+    g = gcd(c, t)
+    return str(c // g) if g == t else f"{c // g}/{t // g}"
 
 
 def read_subset_graph(text: str) -> SubsetFamilyGraph:

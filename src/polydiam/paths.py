@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import inf
+from math import inf, lcm
 from typing import Sequence
 
 from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded, _bits
-from .ratlin import dot
+from .ratlin import dot, primitive
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def nonrevisiting_path(
     The returned path is a shortest non-revisiting one and its length is
     guaranteed (and asserted) to be at most n - d.
     """
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("non-revisiting search requires a bounded polytope")
     if source == target:
         raise ValueError("source and target must differ")
@@ -283,7 +283,7 @@ def nonrevisiting_property(
     stretch must be one interval), so unordered pairs suffice.  Budget
     exhaustion gives holds=None, never a silent False.
     """
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("non-revisiting search requires a bounded polytope")
     return _nonrevisiting_all_pairs(
         inc.graph.adj,
@@ -308,9 +308,12 @@ def monotone_eccentricity(inc: Incidence, c) -> MonotoneReport:
             f"functional has {len(c)} coefficient{'s' * (len(c) != 1)}: "
             f"the polyhedron is in R^{inc.v.d}"
         )
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("monotone analysis requires a bounded polytope")
-    values = [dot(c, p) for p in inc.v.vertices]
+    # The values are only compared, so c may be scaled to primitive integers
+    # and each vertex y / t valued as c.y (L // t) at the common denominator L.
+    c, den = primitive(c), lcm(*(t for t, *_ in inc.v.rows))
+    values = [dot(c, y) * (den // t) for t, *y in inc.v.rows]
     labels = inc.v.all_labels()
     top = max(values)
     winners = [i for i, val in enumerate(values) if val == top]

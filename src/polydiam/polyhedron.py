@@ -2,8 +2,11 @@
 
 An `HPolyhedron` is a list of closed half-spaces ``b + a.x >= 0`` (rows),
 optionally with some rows marked as equalities ("linearity").  A
-`VPolyhedron` is a list of vertices plus extreme-ray directions; rays are
-empty exactly when the polyhedron is bounded.  `Incidence` records which
+`VPolyhedron` is a list of vertices plus extreme-ray directions, kept as
+primitive homogeneous integer rows (t, y) for the point y / t and (0, r)
+for the ray r; its `Fraction` vertices are built only when read, since
+the graph and the counts never need them.  Rays are empty exactly when
+the polyhedron is bounded.  `Incidence` records which
 vertex and which ray is tight on which row, as bitmasks both ways; every
 graph and classification question in this package is answered from that
 tightness data, never from floating point.  The one rank taken here is
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import gcd
 from operator import and_, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -129,55 +133,99 @@ class HPolyhedron:
         return b + dot(a, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VPolyhedron:
-    """Vertex + ray description.  `rays` empty iff the polyhedron is bounded.
+    """Vertex + ray description, kept as primitive homogeneous integers.
 
+    `rows` lists the vertices and then the rays, as a V-file does: the
+    vertex y / t is the row (t, *y) with t > 0, the ray r is the row
+    (0, *r), and every row is scaled to primitive integers, so a point or a
+    direction has exactly one row.  `nverts` counts the vertex rows.
+    Equality and hashing read `rows`.  `vertices` and `rays` are the
+    `Fraction` views, built when first read; `rays` is empty iff the
+    polyhedron is bounded.
+
+    The constructor takes rational points and rays, as `from_points` does
+    with d read off the first point; `_of_rows` takes the integer rows,
+    which the double description and the V-file reader already hold.
     `labels` optionally names the vertices (defaults to v0, v1, ...); the
     Klee-Walkup data uses the letters a..h, w.
     """
 
     d: int
-    vertices: tuple[Point, ...]
-    rays: tuple[Vector, ...] = ()
+    rows: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
 
-    def __post_init__(self) -> None:
-        for p in self.vertices:
-            if len(p) != self.d:
-                raise ValueError("vertex dimension mismatch")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("vertices must be pairwise distinct")
-        for r in self.rays:
-            if len(r) != self.d or all(x == 0 for x in r):
-                raise ValueError("rays must be nonzero of dimension d")
-        prims = [primitive(r) for r in self.rays]
-        if len(set(prims)) != len(prims):
+    def __init__(self, d: int, vertices=(), rays=(), labels=None) -> None:
+        rows = tuple(primitive((1, *p)) for p in vertices)
+        self._store(d, rows + tuple(primitive((0, *r)) for r in rays), labels)
+
+    @classmethod
+    def _of_rows(cls, d: int, rows: tuple[tuple[int, ...], ...], labels=None) -> "VPolyhedron":
+        v = cls.__new__(cls)
+        v._store(d, rows, labels)
+        return v
+
+    def _store(self, d: int, rows: tuple[tuple[int, ...], ...], labels) -> None:
+        if any(len(row) != d + 1 for row in rows):
+            raise ValueError("every row needs d + 1 entries")
+        nverts = next((k for k, row in enumerate(rows) if row[0] <= 0), len(rows))
+        for row in rows[nverts:]:
+            if row[0]:
+                raise ValueError("each row is a vertex (t > 0) or a ray (t = 0), vertices first")
+            if not any(row):
+                raise ValueError("rays must be nonzero")
+        if any(gcd(*row) != 1 for row in rows):
+            raise ValueError("rows must be primitive integer vectors")
+        if len(set(rows)) != len(rows):
+            if len(set(rows[:nverts])) != nverts:
+                raise ValueError("vertices must be pairwise distinct")
             raise ValueError("ray directions must be pairwise non-parallel")
-        if self.labels is not None and len(self.labels) != len(self.vertices):
-            raise ValueError("one label per vertex required")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != nverts:
+                raise ValueError("one label per vertex required")
+        for name, value in (("d", d), ("rows", rows), ("labels", labels), ("nverts", nverts)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence], rays=(), labels=None) -> "VPolyhedron":
-        vs = tuple(tuple(Fraction(x) for x in p) for p in points)
-        rs = tuple(tuple(Fraction(x) for x in r) for r in rays)
-        d = len(vs[0]) if vs else (len(rs[0]) if rs else 0)
-        return cls(d, vs, rs, tuple(labels) if labels is not None else None)
+        points, rays = tuple(points), tuple(rays)
+        d = len(points[0]) if points else (len(rays[0]) if rays else 0)
+        return cls(d, points, rays, labels)
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The point y / t of each vertex row (t, *y), as `Fraction`s."""
+        return tuple(_point(row) for row in self.rows[: self.nverts])
+
+    @cached_property
+    def rays(self) -> tuple[Vector, ...]:
+        """The direction r of each ray row (0, *r), as `Fraction`s."""
+        return tuple(tuple(map(Fraction, row[1:])) for row in self.rows[self.nverts:])
 
     @property
     def bounded(self) -> bool:
-        return not self.rays
+        return self.nverts == len(self.rows)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else f"v{i}"
 
     def all_labels(self) -> tuple[str, ...]:
-        return tuple(self.label(i) for i in range(len(self.vertices)))
+        return tuple(self.label(i) for i in range(self.nverts))
 
     def centroid(self) -> Point:
         """The average of the vertices (rays ignored)."""
-        m = len(self.vertices)
+        m = self.nverts
         return tuple(sum(p[j] for p in self.vertices) / m for j in range(self.d))
+
+
+def _point(row: Sequence[int]) -> Point:
+    """The point y / t of the homogeneous row (t, *y), t > 0."""
+    t = row[0]
+    if t == 1:
+        return tuple(map(Fraction, row[1:]))
+    return tuple(Fraction(c, t) for c in row[1:])
 
 
 class Incidence:
@@ -348,35 +396,26 @@ def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
 
     Errors if some vertex violates a row.
 
-    Rows, vertices (as (1, p)) and rays (as (0, r)) are scaled by positive
-    factors to primitive integers, which keeps every sign, so each test is
-    an integer dot product: n x m of them.  `dd.analyse` runs this on the
-    V path only, where the facet rows are new and the points are given; an
+    Rows are scaled by positive factors to primitive integers, which keeps
+    every sign, and `v.rows` already are, so each test is an integer dot
+    product: n x m of them.  `dd.analyse` runs this on the V path only,
+    where the facet rows are new and the points are given; an
     H-description's masks are the zero sets its conversion already holds.
     """
     rows = [primitive((b, *a)) for b, a in h.rows]
     masks = []
-    for k, p in enumerate(v.vertices):
-        point = primitive((1, *p))
+    for k, point in enumerate(v.rows):
         m = 0
         for i, row in enumerate(rows):
             val = sum(map(mul, row, point))
             if val == 0:
                 m |= 1 << i
-            elif val < 0 or i in h.linearity:
+            elif k < v.nverts and (val < 0 or i in h.linearity):
                 raise ValueError(
                     f"vertex {v.label(k)} violates row {i + 1}: H and V are inconsistent"
                 )
         masks.append(m)
-    ray_masks = []
-    for r in v.rays:
-        direction = primitive((0, *r))
-        m = 0
-        for i, row in enumerate(rows):
-            if sum(map(mul, row, direction)) == 0:
-                m |= 1 << i
-        ray_masks.append(m)
-    return Incidence(h, v, masks, ray_masks)
+    return Incidence(h, v, masks[: v.nverts], masks[v.nverts:])
 
 
 def _maximal(sets: Iterable[int]) -> list[int]:
@@ -476,7 +515,7 @@ def dual_graph(inc: Incidence) -> PolyGraph:
     needs no dimension, so lower-dimensional input works unchanged.  Only
     bounded polytopes: with rays the vertex-only test would be wrong.
     """
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("dual graph requires a bounded polytope")
     cols = [inc.columns[i] for i in inc.facets]
     adj = [0] * len(cols)
@@ -501,7 +540,7 @@ def classify(inc: Incidence) -> tuple[bool, bool]:
     Here d is the dimension of the affine hull, so the answer does not
     change when the polytope is placed in a larger space.
     """
-    if inc.v.rays:
+    if not inc.v.bounded:
         raise Unbounded("classification requires a bounded polytope")
     d = inc.dim
     simple = all(m.bit_count() == d for m in inc.facet_masks)
@@ -522,13 +561,13 @@ def polar(inc: Incidence) -> tuple[HPolyhedron, Vector]:
     was applied to the input points.
     """
     v = inc.v
-    if not v.vertices:
+    if not v.nverts:
         raise Infeasible("infeasible")
-    if v.rays:
+    if not v.bounded:
         raise Unbounded("polar requires a bounded polytope")
     shift = tuple(-c for c in v.centroid())
     rows = tuple(
         (Fraction(1), tuple(-(p[j] + shift[j]) for j in range(v.d)))
         for p in v.vertices
     ) + tuple((Fraction(0), inc.h.rows[i][1]) for i in inc.implicit)
-    return HPolyhedron(v.d, rows, frozenset(range(len(v.vertices), len(rows)))), shift
+    return HPolyhedron(v.d, rows, frozenset(range(v.nverts, len(rows)))), shift

@@ -567,10 +567,9 @@ def projected_vrep_to_hrep(v):
     if not free:
         return HPolyhedron(v.d, tuple(sorted(eq_rows)), frozenset(range(len(eq_rows))))
 
-    proj = VPolyhedron(
-        len(free),
-        tuple(tuple(p[j] for j in free) for p in v.vertices),
-        tuple(tuple(r[j] for j in free) for r in v.rays),
+    proj = VPolyhedron.from_points(
+        [tuple(p[j] for j in free) for p in v.vertices],
+        [tuple(r[j] for j in free) for r in v.rays],
     )
     reduced = _fulldim_vrep_to_hrep(proj)
     lifted = []

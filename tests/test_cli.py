@@ -233,6 +233,16 @@ def test_convert_changes_the_format_only(capsys, tmp_path):
     assert code == 0 and len(read_vfile(out).vertices) == 4
 
 
+def test_convert_writes_a_ray_at_primitive_scale(capsys, tmp_path):
+    # the points are copied, but a ray is a direction: `convert --to v` writes
+    # it primitive, as the H -> V conversion does
+    ext = tmp_path / "wedge.ext"
+    ext.write_text("V-representation\nbegin\n3 3 rational\n1 0 0\n1 1/2 -1/3\n0 2 4\nend\n")
+    code, out, err = run(capsys, "convert", "--to", "v", str(ext))
+    assert (code, err) == (0, "")
+    assert out == "V-representation\nbegin\n3 3 rational\n1 0 0\n1 1/2 -1/3\n0 1 2\nend\n"
+
+
 def test_graph_and_distance(capsys, tmp_path):
     c = tmp_path / "cube.ine"
     run(capsys, "gen", "cube", "2", "--out", str(c))

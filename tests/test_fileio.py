@@ -38,6 +38,16 @@ def test_vfile_round_trip():
     assert read_vfile(write_vfile(strip)) == strip
 
 
+@pytest.mark.parametrize("text", [
+    "V-representation\nbegin\n2 3 rational\n1 -1/3 5/2\n1 0 -7\nend\n",
+    # the triangle (0, 0), (0, 1/3), (1/2, 0) plus the ray (1, 1)
+    "V-representation\nbegin\n4 3 rational\n1 0 0\n1 0 1/3\n1 1/2 0\n0 1 1\nend\n",
+    "V-representation\nbegin\n3 4 rational\n1 -2/7 3/2 0\n0 -2 3 0\n0 0 0 1\nend\n",
+])
+def test_vfile_text_round_trip(text):
+    assert write_vfile(read_vfile(text)) == text
+
+
 def test_polyfile_dispatch():
     assert isinstance(read_polyfile(write_hfile(cube(2))), HPolyhedron)
     assert isinstance(read_polyfile(write_vfile(hrep_to_vrep(cube(2)))), VPolyhedron)

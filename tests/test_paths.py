@@ -12,6 +12,7 @@ from polydiam import (
     GeometryError,
     HPolyhedron,
     PolyGraph,
+    VPolyhedron,
     analyse,
     hrep_to_vrep,
     incidence,
@@ -353,6 +354,20 @@ def test_monotone_pentagon_against_hand_oracle(c, expected_worst):
     opt, worst = pentagon_monotone_worst(list(v.vertices), edges, c)
     assert report.worst_length == worst == expected_worst
     assert index[report.optimum] == opt
+
+
+@pytest.mark.parametrize("c,optimum", [
+    ((1, 1), "v2"),
+    ((Fraction(1, 2), Fraction(2, 3)), "v2"),
+    ((1, 2), "v1"),
+])
+def test_monotone_values_of_fractional_vertices(c, optimum):
+    # (0, 0), (0, 1/3) and (1/2, 0) are the rows (1, 0, 0), (3, 0, 1) and
+    # (2, 1, 0): c.y alone, without the common denominator, would tie or
+    # pick the wrong optimum
+    points = [(0, 0), (0, Fraction(1, 3)), (Fraction(1, 2), 0)]
+    report = monotone_eccentricity(analyse(VPolyhedron.from_points(points)), c)
+    assert (report.optimum, report.worst_length, report.unreachable) == (optimum, 1, ())
 
 
 def test_monotone_rejects_tie_on_edge():

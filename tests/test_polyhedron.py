@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polydiam import (
     HPolyhedron,
@@ -32,6 +34,7 @@ from polydiam.constructions import (
 )
 from polydiam.polyhedron import facet_row_indices
 from polydiam.paths import bfs_distances
+from polydiam.ratlin import primitive
 
 from corpus import ngon
 
@@ -71,6 +74,66 @@ def test_incidence_rejects_inconsistent_pair():
     bad = VPolyhedron.from_points([(5, 0)])
     with pytest.raises(ValueError):
         incidence(h, bad)
+
+
+@st.composite
+def _points_and_rays(draw):
+    """Distinct rational points in R^d, d <= 3, and nonzero, pairwise
+    non-parallel rational rays."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vec = st.tuples(*[coord] * d)
+    points = draw(st.lists(vec, min_size=1, max_size=5, unique=True))
+    rays = draw(st.lists(vec.filter(any), max_size=3, unique_by=primitive))
+    return points, rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(_points_and_rays())
+@example(([(Fraction(1, 2), Fraction(-7, 3))], [(Fraction(2, 3), Fraction(4, 3))]))
+def test_v_description_reads_back_as_fractions(case):
+    # the rows are primitive homogeneous integers; the views give back the
+    # `Fraction` points as given and each ray at its primitive scale
+    points, rays = case
+    v = VPolyhedron.from_points(points, rays)
+    assert all(gcd(*row) == 1 for row in v.rows)
+    assert v.nverts == len(points) and v.bounded == (not rays)
+    assert v.vertices == tuple(tuple(Fraction(x) for x in p) for p in points)
+    assert v.rays == tuple(tuple(Fraction(x) for x in primitive(r)) for r in rays)
+    assert all(type(x) is Fraction for p in v.vertices + v.rays for x in p)
+    # integral coordinates spelled as `int`, and rays at another positive
+    # scale, give the same rows: equal and of equal hash
+    plain = [tuple(int(x) if x.denominator == 1 else x for x in p) for p in points]
+    again = VPolyhedron.from_points(plain, [tuple(3 * x for x in r) for r in rays])
+    assert again == v and hash(again) == hash(v)
+
+
+def test_int_and_fraction_spellings_are_one_polytope():
+    as_int = VPolyhedron.from_points([(0, 0), (2, 0), (0, 1)], rays=[(1, 1)])
+    as_frac = VPolyhedron.from_points(
+        [(Fraction(0), Fraction(0)), (Fraction(4, 2), Fraction(0)), (Fraction(0), Fraction(1))],
+        rays=[(Fraction(1, 2), Fraction(1, 2))],
+    )
+    assert as_int == as_frac and hash(as_int) == hash(as_frac)
+    assert as_int.rows == ((1, 0, 0), (1, 2, 0), (1, 0, 1), (0, 1, 1))
+    assert as_int.vertices == ((0, 0), (2, 0), (0, 1)) and as_int.rays == ((1, 1),)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: VPolyhedron.from_points([(Fraction(1, 2),), (Fraction(2, 4),)]), "pairwise distinct"),
+    (lambda: VPolyhedron.from_points([(0, 0)], rays=[(1, 2), (2, 4)]), "non-parallel"),
+    (lambda: VPolyhedron.from_points([(0, 0)], rays=[(0, 0)]), "nonzero"),
+    (lambda: VPolyhedron.from_points([(0, 0), (1,)]), "d \\+ 1 entries"),
+    (lambda: VPolyhedron.from_points([(0,)], labels=["a", "b"]), "one label"),
+    (lambda: VPolyhedron._of_rows(1, ((2, 2),)), "primitive"),
+    (lambda: VPolyhedron._of_rows(1, ((1, 0), (0, 2))), "primitive"),
+    (lambda: VPolyhedron._of_rows(1, ((-1, 1),)), "t > 0"),
+    (lambda: VPolyhedron._of_rows(1, ((1, 0), (-1, 1))), "t > 0"),
+    (lambda: VPolyhedron._of_rows(1, ((0, 1), (1, 0))), "t > 0"),
+])
+def test_v_description_rejects_malformed_rows(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_skeleton_cube_is_hamming_graph():
