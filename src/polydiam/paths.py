@@ -21,6 +21,12 @@ left-set is sound.  A walk needs at least dist(node, target) more steps,
 so the search cuts a node whose BFS distance to the target exceeds the
 steps left; the cut subtrees hold no path, so the search meets the same
 paths in the same order, and finds the same first one, as without it.
+
+The all-pairs check first runs one greedy pass per source: a BFS by the
+same step rule and cap (dual checks and arbitrary masks can have longer
+walks) that keeps the first left-set found per node.  A node it reaches
+has a walk, so only the pairs it misses run the DFS, in pair order, and
+the witness is unchanged.  Each node it reaches costs one budget unit.
 """
 
 from __future__ import annotations
@@ -146,14 +152,14 @@ def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:
 
 
 class SearchBudget:
-    """Shared node-expansion counter for the backtracking searches."""
+    """Shared work counter of the non-revisiting searches: DFS expansions and pass nodes."""
 
     def __init__(self, limit: int | None):
         self.limit = limit
         self.used = 0
 
-    def spend(self) -> bool:
-        self.used += 1
+    def spend(self, cost: int = 1) -> bool:
+        self.used += cost
         return self.limit is None or self.used <= self.limit
 
 
@@ -214,6 +220,34 @@ def nonrevisiting_dfs(
     return None
 
 
+def _greedy_misses(
+    adj: Sequence[int], masks: list[int], source: int, cap: int, budget: SearchBudget
+) -> int:
+    """The nodes j > source that the greedy pass from `source` (see the
+    module docstring) misses, as a bitset; it charges `budget` per layer."""
+    targets = (1 << len(adj)) - (2 << source)
+    left, frontier = [0] * len(adj), 1 << source
+    unseen = (1 << len(adj)) - 1 ^ frontier
+    for _ in range(cap):
+        if not targets & unseen:
+            break
+        before = unseen
+        for u in _bits(frontier):
+            lu, mu = left[u], masks[u]
+            fresh = adj[u] & unseen
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                w = low.bit_length() - 1
+                if not masks[w] & lu:
+                    left[w] = lu | (mu & ~masks[w])
+                    unseen ^= low
+        frontier = before ^ unseen
+        if not budget.spend(frontier.bit_count()):
+            raise TimeoutError("search budget exhausted")
+    return targets & unseen
+
+
 def _nonrevisiting_all_pairs(
     adj: Sequence[int],
     masks: list[int],
@@ -221,15 +255,16 @@ def _nonrevisiting_all_pairs(
     names: Sequence[str],
     budget: int | None,
 ) -> PropertyResult:
-    """Run `nonrevisiting_dfs` on every unordered pair i < j, sharing one
-    budget and one BFS per target; the first pair without a path is the
-    witness."""
-    rows = [_bfs_layers(adj, j) for j in range(len(names))]
+    """Whether every pair i < j has a non-revisiting walk of at most `cap` steps;
+    the first pair without one is the witness.  The pairs `_greedy_misses` leaves
+    run `nonrevisiting_dfs` in order, each target's BFS built on first use."""
+    rows: dict[int, list[int]] = {}
     shared = SearchBudget(budget)
     try:
         for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                if nonrevisiting_dfs(adj, masks, i, j, cap, shared, rows[j]) is None:
+            for j in _bits(_greedy_misses(adj, masks, i, cap, shared)):
+                layers = rows.get(j) or rows.setdefault(j, _bfs_layers(adj, j))
+                if nonrevisiting_dfs(adj, masks, i, j, cap, shared, layers) is None:
                     return PropertyResult(holds=False, witness=(names[i], names[j]))
     except TimeoutError:
         return PropertyResult(holds=None, witness=None)

@@ -60,7 +60,7 @@ def nullspace(data: Iterable[Sequence]) -> list[Vector]:
     if not rows:
         return []
     ncols = len(rows[0])
-    _, reduced = _echelon(rows)
+    _, reduced = _echelon(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in reduced:

@@ -28,6 +28,8 @@ from polydiam.constructions import (
 )
 from polydiam.paths import (
     SearchBudget,
+    _greedy_misses,
+    _nonrevisiting_all_pairs,
     bfs_distances,
     diameter,
     mask_diameter,
@@ -327,6 +329,106 @@ def test_nonrevisiting_dfs_unreachable_target_spends_no_budget():
     budget = SearchBudget(None)
     assert nonrevisiting_dfs(adj, masks, 0, 2, 3, budget, [0b0100, 0b1000]) is None
     assert budget.used == 0
+
+
+@st.composite
+def _mask_graphs(draw, antichain=False):
+    """(adj, masks, cap): an undirected graph on at most 8 nodes, one mask of
+    at most 6 bits per node and a cap of 0-6.  With `antichain`, the masks
+    are distinct and of one size, as the dual check's vertex sets are."""
+    if antichain:
+        size = draw(st.integers(1, 5))
+        pool = [sum(1 << b for b in c) for c in combinations(range(6), size)]
+        masks = draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=min(8, len(pool)), unique=True))
+    else:
+        masks = draw(st.lists(st.integers(0, 63), min_size=1, max_size=8))
+    pairs = list(combinations(range(len(masks)), 2))
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    adj = [0] * len(masks)
+    for k, (i, j) in enumerate(pairs):
+        if chosen >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj, masks, draw(st.integers(0, 6))
+
+
+def _matches_unpruned_all_pairs(adj, masks, cap):
+    names = tuple(f"v{i}" for i in range(len(adj)))
+    adjacency = {i: [j for j in range(len(adj)) if a >> j & 1] for i, a in enumerate(adj)}
+    result = _nonrevisiting_all_pairs(adj, masks, cap, names, None)
+    return (result.holds, result.witness) == nonrevisiting_all_pairs(adjacency, masks, cap, names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_graphs())
+def test_all_pairs_matches_unpruned_search_on_arbitrary_masks(case):
+    # walks may be longer than n - d here, so only the cap keeps the greedy
+    # pass from certifying a pair the capped search rejects
+    assert _matches_unpruned_all_pairs(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mask_graphs(antichain=True))
+def test_all_pairs_matches_unpruned_search_on_antichain_masks(case):
+    assert _matches_unpruned_all_pairs(*case)
+
+
+def test_all_pairs_without_a_step_left_certifies_nothing():
+    # an edge, but a cap of 0: the pass must not take the step the DFS may not
+    assert _matches_unpruned_all_pairs([0b10, 0b01], [0, 0], 0)
+
+
+def test_dfs_runs_where_the_greedy_pass_misses_a_walk(monkeypatch):
+    # from node 1 the pass reaches 0 by 1 -> 3 -> 0 first, whose left-set
+    # bars 2; the walk 1 -> 4 -> 0 -> 2 exists and the DFS finds it
+    adj = [0b11100, 0b11000, 0b00001, 0b10011, 0b01011]
+    masks = [0b01100, 0b10010, 0b01001, 0b10001, 0b11000]
+    assert _greedy_misses(adj, masks, 1, 3, SearchBudget(None)) >> 2 & 1
+    searched = []
+
+    def spy(adj, masks, source, target, *rest):
+        found = nonrevisiting_dfs(adj, masks, source, target, *rest)
+        searched.append((source, target, found))
+        return found
+
+    monkeypatch.setattr("polydiam.paths.nonrevisiting_dfs", spy)
+    assert _matches_unpruned_all_pairs(adj, masks, 3)
+    assert (1, 2, [1, 4, 0, 2]) in searched
+
+
+def test_greedy_pass_certifies_only_pairs_with_a_walk_on_corpus():
+    for name, _ in corpus():
+        inc = converted(name)
+        labels = inc.graph.nodes
+        tight = [frozenset(i for i in range(inc.nrows) if m >> i & 1) for m in inc.masks]
+        adjacency = _sorted_neighbours(inc.graph)
+        cap = len(inc.facets) - inc.dim
+        for i in range(len(labels)):
+            missed = _greedy_misses(inc.graph.adj, inc.facet_masks, i, cap, SearchBudget(None))
+            for j in range(i + 1, len(labels)):
+                if not missed >> j & 1:
+                    assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (name, i, j)
+
+
+def test_greedy_pass_certifies_every_pair_of_a_polytope():
+    # so on polytopes the DFS never runs: only the mask tests above reach it
+    named = [(name, converted(name)) for name, _ in corpus()]
+    named += [(f"hirsch_sharp{dn}", analyse(hirsch_sharp(*dn))) for dn in ((5, 11), (6, 15))]
+    for name, inc in named:
+        adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
+        for i in range(len(adj)):
+            assert _greedy_misses(adj, masks, i, cap, SearchBudget(None)) == 0, (name, i)
+
+
+def test_greedy_pass_charges_one_unit_per_node_reached():
+    # the path 0-1-2-3: the pass from 0 reaches 3 nodes, from 1 reaches 0
+    # and 2, then 3, from 2 reaches 1 and 3, and from 3 has no target left
+    adj = [0b0010, 0b0101, 0b1010, 0b0100]
+    masks = [0b00011, 0b00110, 0b01100, 0b11000]
+    names = ("a", "b", "c", "d")
+    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 8).holds is True
+    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 7).holds is None
 
 
 def test_monotone_cube_all_ones():
