@@ -431,6 +431,13 @@ def test_greedy_pass_charges_one_unit_per_node_reached():
     assert _nonrevisiting_all_pairs(adj, masks, 3, names, 7).holds is None
 
 
+def test_pass_past_the_budget_leaves_a_free_proof_to_the_dfs():
+    # b is in another component: the pass from a spends the zero budget on
+    # reaching c, and the DFS's distance cut still proves (a, b) for free
+    result = _nonrevisiting_all_pairs([0b100, 0, 0b001], [0b01, 0b10, 0b10], 2, "abc", 0)
+    assert (result.holds, result.witness) == (False, ("a", "b"))
+
+
 def test_monotone_cube_all_ones():
     h, v, inc, g = _pipeline(cube(3))
     report = monotone_eccentricity(inc, (1, 1, 1))
