@@ -6,16 +6,21 @@ graph diameter five, the anti-star of the apex with its 15 tetrahedra, and
 the unbounded eight-facet counterexample obtained by sending a facet to
 infinity.
 
+Every fact about the boundary of Q4* comes from `analyse` and
+`dual_graph`: the ridge graph of a simplicial polytope is its dual graph,
+so the boundary is walked on `dual_graph(analyse(Q4*))`, each facet named
+by the labels of its vertices, and the anti-star of w is the facets that
+miss w.
+
 Run with the package on the path, e.g. `PYTHONPATH=src python
 scripts/klee_walkup_tour.py`; CI compares its stdout with
 `scripts/klee_walkup_tour.expected`.
 """
 
-from polydiam import analyse
+from polydiam import PolyGraph, analyse, dual_graph
 from polydiam.bounds import bound_table, hirsch_report
 from polydiam.constructions import klee_walkup, unbound_at_facet, unbound_point_map
 from polydiam.paths import bfs_distances, diameter
-from polydiam.simplicial import anti_star, boundary_complex, facet_name, ridge_graph
 
 
 def main() -> None:
@@ -24,15 +29,17 @@ def main() -> None:
     for label, point in zip(vstar.all_labels(), vstar.vertices):
         print(f"  {label} = {tuple(int(x) for x in point)}")
 
-    complex_ = boundary_complex(analyse(vstar))
-    print(f"\nboundary of Q4*: {len(complex_.facets)} tetrahedra on 9 vertices")
-    rg = ridge_graph(complex_)
-    dist = bfs_distances(rg, "abcd")
+    qstar = analyse(vstar)
+    labels = qstar.v.all_labels()
+    names = ["".join(sorted(labels[k] for k in qstar.vertices_on_row(i))) for i in qstar.facets]
+    print(f"\nboundary of Q4*: {len(names)} tetrahedra on {len(labels)} vertices")
+    ridges = PolyGraph(tuple(names), dual_graph(qstar).adj)
+    dist = bfs_distances(ridges, "abcd")
     print(f"ridge distance abcd -> efgh: {dist['efgh']}")
 
-    star_15 = anti_star(complex_, "w")
-    print(f"anti-star of w: {len(star_15.facets)} tetrahedra")
-    print(" ", " ".join(sorted(facet_name(f) for f in star_15.facets)))
+    star_15 = sorted(name for name in names if "w" not in name)
+    print(f"anti-star of w: {len(star_15)} tetrahedra")
+    print(" ", " ".join(star_15))
 
     inc = analyse(q4)
     report = hirsch_report(inc)

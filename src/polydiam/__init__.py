@@ -14,7 +14,6 @@ from .polyhedron import (
     VPolyhedron,
     classify,
     dual_graph,
-    incidence,
     polar,
     skeleton_graph,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "classify",
     "dual_graph",
     "hrep_to_vrep",
-    "incidence",
     "parse_rational",
     "polar",
     "reduce_to_full_dim",

@@ -25,11 +25,12 @@ scan over every ray.  A short rank of the cone rows (a line in the input)
 surfaces there too, as `NotPointed`, with no separate rank test.
 
 `analyse` is the one way from a description, H or V, to its `Incidence`:
-it converts once and pairs the input with its converse.  For an
-H-description the `Incidence` masks are the zero sets the cone already
-holds for every ray, mapped back to the rows of the input, so no dot
-product follows the DD; a V-description's new facet rows are checked
-against its points by `polyhedron.incidence`.
+it converts once and pairs the input with its converse.  The cone already
+holds the zero set of every extreme ray over its rows, and the cone rows
+stand for the input's rows, so each conversion can hand over the zero
+sets of its output over the input: the vertex and ray masks of an
+H-description, the facet columns of a V-description.  No dot product
+follows the DD either way.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .polyhedron import (
     NotPointed,
     Row,
     VPolyhedron,
+    _bits,
     _point,
     _tight_on_all,
     canonical_equality_row,
-    incidence,
 )
 from .ratlin import _echelon, dot, nullspace, primitive
 
@@ -157,6 +158,16 @@ def _cone_extreme_rays(
     return rays
 
 
+def _remap(mask: int, images: list[int]) -> int:
+    """The union of `images[i]` over the set bits i of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhedron:
     """All vertices and one representative per extreme ray, exactly.
 
@@ -205,13 +216,7 @@ def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhed
     order = verts + dirs
     if zero_sets is not None:
         rows_of = [where[c] for c in cone_rows]
-        for k in order:
-            m, tight = masks[k], 0
-            while m:
-                low = m & -m
-                tight |= rows_of[low.bit_length() - 1]
-                m ^= low
-            zero_sets.append(tight)
+        zero_sets.extend(_remap(masks[k], rows_of) for k in order)
     return VPolyhedron._of_rows(h.d, tuple(rays[k] for k in order))
 
 
@@ -249,7 +254,7 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(len(basis), tuple(rows))
 
 
-def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
+def vrep_to_hrep(v: VPolyhedron, zero_sets: list[int] | None = None) -> HPolyhedron:
     """Irredundant inequality description of conv(vertices) + cone(rays).
 
     The rows (b, a) with b + a.p >= 0 on every vertex p and a.r >= 0 on
@@ -258,48 +263,70 @@ def vrep_to_hrep(v: VPolyhedron) -> HPolyhedron:
     linearity rows.  Setting their pivot coefficients to zero leaves a
     pointed cone whose extreme rays with a nonzero linear part are the
     facet rows.  Every row is primitive integers, and each block is sorted.
+    When `zero_sets` is a list, it is extended by the zero set of each
+    returned row, mapped from the cone's rows to the rows of `v`: bit k is
+    set when `v.rows[k]` is tight, so a hull equation's is every row.
+    These are the `Incidence`'s columns, which `analyse` reads.
     """
     if not v.nverts:
         raise ValueError("V-representation needs at least one vertex")
     eq_rows = sorted(canonical_equality_row((e[0], e[1:])) for e in nullspace(v.rows))
     pivots = _echelon(a for _, a in eq_rows)[1]
     free = [0] + [j + 1 for j in range(v.d) if j not in pivots]
-    projected = {primitive([c[j] for j in free]) for c in v.rows}
-    facets: list[Row] = []
-    for ray in _cone_extreme_rays(sorted(projected), len(free)):
+    # The pivot coordinates of a row follow from its free ones by the hull
+    # equations, so distinct rows stay distinct: where[c] is the one row of
+    # v whose cone row is c.
+    where = {primitive([c[j] for j in free]): k for k, c in enumerate(v.rows)}
+    cone_rows = sorted(where)
+    masks: list[int] = []
+    rays = _cone_extreme_rays(cone_rows, len(free), masks)
+    facets = []
+    for ray, z in zip(rays, masks):
         y = [0] * (v.d + 1)
         for j, x in zip(free, ray):
             y[j] = x
         if any(y[1:]):  # a = 0 is the artifact row "1 >= 0" of unbounded input
-            facets.append((Fraction(y[0]), tuple(map(Fraction, y[1:]))))
-    return HPolyhedron(v.d, tuple(eq_rows) + tuple(sorted(facets)), frozenset(range(len(eq_rows))))
+            facets.append((y, z))
+    facets.sort()  # the integer rows are distinct and order like their Fractions
+    if zero_sets is not None:
+        rows_of = [1 << where[c] for c in cone_rows]
+        zero_sets.extend([(1 << len(v.rows)) - 1] * len(eq_rows))
+        zero_sets.extend(_remap(z, rows_of) for _, z in facets)
+    rows = tuple((Fraction(y[0]), tuple(map(Fraction, y[1:]))) for y, _ in facets)
+    return HPolyhedron(v.d, tuple(eq_rows) + rows, frozenset(range(len(eq_rows))))
 
 
 def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
     """The `Incidence` of a polyhedron given by either description.
 
-    The other description is computed by one conversion.  An H-description
-    takes its masks from the zero sets of that conversion
-    (`hrep_to_vrep(h, zero_sets)`), a V-description from `incidence`.  The
-    vertices of an H-description come out sorted.  The vertices of a
-    V-description keep their order and labels, so v0, v1, ... name the same
-    points for every caller.  A listed point that is not a vertex is
-    dropped, the others keeping their labels: point k is a vertex exactly
-    when no other point and no ray is tight on every row it is.  No vertex
-    at all means the set holds a line.
+    The other description is computed by one conversion, which also hands
+    over the zero sets of its output over the input's rows
+    (`hrep_to_vrep(h, zero_sets)`, `vrep_to_hrep(v, zero_sets)`), so no dot
+    product follows the DD.  The vertices of an H-description come out
+    sorted.  The vertices of a V-description keep their order and labels,
+    so v0, v1, ... name the same points for every caller.  A listed point
+    that is not a vertex is dropped, the others keeping their labels:
+    point k is a vertex exactly when no other point and no ray is tight on
+    every row it is.  No vertex at all means the set holds a line.
     """
+    zero_sets: list[int] = []
     if isinstance(poly, HPolyhedron):
-        zero_sets: list[int] = []
         v = hrep_to_vrep(poly, zero_sets)
         return Incidence(poly, v, zero_sets[: v.nverts], zero_sets[v.nverts:])
-    inc = incidence(vrep_to_hrep(poly), poly)
+    h = vrep_to_hrep(poly, zero_sets)
+    masks = [0] * len(poly.rows)
+    for i, column in enumerate(zero_sets):
+        for k in _bits(column):
+            masks[k] |= 1 << i
+    everything = (1 << len(poly.rows)) - 1
     keep = [
-        k for k, m in enumerate(inc.masks)
-        if _tight_on_all(inc.columns, m, inc.everything, 1 << k) == 1 << k
+        k for k in range(poly.nverts)
+        if _tight_on_all(zero_sets, masks[k], everything, 1 << k) == 1 << k
     ]
-    if len(keep) == inc.nverts:
-        return inc
     if not keep:  # a pointed polyhedron has a vertex among its points
         raise NotPointed("feasible set contains a line: no vertices exist")
-    rows = tuple(poly.rows[k] for k in keep) + poly.rows[poly.nverts:]
-    return incidence(inc.h, VPolyhedron._of_rows(poly.d, rows, tuple(map(poly.label, keep))))
+    v = poly
+    if len(keep) < poly.nverts:
+        rows = tuple(poly.rows[k] for k in keep) + poly.rows[poly.nverts:]
+        v = VPolyhedron._of_rows(poly.d, rows, tuple(map(poly.label, keep)))
+    return Incidence(h, v, [masks[k] for k in keep], masks[poly.nverts:])

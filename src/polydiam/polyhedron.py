@@ -1,4 +1,4 @@
-"""H- and V-representations, incidence, and the combinatorial face tests.
+"""H- and V-representations, their incidence, and the combinatorial face tests.
 
 An `HPolyhedron` is a list of closed half-spaces ``b + a.x >= 0`` (rows),
 optionally with some rows marked as equalities ("linearity").  A
@@ -6,12 +6,13 @@ optionally with some rows marked as equalities ("linearity").  A
 primitive homogeneous integer rows (t, y) for the point y / t and (0, r)
 for the ray r; its `Fraction` vertices are built only when read, since
 the graph and the counts never need them.  Rays are empty exactly when
-the polyhedron is bounded.  `Incidence` records which
-vertex and which ray is tight on which row, as bitmasks both ways; every
-graph and classification question in this package is answered from that
-tightness data, never from floating point.  The one rank taken here is
-of the implicit equalities behind `Incidence.dim` (usual input has none),
-by `ratlin._echelon`; those rows are the polyhedron's affine hull, and
+the polyhedron is bounded.  `Incidence` records which vertex and which
+ray is tight on which row, as bitmasks both ways, read off the one
+conversion that `dd.analyse` runs; every graph and classification
+question in this package is answered from that tightness data, never
+from floating point.  The one rank taken here is of the implicit
+equalities behind `Incidence.dim` (usual input has none), by
+`ratlin._echelon`; those rows are the polyhedron's affine hull, and
 `polar` and the operators of `constructions` read the hull from them.
 
 For a pointed polyhedron P every nonempty face is conv + cone of the
@@ -45,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from operator import and_, mul
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .ratlin import Vector, _echelon, dot, primitive
@@ -240,10 +241,8 @@ class Incidence:
     The derived data is computed the first time it is asked for and then
     kept: `facets` (by `facet_row_indices`), `facet_masks`, `implicit`,
     `dim` and `graph` (by `skeleton_graph`).  Build one with
-    `dd.analyse(poly)` from either description.  For an H-description it
-    takes the masks from the zero sets of the double description; for a
-    V-description, and in tests where both descriptions are known, the
-    masks come from `incidence(h, v)`.
+    `dd.analyse(poly)` from either description: the masks are the zero
+    sets that the double description of the conversion already holds.
     """
 
     def __init__(
@@ -389,33 +388,6 @@ class PolyGraph:
             for j in _bits(nbrs)
             if j > i
         )
-
-
-def incidence(h: HPolyhedron, v: VPolyhedron) -> Incidence:
-    """The analysis object of the pair, with its exact tightness masks.
-
-    Errors if some vertex violates a row.
-
-    Rows are scaled by positive factors to primitive integers, which keeps
-    every sign, and `v.rows` already are, so each test is an integer dot
-    product: n x m of them.  `dd.analyse` runs this on the V path only,
-    where the facet rows are new and the points are given; an
-    H-description's masks are the zero sets its conversion already holds.
-    """
-    rows = [primitive((b, *a)) for b, a in h.rows]
-    masks = []
-    for k, point in enumerate(v.rows):
-        m = 0
-        for i, row in enumerate(rows):
-            val = sum(map(mul, row, point))
-            if val == 0:
-                m |= 1 << i
-            elif k < v.nverts and (val < 0 or i in h.linearity):
-                raise ValueError(
-                    f"vertex {v.label(k)} violates row {i + 1}: H and V are inconsistent"
-                )
-        masks.append(m)
-    return Incidence(h, v, masks[: v.nverts], masks[v.nverts:])
 
 
 def _maximal(sets: Iterable[int]) -> list[int]:

@@ -10,24 +10,29 @@ with the literal third-ray adjacency scan, a queue BFS and a per-source
 bitset BFS for diameters and their witness pairs, simple-path
 enumeration for the non-revisiting property, a literal interval check
 of what "never revisits a facet" means, the non-revisiting search
-without its distance cut, and the subset-graph search that re-checks
-the layer property on every pair after every trial deletion.
+without its distance cut (also in its dual form, over the facets of a
+boundary complex given as label sets), and the subset-graph search that
+re-checks the layer property on every pair after every trial deletion.
 
-One reference does call the library: `projected_vrep_to_hrep`, the
+Two references do call the library.  `projected_vrep_to_hrep`, the
 V -> H conversion that projects lower-dimensional input onto the free
 coordinates of its affine hull, converts there and lifts the facets
-back.  It uses the library's null space, elimination and cone, and
-checks the one-cone reduction around them.
+back, uses the library's null space, elimination and cone, and checks
+the one-cone reduction around them.  `incidence` builds the library's
+`Incidence` of a known pair of descriptions from integer dot products,
+the reference for the zero sets that `analyse` reads off its conversion.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from polydiam.dd import _cone_extreme_rays
 from polydiam.polyhedron import (
     HPolyhedron,
+    Incidence,
     VPolyhedron,
     canonical_equality_row,
     canonical_row,
@@ -202,6 +207,29 @@ def fraction_incidence(h, v):
         )
 
     return [mask(p, 1) for p in v.vertices], [mask(r, 0) for r in v.rays]
+
+
+def incidence(h, v):
+    """The `Incidence` of the pair, with its exact tightness masks.
+
+    Errors if some vertex violates a row.  Rows are scaled by positive
+    factors to primitive integers, which keeps every sign, and `v.rows`
+    already are, so each test is an integer dot product: n x m of them.
+    """
+    rows = [primitive((b, *a)) for b, a in h.rows]
+    masks = []
+    for k, point in enumerate(v.rows):
+        m = 0
+        for i, row in enumerate(rows):
+            val = sum(map(mul, row, point))
+            if val == 0:
+                m |= 1 << i
+            elif k < v.nverts and (val < 0 or i in h.linearity):
+                raise ValueError(
+                    f"vertex {v.label(k)} violates row {i + 1}: H and V are inconsistent"
+                )
+        masks.append(m)
+    return Incidence(h, v, masks[: v.nverts], masks[v.nverts:])
 
 
 def rank_affine_dim(points, rays=()):
@@ -425,6 +453,25 @@ def nonrevisiting_all_pairs(adjacency, masks, cap, names):
         if unpruned_nonrevisiting_dfs(adjacency, masks, i, j, cap) is None:
             return False, (names[i], names[j])
     return True, None
+
+
+def dual_nonrevisiting(facets):
+    """(holds, witness) of the dual non-revisiting question on a pure
+    complex given by its facets' vertex-label sets: facets in name order,
+    joined when they share all but one vertex, and a ridge path may never
+    re-enter the star of a vertex it has left; by the unpruned all-pairs
+    search, with the cap #vertices - facet size."""
+    facets = sorted(map(frozenset, facets), key=lambda f: "".join(sorted(f)))
+    labels = sorted(set().union(*facets))
+    size = len(facets[0])
+    masks = [sum(1 << labels.index(lab) for lab in f) for f in facets]
+    adjacency = {i: [] for i in range(len(facets))}
+    for i, j in combinations(range(len(facets)), 2):
+        if len(facets[i] & facets[j]) == size - 1:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    names = ["".join(sorted(f)) for f in facets]
+    return nonrevisiting_all_pairs(adjacency, masks, len(labels) - size, names)
 
 
 def subset_pair_filters(nodes):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiam import hrep_to_vrep, incidence
+from polydiam import hrep_to_vrep
 from polydiam.abstraction import (
     SubsetFamilyGraph,
     _deletable,
@@ -18,7 +18,12 @@ from polydiam.constructions import crosspolytope, cube, klee_walkup, simplex
 from polydiam.paths import diameter
 from polydiam import skeleton_graph
 
-from oracles import reference_search_max_diameter, subset_graph_valid, subset_pair_filters
+from oracles import (
+    incidence,
+    reference_search_max_diameter,
+    subset_graph_valid,
+    subset_pair_filters,
+)
 
 # Exact extremal diameter of a valid subset-family graph on 2-subsets of a
 # 4-element ground set, frozen from the complete enumeration (2605 valid

@@ -124,7 +124,7 @@ def _to_frac(x):
 def test_known_exact_reproduced_by_generators():
     # wherever a diameter-sharp generator exists for a tabulated (n, d),
     # walking the generated polytope reproduces the proved value
-    from polydiam import hrep_to_vrep as _conv, incidence as _inc, skeleton_graph as _sk
+    from polydiam import skeleton_graph as _sk
     from polydiam.constructions import hirsch_sharp
     from polydiam.paths import diameter as _diam
 
@@ -133,10 +133,7 @@ def test_known_exact_reproduced_by_generators():
     for n, d in cases:
         expected = known_exact(n, d)
         assert expected is not None
-        h = hirsch_sharp(d, n)
-        v = _conv(h)
-        inc = _inc(h, v)
-        assert _diam(_sk(inc))[0] == expected
+        assert _diam(_sk(analyse(hirsch_sharp(d, n))))[0] == expected
 
 
 def test_hirsch_report_klee_walkup():

@@ -570,9 +570,6 @@ def test_pipelines_compose_for_every_generator(capsys, tmp_path):
         ("zeroone", ["gen", "zeroone", "--dim", "3", "--points", "6",
                      "--seed", "4"]),
     ]
-    from polydiam import hrep_to_vrep, incidence
-    from polydiam.polyhedron import facet_row_indices
-
     for name, argv in gens:
         src = tmp_path / f"{name}.ine"
         assert run(capsys, *argv, "--out", str(src))[0] == 0
@@ -580,10 +577,7 @@ def test_pipelines_compose_for_every_generator(capsys, tmp_path):
             code, out, _ = run(capsys, "check", str(src), "--json")
             assert code == 0 and json.loads(out)["satisfies_hirsch"]
             continue
-        h = read_hfile(src.read_text())
-        v = hrep_to_vrep(h)
-        valid = facet_row_indices(incidence(h, v))
-        k = valid[0] + 1  # 1-based flag
+        k = analyse(read_hfile(src.read_text())).facets[0] + 1  # 1-based flag
         w = tmp_path / f"{name}.w.ine"
         assert run(capsys, "wedge", "--facet", str(k), str(src),
                    "--out", str(w))[0] == 0

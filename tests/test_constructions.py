@@ -9,7 +9,6 @@ from polydiam import (
     Unbounded,
     classify,
     hrep_to_vrep,
-    incidence,
     skeleton_graph,
     vrep_to_hrep,
 )
@@ -34,7 +33,7 @@ from polydiam.paths import bfs_distances, diameter
 from polydiam.polyhedron import facet_row_indices
 
 from corpus import ngon, orthant_polytope
-from oracles import brute_force_vertices
+from oracles import brute_force_vertices, incidence
 
 
 def _full(h):

@@ -13,7 +13,6 @@ from polydiam import (
     VPolyhedron,
     analyse,
     hrep_to_vrep,
-    incidence,
     reduce_to_full_dim,
     vrep_to_hrep,
 )
@@ -27,6 +26,7 @@ from oracles import (
     brute_force_vertices,
     echelon_rank,
     fraction_incidence,
+    incidence,
     primitive_ints,
     projected_vrep_to_hrep,
     solve_square,
@@ -237,6 +237,42 @@ def test_one_cone_matches_the_projected_conversion(data):
     got, want = vrep_to_hrep(v), projected_vrep_to_hrep(v)
     assert got == want
     assert repr(got.rows) == repr(want.rows)
+
+
+@st.composite
+def _points_with_non_vertices(draw):
+    """`_points_in_a_flat` plus midpoints of drawn points, which are not
+    vertices, all in a random order: (points, rays)."""
+    points, rays = draw(_points_in_a_flat())
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                          max_size=3))
+    mids = [tuple((x + y) / 2 for x, y in zip(p, q)) for p, q in pairs]
+    return draw(st.permutations(list(dict.fromkeys(points + mids)))), rays
+
+
+@settings(max_examples=200, deadline=None)
+@example(([(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2)), (0, 1), (1, 1)], []))  # square, centre
+@example(([(0, 0), (1, 1), (2, 2), (3, 3)], []))  # a segment and two interior points
+@example(([(0, 0), (2, 0)], [(1, 0), (0, 1)]))  # the orthant and a point on a ray
+@given(_points_with_non_vertices())
+def test_analyse_reads_the_columns_off_the_cone(data):
+    # The zero sets `vrep_to_hrep` hands to `analyse` are the tightness the
+    # `Fraction` oracle finds, and the points kept are the vertices of the
+    # H-description, under their own labels.  In these draws the input
+    # holds a line exactly when two of its rays are opposite.
+    points, rays = data
+    v = VPolyhedron.from_points(points, rays)
+    if any(primitive_ints([-x for x in r]) == primitive_ints(s) for r in rays for s in rays):
+        with pytest.raises(NotPointed):
+            analyse(v)
+        return
+    got = analyse(v)
+    assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(got.h, got.v)
+    vertices = set(hrep_to_vrep(got.h).vertices)
+    kept = [k for k, p in enumerate(points) if tuple(map(Fraction, p)) in vertices]
+    assert got.v.vertices == tuple(tuple(map(Fraction, points[k])) for k in kept)
+    assert got.v.all_labels() == tuple(f"v{k}" for k in kept)
+    assert got.v.rays == v.rays
 
 
 def _row_strategy(d):

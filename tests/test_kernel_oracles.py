@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiam import analyse, hrep_to_vrep, incidence, skeleton_graph, vrep_to_hrep
+from polydiam import analyse, hrep_to_vrep, skeleton_graph, vrep_to_hrep
 from polydiam.constructions import (
     crosspolytope,
     klee_walkup,
@@ -28,6 +28,7 @@ from polydiam.polyhedron import HPolyhedron, VPolyhedron, dual_graph, facet_row_
 from corpus import corpus
 from oracles import (
     fraction_incidence,
+    incidence,
     pairwise_skeleton_adj,
     rank_affine_dim,
     rank_facet_rows,

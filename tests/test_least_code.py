@@ -22,9 +22,6 @@ ALLOWED_UNREFERENCED = {
     ("abstraction", "from_simple_polytope"):
         "the bridge from a simple polytope to its subset family that acceptance "
         "criterion 10 checks; no verb writes it yet",
-    ("simplicial", "dual_nonrevisiting_property"):
-        "the non-revisiting question on a boundary complex, the dual form the paper "
-        "states; no verb or script asks it yet",
 }
 
 

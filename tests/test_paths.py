@@ -15,7 +15,6 @@ from polydiam import (
     VPolyhedron,
     analyse,
     hrep_to_vrep,
-    incidence,
     skeleton_graph,
 )
 from polydiam.constructions import (
@@ -42,6 +41,7 @@ from polydiam.polyhedron import facet_row_indices
 
 from corpus import converted, corpus, ngon
 from oracles import (
+    incidence,
     nonrevisiting_all_pairs,
     nonrevisiting_exists_naive,
     path_is_nonrevisiting,
@@ -487,11 +487,11 @@ def test_monotone_rejects_tie_on_edge():
 
 
 _PYRAMID_TIE = """
-from polydiam import GeometryError, VPolyhedron, incidence, vrep_to_hrep
+from polydiam import GeometryError, VPolyhedron, analyse
 from polydiam.paths import monotone_eccentricity
 v = VPolyhedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)])
 try:
-    monotone_eccentricity(incidence(vrep_to_hrep(v), v), (0, 0, 1))
+    monotone_eccentricity(analyse(v), (0, 0, 1))
 except GeometryError as exc:
     print(exc)
 """

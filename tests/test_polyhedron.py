@@ -17,7 +17,6 @@ from polydiam import (
     classify,
     dual_graph,
     hrep_to_vrep,
-    incidence,
     polar,
     skeleton_graph,
     vrep_to_hrep,
@@ -37,6 +36,7 @@ from polydiam.paths import bfs_distances
 from polydiam.ratlin import primitive
 
 from corpus import ngon
+from oracles import incidence
 
 
 def _pipeline(h):

@@ -20,13 +20,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiam import HPolyhedron, analyse, dual_graph, hrep_to_vrep, incidence, polar
+from polydiam import HPolyhedron, analyse, dual_graph, hrep_to_vrep, polar
 from polydiam.bounds import hirsch_report
 from polydiam.constructions import truncate_vertex, unbound_at_facet, wedge
 from polydiam.ratlin import dot
 
 from corpus import converted, corpus
-from oracles import echelon_rank
+from oracles import echelon_rank, incidence
 
 # names, not facts: these fields depend on the vertex order of the input
 _NAME_FIELDS = ("witness_pair", "nonrevisiting_witness", "monotone")
