@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import power_bound_holds, quasi_poly_bound
-from .paths import _bfs_layers, mask_diameter
+from .paths import mask_diameter
 from .polyhedron import Disconnected, Incidence, PolyGraph, Unbounded, _bits, classify
 
 Node = tuple[int, ...]
@@ -55,9 +55,8 @@ def validate_layer_property(g: SubsetFamilyGraph) -> tuple[bool, tuple[Node, Nod
 
     Returns (True, None) or (False, first failing pair in node order).
     """
-    for i, j, fmask in _pair_filters(g.nodes):
-        # the layers are disjoint: their sum is everything reached
-        if not sum(_bfs_layers(g.adj, i, fmask)) >> j & 1:
+    for (i, j), fmask in _pair_filters(g.nodes).items():
+        if not _reaches(g.adj, i, j, fmask):
             return False, (g.nodes[i], g.nodes[j])
     return True, None
 
@@ -110,42 +109,32 @@ class SearchResult:
     explored: int
 
 
-def _pair_filters(nodes) -> list[tuple[int, int, int]]:
-    """(i, j, F(i, j)) for every node pair i < j, in `combinations` order:
-    F(i, j) is the mask of the nodes containing both nodes' common elements."""
+def _pair_filters(nodes) -> dict[tuple[int, int], int]:
+    """F(i, j) for every node pair i < j, keyed (i, j) in `combinations`
+    order: the mask of the nodes containing both nodes' common elements."""
     sets = [frozenset(x) for x in nodes]
-    out = []
-    for i, j in combinations(range(len(sets)), 2):
-        common = sets[i] & sets[j]
-        fmask = 0
-        for k, s in enumerate(sets):
-            if common <= s:
-                fmask |= 1 << k
-        out.append((i, j, fmask))
-    return out
+    return {(i, j): sum(1 << k for k, s in enumerate(sets) if sets[i] & sets[j] <= s)
+            for i, j in combinations(range(len(sets)), 2)}
 
 
-def _edge_adj(m: int, pair_filters, emask: int) -> list[int]:
-    """Neighbour bitsets of the graph whose edges are the set bits of
-    `emask`, bit b standing for the pair `pair_filters[b]`."""
-    adj = [0] * m
-    for bit, (i, j, _) in enumerate(pair_filters):
-        if emask >> bit & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return adj
-
-
-def _deletable(adj: list[int], i: int, j: int, fmask: int) -> bool:
-    """Whether the valid graph `adj` stays valid without its edge {i, j},
-    `fmask` being F(i, j); `adj` is left as it was (see the lemma in
-    `search_max_diameter`)."""
-    adj[i] ^= 1 << j
-    adj[j] ^= 1 << i
-    ok = sum(_bfs_layers(adj, i, fmask)) >> j & 1
-    adj[i] ^= 1 << j
-    adj[j] ^= 1 << i
-    return bool(ok)
+def _reaches(adj, i: int, j: int, fmask: int) -> bool:
+    """Whether j is reachable from i in the graph of neighbour bitsets `adj`
+    by a walk inside the node bitset `fmask`, which holds both: a common
+    neighbour inside it answers at once, else BFS layers grow until j."""
+    if adj[i] & adj[j] & fmask:
+        return True
+    frontier = seen = 1 << i
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        if nxt >> j & 1:
+            return True
+        frontier = nxt & fmask & ~seen
+        seen |= frontier
+    return False
 
 
 def search_max_diameter(
@@ -168,6 +157,12 @@ def search_max_diameter(
     F(i, j), and a path from i to j inside F(i, j) replaces e.  Hence
     G - e is valid exactly when j is reachable from i inside F(i, j)
     in G - e.
+
+    The walks run on global node ids, positions in the sorted list of all
+    d-subsets: the filters are computed once, and F(i, j) over a chosen
+    node set is the global one ANDed with the chosen mask.  A graph on m
+    nodes has diameter at most m - 1, and only a strictly larger diameter
+    replaces the best, so a graph with m - 1 <= best gets no diameter.
     """
     if n > 8 or d > 3:
         raise ValueError("search is guarded to n <= 8, d <= 3")
@@ -177,48 +172,62 @@ def search_max_diameter(
     exhaustive = len(all_nodes) <= 6
     if not exhaustive and seed is None:
         raise ValueError("randomized search needs an explicit seed")
+    filters = _pair_filters(all_nodes)
 
     best_graph: SubsetFamilyGraph | None = None
     best_diam = -1
     explored = 0
     complete = True
 
-    def consider(nodes: list[Node], adj: list[int]) -> None:
-        # `nodes` is always a sorted selection of the sorted `all_nodes`
+    def complete_graph(ids):
+        # `ids` is sorted; the pairs, with their filters over the chosen
+        # nodes, come in the order of `combinations` over its positions
+        chosen = sum(1 << g for g in ids)
+        adj = [0] * len(all_nodes)
+        for g in ids:
+            adj[g] = chosen ^ 1 << g
+        return adj, [(i, j, filters[i, j] & chosen) for i, j in combinations(ids, 2)]
+
+    def consider(ids, adj: list[int]) -> None:
         nonlocal best_graph, best_diam
-        found = mask_diameter(adj)
+        if len(ids) - 1 <= best_diam:
+            return
+        local_bit = {g: 1 << b for b, g in enumerate(ids)}
+        local = [sum(local_bit[h] for h in _bits(adj[g])) for g in ids]
+        found = mask_diameter(local)
         if found is not None and found[0] > best_diam:
             best_diam = found[0]
-            best_graph = SubsetFamilyGraph(tuple(nodes), tuple(adj), n=n, d=d)
+            best_graph = SubsetFamilyGraph(
+                tuple(all_nodes[g] for g in ids), tuple(local), n=n, d=d
+            )
 
     # The complete graph on any node set is valid: F(i, j) holds i and j,
     # and they are adjacent.  So each walk starts from a valid graph.
     if exhaustive:
-        for size in range(1, len(all_nodes) + 1):
-            for chosen in combinations(all_nodes, size):
-                nodes = list(chosen)
-                pair_filters = _pair_filters(nodes)
-                seen = set()
-                stack = [(1 << len(pair_filters)) - 1]
-                while stack:
-                    emask = stack.pop()
-                    if emask in seen:
-                        continue
-                    if explored >= budget:
-                        complete = False
-                        stack = []
-                        break
-                    seen.add(emask)
-                    explored += 1
-                    adj = _edge_adj(len(nodes), pair_filters, emask)
-                    consider(nodes, adj)
-                    for bit, (i, j, fmask) in enumerate(pair_filters):
-                        if emask >> bit & 1:
-                            child = emask & ~(1 << bit)
-                            if child not in seen and _deletable(adj, i, j, fmask):
-                                stack.append(child)
-                if not complete:
+        subsets = (c for size in range(1, len(all_nodes) + 1)
+                   for c in combinations(range(len(all_nodes)), size))
+        for ids in subsets:
+            adj, pairs = complete_graph(ids)
+            seen = set()
+            stack = [((1 << len(pairs)) - 1, adj)]
+            while stack:
+                emask, adj = stack.pop()
+                if emask in seen:
+                    continue
+                if explored >= budget:
+                    complete = False
                     break
+                seen.add(emask)
+                explored += 1
+                consider(ids, adj)
+                for bit, (i, j, fmask) in enumerate(pairs):
+                    child = emask & ~(1 << bit)
+                    if child != emask and child not in seen:
+                        without = adj.copy()
+                        without[i] ^= 1 << j
+                        without[j] ^= 1 << i
+                        if _reaches(without, i, j, fmask):
+                            stack.append((child, without))
             if not complete:
                 break
     else:
@@ -226,18 +235,18 @@ def search_max_diameter(
         complete = False
         while explored < budget:
             size = rng.randint(2, len(all_nodes))
-            nodes = sorted(rng.sample(all_nodes, size))
-            pair_filters = _pair_filters(nodes)
-            adj = _edge_adj(len(nodes), pair_filters, (1 << len(pair_filters)) - 1)
-            order = list(range(len(pair_filters)))
-            rng.shuffle(order)
-            for bit in order:
-                i, j, fmask = pair_filters[bit]
-                if _deletable(adj, i, j, fmask):
+            # draws as `rng.sample(all_nodes, size)` does
+            ids = sorted(rng.sample(range(len(all_nodes)), size))
+            adj, pairs = complete_graph(ids)
+            rng.shuffle(pairs)  # the swaps depend on the length only
+            for i, j, fmask in pairs:
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                if not _reaches(adj, i, j, fmask):
                     adj[i] ^= 1 << j
                     adj[j] ^= 1 << i
             explored += 1
-            consider(nodes, adj)
+            consider(ids, adj)
 
     if best_graph is None:
         raise ValueError("no valid connected graph found")

@@ -262,6 +262,10 @@ def _cmd_abstraction(args) -> int:
         else:
             print(res.diameter)
         return 0
+    if args.action == "of":
+        g = abst.from_simple_polytope(analyse(fileio.read_polyfile(_read_text(args.file))))
+        _write_text(fileio.write_subset_graph(g), args.out)
+        return 0
     # search
     res = abst.search_max_diameter(args.n, args.d, budget=args.budget, seed=args.seed)
     comment = (
@@ -392,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--seed", type=int, default=None,
                    help="required when the parameters exceed full enumeration")
     a.add_argument("--out", default=None)
+    add_io(asub.add_parser("of", help="subset-family graph of a simple polytope"))
     p.set_defaults(func=_cmd_abstraction)
 
     return parser

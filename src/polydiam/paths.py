@@ -4,9 +4,8 @@ A graph is one `PolyGraph`: node labels plus one neighbour bitset per node
 (`adj`), with `edges` a derived view for printing.  Every search reads
 `adj`.  One BFS, `_bfs_layers`, returns one bitset of nodes per distance;
 it serves distances, the monotone BFS (on bitsets of lower-valued
-neighbours), the non-revisiting search's distance cut, and the
-abstraction's reachability inside a filter.  Diameters run every source at
-once (`mask_diameter`), with one bitset of sources per node.
+neighbours) and the non-revisiting search's distance cut.  Diameters run
+every source at once (`mask_diameter`), with one bitset of sources per node.
 
 The non-revisiting search asks for an edge path that never re-enters a
 facet it previously left; such paths are never longer than n - d, with d
@@ -69,12 +68,11 @@ class MonotoneReport:
     unreachable: tuple[str, ...] = ()
 
 
-def _bfs_layers(adj: Sequence[int], source: int, allowed: int = -1) -> list[int]:
+def _bfs_layers(adj: Sequence[int], source: int) -> list[int]:
     """BFS from `source` over the neighbour bitsets `adj`, as one bitset of
-    node positions per distance; it moves only into nodes of the bitset
-    `allowed` (the source is always the first layer)."""
+    node positions per distance."""
     frontier = 1 << source
-    unseen = allowed & ~frontier
+    unseen = ~frontier
     layers = []
     while frontier:
         layers.append(frontier)

@@ -5,17 +5,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polydiam.abstraction
 from polydiam import hrep_to_vrep
 from polydiam.abstraction import (
     SubsetFamilyGraph,
-    _deletable,
+    _reaches,
     from_simple_polytope,
     search_max_diameter,
     subset_graph_diameter,
     validate_layer_property,
 )
 from polydiam.constructions import crosspolytope, cube, klee_walkup, simplex
-from polydiam.paths import diameter
+from polydiam.paths import diameter, mask_diameter
 from polydiam import skeleton_graph
 
 from oracles import (
@@ -206,9 +207,24 @@ def test_one_reach_deletion_test_matches_full_validation(case):
         without = list(adj)
         without[i] ^= 1 << j
         without[j] ^= 1 << i
-        before = list(adj)
-        assert _deletable(adj, i, j, fmask) == subset_graph_valid(without, pair_filters)
-        assert adj == before
+        assert _reaches(without, i, j, fmask) == subset_graph_valid(without, pair_filters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_thinned_subset_graph(), st.data())
+def test_validate_layer_property_matches_oracle(case, data):
+    # a valid graph, or one edge short of it, which is often invalid
+    nodes, pair_filters, adj = case
+    edges = [(i, j) for i, j, _ in pair_filters if adj[i] >> j & 1]
+    if edges and data.draw(st.booleans()):
+        i, j = data.draw(st.sampled_from(edges))
+        adj = list(adj)
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+    g = SubsetFamilyGraph(tuple(nodes), tuple(adj), n=6, d=len(nodes[0]))
+    failing = next(((nodes[i], nodes[j]) for i, j, fmask in pair_filters
+                    if not subset_graph_valid(adj, [(i, j, fmask)])), None)
+    assert validate_layer_property(g) == (failing is None, failing)
 
 
 @pytest.mark.parametrize("n, d, seed, budget", [
@@ -217,6 +233,9 @@ def test_one_reach_deletion_test_matches_full_validation(case):
     (4, 2, None, 50),
     *[(5, 2, seed, 30) for seed in range(10)],
     *[(5, 3, seed, 30) for seed in range(10)],
+    *[(5, 2, seed, 200) for seed in range(11, 15)],  # the benchmark's searches
+    *[(6, 2, seed, 40) for seed in range(2)],
+    *[(7, 2, seed, 30) for seed in range(2)],
 ])
 def test_search_matches_full_revalidation_reference(n, d, seed, budget):
     res = search_max_diameter(n, d, budget=budget, seed=seed)
@@ -224,6 +243,21 @@ def test_search_matches_full_revalidation_reference(n, d, seed, budget):
     assert res.best.nodes == nodes
     assert res.best.edges == edges
     assert (res.diameter, res.complete, res.explored) == (diam, complete, explored)
+
+
+def test_search_takes_no_diameter_of_a_graph_that_cannot_win(monkeypatch):
+    # a graph on m nodes has diameter at most m - 1
+    expected = search_max_diameter(5, 2, budget=200, seed=11)
+    calls = []
+
+    def counted(adj):
+        calls.append(adj)
+        return mask_diameter(adj)
+
+    monkeypatch.setattr(polydiam.abstraction, "mask_diameter", counted)
+    res = search_max_diameter(5, 2, budget=200, seed=11)
+    assert len(calls) < res.explored
+    assert res == expected
 
 
 def test_subset_graph_is_a_polygraph_on_sorted_subsets():

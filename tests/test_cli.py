@@ -552,6 +552,30 @@ def test_abstraction_cli(capsys, tmp_path):
     assert json.loads(out)["diameter"] == 3
 
 
+def test_abstraction_of_a_simple_polytope(capsys, tmp_path):
+    q4, g = tmp_path / "q4.ine", tmp_path / "q4.sfg"
+    run(capsys, "gen", "kleewalkup", "--out", str(q4))
+    code, _, _ = run(capsys, "abstraction", "of", str(q4), "--out", str(g))
+    assert code == 0
+    parsed = read_subset_graph(g.read_text())
+    assert (parsed.n, parsed.d, len(parsed.nodes)) == (9, 4, 27)
+    code, out, _ = run(capsys, "abstraction", "validate", str(g))
+    assert (code, out) == (0, "valid\n")
+    code, out, _ = run(capsys, "abstraction", "diameter", str(g), "--json")
+    assert code == 0 and json.loads(out)["diameter"] == 5
+
+
+def test_abstraction_of_rejects_non_simple_and_unbounded(capsys, tmp_path):
+    cross, q4, unbounded = (tmp_path / name for name in ("x.ine", "q4.ine", "u.ine"))
+    run(capsys, "gen", "crosspolytope", "3", "--out", str(cross))
+    run(capsys, "gen", "kleewalkup", "--out", str(q4))
+    run(capsys, "unbound", "--facet", "1", str(q4), "--out", str(unbounded))
+    assert run(capsys, "abstraction", "of", str(cross)) == (
+        1, "", "error: abstraction requires a simple polytope\n")
+    assert run(capsys, "abstraction", "of", str(unbounded)) == (
+        1, "", "error: abstraction requires a bounded polytope\n")
+
+
 def test_abstraction_search_needs_seed_when_randomized(capsys):
     code, _, err = run(capsys, "abstraction", "search", "5", "2", "--budget", "50")
     assert code == 1 and "seed" in err

@@ -19,9 +19,6 @@ ALLOWED_UNREFERENCED = {
     ("paths", "nonrevisiting_path"):
         "the single-pair non-revisiting search that acceptance criterion 12 runs; "
         "no verb prints a path yet",
-    ("abstraction", "from_simple_polytope"):
-        "the bridge from a simple polytope to its subset family that acceptance "
-        "criterion 10 checks; no verb writes it yet",
 }
 
 
