@@ -69,6 +69,8 @@ def from_simple_polytope(inc: Incidence) -> SubsetFamilyGraph:
     """
     if not inc.v.bounded:
         raise Unbounded("abstraction requires a bounded polytope")
+    if inc.dim < 1:  # a point has no facets: its one node, the empty set, writes no line
+        raise ValueError("abstraction requires a polytope of dimension at least 1")
     simple, _ = classify(inc)
     if not simple:
         raise ValueError("abstraction requires a simple polytope")

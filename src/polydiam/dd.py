@@ -22,7 +22,13 @@ is correct for degenerate inputs where a rank shortcut is not.  It runs on
 column bitsets: per processed row, the set of rays tight on it, so "which
 rays are tight on all of z" is one AND of |z| big integers rather than a
 scan over every ray.  A short rank of the cone rows (a line in the input)
-surfaces there too, as `NotPointed`, with no separate rank test.
+surfaces there too, as `NotPointed`, with no separate rank test.  In
+front of that test, the negative rays of a step go in blocks of 16: the
+union of a block's zero sets bounds |Z(p) & Z(q)| for every q in it, so a
+positive ray p that shares fewer than dim - 2 rows with the union skips
+the block whole (the flat form of the bit-pattern tree of Terzer &
+Stelling, *Bioinformatics* 24(19), 2008).  Pairs are met in the same
+order either way, so the rays and their order do not depend on it.
 
 `analyse` is the one way from a description, H or V, to its `Incidence`:
 it converts once and pairs the input with its converse.  The cone already
@@ -36,7 +42,8 @@ follows the DD either way.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .polyhedron import (
     HPolyhedron,
@@ -51,6 +58,8 @@ from .polyhedron import (
     canonical_equality_row,
 )
 from .ratlin import _echelon, dot, nullspace, primitive
+
+_BLOCK = 16  # negative rays per zero-set union in the pair loop
 
 
 def _cone_extreme_rays(
@@ -74,6 +83,16 @@ def _cone_extreme_rays(
     of z are one AND of |z| columns, masked by `alive`, the ids present
     before the step; the pair is adjacent when that AND is {p, q}.  Ids of
     removed rays stay in the columns; `alive` hides them.
+
+    An adjacent pair shares at least dim - 2 rows.  The negative rays of a
+    step are cut, in order, into blocks of `_BLOCK`, each with `touched`,
+    the union of its zero sets, which bounds |Z(p) & Z(q)| for every q in
+    the block (Terzer & Stelling, *Bioinformatics* 24(19), 2008): when
+    Z(p) & touched has fewer than dim - 2 rows, p skips the block whole.
+    p stays the outer loop and q runs in `neg` order, so the pairs, and
+    the new rays with their ids, come in the order of the plain double
+    loop.  A new ray is the integer combination of its pair divided by its
+    gcd.
     """
     rows = sorted(set(rows))
     # Greedy initial basis B in insertion order; the columns of B^-1 are the
@@ -109,7 +128,7 @@ def _cone_extreme_rays(
         if r in chosen:
             continue
         bit = 1 << r
-        vals = [dot(row, y) for y in rays]
+        vals = [sum(map(mul, row, y)) for y in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
@@ -121,22 +140,33 @@ def _cone_extreme_rays(
         if not neg:
             continue
 
+        blocks = []
+        for i in range(0, len(neg), _BLOCK):
+            members = [(q, masks[q]) for q in neg[i : i + _BLOCK]]
+            touched = 0
+            for _, zq in members:
+                touched |= zq
+            blocks.append((touched, members))
         new_rays: list[tuple[int, ...]] = []
         new_masks: list[int] = []
         for p in pos:
-            for q in neg:
-                z = masks[p] & masks[q]
-                if z.bit_count() < dim - 2:
+            mp, vp, yp, idp = masks[p], vals[p], rays[p], 1 << ids[p]
+            for touched, members in blocks:
+                zp = mp & touched
+                if zp.bit_count() < dim - 2:
                     continue
-                pair = 1 << ids[p] | 1 << ids[q]
-                if _tight_on_all(columns, z, alive, pair) != pair:
-                    continue  # not adjacent: some third ray is tight on z
-                combo = tuple(
-                    vals[p] * rays[q][i] - vals[q] * rays[p][i]
-                    for i in range(dim)
-                )
-                new_rays.append(primitive(combo))
-                new_masks.append(z | bit)
+                for q, zq in members:
+                    z = zp & zq  # = Z(p) & Z(q), as zq lies within `touched`
+                    if z.bit_count() < dim - 2:
+                        continue
+                    pair = idp | 1 << ids[q]
+                    if _tight_on_all(columns, z, alive, pair) != pair:
+                        continue  # not adjacent: some third ray is tight on z
+                    vq = vals[q]
+                    combo = [vp * b - vq * a for a, b in zip(yp, rays[q])]
+                    g = gcd(*combo)  # > 0: p and q are independent, so combo is not zero
+                    new_rays.append(tuple(x // g for x in combo) if g > 1 else tuple(combo))
+                    new_masks.append(z | bit)
 
         new_ids = list(range(next_id, next_id + len(new_rays)))
         next_id += len(new_rays)

@@ -576,6 +576,17 @@ def test_abstraction_of_rejects_non_simple_and_unbounded(capsys, tmp_path):
         1, "", "error: abstraction requires a bounded polytope\n")
 
 
+def test_abstraction_of_rejects_a_point(capsys, tmp_path):
+    # A point's one node is the empty facet set, which the subset-graph
+    # format cannot write as a line, so no file is written for it.
+    point, g = tmp_path / "p.ext", tmp_path / "p.sfg"
+    point.write_text("V-representation\nbegin\n1 3 rational\n1 1 2\nend\n")
+    assert run(capsys, "diameter", str(point)) == (0, "0\n", "")
+    assert run(capsys, "abstraction", "of", str(point), "--out", str(g)) == (
+        1, "", "error: abstraction requires a polytope of dimension at least 1\n")
+    assert not g.exists()
+
+
 def test_abstraction_search_needs_seed_when_randomized(capsys):
     code, _, err = run(capsys, "abstraction", "search", "5", "2", "--budget", "50")
     assert code == 1 and "seed" in err

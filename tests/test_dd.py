@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import cos, pi, sin
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,10 +18,10 @@ from polydiam import (
     reduce_to_full_dim,
     vrep_to_hrep,
 )
-from polydiam.constructions import cube, klee_walkup, simplex, transportation
+from polydiam.constructions import cube, klee_walkup, random_01_polytope, simplex, transportation
 from polydiam.dd import _cone_extreme_rays
 from polydiam.polyhedron import canonical_row
-from polydiam.ratlin import _echelon
+from polydiam.ratlin import _echelon, primitive
 
 from corpus import corpus
 from oracles import (
@@ -459,6 +461,38 @@ def test_cone_extreme_rays_match_third_ray_scan_on_degenerate_inputs():
         _both_directions(points)
     for _, h in corpus():  # crosspolytopes, cubes, Klee-Walkup, products, ...
         _both_directions(hrep_to_vrep(h).vertices)
+
+
+def test_cone_extreme_rays_match_third_ray_scan_across_blocks():
+    # H -> V on the facets of a 7-dimensional 0/1 polytope, larger than the
+    # property's draws: a step of this cone meets 53 negative rays, four
+    # blocks of the pair loop's filter.
+    h = vrep_to_hrep(random_01_polytope(7, 24, 1000))
+    rows = sorted({(1,) + (0,) * 7} | {primitive((b, *a)) for b, a in h.rows})
+    assert _cone_extreme_rays(rows, 8) == third_ray_scan_extreme_rays(rows, 8)
+
+
+def test_a_skipped_block_of_negative_rays_loses_no_ray():
+    # The cone over a 20-gon, -990 y0 + u.(y1, y2) >= 0 for 20 normals u
+    # around the circle, then a cut, sorted last, that 18 of its 20 rays
+    # violate: the step's negative rays fill one block of 16 and two more.
+    # Each positive ray has one negative neighbour, the first in block one,
+    # the second in block two but not its first member, so each positive
+    # ray skips one whole block and finds its neighbour in the other.
+    polygon = [primitive((-990, round(99 * cos(pi * i / 10)), round(99 * sin(pi * i / 10))))
+               for i in range(20)]
+    cut = (950, -93, 34)
+    assert cut > max(polygon)
+    zero_sets: list[int] = []
+    rays = _cone_extreme_rays(polygon, 3, zero_sets)
+    vals = [sum(map(mul, cut, y)) for y in rays]
+    pos = [k for k, v in enumerate(vals) if v > 0]
+    neg = [k for k, v in enumerate(vals) if v < 0]
+    neighbours = [j for j, q in enumerate(neg) if any(zero_sets[p] & zero_sets[q] for p in pos)]
+    assert (len(pos), len(neg), neighbours) == (2, 18, [8, 17])
+    rays = _cone_extreme_rays(polygon + [cut], 3)
+    assert len(rays) == 4
+    assert rays == third_ray_scan_extreme_rays(polygon + [cut], 3)
 
 
 @st.composite
