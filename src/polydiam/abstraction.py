@@ -168,8 +168,8 @@ def search_max_diameter(
     """
     if n > 8 or d > 3:
         raise ValueError("search is guarded to n <= 8, d <= 3")
-    if d > n:
-        raise ValueError("need d <= n")
+    if not 1 <= d <= n:  # d = 0 gives one empty node, which no file can hold
+        raise ValueError("need 1 <= d <= n")
     all_nodes = [tuple(c) for c in combinations(range(1, n + 1), d)]
     exhaustive = len(all_nodes) <= 6
     if not exhaustive and seed is None:

@@ -183,8 +183,7 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
     if not vertex_facets:
         raise GeometryError(f"vertex {labels[vi]} has no edge: truncation undefined")
-    columns = [inc.columns[inc.facets[pos]] for pos in _bits(vertex_facets)]
-    neighbors = _bits(_simple_neighbours(columns, inc.everything, inc.nverts) & ~(1 << vi))
+    neighbors = _bits(_simple_neighbours(inc, vi))
 
     p = v.vertices[vi]
     midpoints = [

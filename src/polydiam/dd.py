@@ -33,10 +33,10 @@ order either way, so the rays and their order do not depend on it.
 `analyse` is the one way from a description, H or V, to its `Incidence`:
 it converts once and pairs the input with its converse.  The cone already
 holds the zero set of every extreme ray over its rows, and the cone rows
-stand for the input's rows, so each conversion can hand over the zero
-sets of its output over the input: the vertex and ray masks of an
-H-description, the facet columns of a V-description.  No dot product
-follows the DD either way.
+stand for the input's rows, so each conversion can hand over the
+`Incidence`'s columns, per row of the H-description the rows of the
+V-description tight on it: H -> V transposes its zero sets once, V -> H
+reads them as they are.  No dot product follows the DD either way.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .polyhedron import (
     _bits,
     _point,
     _tight_on_all,
+    _transpose,
     canonical_equality_row,
 )
 from .ratlin import _echelon, dot, nullspace, primitive
@@ -198,7 +199,7 @@ def _remap(mask: int, images: list[int]) -> int:
     return out
 
 
-def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhedron:
+def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedron:
     """All vertices and one representative per extreme ray, exactly.
 
     A linearity row b + a.x = 0 is the pair of opposite rows b + a.x >= 0
@@ -211,10 +212,10 @@ def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhed
     primitive homogeneous integers too; no `Fraction` is built.  Vertices
     come out in the sorted order of their points, compared as integer
     vectors at a common denominator.
-    When `zero_sets` is a list, it is extended by the zero set of each
-    returned vertex and then of each ray, mapped from the cone's rows to
-    the rows of `h`: bit i is set when row i is tight.  `analyse` builds
-    the `Incidence` from them, with no dot product.
+    When `columns` is a list, it is extended by one column per row i of
+    `h`, the column of its cone row: bit k is set when the k-th returned
+    row (vertices, then rays) is tight on row i.  `analyse` builds the
+    `Incidence` from them, with no dot product.
     """
     # where[c] holds the rows of h whose cone row is c: duplicates and
     # positive multiples share one, a linearity row has c and -c, a row
@@ -236,17 +237,18 @@ def hrep_to_vrep(h: HPolyhedron, zero_sets: list[int] | None = None) -> VPolyhed
         raise NotPointed("feasible set contains a line: no vertices exist") from None
 
     verts = [k for k, ray in enumerate(rays) if ray[0] > 0]
-    if not verts:
-        return VPolyhedron._of_rows(h.d, ())  # pointed and vertex-free: infeasible
     # Coordinate c / t compares as the integer c * (L // t), so these keys
     # sort like the `Fraction` vectors they stand for.
     den = lcm(*(rays[k][0] for k in verts))
     verts.sort(key=lambda k: tuple(c * (den // rays[k][0]) for c in rays[k][1:]))
     dirs = sorted((k for k, ray in enumerate(rays) if ray[0] == 0), key=rays.__getitem__)
-    order = verts + dirs
-    if zero_sets is not None:
-        rows_of = [where[c] for c in cone_rows]
-        zero_sets.extend(_remap(masks[k], rows_of) for k in order)
+    order = verts + dirs if verts else []  # pointed and vertex-free: infeasible
+    if columns is not None:
+        of_row = [0] * h.nrows
+        for c, column in zip(cone_rows, _transpose([masks[k] for k in order], len(cone_rows))):
+            for i in _bits(where[c]):
+                of_row[i] = column  # the halves c, -c of a linearity row share it
+        columns.extend(of_row)
     return VPolyhedron._of_rows(h.d, tuple(rays[k] for k in order))
 
 
@@ -284,7 +286,7 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     return HPolyhedron(len(basis), tuple(rows))
 
 
-def vrep_to_hrep(v: VPolyhedron, zero_sets: list[int] | None = None) -> HPolyhedron:
+def vrep_to_hrep(v: VPolyhedron, columns: list[int] | None = None) -> HPolyhedron:
     """Irredundant inequality description of conv(vertices) + cone(rays).
 
     The rows (b, a) with b + a.p >= 0 on every vertex p and a.r >= 0 on
@@ -293,10 +295,10 @@ def vrep_to_hrep(v: VPolyhedron, zero_sets: list[int] | None = None) -> HPolyhed
     linearity rows.  Setting their pivot coefficients to zero leaves a
     pointed cone whose extreme rays with a nonzero linear part are the
     facet rows.  Every row is primitive integers, and each block is sorted.
-    When `zero_sets` is a list, it is extended by the zero set of each
+    When `columns` is a list, it is extended by the zero set of each
     returned row, mapped from the cone's rows to the rows of `v`: bit k is
     set when `v.rows[k]` is tight, so a hull equation's is every row.
-    These are the `Incidence`'s columns, which `analyse` reads.
+    These are the `Incidence`'s columns, which `analyse` hands over.
     """
     if not v.nverts:
         raise ValueError("V-representation needs at least one vertex")
@@ -318,10 +320,10 @@ def vrep_to_hrep(v: VPolyhedron, zero_sets: list[int] | None = None) -> HPolyhed
         if any(y[1:]):  # a = 0 is the artifact row "1 >= 0" of unbounded input
             facets.append((y, z))
     facets.sort()  # the integer rows are distinct and order like their Fractions
-    if zero_sets is not None:
+    if columns is not None:
         rows_of = [1 << where[c] for c in cone_rows]
-        zero_sets.extend([(1 << len(v.rows)) - 1] * len(eq_rows))
-        zero_sets.extend(_remap(z, rows_of) for _, z in facets)
+        columns.extend([(1 << len(v.rows)) - 1] * len(eq_rows))
+        columns.extend(_remap(z, rows_of) for _, z in facets)
     rows = tuple((Fraction(y[0]), tuple(map(Fraction, y[1:]))) for y, _ in facets)
     return HPolyhedron(v.d, tuple(eq_rows) + rows, frozenset(range(len(eq_rows))))
 
@@ -330,33 +332,29 @@ def analyse(poly: HPolyhedron | VPolyhedron) -> Incidence:
     """The `Incidence` of a polyhedron given by either description.
 
     The other description is computed by one conversion, which also hands
-    over the zero sets of its output over the input's rows
-    (`hrep_to_vrep(h, zero_sets)`, `vrep_to_hrep(v, zero_sets)`), so no dot
-    product follows the DD.  The vertices of an H-description come out
-    sorted.  The vertices of a V-description keep their order and labels,
-    so v0, v1, ... name the same points for every caller.  A listed point
-    that is not a vertex is dropped, the others keeping their labels:
-    point k is a vertex exactly when no other point and no ray is tight on
-    every row it is.  No vertex at all means the set holds a line.
+    over the `Incidence`'s columns (`hrep_to_vrep(h, columns)`,
+    `vrep_to_hrep(v, columns)`), so no dot product follows the DD.  The
+    vertices of an H-description come out sorted.  The vertices of a
+    V-description keep their order and labels, so v0, v1, ... name the
+    same points for every caller.  A listed point that is not a vertex is
+    dropped, the others keeping their labels: point k is a vertex exactly
+    when no other point and no ray is tight on every row it is.  No vertex
+    at all means the set holds a line.
     """
-    zero_sets: list[int] = []
+    columns: list[int] = []
     if isinstance(poly, HPolyhedron):
-        v = hrep_to_vrep(poly, zero_sets)
-        return Incidence(poly, v, zero_sets[: v.nverts], zero_sets[v.nverts:])
-    h = vrep_to_hrep(poly, zero_sets)
-    masks = [0] * len(poly.rows)
-    for i, column in enumerate(zero_sets):
-        for k in _bits(column):
-            masks[k] |= 1 << i
+        return Incidence(poly, hrep_to_vrep(poly, columns), columns)
+    h = vrep_to_hrep(poly, columns)
+    masks = _transpose(columns, len(poly.rows))
     everything = (1 << len(poly.rows)) - 1
     keep = [
         k for k in range(poly.nverts)
-        if _tight_on_all(zero_sets, masks[k], everything, 1 << k) == 1 << k
+        if _tight_on_all(columns, masks[k], everything, 1 << k) == 1 << k
     ]
     if not keep:  # a pointed polyhedron has a vertex among its points
         raise NotPointed("feasible set contains a line: no vertices exist")
-    v = poly
-    if len(keep) < poly.nverts:
-        rows = tuple(poly.rows[k] for k in keep) + poly.rows[poly.nverts:]
-        v = VPolyhedron._of_rows(poly.d, rows, tuple(map(poly.label, keep)))
-    return Incidence(h, v, [masks[k] for k in keep], masks[poly.nverts:])
+    if len(keep) == poly.nverts:
+        return Incidence(h, poly, columns)
+    rows = tuple(poly.rows[k] for k in keep) + poly.rows[poly.nverts:]
+    v = VPolyhedron._of_rows(poly.d, rows, tuple(map(poly.label, keep)))
+    return Incidence(h, v, _transpose([masks[k] for k in keep] + masks[poly.nverts:], h.nrows))

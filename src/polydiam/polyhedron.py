@@ -7,7 +7,7 @@ primitive homogeneous integer rows (t, y) for the point y / t and (0, r)
 for the ray r; its `Fraction` vertices are built only when read, since
 the graph and the counts never need them.  Rays are empty exactly when
 the polyhedron is bounded.  `Incidence` records which vertex and which
-ray is tight on which row, as bitmasks both ways, read off the one
+ray is tight on which row, as one bitset per row handed over by the one
 conversion that `dd.analyse` runs; every graph and classification
 question in this package is answered from that tightness data, never
 from floating point.  The one rank taken here is of the implicit
@@ -26,8 +26,8 @@ and one face lies in another exactly when its tight set does.  Hence:
 * Edges (`skeleton_graph`): a vertex on exactly dim facets is simple, and
   the vertex figure of a simple vertex is a simplex (Ziegler, *Lectures
   on Polytopes*, §3), so its edges are the faces tight on all but one of
-  its facets: one AND of dim - 1 columns per facet, which is the vertex
-  and its neighbour, or holds a ray bit when the edge is unbounded.
+  its facets: one AND of dim - 1 facet columns per facet, which is the
+  vertex and its neighbour, or holds a ray bit when the edge is unbounded.
   Every edge with a simple end is read off that end.  Between two
   non-simple vertices u and v the smallest face holding both is the set
   tight on T(u) & T(v), and uv is an edge exactly when the vertices tight
@@ -232,36 +232,36 @@ def _point(row: Sequence[int]) -> Point:
 class Incidence:
     """The combinatorial data of one polyhedron, computed once and shared.
 
-    `h` and `v` are two descriptions of the same polyhedron.  `masks[k]`
-    has bit i set when vertex k is tight on row i, and `ray_masks[k]` when
-    ray k is (a.r = 0).  `columns[i]` has bit k set when vertex k is tight
-    on row i and bit nverts + k when ray k is, so the vertices and rays
-    tight on a whole row set are one AND of columns.
-
-    The derived data is computed the first time it is asked for and then
-    kept: `facets` (by `facet_row_indices`), `facet_masks`, `implicit`,
-    `dim` and `graph` (by `skeleton_graph`).  Build one with
-    `dd.analyse(poly)` from either description: the masks are the zero
-    sets that the double description of the conversion already holds.
+    `h` and `v` are two descriptions of the same polyhedron.  `columns[i]`
+    has bit k set when vertex k is tight on row i and bit nverts + k when
+    ray k is (a.r = 0), so the vertices and rays tight on a whole row set
+    are one AND of columns.  Each conversion of `dd.analyse` already holds
+    them and hands them over.  The rest is computed when first asked for
+    and then kept: `masks` and `ray_masks` (per vertex and per ray, the
+    rows tight on it: one transpose of `columns`), `facets`, `facet_masks`
+    (which every per-vertex facet question reads), `implicit`, `dim` and
+    `graph`.
     """
 
-    def __init__(
-        self, h: HPolyhedron, v: VPolyhedron, masks: Sequence[int], ray_masks: Sequence[int]
-    ):
+    def __init__(self, h: HPolyhedron, v: VPolyhedron, columns: Sequence[int]):
         self.h = h
         self.v = v
         self.nrows = h.nrows
-        self.masks = tuple(masks)
-        self.ray_masks = tuple(ray_masks)
-        self.nverts = len(self.masks)
-        self.everything = (1 << (self.nverts + len(self.ray_masks))) - 1
-        columns = [0] * self.nrows
-        for k, m in enumerate(self.masks + self.ray_masks):
-            while m:
-                low = m & -m
-                columns[low.bit_length() - 1] |= 1 << k
-                m ^= low
         self.columns = tuple(columns)
+        self.nverts = v.nverts
+        self.everything = (1 << len(v.rows)) - 1
+
+    @cached_property
+    def _row_masks(self) -> tuple[int, ...]:
+        return tuple(_transpose(self.columns, len(self.v.rows)))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return self._row_masks[: self.nverts]
+
+    @cached_property
+    def ray_masks(self) -> tuple[int, ...]:
+        return self._row_masks[self.nverts:]
 
     @cached_property
     def facets(self) -> tuple[int, ...]:
@@ -271,10 +271,8 @@ class Incidence:
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:
         """Per vertex, a bitmask of its facets by position in `facets`."""
-        return tuple(
-            sum(1 << pos for pos, row in enumerate(self.facets) if m >> row & 1)
-            for m in self.masks
-        )
+        vertex_bits = (1 << self.nverts) - 1
+        return tuple(_transpose([self.columns[i] & vertex_bits for i in self.facets], self.nverts))
 
     @cached_property
     def implicit(self) -> tuple[int, ...]:
@@ -327,6 +325,19 @@ def _tight_on_all(columns: Sequence[int], rows: int, among: int, floor: int) -> 
         among &= columns[low.bit_length() - 1]
         rows ^= low
     return among
+
+
+def _transpose(sets: Sequence[int], width: int) -> list[int]:
+    """The transposed bit matrix: bit k of `out[i]` is bit i of `sets[k]`,
+    for i below `width`, which must exceed every set bit."""
+    out = [0] * width
+    for k, s in enumerate(sets):
+        bit = 1 << k
+        while s:
+            low = s & -s
+            out[low.bit_length() - 1] |= bit
+            s ^= low
+    return out
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -406,31 +417,24 @@ def _maximal(sets: Iterable[int]) -> list[int]:
 def skeleton_graph(inc: Incidence) -> PolyGraph:
     """Graph of the polyhedron: vertices plus bounded edges.
 
-    A vertex u on exactly `inc.dim` facets is simple, and the vertex
-    figure of a simple vertex is a simplex (Ziegler, *Lectures on
-    Polytopes*, §3), so each facet f of u leaves one 1-dimensional face:
-    the face tight on the other dim - 1 facets of u.  That face is the
-    edge uw when the AND of those columns is {u, w}, and an unbounded edge
-    when it holds a ray bit.  So every edge with a simple end is read off
-    3·dim ANDs at that end (`_simple_neighbours`), and only pairs of
-    non-simple vertices run `Incidence.is_edge`.
-
-    The facets of u are the inclusion-maximal proper faces among the rows
-    tight at u, since a face holding u lies in a facet holding u; and u is
-    on at least dim facets, so when exactly dim distinct proper faces are
-    tight at u they are its facets.  No global facet list is needed.
+    A vertex u on exactly `inc.dim` facets (`inc.facet_masks`) is simple,
+    and the vertex figure of a simple vertex is a simplex (Ziegler,
+    *Lectures on Polytopes*, §3), so each facet f of u leaves one
+    1-dimensional face: the face tight on the other dim - 1 facets of u.
+    That face is the edge uw when the AND of those columns is {u, w}, and
+    an unbounded edge when it holds a ray bit.  So every edge with a simple
+    end is read off 3·dim ANDs at that end (`_simple_neighbours`), and only
+    pairs of non-simple vertices run `Incidence.is_edge`.  Rows tight at u
+    that define no facet (redundant rows, scaled duplicates) play no part.
     """
-    n, dim, everything = inc.nverts, inc.dim, inc.everything
+    n, dim = inc.nverts, inc.dim
     adj = [0] * n
     other = []  # the non-simple vertices
-    for u, m in enumerate(inc.masks):
-        faces = {inc.columns[i] for i in _bits(m)} - {everything}
-        if len(faces) > dim:
-            faces = _maximal(faces)
-        if len(faces) != dim:
+    for u, fm in enumerate(inc.facet_masks):
+        if fm.bit_count() != dim:
             other.append(u)
             continue
-        nbrs = _simple_neighbours(list(faces), everything, n) & ~(1 << u)
+        nbrs = _simple_neighbours(inc, u)
         adj[u] |= nbrs
         for w in _bits(nbrs):
             adj[w] |= 1 << u
@@ -442,19 +446,20 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
     return PolyGraph(inc.v.all_labels(), tuple(adj))
 
 
-def _simple_neighbours(columns: Sequence[int], everything: int, nverts: int) -> int:
-    """The vertex and its bounded-edge neighbours, as one bitset, for a
-    simple vertex whose facets have the given columns: per facet, the AND
-    of the other columns is the vertex and one neighbour, or it holds a ray
-    bit (bit `nverts` and up) and the edge is unbounded."""
-    before = list(accumulate(columns, and_, initial=everything))
-    after = list(accumulate(reversed(columns), and_, initial=everything))[::-1]
+def _simple_neighbours(inc: Incidence, u: int) -> int:
+    """The bounded-edge neighbours of the simple vertex u, as one bitset:
+    per facet of u, the AND of the columns of its other facets is u and one
+    neighbour, or it holds a ray bit (bit `nverts` and up) and the edge is
+    unbounded."""
+    columns = [inc.columns[inc.facets[pos]] for pos in _bits(inc.facet_masks[u])]
+    before = list(accumulate(columns, and_, initial=inc.everything))
+    after = list(accumulate(reversed(columns), and_, initial=inc.everything))[::-1]
     found = 0
     for k in range(len(columns)):
         face = before[k] & after[k + 1]
-        if not face >> nverts:
+        if not face >> inc.nverts:
             found |= face
-    return found
+    return found & ~(1 << u)
 
 
 def facet_row_indices(inc: Incidence) -> list[int]:

@@ -210,26 +210,24 @@ def fraction_incidence(h, v):
 
 
 def incidence(h, v):
-    """The `Incidence` of the pair, with its exact tightness masks.
+    """The `Incidence` of the pair, with its exact tightness columns.
 
     Errors if some vertex violates a row.  Rows are scaled by positive
     factors to primitive integers, which keeps every sign, and `v.rows`
     already are, so each test is an integer dot product: n x m of them.
     """
     rows = [primitive((b, *a)) for b, a in h.rows]
-    masks = []
+    columns = [0] * len(rows)
     for k, point in enumerate(v.rows):
-        m = 0
         for i, row in enumerate(rows):
             val = sum(map(mul, row, point))
             if val == 0:
-                m |= 1 << i
+                columns[i] |= 1 << k
             elif k < v.nverts and (val < 0 or i in h.linearity):
                 raise ValueError(
                     f"vertex {v.label(k)} violates row {i + 1}: H and V are inconsistent"
                 )
-        masks.append(m)
-    return Incidence(h, v, masks[: v.nverts], masks[v.nverts:])
+    return Incidence(h, v, columns)
 
 
 def rank_affine_dim(points, rays=()):

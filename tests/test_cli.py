@@ -587,6 +587,14 @@ def test_abstraction_of_rejects_a_point(capsys, tmp_path):
     assert not g.exists()
 
 
+def test_abstraction_search_rejects_d_zero(capsys, tmp_path):
+    # Its one node, the empty set, would write a file that does not read back.
+    g = tmp_path / "g.sfg"
+    assert run(capsys, "abstraction", "search", "2", "0", "--out", str(g)) == (
+        1, "", "error: need 1 <= d <= n\n")
+    assert not g.exists()
+
+
 def test_abstraction_search_needs_seed_when_randomized(capsys):
     code, _, err = run(capsys, "abstraction", "search", "5", "2", "--budget", "50")
     assert code == 1 and "seed" in err

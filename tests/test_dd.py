@@ -258,9 +258,9 @@ def _points_with_non_vertices(draw):
 @example(([(0, 0), (2, 0)], [(1, 0), (0, 1)]))  # the orthant and a point on a ray
 @given(_points_with_non_vertices())
 def test_analyse_reads_the_columns_off_the_cone(data):
-    # The zero sets `vrep_to_hrep` hands to `analyse` are the tightness the
-    # `Fraction` oracle finds, and the points kept are the vertices of the
-    # H-description, under their own labels.  In these draws the input
+    # The columns `vrep_to_hrep` hands to `analyse`, over the points kept,
+    # are the tightness the `Fraction` oracle finds, and the points kept are
+    # the vertices of the H-description, under their own labels.  In these draws the input
     # holds a line exactly when two of its rays are opposite.
     points, rays = data
     v = VPolyhedron.from_points(points, rays)
@@ -270,6 +270,12 @@ def test_analyse_reads_the_columns_off_the_cone(data):
         return
     got = analyse(v)
     assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(got.h, got.v)
+    vmasks, rmasks = fraction_incidence(got.h, got.v)
+    want = [
+        sum(1 << k for k, m in enumerate(vmasks + rmasks) if m >> i & 1)
+        for i in range(got.h.nrows)
+    ]
+    assert list(got.columns) == want
     vertices = set(hrep_to_vrep(got.h).vertices)
     kept = [k for k, p in enumerate(points) if tuple(map(Fraction, p)) in vertices]
     assert got.v.vertices == tuple(tuple(map(Fraction, points[k])) for k in kept)
@@ -518,11 +524,13 @@ def _rows_with_linearity(draw):
 @given(_rows_with_linearity())
 def test_analyse_reads_the_incidence_off_the_cone(data):
     # The rows x_j >= -3 keep every draw pointed and leave room for rays.
-    # The zero sets the conversion hands to `analyse` are the ones the dot
+    # The columns the conversion hands to `analyse` are the ones the dot
     # products of `incidence` and of the `Fraction` oracle find.
     d, rows, linearity = data
     box = [(3, *(int(i == j) for i in range(d))) for j in range(d)]
     h = HPolyhedron.from_rows(d, rows + box, linearity)
     got, want = analyse(h), incidence(h, hrep_to_vrep(h))
-    assert (got.masks, got.ray_masks, got.v) == (want.masks, want.ray_masks, want.v)
+    assert (got.columns, got.masks, got.ray_masks, got.v) == (
+        want.columns, want.masks, want.ray_masks, want.v
+    )
     assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(h, got.v)

@@ -89,6 +89,9 @@ def _check_against_oracles(h, v):
     assert list(inc.ray_masks) == rmasks
     facets = facet_row_indices(inc)
     assert facets == rank_facet_rows(h, v, vmasks, rmasks)
+    assert list(inc.facet_masks) == [
+        sum(1 << p for p, i in enumerate(inc.facets) if m >> i & 1) for m in inc.masks
+    ]
     assert inc.dim == rank_affine_dim(v.vertices, v.rays)
     where = {label: k for k, label in enumerate(v.all_labels())}
     edges = {
@@ -153,12 +156,20 @@ def test_dim_of_lower_dimensional_unbounded_input(poly, dim):
 # Inputs with non-simple vertices, with rays, or both.  In the square
 # pyramid the apex is on four facets and each base vertex on three.
 PYRAMID = VPolyhedron.from_points([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+# The ±1 cube plus a row tight only at (1, 1, 1) and a scaled copy of
+# 1 - x >= 0: that vertex is on five tight rows but only three facets.
+_CUBE_WITH_REDUNDANT_ROWS = HPolyhedron.from_rows(
+    3,
+    [(1, *(s * int(i == j) for i in range(3))) for j in range(3) for s in (1, -1)]
+    + [(3, -1, -1, -1), (2, -2, 0, 0)],
+)
 SKELETON_CASES = {
     "cross3": crosspolytope(3),
     "cross4": crosspolytope(4),
     "klee_walkup_star": klee_walkup()[0],
     "q4": _Q4,
     "pyramid": PYRAMID,
+    "cube_with_redundant_rows": _CUBE_WITH_REDUNDANT_ROWS,
     "zero_one_5_10": random_01_polytope(5, 10, 7),
     "zero_one_6_16": random_01_polytope(6, 16, 3),
     "half_line": _HALF_LINE_H,
