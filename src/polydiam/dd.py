@@ -5,9 +5,10 @@ arithmetic throughout:
 
 * H -> V: the polyhedron {x : b + a.x >= 0} lifts to the pointed cone
   {(t, x) : t >= 0, b t + a.x >= 0}; extreme rays with t > 0 are vertices,
-  rays with t = 0 are extreme directions.  An equality row enters as two
-  opposite inequality rows; the zero-set adjacency test below is exact on
-  such degenerate pairs, so equalities need no elimination step.
+  rays with t = 0 are extreme directions.  Equality rows E are solved
+  first: the cone lies in the null space of E, so with a primitive basis N
+  of it the other rows r run as r.N, in dim N coordinates, and each ray t
+  lifts to N t (Fukuda & Prodon 1996).
 * V -> H: the valid inequalities (b, a) of conv(V) + cone(R) form the cone
   {(b, a) : b + a.v >= 0 for all vertices, a.r >= 0 for all rays}.  Its
   lineality (the null space of its rows) is the set of affine hull
@@ -53,12 +54,11 @@ from .polyhedron import (
     Row,
     VPolyhedron,
     _bits,
-    _point,
     _tight_on_all,
     _transpose,
     canonical_equality_row,
 )
-from .ratlin import _echelon, dot, nullspace, primitive
+from .ratlin import _echelon, nullspace, primitive
 
 _BLOCK = 16  # negative rays per zero-set union in the pair loop
 
@@ -202,8 +202,11 @@ def _remap(mask: int, images: list[int]) -> int:
 def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedron:
     """All vertices and one representative per extreme ray, exactly.
 
-    A linearity row b + a.x = 0 is the pair of opposite rows b + a.x >= 0
-    and -b - a.x >= 0, so every description goes through one cone.  Empty
+    The linearity rows cut out the subspace that the cone runs in: the
+    other rows are projected onto a primitive basis of the null space of
+    theirs, and the rays are lifted back.  The answer is the one of the
+    pair of opposite rows b + a.x >= 0 and -b - a.x >= 0 for each linearity
+    row b + a.x = 0.  Without linearity rows there is no projection.  Empty
     output signals infeasibility.  Raises NotPointed when the linear parts
     a of the rows have rank below d, so that a nonempty feasible set holds
     a line; an inconsistent system with such rows raises it too.
@@ -217,24 +220,32 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
     row (vertices, then rays) is tight on row i.  `analyse` builds the
     `Incidence` from them, with no dot product.
     """
+    # The cone lies in the null space of the linearity rows E; with N a
+    # primitive basis of it, y = N t, and each other row r reads r.N on t.
     # where[c] holds the rows of h whose cone row is c: duplicates and
-    # positive multiples share one, a linearity row has c and -c, a row
-    # (b, 0) with b > 0 scales to e0, and an all-zero row maps to the zero
-    # row, which every ray is tight on.  The cone rows span e0 and every
-    # (0, a), so their rank is 1 + rank{a}: the cone is pointed exactly
-    # when the feasible set holds no line.
-    where = {primitive((1,) + (0,) * h.d): 0}
-    for i, (b, a) in enumerate(h.rows):
-        row = primitive((b, *a))
-        halves = (row, tuple(-x for x in row)) if i in h.linearity else (row,)
-        for c in halves:
-            where[c] = where.get(c, 0) | 1 << i
+    # positive multiples share one, and a row (b, 0) with b > 0 scales to
+    # e0.  A row that projects to zero, every linearity row among them, is
+    # tight on every ray.  rank[E; G] = rank E + rank G.N for the other
+    # rows G, which span e0 and every (0, a): the cone is pointed exactly
+    # when the feasible set holds no line, with or without linearity rows.
+    rows = [primitive((b, *a)) for b, a in h.rows]
+    e0, dim = (1,) + (0,) * h.d, h.d + 1
+    if h.linearity:
+        basis = [primitive(n) for n in nullspace(rows[i] for i in sorted(h.linearity))]
+        e0, *rows = [primitive([sum(map(mul, r, n)) for n in basis]) for r in [e0, *rows]]
+        dim = len(basis)
+    where = {e0: 0}
+    for i, c in enumerate(rows):
+        where[c] = where.get(c, 0) | 1 << i
+    on_all = where.pop((0,) * dim, 0)
     cone_rows = sorted(where)
     masks: list[int] = []
     try:
-        rays = _cone_extreme_rays(cone_rows, h.d + 1, masks)
+        rays = _cone_extreme_rays(cone_rows, dim, masks)
     except NotPointed:
         raise NotPointed("feasible set contains a line: no vertices exist") from None
+    if h.linearity:
+        rays = [primitive([sum(map(mul, t, y)) for y in zip(*basis)]) for t in rays]
 
     verts = [k for k, ray in enumerate(rays) if ray[0] > 0]
     # Coordinate c / t compares as the integer c * (L // t), so these keys
@@ -247,7 +258,9 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
         of_row = [0] * h.nrows
         for c, column in zip(cone_rows, _transpose([masks[k] for k in order], len(cone_rows))):
             for i in _bits(where[c]):
-                of_row[i] = column  # the halves c, -c of a linearity row share it
+                of_row[i] = column
+        for i in _bits(on_all):
+            of_row[i] = (1 << len(order)) - 1
         columns.extend(of_row)
     return VPolyhedron._of_rows(h.d, tuple(rays[k] for k in order))
 
@@ -259,30 +272,31 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     the differences to the other vertices, in vertex order, then of the
     rays.  The reduced polyhedron is full-dimensional.  Rows that become
     identically satisfied (equalities of the hull, constant-true
-    inequalities) are dropped.  Raises NotPointed when `h` holds a line.
+    inequalities) are dropped.  Each row is computed in integers and built
+    as one `Fraction` per coefficient.  Raises NotPointed when `h` holds a
+    line.
     """
     v = hrep_to_vrep(h)
     if not v.nverts:
         raise Infeasible("infeasible")
-    # Row (t, y) after the first vertex (t0, y0) gives t0 y - t y0, a
-    # positive multiple of the difference of the points or of the ray, so
-    # the greedy basis is picked in integers; only its members, as the
-    # `Fraction` differences and rays, define the coordinates.
-    x0 = _point(v.rows[0])
+    # Row (t, y) after the first vertex (t0, y0) gives span = t0 y - t y0,
+    # which is s = t0 t times the difference of the points, or s = t0 times
+    # the ray, so the greedy basis is picked in integers.  A row (b, a) at
+    # its common denominator D is the integer row (B, A), so its
+    # coefficient on the member span / s is A.span / (D s), and its
+    # constant b + a.y0 / t0 is (B t0 + A.y0) / (D t0).
     (t0, *y0), others = v.rows[0], v.rows[1:]
     span = [[t0 * c - t * c0 for c, c0 in zip(y, y0)] for t, *y in others]
-    basis = [
-        tuple(x - y for x, y in zip(_point(others[i]), x0)) if others[i][0]
-        else tuple(map(Fraction, others[i][1:]))
-        for i in _echelon(span)[0]
-    ]
+    basis = [(span[i], t0 * others[i][0] or t0) for i in _echelon(span)[0]]
     rows: list[Row] = []
     for b, a in h.rows:
-        b2 = b + dot(a, x0)
-        a2 = tuple(dot(a, n) for n in basis)
-        if all(x == 0 for x in a2):
+        den = lcm(b.denominator, *(x.denominator for x in a))
+        int_b, *int_a = (x.numerator * (den // x.denominator) for x in (b, *a))
+        dots = [sum(map(mul, int_a, n)) for n, _ in basis]
+        if not any(dots):
             continue  # constant on the hull; feasibility makes it vacuous
-        rows.append((b2, a2))
+        b2 = Fraction(int_b * t0 + sum(map(mul, int_a, y0)), den * t0)
+        rows.append((b2, tuple(Fraction(x, den * s) for x, (_, s) in zip(dots, basis))))
     return HPolyhedron(len(basis), tuple(rows))
 
 

@@ -21,6 +21,10 @@ back, uses the library's null space, elimination and cone, and checks
 the one-cone reduction around them.  `incidence` builds the library's
 `Incidence` of a known pair of descriptions from integer dot products,
 the reference for the zero sets that `analyse` reads off its conversion.
+`fraction_reduce_to_full_dim` rewrites the rows of an H-description in
+its affine hull with `Fraction` dot products, against the vertices and
+the greedy basis the library finds, the reference for the integer form of
+`reduce_to_full_dim`.
 """
 
 import random
@@ -29,7 +33,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from polydiam.dd import _cone_extreme_rays
+from polydiam.dd import _cone_extreme_rays, hrep_to_vrep
 from polydiam.polyhedron import (
     HPolyhedron,
     Incidence,
@@ -625,3 +629,25 @@ def projected_vrep_to_hrep(v):
         lifted.append((b, tuple(amb)))
     all_rows = tuple(sorted(eq_rows)) + tuple(sorted(lifted))
     return HPolyhedron(v.d, all_rows, frozenset(range(len(eq_rows))))
+
+
+def fraction_reduce_to_full_dim(h):
+    """`reduce_to_full_dim` in `Fraction`s: the first vertex x0 and the
+    greedy basis of the differences to the other vertices, then of the
+    rays, each row read as (b + a.x0, (a.n for n in the basis))."""
+    v = hrep_to_vrep(h)
+    points = [tuple(Fraction(c, row[0]) for c in row[1:]) for row in v.rows[: v.nverts]]
+    x0 = points[0]
+    (t0, *y0), others = v.rows[0], v.rows[1:]
+    span = [[t0 * c - t * c0 for c, c0 in zip(y, y0)] for t, *y in others]
+    basis = [
+        tuple(x - y for x, y in zip(points[i + 1], x0)) if others[i][0]
+        else tuple(map(Fraction, others[i][1:]))
+        for i in _echelon(span)[0]
+    ]
+    rows = []
+    for b, a in h.rows:
+        a2 = tuple(dot(a, n) for n in basis)
+        if any(a2):
+            rows.append((b + dot(a, x0), a2))
+    return HPolyhedron(len(basis), tuple(rows))

@@ -18,6 +18,7 @@ from polydiam import (
     reduce_to_full_dim,
     vrep_to_hrep,
 )
+from polydiam import dd
 from polydiam.constructions import cube, klee_walkup, random_01_polytope, simplex, transportation
 from polydiam.dd import _cone_extreme_rays
 from polydiam.polyhedron import canonical_row
@@ -28,6 +29,7 @@ from oracles import (
     brute_force_vertices,
     echelon_rank,
     fraction_incidence,
+    fraction_reduce_to_full_dim,
     incidence,
     primitive_ints,
     projected_vrep_to_hrep,
@@ -534,3 +536,78 @@ def test_analyse_reads_the_incidence_off_the_cone(data):
         want.columns, want.masks, want.ray_masks, want.v
     )
     assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(h, got.v)
+
+
+@st.composite
+def _rows_under_a_half_box(draw):
+    """(d, rows, linearity): `_rows_with_linearity` plus the rows x_j >= -3
+    for a drawn set of coordinates j; a coordinate left out can carry a
+    line."""
+    d, rows, linearity = draw(_rows_with_linearity())
+    boxed = draw(st.sets(st.integers(min_value=0, max_value=d - 1)))
+    return d, rows + [(3, *(int(i == j) for i in range(d))) for j in sorted(boxed)], linearity
+
+
+@settings(max_examples=300, deadline=None)
+@example((1, [[-1, 1], [-2, 1]], {0, 1}))  # x = 1 and x = 2: empty
+@example((2, [[-1, 1, 0], [-2, 1, 0]], {0, 1}))  # the same in R^2, where y is free: a line
+@example((2, [[1, 0, 0], [3, 1, 0], [3, 0, 1]], {0}))  # 1 = 0: empty
+@example((2, [[0, 0, 0], [3, 1, 0], [3, 0, 1]], {0}))  # 0 = 0: the orthant at (-3, -3)
+@example((2, [[-1, 1, 1], [-1, 1, 1], [-2, 2, 2], [1, -1, -1], [3, 1, 0], [3, 0, 1]],
+          {0, 1, 2}))  # x + y = 1 twice and doubled, and x + y <= 1: a segment
+@example((2, [[-1, 1, 0], [2, -1, 0], [1, -1, 0], [3, 0, 1]], {0}))  # x = 1, x <= 2, x <= 1
+@given(_rows_under_a_half_box())
+def test_a_linearity_row_is_its_pair(data):
+    # The cone in the null space of the linearity rows gives the rows, and
+    # the columns, of the cone with each linearity row as two opposite
+    # inequality rows, or raises NotPointed where that one does.
+    d, rows, linearity = data
+    h = HPolyhedron.from_rows(d, rows, linearity)
+    try:
+        want = analyse(_as_pairs(h))
+    except NotPointed:
+        with pytest.raises(NotPointed):
+            analyse(h)
+        return
+    got = analyse(h)
+    assert (got.v.rows, got.columns) == (want.v.rows, want.columns[: h.nrows])
+
+
+def test_transportation_runs_one_cone_in_the_null_space_of_its_equalities(monkeypatch):
+    # 3x4 margins: 12 nonnegativity rows and 7 equalities of rank 6 in
+    # R^12, so the cone has dimension d + 1 - rank E = 7, with e0 and the
+    # 12 projected nonnegativity rows; the equalities project to zero.
+    calls = []
+    cone = dd._cone_extreme_rays
+
+    def spy(rows, dim, zero_sets=None):
+        calls.append((len(set(rows)), dim))
+        return cone(rows, dim, zero_sets)
+
+    monkeypatch.setattr(dd, "_cone_extreme_rays", spy)
+    transportation((19, 21, 20), (16, 14, 15, 15))
+    assert calls == [(13, 7)]
+
+
+_FRACTION = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                      st.integers(min_value=1, max_value=3))
+
+
+@settings(max_examples=200, deadline=None)
+@example((2, [[-1, 3, 0]], {0}))  # x = 1/3: the vertex (1/3, -3) and the ray (0, 1)
+@example((3, [[Fraction(-1, 2), 1, 2, 0], [Fraction(1, 3), -1, 0, 3]], {0}))  # a plane, cut
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.lists(_FRACTION, min_size=d + 1, max_size=d + 1), min_size=1, max_size=4),
+    st.sets(st.integers(min_value=0, max_value=1)))))
+def test_reduce_to_full_dim_matches_its_fraction_form(data):
+    # Rows with fractional coefficients, any of the first two an equality,
+    # under x_j >= -3, so vertices are fractional and rays occur.  The
+    # integer rewrite gives the rows of the `Fraction` one, value and type.
+    d, rows, linearity = data
+    half_box = [(3, *(int(i == j) for i in range(d))) for j in range(d)]
+    h = HPolyhedron.from_rows(d, rows + half_box, linearity & set(range(len(rows))))
+    assume(hrep_to_vrep(h).nverts)
+    got, want = reduce_to_full_dim(h), fraction_reduce_to_full_dim(h)
+    assert got == want
+    assert all(type(x) is Fraction for b, a in got.rows for x in (b, *a))
