@@ -83,6 +83,16 @@ _PINNED_GEN_OUTPUT = {
                 "58d3a7ff21301a213ee38ba82f0125c01e5bbafb33a86eac1ad9635c03982810"),
     "hirschsharp-5-11": (("hirschsharp", "--dim", "5", "--facets", "11"),
                          "9715e5dd7ff3b954f4f21c630d15503b98fa4694a595abf36c244e7ab2e489eb"),
+    "hirschsharp-5-12": (("hirschsharp", "--dim", "5", "--facets", "12"),
+                         "ccbc7cf1a4ba0e7e361910bdf11497e253f038ecb9dc458b52c6ee38484ad241"),
+    "hirschsharp-6-13": (("hirschsharp", "--dim", "6", "--facets", "13"),
+                         "8dbb1f134b7f8782f09cbe52f199d6ae486e828f0698186dd8125a74675169f0"),
+    "hirschsharp-6-14": (("hirschsharp", "--dim", "6", "--facets", "14"),
+                         "130e8965ea68100a747f7c14666cc44024e728444777a0a16aa7c660ad72b214"),
+    "hirschsharp-6-15": (("hirschsharp", "--dim", "6", "--facets", "15"),
+                         "f16c8d1ade88fa3b165134ccb87c0835a8fc1c8df5f796f5040302aec6fe06f9"),
+    "hirschsharp-7-18": (("hirschsharp", "--dim", "7", "--facets", "18"),
+                         "79b79ca3e63478958b6bf1aea308996f957e18afe7cc387b41d2d59d4033a28b"),
     "hirschsharp-4-6": (("hirschsharp", "--dim", "4", "--facets", "6"),
                         "f993a509daacdd75f38ea57c43d78fefa661aca9e2c4ffe65f038d70421c6e3d"),
 }
