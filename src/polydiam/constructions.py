@@ -4,7 +4,9 @@ Canonical families (simplex, cube, cross-polytope), Cartesian
 products, the wedge over a facet, vertex truncation, the Klee-Walkup
 4-polytope with nine facets and diameter five, projective unbounding of a
 facet, transportation polytopes, random 0/1 polytopes, and the
-diameter-sharp generators that tie them together.
+diameter-sharp generators that tie them together.  Those run one double
+description, of the Klee-Walkup block; each later wedge and truncation
+hands over its `Incidence` in closed form, and its diameter is checked.
 
 Every generator is deterministic; the one randomized generator takes an
 explicit seed and feeds a fixed PRNG (`random.Random`, the Mersenne
@@ -17,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .dd import analyse, reduce_to_full_dim, vrep_to_hrep
 from .paths import diameter
@@ -30,9 +33,10 @@ from .polyhedron import (
     VPolyhedron,
     _bits,
     _simple_neighbours,
+    _transpose,
     canonical_row,
 )
-from .ratlin import Vector, _echelon, dot, nullspace
+from .ratlin import Vector, _echelon, dot, nullspace, primitive
 
 # Klee-Walkup coordinates: nine points whose convex hull is a simplicial
 # 4-polytope; the inequalities point.x <= 1 cut out its simple polar, a
@@ -318,23 +322,65 @@ def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhed
     raise GeometryError(f"could not reach full dimension in {retries} draws")
 
 
-def _sharp_witness(inc: Incidence, d: int, n: int) -> tuple[Vector, Vector]:
-    """A diameter witness pair of vertices, after checking diameter n - d."""
+def _sharp_witness(inc: Incidence, d: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertex rows of a diameter witness pair, after checking diameter n - d."""
     diam, (lu, lv) = diameter(inc.graph)
     if diam != n - d:
         raise GeometryError(
             f"construction lost sharpness at (d={d}, n={n}): diameter {diam}"
         )
     labels = inc.graph.nodes
-    return inc.v.vertices[labels.index(lu)], inc.v.vertices[labels.index(lv)]
+    return inc.v.rows[labels.index(lu)], inc.v.rows[labels.index(lv)]
 
 
-def _facet_avoiding(inc: Incidence, u: Vector, w: Vector) -> int:
-    """Lowest-index facet row tight on neither witness vertex."""
+def _facet_avoiding(inc: Incidence, u: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """Lowest-index facet row tight on neither witness vertex row."""
+    pair = 1 << inc.v.rows.index(u) | 1 << inc.v.rows.index(w)
     for i in inc.facets:
-        if inc.h.value(i, u) > 0 and inc.h.value(i, w) > 0:
+        if not inc.columns[i] & pair:
             return i
     raise GeometryError("no facet avoids both witness vertices (needs n > 2d)")
+
+
+def _handed_over(h: HPolyhedron, vertices: list[tuple[tuple[int, ...], int]]) -> Incidence:
+    """The `Incidence` of the polytope `h` from its vertex rows and their
+    tight-row masks, sorted as `hrep_to_vrep` sorts its vertices."""
+    den = lcm(*(t for (t, *_), _ in vertices))
+    vertices.sort(key=lambda vm: tuple(c * (den // vm[0][0]) for c in vm[0][1:]))
+    v = VPolyhedron._of_rows(h.d, tuple(row for row, _ in vertices))
+    return Incidence(h, v, _transpose([m for _, m in vertices], h.nrows))
+
+
+def _wedged(inc: Incidence, k: int) -> Incidence:
+    """`wedge(inc, k)` with its `Incidence` in closed form: each vertex
+    (t, y) gives (t, y, 0) on the new row t >= 0, and when it is off facet
+    k, at s = (B, A).(t, y) > 0 for row k at the lcm D of its denominators,
+    (D t, D y, s) on row k as well."""
+    h = wedge(inc, k)
+    b, a = inc.h.rows[k]
+    den = lcm(b.denominator, *(x.denominator for x in a))
+    bk, *ak = (int(x * den) for x in (b, *a))
+    vertices = []
+    for (t, *y), m in zip(inc.v.rows, inc.masks):
+        vertices.append(((t, *y, 0), m | 1 << inc.h.nrows))
+        s = bk * t + dot(ak, y)
+        if s > 0:
+            vertices.append((primitive((den * t, *(den * c for c in y), s)), m | 1 << k))
+    return _handed_over(h, vertices)
+
+
+def _truncated(inc: Incidence, u: int) -> Incidence:
+    """`truncate_vertex(inc, u)` with its `Incidence` in closed form: the
+    other vertices keep their rows, and the cut meets each edge uw at its
+    midpoint, tight on the rows tight on both ends and on the cut."""
+    h = truncate_vertex(inc, u)
+    (tu, *yu), mu = inc.v.rows[u], inc.masks[u]
+    vertices = [vm for i, vm in enumerate(zip(inc.v.rows, inc.masks)) if i != u]
+    for w in _bits(_simple_neighbours(inc, u)):
+        tw, *yw = inc.v.rows[w]
+        mid = primitive((2 * tu * tw, *(tw * p + tu * q for p, q in zip(yu, yw))))
+        vertices.append((mid, mu & inc.masks[w] | 1 << inc.h.nrows))
+    return _handed_over(h, vertices)
 
 
 def hirsch_sharp(d: int, n: int) -> HPolyhedron:
@@ -344,8 +390,10 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
     largest-part-first partition of d into n - d parts.  For
     2d < n <= 3d - 3 it is built from the Klee-Walkup block: wedge on a
     facet avoiding a diameter witness pair, then truncate one or both of
-    the lifted witnesses, repeating until (d, n) is reached; the diameter
-    is re-verified after every step.
+    the lifted witnesses, repeating until (d, n) is reached.  Only the
+    block runs a double description; each wedge and truncation hands over
+    its `Incidence` in closed form (`_wedged`, `_truncated`), and the
+    diameter is re-verified on it after every step.
     """
     if not d < n:
         raise ValueError("need n > d")
@@ -364,26 +412,22 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
 
     wedges = d - 4
     truncations = n - d - 5
-    h = klee_walkup()[1]
     cur_d, cur_n = 4, 9
-    inc = analyse(h)
+    inc = analyse(klee_walkup()[1])
     wu, wv = _sharp_witness(inc, cur_d, cur_n)
     for _ in range(wedges):
-        h = wedge(inc, _facet_avoiding(inc, wu, wv))
+        inc = _wedged(inc, _facet_avoiding(inc, wu, wv))
         cur_d += 1
         cur_n += 1
-        zero = (Fraction(0),)
-        wu, wv = wu + zero, wv + zero  # lifted copies on the facet t = 0
-        inc = analyse(h)
+        wu, wv = wu + (0,), wv + (0,)  # lifted copies on the facet t = 0
         for target in (wu, wv):
             if truncations == 0:
                 break
-            h = truncate_vertex(inc, inc.v.vertices.index(target))
+            inc = _truncated(inc, inc.v.rows.index(target))
             cur_n += 1
             truncations -= 1
-            inc = analyse(h)
         wu, wv = _sharp_witness(inc, cur_d, cur_n)
-    return h
+    return inc.h
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,8 @@ def reduce_to_full_dim(h: HPolyhedron) -> HPolyhedron:
     # constant b + a.y0 / t0 is (B t0 + A.y0) / (D t0).
     (t0, *y0), others = v.rows[0], v.rows[1:]
     span = [[t0 * c - t * c0 for c, c0 in zip(y, y0)] for t, *y in others]
-    basis = [(span[i], t0 * others[i][0] or t0) for i in _echelon(span)[0]]
+    limit = h.d - len(_echelon(h.rows[i][1] for i in h.linearity)[0])  # >= the hull's dim
+    basis = [(span[i], t0 * others[i][0] or t0) for i in _echelon(span, limit)[0]]
     rows: list[Row] = []
     for b, a in h.rows:
         den = lcm(b.denominator, *(x.denominator for x in a))

@@ -14,6 +14,8 @@ from polydiam import (
 )
 from polydiam.constructions import (
     ConstructionRecipe,
+    _truncated,
+    _wedged,
     crosspolytope,
     cube,
     generate_canonical,
@@ -29,10 +31,11 @@ from polydiam.constructions import (
     unbound_point_map,
     wedge,
 )
+from polydiam.dd import analyse
 from polydiam.paths import bfs_distances, diameter
 from polydiam.polyhedron import facet_row_indices
 
-from corpus import ngon, orthant_polytope
+from corpus import converted, corpus, ngon, orthant_polytope
 from oracles import brute_force_vertices, incidence
 
 
@@ -364,3 +367,46 @@ def test_brute_force_agreement_on_wedges():
     _, q4 = klee_walkup()
     w = wedge(_full(q4)[1], 4)
     assert set(hrep_to_vrep(w).vertices) == set(brute_force_vertices(w))
+
+
+def _handed_over_cases(inc):
+    """The wedge on every facet and the truncation of every simple vertex,
+    each with the `Incidence` `hirsch_sharp` builds for it in closed form."""
+    for k in inc.facets:
+        yield f"wedge {k + 1}", _wedged(inc, k)
+    for u, fm in enumerate(inc.facet_masks):
+        if fm.bit_count() == inc.dim:
+            yield f"truncate {u + 1}", _truncated(inc, u)
+
+
+def _assert_hands_over_its_double_description(inc):
+    count = 0
+    for case, got in _handed_over_cases(inc):
+        want = analyse(got.h)
+        assert got.v.rows == want.v.rows, case
+        assert got.v.labels == want.v.labels, case
+        assert got.columns == want.columns, case
+        count += 1
+    return count
+
+
+def test_wedge_and_truncation_hand_over_the_incidence_of_their_output():
+    # every bounded corpus polytope: the handed-over vertex rows, labels and
+    # columns are those of a double description of the emitted rows, on 93
+    # facets and 101 simple vertices
+    count = sum(_assert_hands_over_its_double_description(converted(name))
+                for name, _ in corpus())
+    assert count == 93 + 101
+
+
+def test_hand_over_in_a_hull_with_a_redundant_row():
+    # cube(3) in x4 = 0 of R^4, the hull given by a linearity row, plus the
+    # redundant row 3 + x1 + x2 + x3 >= 0, tight at the vertex (-1, -1, -1)
+    # alone and at none of its midpoints
+    from polydiam.polyhedron import HPolyhedron
+
+    rows = [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0), (1, -1, 0, 0, 0),
+            (1, 0, -1, 0, 0), (1, 0, 0, -1, 0), (0, 0, 0, 0, 1), (3, 1, 1, 1, 0)]
+    inc = analyse(HPolyhedron.from_rows(4, rows, linearity=[6]))
+    assert inc.facets == (0, 1, 2, 3, 4, 5) and inc.dim == 3
+    assert _assert_hands_over_its_double_description(inc) == 6 + 8
