@@ -32,6 +32,7 @@ from .polyhedron import (
     Unbounded,
     VPolyhedron,
     _bits,
+    _point,
     _simple_neighbours,
     _transpose,
     canonical_row,
@@ -189,9 +190,9 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
         raise GeometryError(f"vertex {labels[vi]} has no edge: truncation undefined")
     neighbors = _bits(_simple_neighbours(inc, vi))
 
-    p = v.vertices[vi]
+    p = _point(v.rows[vi])
     midpoints = [
-        tuple((a + b) / 2 for a, b in zip(p, v.vertices[wi])) for wi in neighbors
+        tuple((a + b) / 2 for a, b in zip(p, _point(v.rows[wi]))) for wi in neighbors
     ]
     b_new, *a_new = next(
         n for n in nullspace([(1, *m) for m in midpoints]) if n[0] + dot(n[1:], p)
@@ -344,11 +345,14 @@ def _facet_avoiding(inc: Incidence, u: tuple[int, ...], w: tuple[int, ...]) -> i
 
 def _handed_over(h: HPolyhedron, vertices: list[tuple[tuple[int, ...], int]]) -> Incidence:
     """The `Incidence` of the polytope `h` from its vertex rows and their
-    tight-row masks, sorted as `hrep_to_vrep` sorts its vertices."""
+    tight-row masks, sorted as `hrep_to_vrep` sorts them and kept as its `masks`."""
     den = lcm(*(t for (t, *_), _ in vertices))
     vertices.sort(key=lambda vm: tuple(c * (den // vm[0][0]) for c in vm[0][1:]))
     v = VPolyhedron._of_rows(h.d, tuple(row for row, _ in vertices))
-    return Incidence(h, v, _transpose([m for _, m in vertices], h.nrows))
+    masks = tuple(m for _, m in vertices)
+    inc = Incidence(h, v, _transpose(masks, h.nrows))
+    inc.masks = masks
+    return inc
 
 
 def _wedged(inc: Incidence, k: int) -> Incidence:

@@ -21,22 +21,32 @@ so the search cuts a node whose BFS distance to the target exceeds the
 steps left; the cut subtrees hold no path, so the search meets the same
 paths in the same order, and finds the same first one, as without it.
 
-The all-pairs check first runs one greedy pass per source: a BFS by the
-same step rule and cap (dual checks and arbitrary masks can have longer
-walks) keeping the first left-set per node.  A node it reaches has a walk,
-so only missed pairs run the DFS, in pair order: the witness is unchanged.
-Each node reached costs one budget unit; a layer past the limit certifies
+The all-pairs check first proves most pairs at once.  A walk is
+t-monotone when each step enters only facets of t and leaves only facets
+off t, so it never re-enters a facet it left, whatever the masks.
+`_monotone_reach` gives per node u the bitset R[u] of the targets u
+reaches so.  Its rounds are Jacobi (round k reads round k - 1 only), so R
+holds exactly the walks of at most k steps, and they stop at the cap, as
+arbitrary masks allow steps that enter nothing.  R is symmetric (reverse a
+t-monotone walk from s), so source i keeps its targets j > i outside R[i].
+It is polynomial and charges no budget.  The pairs left run one greedy
+pass per source: a BFS by the same step rule and cap keeping the first
+left-set per node.  A node it reaches has a walk, so only missed pairs run
+the DFS, in pair order: the witness is unchanged.  Each node the pass
+reaches costs one unit of budget; a layer past the limit certifies
 nothing, so the DFS still proves an unreachable pair for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import inf, lcm
 from typing import Sequence
 
-from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded, _bits
+from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded
+from .polyhedron import _bits, _transpose
 from .ratlin import dot, primitive
 
 
@@ -219,11 +229,39 @@ def nonrevisiting_dfs(
     return None
 
 
+def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> list[int]:
+    """Per node u, the bitset of the targets t that u reaches by a t-monotone
+    walk of at most `cap` steps (module docstring).  A step allows the targets
+    on every facet it enters and off every facet it leaves: one AND of columns."""
+    columns = _transpose(masks, max(masks, default=0).bit_length())
+    everyone = (1 << len(adj)) - 1
+    @cache  # one AND per distinct (entered, left) pair: a cube has 2d of them
+    def allowed(entered: int, left: int) -> int:
+        ok = everyone
+        for f in _bits(entered):
+            ok &= columns[f]
+        for f in _bits(left):
+            ok &= ~columns[f]
+        return ok
+    steps = [[(w, ok) for w in _bits(nbrs) if (ok := allowed(masks[w] & ~mu, mu & ~masks[w]))]
+             for mu, nbrs in zip(masks, adj)]
+    reach = [1 << u for u in range(len(adj))]
+    for _ in range(cap):
+        nxt = []  # Jacobi: round k reads round k - 1 only, so walks stay within k steps
+        for r, out in zip(reach, steps):
+            for w, ok in out:
+                r |= reach[w] & ok
+            nxt.append(r)
+        if nxt == reach:
+            break
+        reach = nxt
+    return reach
+
+
 def _greedy_misses(
-    adj: Sequence[int], masks: list[int], source: int, cap: int, budget: SearchBudget
+    adj: Sequence[int], masks: list[int], source: int, targets: int, cap: int, budget: SearchBudget
 ) -> int:
-    """The nodes j > source that the greedy pass (module docstring) misses, as a bitset."""
-    targets = (1 << len(adj)) - (2 << source)
+    """The nodes of `targets` the greedy pass (module docstring) from `source` misses."""
     left, frontier = [0] * len(adj), 1 << source
     unseen = (1 << len(adj)) - 1 ^ frontier
     for _ in range(cap):
@@ -254,13 +292,16 @@ def _nonrevisiting_all_pairs(
     budget: int | None,
 ) -> PropertyResult:
     """Whether every pair i < j has a non-revisiting walk of at most `cap` steps;
-    the first pair without one is the witness.  The pairs `_greedy_misses` leaves
-    run `nonrevisiting_dfs` in order, each target's BFS built on first use."""
+    the first pair without one is the witness.  Source i hands its targets j > i
+    outside `_monotone_reach`'s R[i] to `_greedy_misses`, and the pairs that
+    leaves run `nonrevisiting_dfs` in order, each target's BFS built on first use."""
+    reach = _monotone_reach(adj, masks, cap)
     rows: dict[int, list[int]] = {}
     shared = SearchBudget(budget)
     try:
         for i in range(len(names)):
-            for j in _bits(_greedy_misses(adj, masks, i, cap, shared)):
+            targets = (1 << len(names)) - (2 << i) & ~reach[i]
+            for j in _bits(targets and _greedy_misses(adj, masks, i, targets, cap, shared)):
                 layers = rows.get(j) or rows.setdefault(j, _bfs_layers(adj, j))
                 if nonrevisiting_dfs(adj, masks, i, j, cap, shared, layers) is None:
                     return PropertyResult(holds=False, witness=(names[i], names[j]))

@@ -386,6 +386,7 @@ def _assert_hands_over_its_double_description(inc):
         assert got.v.rows == want.v.rows, case
         assert got.v.labels == want.v.labels, case
         assert got.columns == want.columns, case
+        assert got.masks == want.masks, case
         count += 1
     return count
 

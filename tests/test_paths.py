@@ -28,6 +28,7 @@ from polydiam.constructions import (
 from polydiam.paths import (
     SearchBudget,
     _greedy_misses,
+    _monotone_reach,
     _nonrevisiting_all_pairs,
     bfs_distances,
     diameter,
@@ -37,7 +38,7 @@ from polydiam.paths import (
     nonrevisiting_path,
     nonrevisiting_property,
 )
-from polydiam.polyhedron import facet_row_indices
+from polydiam.polyhedron import _bits, facet_row_indices
 
 from corpus import converted, corpus, ngon
 from oracles import (
@@ -384,7 +385,7 @@ def test_dfs_runs_where_the_greedy_pass_misses_a_walk(monkeypatch):
     # bars 2; the walk 1 -> 4 -> 0 -> 2 exists and the DFS finds it
     adj = [0b11100, 0b11000, 0b00001, 0b10011, 0b01011]
     masks = [0b01100, 0b10010, 0b01001, 0b10001, 0b11000]
-    assert _greedy_misses(adj, masks, 1, 3, SearchBudget(None)) >> 2 & 1
+    assert _greedy_misses(adj, masks, 1, 0b11100, 3, SearchBudget(None)) >> 2 & 1
     searched = []
 
     def spy(adj, masks, source, target, *rest):
@@ -402,10 +403,11 @@ def test_greedy_pass_certifies_only_pairs_with_a_walk_on_corpus():
         inc = converted(name)
         labels = inc.graph.nodes
         tight = [frozenset(i for i in range(inc.nrows) if m >> i & 1) for m in inc.masks]
-        adjacency = _sorted_neighbours(inc.graph)
+        adjacency, adj = _sorted_neighbours(inc.graph), inc.graph.adj
         cap = len(inc.facets) - inc.dim
         for i in range(len(labels)):
-            missed = _greedy_misses(inc.graph.adj, inc.facet_masks, i, cap, SearchBudget(None))
+            later = (1 << len(labels)) - (2 << i)
+            missed = _greedy_misses(adj, inc.facet_masks, i, later, cap, SearchBudget(None))
             for j in range(i + 1, len(labels)):
                 if not missed >> j & 1:
                     assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (name, i, j)
@@ -418,17 +420,63 @@ def test_greedy_pass_certifies_every_pair_of_a_polytope():
     for name, inc in named:
         adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
         for i in range(len(adj)):
-            assert _greedy_misses(adj, masks, i, cap, SearchBudget(None)) == 0, (name, i)
+            later = (1 << len(adj)) - (2 << i)
+            assert _greedy_misses(adj, masks, i, later, cap, SearchBudget(None)) == 0, (name, i)
+
+
+def _certificate_is_sound_and_symmetric(adj, masks, cap):
+    """Every pair `_monotone_reach` certifies has a non-revisiting walk of at
+    most `cap` steps, by enumeration, and the certificate is symmetric."""
+    reach = _monotone_reach(adj, masks, cap)
+    adjacency = {i: list(_bits(a)) for i, a in enumerate(adj)}
+    tight = [frozenset(_bits(m)) for m in masks]
+    for i, j in combinations(range(len(adj)), 2):
+        assert reach[i] >> j & 1 == reach[j] >> i & 1, (i, j)
+        if reach[i] >> j & 1:
+            assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mask_graphs())
+def test_certificate_is_sound_and_symmetric_on_arbitrary_masks(case):
+    # a step may enter nothing here, so only Jacobi rounds and the cap keep
+    # the certificate within `cap` steps
+    _certificate_is_sound_and_symmetric(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mask_graphs(antichain=True))
+def test_certificate_is_sound_and_symmetric_on_antichain_masks(case):
+    _certificate_is_sound_and_symmetric(*case)
+
+
+def test_certificate_is_sound_and_symmetric_on_polytopes():
+    named = [(name, converted(name)) for name, _ in corpus()]
+    named.append(("hirsch_sharp(5, 11)", analyse(hirsch_sharp(5, 11))))
+    for name, inc in named:
+        adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
+        _certificate_is_sound_and_symmetric(adj, masks, cap)
+
+
+def test_certificate_proves_every_pair_of_a_cube(monkeypatch):
+    # so on cubes the greedy pass is never handed a target
+    monkeypatch.setattr("polydiam.paths._greedy_misses", None)
+    for d in range(1, 7):
+        inc = analyse(cube(d))
+        adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
+        assert _monotone_reach(adj, masks, cap) == [(1 << len(adj)) - 1] * len(adj), d
+        assert nonrevisiting_property(inc).holds is True, d
 
 
 def test_greedy_pass_charges_one_unit_per_node_reached():
-    # the path 0-1-2-3: the pass from 0 reaches 3 nodes, from 1 reaches 0
-    # and 2, then 3, from 2 reaches 1 and 3, and from 3 has no target left
+    # the path a-b-c-d: the certificate proves every pair but (a, d), for
+    # free, since the step a -> b enters facet 2, which is not on d; so only
+    # the pass from a runs, and it reaches b, c and d, one unit each
     adj = [0b0010, 0b0101, 0b1010, 0b0100]
     masks = [0b00011, 0b00110, 0b01100, 0b11000]
     names = ("a", "b", "c", "d")
-    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 8).holds is True
-    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 7).holds is None
+    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 3).holds is True
+    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 2).holds is None
 
 
 def test_pass_past_the_budget_leaves_a_free_proof_to_the_dfs():
