@@ -1,5 +1,6 @@
 """Subset-family graphs: validation, diameters, extremal search."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -271,3 +272,39 @@ def test_subset_graph_is_a_polygraph_on_sorted_subsets():
         SubsetFamilyGraph(((1,), (1, 2)), (0, 0), n=3, d=2)
     with pytest.raises(ValueError, match="ground set"):
         SubsetFamilyGraph(((1, 2), (1, 4)), (0, 0), n=3, d=2)
+
+
+# sha256 of repr([(best nodes, best adj, diameter, complete, explored), ...])
+# of the searches of one (n, d), computed before the randomized walk learned
+# to skip the draws and the thinned graphs that cannot beat the best so far:
+# both skips keep the random stream, the `explored` count and the best graph.
+_PINNED_SEARCHES = {
+    (3, 2): ((None, 1_000_000),),
+    (4, 2): ((None, 1_000_000), (None, 40)),
+    **{(n, d): tuple((seed, budget) for seed in (1, 2, 3) for budget in (20, 120)) + ((7, 400),)
+       for n in (5, 6, 7, 8) for d in (2, 3)},
+}
+_PINNED_SEARCH_DIGESTS = {
+    (3, 2): "775f4a8e43026d2310729833664624789ad015bedf2c8eeddfc6cad1caf9c682",
+    (4, 2): "1cd3252fc7b48db37ef3a68089f2bc2b0a7761fcf67359ae215a8bfa4b588518",
+    (5, 2): "84e42dc781650c69798fd9e846939b4fa5d5bb2bee100b4d532ff091540bca22",
+    (5, 3): "82617785464732e0823516686e8899ef58acbaef8271613b5c6aefef8afb77e8",
+    (6, 2): "7f9f5858907ea01185f7e5ddf86698cfee3fc1fd13a2ff8f20df493e9a54215e",
+    (6, 3): "fcb3234ba80d48c8599c982362fbdbf1bc579b94753a85bab53192587508b650",
+    (7, 2): "eb25a7ac0db637678794edd4a3ab55a0b190a0851b7599cff68c2637630d1da7",
+    (7, 3): "4847dd3488f149b32fda0e53788e54133d9cf1afb24d8cc14d9fce26c34e3f02",
+    (8, 2): "9143df57d29a1a01f7fcff0d64b1fa61f76e6de38e3be5824c36f744dcab0ffd",
+    (8, 3): "0ec194055c4021028da1b949b47c74020ddf84e37282efb3dfd692f35deef6ac",
+}
+
+
+def _search_digest(n, d):
+    results = [search_max_diameter(n, d, budget=budget, seed=seed)
+               for seed, budget in _PINNED_SEARCHES[n, d]]
+    key = [(r.best.nodes, r.best.adj, r.diameter, r.complete, r.explored) for r in results]
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n, d", list(_PINNED_SEARCHES))
+def test_search_results_are_pinned(n, d):
+    assert _search_digest(n, d) == _PINNED_SEARCH_DIGESTS[n, d]
