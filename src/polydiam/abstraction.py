@@ -139,6 +139,23 @@ def _reaches(adj, i: int, j: int, fmask: int) -> bool:
     return False
 
 
+def _wider_than(adj, ids, k: int) -> bool:
+    """Whether two of the nodes `ids` of the connected graph `adj` are more than
+    k steps apart: k rounds of `mask_diameter`'s all-sources OR, on global ids."""
+    chosen = sum(1 << g for g in ids)
+    reach = {g: 1 << g for g in ids}
+    nbrs = [(g, list(_bits(adj[g]))) for g in ids]
+    for _ in range(k):
+        step = {}
+        for g, ns in nbrs:
+            r = reach[g]
+            for h in ns:
+                r |= reach[h]
+            step[g] = r
+        reach = step
+    return any(r != chosen for r in reach.values())
+
+
 def search_max_diameter(
     n: int, d: int, budget: int = 1_000_000, seed: int | None = None
 ) -> SearchResult:
@@ -164,7 +181,12 @@ def search_max_diameter(
     d-subsets: the filters are computed once, and F(i, j) over a chosen
     node set is the global one ANDed with the chosen mask.  A graph on m
     nodes has diameter at most m - 1, and only a strictly larger diameter
-    replaces the best, so a graph with m - 1 <= best gets no diameter.
+    replaces the best, so a graph with m - 1 <= best gets no diameter.  The
+    random walk skips such a draw before thinning it: the thinning draws
+    nothing and the shuffle's swaps depend on the length only, so shuffling
+    a stand-in list keeps the stream, and the draw still counts as explored.
+    A thinned graph is valid, hence connected, so it is relabelled for its
+    diameter only when `_wider_than` finds two nodes more than best apart.
     """
     if n > 8 or d > 3:
         raise ValueError("search is guarded to n <= 8, d <= 3")
@@ -239,6 +261,10 @@ def search_max_diameter(
             size = rng.randint(2, len(all_nodes))
             # draws as `rng.sample(all_nodes, size)` does
             ids = sorted(rng.sample(range(len(all_nodes)), size))
+            explored += 1
+            if size - 1 <= best_diam:  # cannot win: draw the same swaps, thin nothing
+                rng.shuffle([0] * (size * (size - 1) // 2))
+                continue
             adj, pairs = complete_graph(ids)
             rng.shuffle(pairs)  # the swaps depend on the length only
             for i, j, fmask in pairs:
@@ -247,8 +273,8 @@ def search_max_diameter(
                 if not _reaches(adj, i, j, fmask):
                     adj[i] ^= 1 << j
                     adj[j] ^= 1 << i
-            explored += 1
-            consider(ids, adj)
+            if _wider_than(adj, ids, best_diam):
+                consider(ids, adj)
 
     if best_graph is None:
         raise ValueError("no valid connected graph found")

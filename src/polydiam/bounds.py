@@ -19,8 +19,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .dd import hrep_to_vrep  # noqa: F401
 from .paths import diameter, monotone_eccentricity, nonrevisiting_property
 from .polyhedron import Incidence, Infeasible, classify, facet_row_indices  # noqa: F401
@@ -116,6 +114,7 @@ def quasi_poly_bound(n: int, d: int, exponent_offset: int = 1) -> Fraction:
     if n & (n - 1) == 0:
         s = n.bit_length() - 1
         return Fraction(n**exponent_offset * d**s)
+    import mpmath  # on first use: only this branch and `BoundTable.to_dict` need it
     with mpmath.workprec(90):
         val = mpmath.power(n, exponent_offset + mpmath.log(d) / mpmath.log(2))
         up = val * (1 + mpmath.mpf(2) ** -80)
@@ -133,6 +132,7 @@ class BoundTable:
     hirsch_rhs: int
 
     def to_dict(self) -> dict:
+        import mpmath
         return {
             "n": self.n,
             "d": self.d,

@@ -27,9 +27,13 @@ off t, so it never re-enters a facet it left, whatever the masks.
 `_monotone_reach` gives per node u the bitset R[u] of the targets u
 reaches so.  Its rounds are Jacobi (round k reads round k - 1 only), so R
 holds exactly the walks of at most k steps, and they stop at the cap, as
-arbitrary masks allow steps that enter nothing.  R is symmetric (reverse a
-t-monotone walk from s), so source i keeps its targets j > i outside R[i].
-It is polynomial and charges no budget.  The pairs left run one greedy
+arbitrary masks allow steps that enter nothing.  F[u] adds the t reached
+by a free first step u -> w, entering any facet, then a t-monotone walk of
+at most cap - 1 steps, with t off every facet u leaves toward w: every
+facet left is off t and later steps enter only facets of t, so none is
+re-entered.  F is not symmetric, but a non-revisiting walk reversed is
+one, so source i keeps its targets j > i with j not in F[i] nor i in F[j].
+Both are polynomial and charge no budget.  The pairs left run one greedy
 pass per source: a BFS by the same step rule and cap keeping the first
 left-set per node.  A node it reaches has a walk, so only missed pairs run
 the DFS, in pair order: the witness is unchanged.  Each node the pass
@@ -229,10 +233,10 @@ def nonrevisiting_dfs(
     return None
 
 
-def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> list[int]:
-    """Per node u, the bitset of the targets t that u reaches by a t-monotone
-    walk of at most `cap` steps (module docstring).  A step allows the targets
-    on every facet it enters and off every facet it leaves: one AND of columns."""
+def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> tuple[list, list]:
+    """R and F of the module docstring, as bitsets of targets per node.  A step
+    allows the targets on every facet it enters and off every facet it leaves:
+    one AND of columns.  F is R when R proves every pair, as on a cube."""
     columns = _transpose(masks, max(masks, default=0).bit_length())
     everyone = (1 << len(adj)) - 1
     @cache  # one AND per distinct (entered, left) pair: a cube has 2d of them
@@ -245,9 +249,10 @@ def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> list[
         return ok
     steps = [[(w, ok) for w in _bits(nbrs) if (ok := allowed(masks[w] & ~mu, mu & ~masks[w]))]
              for mu, nbrs in zip(masks, adj)]
-    reach = [1 << u for u in range(len(adj))]
+    reach, before = [1 << u for u in range(len(adj))], [0] * len(adj)
     for _ in range(cap):
-        nxt = []  # Jacobi: round k reads round k - 1 only, so walks stay within k steps
+        # Jacobi: round k reads round k - 1 only, so walks stay within k steps
+        before, nxt = reach, []
         for r, out in zip(reach, steps):
             for w, ok in out:
                 r |= reach[w] & ok
@@ -255,7 +260,14 @@ def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> list[
         if nxt == reach:
             break
         reach = nxt
-    return reach
+    if reach.count(everyone) == len(adj):
+        return reach, reach
+    free = []  # a free first step u -> w, then a walk of `before`, the round before the last
+    for r, mu, nbrs in zip(reach, masks, adj):
+        for w in _bits(nbrs):
+            r |= before[w] & allowed(0, mu & ~masks[w])
+        free.append(r)
+    return reach, free
 
 
 def _greedy_misses(
@@ -293,14 +305,16 @@ def _nonrevisiting_all_pairs(
 ) -> PropertyResult:
     """Whether every pair i < j has a non-revisiting walk of at most `cap` steps;
     the first pair without one is the witness.  Source i hands its targets j > i
-    outside `_monotone_reach`'s R[i] to `_greedy_misses`, and the pairs that
-    leaves run `nonrevisiting_dfs` in order, each target's BFS built on first use."""
-    reach = _monotone_reach(adj, masks, cap)
+    that `_monotone_reach`'s F proves in neither direction to `_greedy_misses`, and
+    the pairs that leaves run `nonrevisiting_dfs` in order, each target's BFS
+    built on first use."""
+    _, free = _monotone_reach(adj, masks, cap)
     rows: dict[int, list[int]] = {}
     shared = SearchBudget(budget)
     try:
         for i in range(len(names)):
-            targets = (1 << len(names)) - (2 << i) & ~reach[i]
+            later = (1 << len(names)) - (2 << i) & ~free[i]
+            targets = later and sum(1 << j for j in _bits(later) if not free[j] >> i & 1)
             for j in _bits(targets and _greedy_misses(adj, masks, i, targets, cap, shared)):
                 layers = rows.get(j) or rows.setdefault(j, _bfs_layers(adj, j))
                 if nonrevisiting_dfs(adj, masks, i, j, cap, shared, layers) is None:

@@ -1,6 +1,9 @@
 """End-to-end command-line tests: pipelines, replay, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -751,3 +754,17 @@ def test_operators_accept_a_linearity_row(capsys, tmp_path, argv):
     assert reports[0] == reports[1]
     want = {"truncate": (3, 7), "polar": (3, 8), "wedge": (4, 7), "unbound": (3, 5)}
     assert (reports[1]["d"], reports[1]["n"]) == want[argv[0]]
+
+
+def test_mpmath_is_imported_on_first_use_only():
+    # `bounds` needs it for an irrational quasi-polynomial bound and for
+    # `--json`; loading the CLI, and the verbs that never reach either, do not
+    script = ("import sys, polydiam.cli; assert 'mpmath' not in sys.modules; "
+              "sys.exit(polydiam.cli.main(['bounds', '11', '5', '--json']))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        '{"n": 11, "d": 5, "lower": 5, "larman": 44, "kalai_kleitman": '
+        '"2880.2595059592031", "known_exact": 6, "hirsch_rhs": 6}\n'
+    )

@@ -282,9 +282,12 @@ def test_nonrevisiting_property_simplex_trivial():
 
 
 def test_nonrevisiting_property_budget_inconclusive():
-    _, q4 = klee_walkup()
-    h, v, inc, g = _pipeline(q4)
-    result = nonrevisiting_property(inc, budget=5)
+    # the certificate leaves 10 pairs of hirsch_sharp(5, 11) on 9 sources;
+    # the greedy passes from those reach 397 nodes in all, one unit each,
+    # and prove every pair, so no DFS runs
+    inc = analyse(hirsch_sharp(5, 11))
+    assert nonrevisiting_property(inc, budget=397).holds is True
+    result = nonrevisiting_property(inc, budget=396)
     assert result.holds is None
     assert result.witness is None
 
@@ -381,11 +384,15 @@ def test_all_pairs_without_a_step_left_certifies_nothing():
 
 
 def test_dfs_runs_where_the_greedy_pass_misses_a_walk(monkeypatch):
-    # from node 1 the pass reaches 0 by 1 -> 3 -> 0 first, whose left-set
-    # bars 2; the walk 1 -> 4 -> 0 -> 2 exists and the DFS finds it
-    adj = [0b11100, 0b11000, 0b00001, 0b10011, 0b01011]
-    masks = [0b01100, 0b10010, 0b01001, 0b10001, 0b11000]
-    assert _greedy_misses(adj, masks, 1, 0b11100, 3, SearchBudget(None)) >> 2 & 1
+    # from node 0 the pass reaches 1 by 0 -> 2 -> 1 first, whose left-set
+    # holds facet 3 and so bars 4; the walk 0 -> 3 -> 1 -> 4 exists and the
+    # DFS finds it.  The certificate leaves (0, 4): the step 3 -> 1 enters
+    # facet 2, which is on neither end, and 2 -> 1 leaves facet 3, which is on 4
+    adj = [0b01100, 0b11100, 0b00011, 0b00011, 0b00010]
+    masks = [0b10000, 0b00100, 0b01100, 0b10001, 0b01000]
+    _, free = _monotone_reach(adj, masks, 4)
+    assert not free[0] >> 4 & 1 and not free[4] & 1
+    assert _greedy_misses(adj, masks, 0, 0b10000, 4, SearchBudget(None)) == 0b10000
     searched = []
 
     def spy(adj, masks, source, target, *rest):
@@ -394,8 +401,8 @@ def test_dfs_runs_where_the_greedy_pass_misses_a_walk(monkeypatch):
         return found
 
     monkeypatch.setattr("polydiam.paths.nonrevisiting_dfs", spy)
-    assert _matches_unpruned_all_pairs(adj, masks, 3)
-    assert (1, 2, [1, 4, 0, 2]) in searched
+    assert _matches_unpruned_all_pairs(adj, masks, 4)
+    assert (0, 4, [0, 3, 1, 4]) in searched
 
 
 def test_greedy_pass_certifies_only_pairs_with_a_walk_on_corpus():
@@ -425,22 +432,24 @@ def test_greedy_pass_certifies_every_pair_of_a_polytope():
 
 
 def _certificate_is_sound_and_symmetric(adj, masks, cap):
-    """Every pair `_monotone_reach` certifies has a non-revisiting walk of at
-    most `cap` steps, by enumeration, and the certificate is symmetric."""
-    reach = _monotone_reach(adj, masks, cap)
+    """`_monotone_reach` gives (R, F): R is symmetric and F holds R, and every
+    j in F[i] has a non-revisiting walk from i of at most `cap` steps, by
+    enumeration.  F need not be symmetric: it proves the pair in that direction."""
+    reach, free = _monotone_reach(adj, masks, cap)
     adjacency = {i: list(_bits(a)) for i, a in enumerate(adj)}
     tight = [frozenset(_bits(m)) for m in masks]
-    for i, j in combinations(range(len(adj)), 2):
+    assert all(f & r == r for f, r in zip(free, reach))
+    for i, j in permutations(range(len(adj)), 2):
         assert reach[i] >> j & 1 == reach[j] >> i & 1, (i, j)
-        if reach[i] >> j & 1:
+        if free[i] >> j & 1:
             assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (i, j)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mask_graphs())
 def test_certificate_is_sound_and_symmetric_on_arbitrary_masks(case):
-    # a step may enter nothing here, so only Jacobi rounds and the cap keep
-    # the certificate within `cap` steps
+    # a step may enter nothing here, so only Jacobi rounds, the cap and the
+    # free step's walks of at most cap - 1 steps keep F within `cap` steps
     _certificate_is_sound_and_symmetric(*case)
 
 
@@ -464,16 +473,18 @@ def test_certificate_proves_every_pair_of_a_cube(monkeypatch):
     for d in range(1, 7):
         inc = analyse(cube(d))
         adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
-        assert _monotone_reach(adj, masks, cap) == [(1 << len(adj)) - 1] * len(adj), d
+        reach, free = _monotone_reach(adj, masks, cap)
+        assert reach == free == [(1 << len(adj)) - 1] * len(adj), d
         assert nonrevisiting_property(inc).holds is True, d
 
 
 def test_greedy_pass_charges_one_unit_per_node_reached():
-    # the path a-b-c-d: the certificate proves every pair but (a, d), for
-    # free, since the step a -> b enters facet 2, which is not on d; so only
-    # the pass from a runs, and it reaches b, c and d, one unit each
+    # the path a-b-c-d, each node on one facet of its own: the certificate
+    # proves every pair but (a, d), for free, since the middle step b -> c
+    # enters facet 2, which is on neither end; so only the pass from a runs,
+    # and it reaches b, c and d, one unit each
     adj = [0b0010, 0b0101, 0b1010, 0b0100]
-    masks = [0b00011, 0b00110, 0b01100, 0b11000]
+    masks = [0b0001, 0b0010, 0b0100, 0b1000]
     names = ("a", "b", "c", "d")
     assert _nonrevisiting_all_pairs(adj, masks, 3, names, 3).holds is True
     assert _nonrevisiting_all_pairs(adj, masks, 3, names, 2).holds is None

@@ -8,7 +8,7 @@ facets' label sets in `oracles.dual_nonrevisiting`.
 """
 
 from polydiam import PolyGraph, analyse, classify, dual_graph, polar
-from polydiam.constructions import crosspolytope, klee_walkup, simplex
+from polydiam.constructions import crosspolytope, hirsch_sharp, klee_walkup, simplex
 from polydiam.paths import _nonrevisiting_all_pairs, bfs_distances, nonrevisiting_property
 
 from oracles import dual_nonrevisiting
@@ -146,7 +146,12 @@ def test_dual_nonrevisiting_klee_walkup():
 
 
 def test_dual_nonrevisiting_budget():
-    assert _polar_nonrevisiting(klee_walkup()[0], budget=3).holds is None
+    # the boundary of the polar of hirsch_sharp(5, 11): the certificate
+    # leaves 10 pairs of its facets on 9 sources, and the greedy passes from
+    # those reach 397 facets in all, counted once per pass
+    poly = polar(analyse(hirsch_sharp(5, 11)))[0]
+    assert _polar_nonrevisiting(poly, budget=397).holds is True
+    assert _polar_nonrevisiting(poly, budget=396).holds is None
 
 
 def test_dual_nonrevisiting_matches_unpruned_search():
