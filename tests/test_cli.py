@@ -115,6 +115,34 @@ def test_recipe_replay_byte_identical(capsys, generator):
     assert write(replay(recipe), recipe) == text
 
 
+# sha256 of `convert --to h` of `gen zeroone --dim 7 --points 24 --seed S`,
+# then of `convert --to v` of that H-file: degenerate 0/1 polytopes from the
+# benchmark's hull pool, seed 1024 being its largest (184 facets).
+_PINNED_ZEROONE_ROUND_TRIP = {
+    1000: ("cd6223edb673b863acf987ce281074c041dc246466057f3afc9b60687e05a2a5",
+           "2ee2d447ac32bf805aa706025e55e552222d2f778c2f8ac97f214759e15ec099"),
+    1024: ("f323557fddac42b2566b2e91d1e402273298ae23c48614a289621ad1d2fec231",
+           "c2096c022bf273de24c6249087d241b5dac1118845734a5d714f00f8a0de91c8"),
+}
+
+
+@pytest.mark.parametrize("seed", list(_PINNED_ZEROONE_ROUND_TRIP))
+def test_zeroone_round_trip_is_pinned(capsys, tmp_path, seed):
+    import hashlib
+
+    ext, ine = tmp_path / "p.ext", tmp_path / "p.ine"
+    argv = ("zeroone", "--dim", "7", "--points", "24", "--seed", str(seed))
+    assert run(capsys, "gen", *argv, "--out", str(ext))[0] == 0
+    digests = []
+    for target, source, out in (("h", ext, ine), ("v", ine, None)):
+        code, text, err = run(capsys, "convert", "--to", target, str(source))
+        assert (code, err) == (0, "")
+        digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+        if out is not None:
+            out.write_text(text)
+    assert tuple(digests) == _PINNED_ZEROONE_ROUND_TRIP[seed]
+
+
 @pytest.mark.parametrize("argv,err", [
     (("cube", "0"), "error: d must be >= 1\n"),
     (("hirschsharp", "--dim", "3", "--facets", "9"),
