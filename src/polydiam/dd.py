@@ -18,18 +18,26 @@ arithmetic throughout:
 
 Ray insertion order is deterministic (rows sorted lexicographically after
 canonical scaling) and ray adjacency uses the combinatorial zero-set test
-of Fukuda & Prodon, *Double description method revisited* (1996), which
-is correct for degenerate inputs where a rank shortcut is not.  It runs on
-column bitsets: per processed row, the set of rays tight on it, so "which
-rays are tight on all of z" is one AND of |z| big integers rather than a
-scan over every ray.  A short rank of the cone rows (a line in the input)
-surfaces there too, as `NotPointed`, with no separate rank test.  In
-front of that test, the negative rays of a step go in blocks of 16: the
-union of a block's zero sets bounds |Z(p) & Z(q)| for every q in it, so a
-positive ray p that shares fewer than dim - 2 rows with the union skips
-the block whole (the flat form of the bit-pattern tree of Terzer &
+of Fukuda & Prodon, *Double description method revisited* (1996).  It runs
+on column bitsets: per processed row, the set of rays tight on it, so
+"which rays are tight on all of z" is one AND of |z| big integers rather
+than a scan over every ray.  A short rank of the cone rows (a line in the
+input) surfaces there too, as `NotPointed`, with no separate rank test.
+In front of that test, the negative rays of a step go in blocks of 16:
+the union of a block's zero sets bounds |Z(p) & Z(q)| for every q in it,
+so a positive ray p that shares fewer than dim - 2 rows with the union
+skips the block whole (the flat form of the bit-pattern tree of Terzer &
 Stelling, *Bioinformatics* 24(19), 2008).  Pairs are met in the same
 order either way, so the rays and their order do not depend on it.
+
+A pair with a non-degenerate ray p, one tight on exactly dim - 1
+processed rows, needs no AND, as the count decides it.  (1) An extreme
+ray's zero set has rank dim - 1, so the dim - 1 rows of Z(p) are
+independent, and so is their subset z = Z(p) & Z(q).  (2) |z| = dim - 1
+would make q a multiple of p, so a pair sharing dim - 2 rows cuts out a
+pointed 2-dimensional face.  (3) Its only extreme rays are p and q: no
+third ray is tight on z.  So only pairs of two degenerate rays run the
+AND.
 
 `analyse` is the one way from a description, H or V, to its `Incidence`:
 it converts once and pairs the input with its converse.  The cone already
@@ -90,10 +98,13 @@ def _cone_extreme_rays(
     the union of its zero sets, which bounds |Z(p) & Z(q)| for every q in
     the block (Terzer & Stelling, *Bioinformatics* 24(19), 2008): when
     Z(p) & touched has fewer than dim - 2 rows, p skips the block whole.
-    p stays the outer loop and q runs in `neg` order, so the pairs, and
-    the new rays with their ids, come in the order of the plain double
-    loop.  A new ray is the integer combination of its pair divided by its
-    gcd.
+    When p or q is non-degenerate, tight on exactly dim - 1 rows, the
+    count decides: z is then dim - 2 independent rows, whose face is a
+    pointed 2-dimensional cone with p and q its only extreme rays.  The
+    scan only lists the pairs, p outer and q in `neg` order, as the plain
+    double loop meets them; the new rays (each its pair's integer
+    combination divided by its gcd) and their ids follow after the scan,
+    in that order, and each step's rays go positive, zero, new.
     """
     rows = sorted(set(rows))
     # Greedy initial basis B in insertion order; the columns of B^-1 are the
@@ -125,21 +136,25 @@ def _cone_extreme_rays(
     next_id = dim
 
     chosen = set(basis_idx)
+    least = dim - 2  # the rows an adjacent pair shares at least
     for r, row in enumerate(rows):
         if r in chosen:
             continue
         bit = 1 << r
-        vals = [sum(map(mul, row, y)) for y in rays]
-        pos = [k for k, v in enumerate(vals) if v > 0]
-        neg = [k for k, v in enumerate(vals) if v < 0]
-        zero = [k for k, v in enumerate(vals) if v == 0]
+        vals, pos, neg, zero = [], [], [], []
         column = 0
-        for k in zero:
-            masks[k] |= bit
-            column |= 1 << ids[k]
+        for k, y in enumerate(rays):
+            v = sum(map(mul, row, y))
+            vals.append(v)
+            if v > 0:
+                pos.append(k)
+            elif v < 0:
+                neg.append(k)
+            else:
+                zero.append(k)
+                masks[k] |= bit
+                column |= 1 << ids[k]
         columns[r] = column
-        if not neg:
-            continue
 
         blocks = []
         for i in range(0, len(neg), _BLOCK):
@@ -148,38 +163,45 @@ def _cone_extreme_rays(
             for _, zq in members:
                 touched |= zq
             blocks.append((touched, members))
-        new_rays: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
+        pairs = []
         for p in pos:
-            mp, vp, yp, idp = masks[p], vals[p], rays[p], 1 << ids[p]
+            mp, idp = masks[p], 1 << ids[p]
+            nondegenerate = mp.bit_count() == dim - 1
             for touched, members in blocks:
                 zp = mp & touched
-                if zp.bit_count() < dim - 2:
+                if zp.bit_count() < least:
                     continue
                 for q, zq in members:
                     z = zp & zq  # = Z(p) & Z(q), as zq lies within `touched`
-                    if z.bit_count() < dim - 2:
+                    if z.bit_count() < least:
                         continue
-                    pair = idp | 1 << ids[q]
-                    if _tight_on_all(columns, z, alive, pair) != pair:
-                        continue  # not adjacent: some third ray is tight on z
-                    vq = vals[q]
-                    combo = [vp * b - vq * a for a, b in zip(yp, rays[q])]
-                    g = gcd(*combo)  # > 0: p and q are independent, so combo is not zero
-                    new_rays.append(tuple(x // g for x in combo) if g > 1 else tuple(combo))
-                    new_masks.append(z | bit)
+                    if not (nondegenerate or zq.bit_count() == dim - 1):  # both degenerate
+                        pair = idp | 1 << ids[q]
+                        if _tight_on_all(columns, z, alive, pair) != pair:
+                            continue  # not adjacent: some third ray is tight on z
+                    pairs.append((p, q, z))
 
+        new_rays: list[tuple[int, ...]] = []
+        new_masks: list[int] = []
+        idb = 1 << next_id  # the id bit of the next new ray
+        for p, q, z in pairs:
+            vp, vq = vals[p], vals[q]
+            combo = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
+            g = gcd(*combo)  # > 0: p and q are independent, so combo is not zero
+            new_rays.append(tuple(x // g for x in combo) if g > 1 else tuple(combo))
+            new_masks.append(z | bit)
+            while z:  # its id joins the columns of z; row r's follows below
+                low = z & -z
+                columns[low.bit_length() - 1] |= idb
+                z ^= low
+            idb <<= 1
         new_ids = list(range(next_id, next_id + len(new_rays)))
-        next_id += len(new_rays)
-        for m, i in zip(new_masks, new_ids):
-            while m:
-                low = m & -m
-                columns[low.bit_length() - 1] |= 1 << i
-                m ^= low
         for q in neg:
             alive ^= 1 << ids[q]
-        for i in new_ids:
-            alive |= 1 << i
+        added = ((1 << len(new_rays)) - 1) << next_id
+        columns[r] |= added
+        alive |= added
+        next_id += len(new_rays)
         keep = pos + zero
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] for k in keep] + new_masks

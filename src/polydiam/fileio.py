@@ -83,7 +83,10 @@ def _parse_matrix_block(lines: list[str], start: int) -> tuple[int, int, list[li
 
 
 def read_hfile(text: str) -> HPolyhedron:
-    lines = _content_lines(text)
+    return _read_hlines(_content_lines(text))
+
+
+def _read_hlines(lines: list[str]) -> HPolyhedron:
     if not lines or lines[0] != "H-representation":
         raise ValueError("not an H-file: missing 'H-representation' header")
     pos = 1
@@ -106,7 +109,10 @@ def read_hfile(text: str) -> HPolyhedron:
 
 
 def read_vfile(text: str) -> VPolyhedron:
-    lines = _content_lines(text)
+    return _read_vlines(_content_lines(text))
+
+
+def _read_vlines(lines: list[str]) -> VPolyhedron:
     if not lines or lines[0] != "V-representation":
         raise ValueError("not a V-file: missing 'V-representation' header")
     _, cols, rows = _parse_matrix_block(lines, 1)
@@ -124,9 +130,9 @@ def read_polyfile(text: str) -> HPolyhedron | VPolyhedron:
     if not lines:
         raise ValueError("empty input")
     if lines[0] == "H-representation":
-        return read_hfile(text)
+        return _read_hlines(lines)
     if lines[0] == "V-representation":
-        return read_vfile(text)
+        return _read_vlines(lines)
     raise ValueError(f"unknown file header {lines[0]!r}")
 
 

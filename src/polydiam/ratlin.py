@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -84,9 +84,7 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
         g = gcd(*vec)
         return tuple(vec) if g <= 1 else tuple(x // g for x in vec)
     fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
-    den = 1
-    for q in fracs:
-        den = den * q.denominator // gcd(den, q.denominator)
+    den = lcm(*(q.denominator for q in fracs))
     ints = [q.numerator * (den // q.denominator) for q in fracs]
     g = gcd(*ints)
     if g <= 1:

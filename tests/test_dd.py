@@ -504,6 +504,45 @@ def test_a_skipped_block_of_negative_rays_loses_no_ray():
 
 
 @st.composite
+def _small_cones(draw):
+    """(dim, rows): up to ten nonzero primitive rows with entries in -2..2,
+    dim 2-5, some of them repeats or negations of others, so that rays
+    tight on exactly dim - 1 rows mix with rays tight on more."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    row = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row.filter(any), min_size=1, max_size=10))
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.booleans()),
+                           max_size=10 - len(rows)))
+    rows += [[-x for x in rows[i]] if negate else rows[i] for i, negate in copies]
+    return dim, [primitive_ints(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))  # a square cone: all simple
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)]))  # an opposite pair: a face
+@example((4, [(0, 0, 0, 1), (0, 1, 1, 0), (0, -1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0),
+              (-1, 0, 0, 0), (0, 0, 0, -1)]))  # two degenerate rays, not adjacent
+@example((4, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 0, 1),
+              (1, 0, 0, 0)]))  # a step with no negative ray still orders them pos + zero
+@given(_small_cones())
+def test_cone_extreme_rays_and_zero_sets_on_small_cones(data):
+    # A pair with a ray tight on exactly dim - 1 rows is decided by the
+    # count alone; the rays must still be the oracle's, in its order, and
+    # each zero set must be the rows the ray is tight on, computed here.
+    dim, rows = data
+    want = third_ray_scan_extreme_rays(rows, dim)
+    zero_sets: list[int] = []
+    if want is None:
+        with pytest.raises(NotPointed):
+            _cone_extreme_rays(rows, dim, zero_sets)
+        return
+    assert _cone_extreme_rays(rows, dim, zero_sets) == want
+    ordered = sorted(set(rows))
+    tight = [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y))) for y in want]
+    assert zero_sets == tight
+
+
+@st.composite
 def _rows_with_linearity(draw):
     """(d, rows, linearity): up to five small integer rows in R^d, d <= 4,
     any of them an equality."""

@@ -19,6 +19,12 @@ ALLOWED_UNREFERENCED = {
     ("paths", "nonrevisiting_path"):
         "the single-pair non-revisiting search that acceptance criterion 12 runs; "
         "no verb prints a path yet",
+    ("fileio", "read_hfile"):
+        "the reader of one format, for callers that know it; the verbs read through "
+        "`read_polyfile`, which hands its one split of the text to the same parser",
+    ("fileio", "read_vfile"):
+        "the reader of one format, for callers that know it; the verbs read through "
+        "`read_polyfile`, which hands its one split of the text to the same parser",
 }
 
 
