@@ -82,13 +82,7 @@ def _parse_matrix_block(lines: list[str], start: int) -> tuple[int, int, list[li
     return m, cols, rows
 
 
-def read_hfile(text: str) -> HPolyhedron:
-    return _read_hlines(_content_lines(text))
-
-
 def _read_hlines(lines: list[str]) -> HPolyhedron:
-    if not lines or lines[0] != "H-representation":
-        raise ValueError("not an H-file: missing 'H-representation' header")
     pos = 1
     linearity: set[int] = set()
     if _line(lines, pos, "'linearity' or 'begin'").startswith("linearity"):
@@ -108,13 +102,7 @@ def _read_hlines(lines: list[str]) -> HPolyhedron:
     )
 
 
-def read_vfile(text: str) -> VPolyhedron:
-    return _read_vlines(_content_lines(text))
-
-
 def _read_vlines(lines: list[str]) -> VPolyhedron:
-    if not lines or lines[0] != "V-representation":
-        raise ValueError("not a V-file: missing 'V-representation' header")
     _, cols, rows = _parse_matrix_block(lines, 1)
     if any(row[0] not in (0, 1) for row in rows):
         raise ValueError("V-file rows must start with 1 (vertex) or 0 (ray)")

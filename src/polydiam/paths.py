@@ -21,24 +21,22 @@ so the search cuts a node whose BFS distance to the target exceeds the
 steps left; the cut subtrees hold no path, so the search meets the same
 paths in the same order, and finds the same first one, as without it.
 
-The all-pairs check first proves most pairs at once.  A walk is
+The all-pairs check proves most pairs without a search.  A walk is
 t-monotone when each step enters only facets of t and leaves only facets
 off t, so it never re-enters a facet it left, whatever the masks.
-`_monotone_reach` gives per node u the bitset R[u] of the targets u
-reaches so.  Its rounds are Jacobi (round k reads round k - 1 only), so R
-holds exactly the walks of at most k steps, and they stop at the cap, as
-arbitrary masks allow steps that enter nothing.  F[u] adds the t reached
-by a free first step u -> w, entering any facet, then a t-monotone walk of
-at most cap - 1 steps, with t off every facet u leaves toward w: every
-facet left is off t and later steps enter only facets of t, so none is
-re-entered.  F is not symmetric, but a non-revisiting walk reversed is
-one, so source i keeps its targets j > i with j not in F[i] nor i in F[j].
-Both are polynomial and charge no budget.  The pairs left run one greedy
-pass per source: a BFS by the same step rule and cap keeping the first
-left-set per node.  A node it reaches has a walk, so only missed pairs run
-the DFS, in pair order: the witness is unchanged.  Each node the pass
-reaches costs one unit of budget; a layer past the limit certifies
-nothing, so the DFS still proves an unreachable pair for free.
+`_monotone_reach` gives per node u the bitsets R_k[u] of the targets u
+reaches so in at most k steps: its rounds are Jacobi (round k reads round
+k - 1 only), and they stop at the cap or at a fixed point, as arbitrary
+masks allow steps that enter nothing.  Each source then runs one greedy
+pass: a BFS by the DFS's step rule and cap, keeping the first left-set L_w
+per node w.  Reaching w at depth k proves every t in R_{cap-k}[w] that is
+off every facet of L_w: the tail enters only facets of t, so none of L_w,
+and never re-enters a facet it left itself, all within cap steps.  At depth
+0 this is R itself, which charges no budget.  The pass stops once its
+targets are proved, and only the pairs it misses run the DFS, in pair
+order: the witness is unchanged.  Each node the pass reaches costs one unit
+of budget; a layer past the limit certifies nothing, so the DFS still
+proves an unreachable pair for free.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import inf, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polyhedron import Disconnected, GeometryError, Incidence, PolyGraph, Unbounded
 from .polyhedron import _bits, _transpose
@@ -58,7 +56,6 @@ from .ratlin import dot, primitive
 class PathReport:
     source: str
     target: str
-    length: int
     path: tuple[str, ...]
     kind: str  # shortest | non-revisiting | monotone
 
@@ -233,10 +230,12 @@ def nonrevisiting_dfs(
     return None
 
 
-def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> tuple[list, list]:
-    """R and F of the module docstring, as bitsets of targets per node.  A step
-    allows the targets on every facet it enters and off every facet it leaves:
-    one AND of columns.  F is R when R proves every pair, as on a cube."""
+def _monotone_reach(
+    adj: Sequence[int], masks: Sequence[int], cap: int
+) -> tuple[list[list[int]], Callable[[int, int], int]]:
+    """The rounds R_0, R_1, ... of the module docstring, as bitsets of targets
+    per node, and the cached `allowed`.  A step allows the targets on every
+    facet it enters and off every facet it leaves: one AND of columns."""
     columns = _transpose(masks, max(masks, default=0).bit_length())
     everyone = (1 << len(adj)) - 1
     @cache  # one AND per distinct (entered, left) pair: a cube has 2d of them
@@ -249,37 +248,34 @@ def _monotone_reach(adj: Sequence[int], masks: Sequence[int], cap: int) -> tuple
         return ok
     steps = [[(w, ok) for w in _bits(nbrs) if (ok := allowed(masks[w] & ~mu, mu & ~masks[w]))]
              for mu, nbrs in zip(masks, adj)]
-    reach, before = [1 << u for u in range(len(adj))], [0] * len(adj)
+    rounds = [[1 << u for u in range(len(adj))]]
     for _ in range(cap):
         # Jacobi: round k reads round k - 1 only, so walks stay within k steps
-        before, nxt = reach, []
+        reach, nxt = rounds[-1], []
         for r, out in zip(reach, steps):
             for w, ok in out:
                 r |= reach[w] & ok
             nxt.append(r)
         if nxt == reach:
             break
-        reach = nxt
-    if reach.count(everyone) == len(adj):
-        return reach, reach
-    free = []  # a free first step u -> w, then a walk of `before`, the round before the last
-    for r, mu, nbrs in zip(reach, masks, adj):
-        for w in _bits(nbrs):
-            r |= before[w] & allowed(0, mu & ~masks[w])
-        free.append(r)
-    return reach, free
+        rounds.append(nxt)
+    return rounds, allowed
 
 
 def _greedy_misses(
-    adj: Sequence[int], masks: list[int], source: int, targets: int, cap: int, budget: SearchBudget
+    adj: Sequence[int], masks: list[int], source: int, targets: int, cap: int,
+    budget: SearchBudget, rounds: list[list[int]], allowed: Callable[[int, int], int],
 ) -> int:
-    """The nodes of `targets` the greedy pass (module docstring) from `source` misses."""
+    """The nodes of `targets` the greedy pass (module docstring) from `source`
+    does not prove, with `rounds` and `allowed` from `_monotone_reach`."""
+    last = len(rounds) - 1
+    targets &= ~rounds[min(cap, last)][source]  # depth 0: the monotone walks, for free
     left, frontier = [0] * len(adj), 1 << source
     unseen = (1 << len(adj)) - 1 ^ frontier
-    for _ in range(cap):
-        if not targets & unseen:
+    for depth in range(1, cap + 1):
+        if not targets:
             break
-        before = unseen
+        tails, before, proved = rounds[min(cap - depth, last)], unseen, 0
         for u in _bits(frontier):
             lu, mu = left[u], masks[u]
             fresh = adj[u] & unseen
@@ -288,12 +284,16 @@ def _greedy_misses(
                 fresh ^= low
                 w = low.bit_length() - 1
                 if not masks[w] & lu:
-                    left[w] = lu | (mu & ~masks[w])
+                    left[w] = lw = lu | (mu & ~masks[w])
                     unseen ^= low
+                    proved |= tails[w] & allowed(0, lw)
+            if not targets & ~proved:
+                break
         frontier = before ^ unseen
         if not budget.spend(frontier.bit_count()):
-            return targets & (unseen | frontier)
-    return targets & unseen
+            break
+        targets &= ~proved
+    return targets
 
 
 def _nonrevisiting_all_pairs(
@@ -305,17 +305,15 @@ def _nonrevisiting_all_pairs(
 ) -> PropertyResult:
     """Whether every pair i < j has a non-revisiting walk of at most `cap` steps;
     the first pair without one is the witness.  Source i hands its targets j > i
-    that `_monotone_reach`'s F proves in neither direction to `_greedy_misses`, and
-    the pairs that leaves run `nonrevisiting_dfs` in order, each target's BFS
-    built on first use."""
-    _, free = _monotone_reach(adj, masks, cap)
+    to `_greedy_misses`, and the pairs that leaves run `nonrevisiting_dfs` in
+    order, each target's BFS built on first use."""
+    rounds, allowed = _monotone_reach(adj, masks, cap)
     rows: dict[int, list[int]] = {}
     shared = SearchBudget(budget)
     try:
         for i in range(len(names)):
-            later = (1 << len(names)) - (2 << i) & ~free[i]
-            targets = later and sum(1 << j for j in _bits(later) if not free[j] >> i & 1)
-            for j in _bits(targets and _greedy_misses(adj, masks, i, targets, cap, shared)):
+            later = (1 << len(names)) - (2 << i)
+            for j in _bits(_greedy_misses(adj, masks, i, later, cap, shared, rounds, allowed)):
                 layers = rows.get(j) or rows.setdefault(j, _bfs_layers(adj, j))
                 if nonrevisiting_dfs(adj, masks, i, j, cap, shared, layers) is None:
                     return PropertyResult(holds=False, witness=(names[i], names[j]))
@@ -356,7 +354,6 @@ def nonrevisiting_path(
     return PathReport(
         source=source,
         target=target,
-        length=len(found) - 1,
         path=tuple(labels[i] for i in found),
         kind="non-revisiting",
     )

@@ -237,31 +237,21 @@ class Incidence:
     ray k is (a.r = 0), so the vertices and rays tight on a whole row set
     are one AND of columns.  Each conversion of `dd.analyse` already holds
     them and hands them over.  The rest is computed when first asked for
-    and then kept: `masks` and `ray_masks` (per vertex and per ray, the
-    rows tight on it: one transpose of `columns`), `facets`, `facet_masks`
-    (which every per-vertex facet question reads), `implicit`, `dim` and
-    `graph`.
+    and then kept: `masks` (per vertex, the rows tight on it: one transpose
+    of `columns`), `facets`, `facet_masks` (which every per-vertex facet
+    question reads), `implicit`, `dim` and `graph`.
     """
 
     def __init__(self, h: HPolyhedron, v: VPolyhedron, columns: Sequence[int]):
         self.h = h
         self.v = v
-        self.nrows = h.nrows
         self.columns = tuple(columns)
         self.nverts = v.nverts
         self.everything = (1 << len(v.rows)) - 1
 
     @cached_property
-    def _row_masks(self) -> tuple[int, ...]:
-        return tuple(_transpose(self.columns, len(self.v.rows)))
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
-        return self._row_masks[: self.nverts]
-
-    @cached_property
-    def ray_masks(self) -> tuple[int, ...]:
-        return self._row_masks[self.nverts:]
+        return tuple(_transpose(self.columns, len(self.v.rows))[: self.nverts])
 
     @cached_property
     def facets(self) -> tuple[int, ...]:

@@ -213,6 +213,14 @@ def fraction_incidence(h, v):
     return [mask(p, 1) for p in v.vertices], [mask(r, 0) for r in v.rays]
 
 
+def fraction_columns(h, v):
+    """Per row of `h`, bit k set when vertex k is tight on it and bit
+    nverts + k when ray k is, by `fraction_incidence`."""
+    vmasks, rmasks = fraction_incidence(h, v)
+    return [sum(1 << k for k, m in enumerate(vmasks + rmasks) if m >> i & 1)
+            for i in range(h.nrows)]
+
+
 def incidence(h, v):
     """The `Incidence` of the pair, with its exact tightness columns.
 

@@ -313,7 +313,7 @@ def test_criterion_12_nonrevisiting():
             for a, b in list(combinations(labels, 2))[:30]:
                 report = nonrevisiting_path(inc, a, b)
                 assert report is not None
-                assert report.length <= nfacets - h.d
+                assert len(report.path) - 1 <= nfacets - h.d
 
         # the property holds on cubes, the Klee-Walkup block, and every
         # diameter-sharp generator of reasonable size

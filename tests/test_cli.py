@@ -11,10 +11,9 @@ import pytest
 from polydiam.cli import main
 from polydiam.constructions import cube, replay
 from polydiam.fileio import (
-    read_hfile,
+    read_polyfile,
     read_recipe,
     read_subset_graph,
-    read_vfile,
     write_hfile,
     write_vfile,
 )
@@ -257,7 +256,7 @@ def test_convert_round_trip(capsys, tmp_path):
     run(capsys, "gen", "kleewalkup", "--out", str(q4))
     assert run(capsys, "convert", "--to", "v", str(q4), "--out", str(v))[0] == 0
     assert run(capsys, "convert", "--to", "h", str(v), "--out", str(h2))[0] == 0
-    back = read_hfile(h2.read_text())
+    back = read_polyfile(h2.read_text())
     assert back.nrows == 9 and back.d == 4
 
 
@@ -268,10 +267,10 @@ def test_convert_changes_the_format_only(capsys, tmp_path):
     points = [(0, 0), (2, 0), (0, 2), (2, 2), (Fraction(1, 2), Fraction(1, 2))]
     sq.write_text(write_vfile(VPolyhedron.from_points(points)))
     code, out, _ = run(capsys, "convert", "--to", "v", str(sq))
-    assert code == 0 and len(read_vfile(out).vertices) == 5
+    assert code == 0 and len(read_polyfile(out).vertices) == 5
     assert run(capsys, "convert", "--to", "h", str(sq), "--out", str(h))[0] == 0
     code, out, _ = run(capsys, "convert", "--to", "v", str(h))
-    assert code == 0 and len(read_vfile(out).vertices) == 4
+    assert code == 0 and len(read_polyfile(out).vertices) == 4
 
 
 def test_convert_writes_a_ray_at_primitive_scale(capsys, tmp_path):
@@ -396,7 +395,7 @@ def test_lower_dimensional_v_file_to_h_is_pinned(capsys, tmp_path):
     code, out, err = run(capsys, "convert", "--to", "h", str(ext))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PINNED_PLACED_HULL, out
-    assert read_hfile(out).linearity == frozenset({0})
+    assert read_polyfile(out).linearity == frozenset({0})
 
 
 _ONE_CONVERSION_VERBS = [
@@ -471,7 +470,7 @@ def test_polar_ignores_listed_points_that_are_not_vertices(capsys, tmp_path):
         outs.append(out)
     assert outs[0] == outs[1]
     assert outs[0].startswith("# polar translation applied: -1 -1\n")
-    assert read_hfile(outs[0]).nrows == 4
+    assert read_polyfile(outs[0]).nrows == 4
 
 
 def test_polar_output(capsys, tmp_path):
@@ -481,7 +480,7 @@ def test_polar_output(capsys, tmp_path):
     assert run(capsys, "polar", str(c), "--out", str(p))[0] == 0
     text = p.read_text()
     assert "# polar translation applied: 0 0 0" in text
-    assert read_hfile(text).nrows == 8
+    assert read_polyfile(text).nrows == 8
 
 
 def test_unbound_pipeline(capsys, tmp_path):
@@ -499,7 +498,7 @@ def test_truncate_pipeline(capsys, tmp_path):
     t = tmp_path / "t.ine"
     run(capsys, "gen", "cube", "3", "--out", str(c))
     assert run(capsys, "truncate", "--vertex", "v0", str(c), "--out", str(t))[0] == 0
-    assert read_hfile(t.read_text()).nrows == 7
+    assert read_polyfile(t.read_text()).nrows == 7
 
 
 def test_truncate_vertex_label_as_in_graph_on_v_file(capsys, tmp_path):
@@ -511,7 +510,7 @@ def test_truncate_vertex_label_as_in_graph_on_v_file(capsys, tmp_path):
     assert code == 0
     assert out == "nodes v0 v1 v2 v3\nv0 v2\nv0 v3\nv1 v2\nv1 v3\n"
     assert run(capsys, "truncate", "--vertex", "v0", str(path), "--out", str(out_path))[0] == 0
-    cut = read_hfile(out_path.read_text())
+    cut = read_polyfile(out_path.read_text())
     assert not cut.linearity
     assert any(cut.value(i, (1, 1)) < 0 for i in range(cut.nrows))
     assert all(cut.value(i, (0, 0)) >= 0 for i in range(cut.nrows))
@@ -661,7 +660,7 @@ def test_pipelines_compose_for_every_generator(capsys, tmp_path):
             code, out, _ = run(capsys, "check", str(src), "--json")
             assert code == 0 and json.loads(out)["satisfies_hirsch"]
             continue
-        k = analyse(read_hfile(src.read_text())).facets[0] + 1  # 1-based flag
+        k = analyse(read_polyfile(src.read_text())).facets[0] + 1  # 1-based flag
         w = tmp_path / f"{name}.w.ine"
         assert run(capsys, "wedge", "--facet", str(k), str(src),
                    "--out", str(w))[0] == 0
@@ -714,7 +713,7 @@ def test_stdin_pipeline(capsys, monkeypatch, tmp_path):
 def test_listed_points_that_are_not_vertices_are_dropped(capsys, tmp_path, points, graph, diam):
     # The kept vertices keep their labels from the file.
     f = _point_file(tmp_path, points)
-    inc = analyse(read_vfile(f.read_text()))
+    inc = analyse(read_polyfile(f.read_text()))
     assert " ".join(inc.v.all_labels()) == graph.splitlines()[0].removeprefix("nodes ")
     assert run(capsys, "graph", str(f)) == (0, graph, "")
     assert run(capsys, "diameter", str(f)) == (0, diam + "\n", "")
@@ -726,7 +725,7 @@ def test_points_of_a_line_have_no_vertex(capsys, tmp_path):
     f = tmp_path / "line.ext"
     f.write_text("V-representation\nbegin\n3 2 rational\n1 0\n0 1\n0 -1\nend\n")
     with pytest.raises(NotPointed):
-        analyse(read_vfile(f.read_text()))
+        analyse(read_polyfile(f.read_text()))
     code, out, err = run(capsys, "graph", str(f))
     assert (code, out) == (1, "")
     assert err == "error: feasible set contains a line: no vertices exist\n"

@@ -28,6 +28,7 @@ from corpus import corpus
 from oracles import (
     brute_force_vertices,
     echelon_rank,
+    fraction_columns,
     fraction_incidence,
     fraction_reduce_to_full_dim,
     incidence,
@@ -271,13 +272,8 @@ def test_analyse_reads_the_columns_off_the_cone(data):
             analyse(v)
         return
     got = analyse(v)
-    assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(got.h, got.v)
-    vmasks, rmasks = fraction_incidence(got.h, got.v)
-    want = [
-        sum(1 << k for k, m in enumerate(vmasks + rmasks) if m >> i & 1)
-        for i in range(got.h.nrows)
-    ]
-    assert list(got.columns) == want
+    assert list(got.masks) == fraction_incidence(got.h, got.v)[0]
+    assert list(got.columns) == fraction_columns(got.h, got.v)
     vertices = set(hrep_to_vrep(got.h).vertices)
     kept = [k for k, p in enumerate(points) if tuple(map(Fraction, p)) in vertices]
     assert got.v.vertices == tuple(tuple(map(Fraction, points[k])) for k in kept)
@@ -571,10 +567,9 @@ def test_analyse_reads_the_incidence_off_the_cone(data):
     box = [(3, *(int(i == j) for i in range(d))) for j in range(d)]
     h = HPolyhedron.from_rows(d, rows + box, linearity)
     got, want = analyse(h), incidence(h, hrep_to_vrep(h))
-    assert (got.columns, got.masks, got.ray_masks, got.v) == (
-        want.columns, want.masks, want.ray_masks, want.v
-    )
-    assert (list(got.masks), list(got.ray_masks)) == fraction_incidence(h, got.v)
+    assert (got.columns, got.masks, got.v) == (want.columns, want.masks, want.v)
+    assert list(got.masks) == fraction_incidence(h, got.v)[0]
+    assert list(got.columns) == fraction_columns(h, got.v)
 
 
 @st.composite

@@ -6,11 +6,9 @@ from polydiam import HPolyhedron, VPolyhedron, hrep_to_vrep
 from polydiam.abstraction import SubsetFamilyGraph
 from polydiam.constructions import ConstructionRecipe, cube, klee_walkup, transportation
 from polydiam.fileio import (
-    read_hfile,
     read_polyfile,
     read_recipe,
     read_subset_graph,
-    read_vfile,
     write_hfile,
     write_subset_graph,
     write_vfile,
@@ -19,7 +17,7 @@ from polydiam.fileio import (
 
 def test_hfile_round_trip():
     for h in (cube(3), klee_walkup()[1], transportation([2, 1], [1, 1, 1])):
-        assert read_hfile(write_hfile(h)) == h
+        assert read_polyfile(write_hfile(h)) == h
 
 
 def test_hfile_with_linearity():
@@ -28,14 +26,14 @@ def test_hfile_with_linearity():
     )
     text = write_hfile(h)
     assert "linearity 1 3" in text
-    assert read_hfile(text) == h
+    assert read_polyfile(text) == h
 
 
 def test_vfile_round_trip():
     v = hrep_to_vrep(cube(2))
-    assert read_vfile(write_vfile(v)) == v
+    assert read_polyfile(write_vfile(v)) == v
     strip = VPolyhedron.from_points([(0, 0), (0, 1)], rays=[(1, 0), (1, 1)])
-    assert read_vfile(write_vfile(strip)) == strip
+    assert read_polyfile(write_vfile(strip)) == strip
 
 
 @pytest.mark.parametrize("text", [
@@ -45,7 +43,7 @@ def test_vfile_round_trip():
     "V-representation\nbegin\n3 4 rational\n1 -2/7 3/2 0\n0 -2 3 0\n0 0 0 1\nend\n",
 ])
 def test_vfile_text_round_trip(text):
-    assert write_vfile(read_vfile(text)) == text
+    assert write_vfile(read_polyfile(text)) == text
 
 
 def test_polyfile_dispatch():
@@ -55,7 +53,7 @@ def test_polyfile_dispatch():
 
 def test_comments_ignored():
     text = "# a comment\n" + write_hfile(cube(2)) + "# trailing\n"
-    assert read_hfile(text) == cube(2)
+    assert read_polyfile(text) == cube(2)
 
 
 def test_recipe_round_trip():
@@ -69,7 +67,7 @@ def test_recipe_round_trip():
 
 def test_rational_entries_survive():
     h = HPolyhedron.from_rows(1, [("1/3", "-2/7")])
-    assert read_hfile(write_hfile(h)) == h
+    assert read_polyfile(write_hfile(h)) == h
 
 
 @pytest.mark.parametrize(

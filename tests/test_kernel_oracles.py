@@ -27,6 +27,7 @@ from polydiam.polyhedron import HPolyhedron, VPolyhedron, dual_graph, facet_row_
 
 from corpus import corpus
 from oracles import (
+    fraction_columns,
     fraction_incidence,
     incidence,
     pairwise_skeleton_adj,
@@ -86,7 +87,7 @@ def _check_against_oracles(h, v):
     inc = incidence(h, v)
     vmasks, rmasks = fraction_incidence(h, v)
     assert list(inc.masks) == vmasks
-    assert list(inc.ray_masks) == rmasks
+    assert list(inc.columns) == fraction_columns(h, v)
     facets = facet_row_indices(inc)
     assert facets == rank_facet_rows(h, v, vmasks, rmasks)
     assert list(inc.facet_masks) == [

@@ -1,6 +1,7 @@
 """Least code: every public name of the package is reached from the program.
 
-A public module-level def or class of `src/polydiam/` must be referenced
+A public module-level def or class of `src/polydiam/`, and a public
+method, property or dataclass field of such a class, must be referenced
 (as a name or an attribute) somewhere in `src/`, `scripts/` or the
 non-test files of `perfbench/`, outside its own definition.  Exports in
 `__init__.py` do not count.  A helper that only its own tests call is
@@ -19,12 +20,6 @@ ALLOWED_UNREFERENCED = {
     ("paths", "nonrevisiting_path"):
         "the single-pair non-revisiting search that acceptance criterion 12 runs; "
         "no verb prints a path yet",
-    ("fileio", "read_hfile"):
-        "the reader of one format, for callers that know it; the verbs read through "
-        "`read_polyfile`, which hands its one split of the text to the same parser",
-    ("fileio", "read_vfile"):
-        "the reader of one format, for callers that know it; the verbs read through "
-        "`read_polyfile`, which hands its one split of the text to the same parser",
 }
 
 
@@ -37,9 +32,22 @@ def _program_files():
 
 
 def _public_defs(tree):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(name, node) of each public module-level def and class, and of each
+    public method, property and dataclass field of such a class, as
+    `Class.member`."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", member
 
 
 def _referenced_names(tree, skip):
@@ -60,12 +68,12 @@ def _referenced_names(tree, skip):
 
 def unreferenced_public_names():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in _program_files()}
-    defs = {(path.stem, node.name): (path, node)
+    defs = {(path.stem, name): (path, node)
             for path, tree in trees.items() if path.parent == PACKAGE
-            for node in _public_defs(tree)}
+            for name, node in _public_defs(tree)}
     unreferenced = set()
     for key, (home, definition) in defs.items():
-        name = key[1]
+        name = key[1].rpartition(".")[2]
         if not any(name in _referenced_names(tree, {definition} if path == home else set())
                    for path, tree in trees.items()):
             unreferenced.add(key)
@@ -77,3 +85,11 @@ def test_every_public_name_is_referenced_or_allow_listed():
     assert found - set(ALLOWED_UNREFERENCED) == set(), "referenced nowhere in the program"
     assert set(ALLOWED_UNREFERENCED) - found == set(), "now referenced: drop from the allow-list"
 
+
+
+def test_the_scan_reaches_class_members():
+    tree = ast.parse(
+        "@dataclass\nclass A:\n    x: int\n    _y: int\n    def m(self): pass\n"
+        "    @property\n    def p(self): pass\n    def _h(self): pass\n"
+    )
+    assert [name for name, _ in _public_defs(tree)] == ["A", "A.x", "A.m", "A.p"]

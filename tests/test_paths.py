@@ -192,7 +192,7 @@ def test_nonrevisiting_cube_antipodal():
     i = list(v.vertices).index((-1, -1, -1))
     j = list(v.vertices).index((1, 1, 1))
     report = nonrevisiting_path(inc, labels[i], labels[j])
-    assert report is not None and report.length == 3
+    assert report is not None and len(report.path) - 1 == 3
     assert report.kind == "non-revisiting"
 
 
@@ -201,13 +201,13 @@ def test_nonrevisiting_klee_walkup_witness_pair():
     h, v, inc, g = _pipeline(q4)
     _, (a, b) = diameter(g)
     report = nonrevisiting_path(inc, a, b)
-    assert report is not None and report.length == 5  # 5 = 9 - 4
+    assert report is not None and len(report.path) - 1 == 5  # 5 = 9 - 4
 
 
 def test_nonrevisiting_simplex_edge():
     h, v, inc, g = _pipeline(simplex(3))
     report = nonrevisiting_path(inc, v.label(0), v.label(1))
-    assert report is not None and report.length == 1
+    assert report is not None and len(report.path) - 1 == 1
 
 
 def test_nonrevisiting_path_consecutive_edges_and_cap():
@@ -219,7 +219,7 @@ def test_nonrevisiting_path_consecutive_edges_and_cap():
         for a, b in list(combinations(labels, 2))[:40]:
             report = nonrevisiting_path(inc, a, b)
             assert report is not None
-            assert report.length <= nfacets - h.d
+            assert len(report.path) - 1 <= nfacets - h.d
             for u, w in zip(report.path, report.path[1:]):
                 assert tuple(sorted((u, w))) in g.edges
 
@@ -228,7 +228,7 @@ def test_nonrevisiting_path_matches_interval_definition():
     h, v, inc, g = _pipeline(cube(3))
     labels = v.all_labels()
     tight = {
-        lab: frozenset(i for i in range(inc.nrows) if m >> i & 1)
+        lab: frozenset(i for i in range(inc.h.nrows) if m >> i & 1)
         for lab, m in zip(labels, inc.masks)
     }
     report = nonrevisiting_path(inc, labels[0], labels[-1])
@@ -242,7 +242,7 @@ def test_nonrevisiting_search_agrees_with_naive_enumeration():
         labels = list(v.all_labels())
         adj = {labels[i]: [labels[j] for j in ns] for i, ns in _sorted_neighbours(g).items()}
         tight = {
-            lab: frozenset(i for i in range(inc.nrows) if m >> i & 1)
+            lab: frozenset(i for i in range(inc.h.nrows) if m >> i & 1)
             for lab, m in zip(labels, inc.masks)
         }
         nfacets = len(facet_row_indices(inc))
@@ -264,7 +264,7 @@ def test_nonrevisiting_on_square_in_a_plane_of_r3(plane):
     h, v, inc, g = _pipeline(plane)
     assert nonrevisiting_property(inc).holds is True
     path = nonrevisiting_path(inc, "v0", "v3")
-    assert path is not None and path.length == 2
+    assert path is not None and len(path.path) - 1 == 2
 
 
 def test_nonrevisiting_property_holds_on_cubes_and_q4():
@@ -282,12 +282,12 @@ def test_nonrevisiting_property_simplex_trivial():
 
 
 def test_nonrevisiting_property_budget_inconclusive():
-    # the certificate leaves 10 pairs of hirsch_sharp(5, 11) on 9 sources;
-    # the greedy passes from those reach 397 nodes in all, one unit each,
-    # and prove every pair, so no DFS runs
+    # the monotone walks leave 252 pairs of hirsch_sharp(5, 11) on 38
+    # sources; the greedy passes from those reach 264 nodes in all, one unit
+    # each, and the walks' tails prove every pair, so no DFS runs
     inc = analyse(hirsch_sharp(5, 11))
-    assert nonrevisiting_property(inc, budget=397).holds is True
-    result = nonrevisiting_property(inc, budget=396)
+    assert nonrevisiting_property(inc, budget=264).holds is True
+    result = nonrevisiting_property(inc, budget=263)
     assert result.holds is None
     assert result.witness is None
 
@@ -367,8 +367,9 @@ def _matches_unpruned_all_pairs(adj, masks, cap):
 @settings(max_examples=300, deadline=None)
 @given(_mask_graphs())
 def test_all_pairs_matches_unpruned_search_on_arbitrary_masks(case):
-    # walks may be longer than n - d here, so only the cap keeps the greedy
-    # pass from certifying a pair the capped search rejects
+    # walks may be longer than n - d here, so only the cap, and the tail
+    # rounds it bounds, keep the greedy pass from certifying a pair the
+    # capped search rejects
     assert _matches_unpruned_all_pairs(*case)
 
 
@@ -386,13 +387,13 @@ def test_all_pairs_without_a_step_left_certifies_nothing():
 def test_dfs_runs_where_the_greedy_pass_misses_a_walk(monkeypatch):
     # from node 0 the pass reaches 1 by 0 -> 2 -> 1 first, whose left-set
     # holds facet 3 and so bars 4; the walk 0 -> 3 -> 1 -> 4 exists and the
-    # DFS finds it.  The certificate leaves (0, 4): the step 3 -> 1 enters
-    # facet 2, which is on neither end, and 2 -> 1 leaves facet 3, which is on 4
+    # DFS finds it.  No tail proves 4 either: the step 3 -> 1 enters facet 2,
+    # which is not on 4, and 2 -> 1 leaves facet 3, which is
     adj = [0b01100, 0b11100, 0b00011, 0b00011, 0b00010]
     masks = [0b10000, 0b00100, 0b01100, 0b10001, 0b01000]
-    _, free = _monotone_reach(adj, masks, 4)
-    assert not free[0] >> 4 & 1 and not free[4] & 1
-    assert _greedy_misses(adj, masks, 0, 0b10000, 4, SearchBudget(None)) == 0b10000
+    rounds, allowed = _monotone_reach(adj, masks, 4)
+    assert not rounds[-1][0] >> 4 & 1
+    assert _greedy_misses(adj, masks, 0, 0b10000, 4, SearchBudget(None), rounds, allowed) == 0b10000
     searched = []
 
     def spy(adj, masks, source, target, *rest):
@@ -405,51 +406,35 @@ def test_dfs_runs_where_the_greedy_pass_misses_a_walk(monkeypatch):
     assert (0, 4, [0, 3, 1, 4]) in searched
 
 
-def test_greedy_pass_certifies_only_pairs_with_a_walk_on_corpus():
-    for name, _ in corpus():
-        inc = converted(name)
-        labels = inc.graph.nodes
-        tight = [frozenset(i for i in range(inc.nrows) if m >> i & 1) for m in inc.masks]
-        adjacency, adj = _sorted_neighbours(inc.graph), inc.graph.adj
-        cap = len(inc.facets) - inc.dim
-        for i in range(len(labels)):
-            later = (1 << len(labels)) - (2 << i)
-            missed = _greedy_misses(adj, inc.facet_masks, i, later, cap, SearchBudget(None))
-            for j in range(i + 1, len(labels)):
-                if not missed >> j & 1:
-                    assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (name, i, j)
-
-
-def test_greedy_pass_certifies_every_pair_of_a_polytope():
-    # so on polytopes the DFS never runs: only the mask tests above reach it
-    named = [(name, converted(name)) for name, _ in corpus()]
-    named += [(f"hirsch_sharp{dn}", analyse(hirsch_sharp(*dn))) for dn in ((5, 11), (6, 15))]
-    for name, inc in named:
-        adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
-        for i in range(len(adj)):
-            later = (1 << len(adj)) - (2 << i)
-            assert _greedy_misses(adj, masks, i, later, cap, SearchBudget(None)) == 0, (name, i)
-
-
 def _certificate_is_sound_and_symmetric(adj, masks, cap):
-    """`_monotone_reach` gives (R, F): R is symmetric and F holds R, and every
-    j in F[i] has a non-revisiting walk from i of at most `cap` steps, by
-    enumeration.  F need not be symmetric: it proves the pair in that direction."""
-    reach, free = _monotone_reach(adj, masks, cap)
+    """Every round R_k of `_monotone_reach` is symmetric and holds only
+    targets with a non-revisiting walk of at most k steps, and every target
+    the greedy pass from i proves has one of at most `cap` steps, by
+    enumeration.  Each pair is enumerated once: in the first round that
+    holds it, or for the pass when no round does."""
+    rounds, allowed = _monotone_reach(adj, masks, cap)
     adjacency = {i: list(_bits(a)) for i, a in enumerate(adj)}
     tight = [frozenset(_bits(m)) for m in masks]
-    assert all(f & r == r for f, r in zip(free, reach))
-    for i, j in permutations(range(len(adj)), 2):
-        assert reach[i] >> j & 1 == reach[j] >> i & 1, (i, j)
-        if free[i] >> j & 1:
+    everyone = (1 << len(adj)) - 1
+    before = [0] * len(adj)
+    for k, reach in enumerate(rounds):
+        for i, j in permutations(range(len(adj)), 2):
+            assert reach[i] >> j & 1 == reach[j] >> i & 1, (k, i, j)
+            if (reach[i] & ~before[i]) >> j & 1:
+                assert nonrevisiting_exists_naive(adjacency, tight, i, j, k), (k, i, j)
+        before = reach
+    for i in range(len(adj)):
+        targets = everyone ^ 1 << i
+        missed = _greedy_misses(adj, masks, i, targets, cap, SearchBudget(None), rounds, allowed)
+        for j in _bits(targets & ~missed & ~rounds[-1][i]):
             assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (i, j)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mask_graphs())
 def test_certificate_is_sound_and_symmetric_on_arbitrary_masks(case):
-    # a step may enter nothing here, so only Jacobi rounds, the cap and the
-    # free step's walks of at most cap - 1 steps keep F within `cap` steps
+    # a step may enter nothing here, so only Jacobi rounds and a tail from
+    # round cap - k at depth k keep the pass's proofs within `cap` steps
     _certificate_is_sound_and_symmetric(*case)
 
 
@@ -467,27 +452,40 @@ def test_certificate_is_sound_and_symmetric_on_polytopes():
         _certificate_is_sound_and_symmetric(adj, masks, cap)
 
 
-def test_certificate_proves_every_pair_of_a_cube(monkeypatch):
-    # so on cubes the greedy pass is never handed a target
-    monkeypatch.setattr("polydiam.paths._greedy_misses", None)
+def test_greedy_pass_certifies_every_pair_of_a_polytope():
+    # so on polytopes the DFS never runs: only the mask tests above reach it
+    named = [(name, converted(name)) for name, _ in corpus()]
+    named += [(f"hirsch_sharp{dn}", analyse(hirsch_sharp(*dn))) for dn in ((5, 11), (6, 15))]
+    for name, inc in named:
+        adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
+        rounds, allowed = _monotone_reach(adj, masks, cap)
+        for i in range(len(adj)):
+            later = (1 << len(adj)) - (2 << i)
+            budget = SearchBudget(None)
+            assert _greedy_misses(adj, masks, i, later, cap, budget, rounds, allowed) == 0, (name, i)
+
+
+def test_certificate_proves_every_pair_of_a_cube():
+    # so on cubes the greedy pass reaches no node, and a zero budget suffices
     for d in range(1, 7):
         inc = analyse(cube(d))
         adj, masks, cap = inc.graph.adj, inc.facet_masks, len(inc.facets) - inc.dim
-        reach, free = _monotone_reach(adj, masks, cap)
-        assert reach == free == [(1 << len(adj)) - 1] * len(adj), d
-        assert nonrevisiting_property(inc).holds is True, d
+        rounds, _ = _monotone_reach(adj, masks, cap)
+        assert rounds[-1] == [(1 << len(adj)) - 1] * len(adj), d
+        assert nonrevisiting_property(inc, budget=0).holds is True, d
 
 
 def test_greedy_pass_charges_one_unit_per_node_reached():
-    # the path a-b-c-d, each node on one facet of its own: the certificate
-    # proves every pair but (a, d), for free, since the middle step b -> c
-    # enters facet 2, which is on neither end; so only the pass from a runs,
-    # and it reaches b, c and d, one unit each
+    # the path a-b-c-d, each node on one facet of its own: the monotone
+    # walks prove (a, b), (b, c) and (c, d) for free, as each such step
+    # enters the target's facet and leaves one off it.  The pass from a
+    # reaches b, whose tail proves c, then c, whose tail proves d: two
+    # units; the pass from b reaches a and c, and c's tail proves d: two more
     adj = [0b0010, 0b0101, 0b1010, 0b0100]
     masks = [0b0001, 0b0010, 0b0100, 0b1000]
     names = ("a", "b", "c", "d")
-    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 3).holds is True
-    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 2).holds is None
+    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 4).holds is True
+    assert _nonrevisiting_all_pairs(adj, masks, 3, names, 3).holds is None
 
 
 def test_pass_past_the_budget_leaves_a_free_proof_to_the_dfs():

@@ -146,12 +146,12 @@ def test_dual_nonrevisiting_klee_walkup():
 
 
 def test_dual_nonrevisiting_budget():
-    # the boundary of the polar of hirsch_sharp(5, 11): the certificate
-    # leaves 10 pairs of its facets on 9 sources, and the greedy passes from
-    # those reach 397 facets in all, counted once per pass
+    # the boundary of the polar of hirsch_sharp(5, 11): the monotone walks
+    # leave 252 pairs of its facets on 36 sources, and the greedy passes
+    # from those reach 245 facets in all, counted once per pass
     poly = polar(analyse(hirsch_sharp(5, 11)))[0]
-    assert _polar_nonrevisiting(poly, budget=397).holds is True
-    assert _polar_nonrevisiting(poly, budget=396).holds is None
+    assert _polar_nonrevisiting(poly, budget=245).holds is True
+    assert _polar_nonrevisiting(poly, budget=244).holds is None
 
 
 def test_dual_nonrevisiting_matches_unpruned_search():
