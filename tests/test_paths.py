@@ -452,6 +452,22 @@ def test_certificate_is_sound_and_symmetric_on_polytopes():
         _certificate_is_sound_and_symmetric(adj, masks, cap)
 
 
+def test_greedy_pass_certifies_only_pairs_with_a_walk_on_corpus():
+    for name, _ in corpus():
+        inc = converted(name)
+        tight = [frozenset(_bits(m)) for m in inc.masks]
+        adjacency, adj = _sorted_neighbours(inc.graph), inc.graph.adj
+        cap = len(inc.facets) - inc.dim
+        rounds, allowed = _monotone_reach(adj, inc.facet_masks, cap)
+        for i in range(len(adj)):
+            later = (1 << len(adj)) - (2 << i)
+            budget = SearchBudget(None)
+            missed = _greedy_misses(adj, inc.facet_masks, i, later, cap, budget, rounds, allowed)
+            for j in range(i + 1, len(adj)):
+                if not missed >> j & 1:
+                    assert nonrevisiting_exists_naive(adjacency, tight, i, j, cap), (name, i, j)
+
+
 def test_greedy_pass_certifies_every_pair_of_a_polytope():
     # so on polytopes the DFS never runs: only the mask tests above reach it
     named = [(name, converted(name)) for name, _ in corpus()]
