@@ -252,10 +252,11 @@ def _monotone_reach(
     for _ in range(cap):
         # Jacobi: round k reads round k - 1 only, so walks stay within k steps
         reach, nxt = rounds[-1], []
-        for r, out in zip(reach, steps):
+        for was, out in zip(reach, steps):
+            r = was
             for w, ok in out:
                 r |= reach[w] & ok
-            nxt.append(r)
+            nxt.append(was if r == was else r)  # an unchanged entry shares its int
         if nxt == reach:
             break
         rounds.append(nxt)

@@ -26,14 +26,16 @@ and one face lies in another exactly when its tight set does.  Hence:
 * Edges (`skeleton_graph`): a vertex on exactly dim facets is simple, and
   the vertex figure of a simple vertex is a simplex (Ziegler, *Lectures
   on Polytopes*, §3), so its edges are the faces tight on all but one of
-  its facets: one AND of dim - 1 facet columns per facet, which is the
-  vertex and its neighbour, or holds a ray bit when the edge is unbounded.
-  Every edge with a simple end is read off that end.  Between two
-  non-simple vertices u and v the smallest face holding both is the set
-  tight on T(u) & T(v), and uv is an edge exactly when the vertices tight
-  on those rows are u and v alone and no ray is (`Incidence.is_edge`);
-  that test stays right on degenerate input where a rank shortcut would
-  lie.
+  its facets.  Two simple vertices are adjacent exactly when they share
+  dim - 1 facets, a bitmask fact read off a dict of those facet sets; a
+  set that no second simple vertex shares runs one AND of its facet
+  columns, which is the vertex and its non-simple neighbour, or holds a
+  ray bit when the edge is unbounded.  Between two non-simple vertices u
+  and v the smallest face holding both is the set tight on T(u) & T(v),
+  and uv is an edge exactly when the vertices tight on those rows are u
+  and v alone and no ray is (`Incidence.is_edge`); that test stays right
+  on degenerate input where a rank shortcut would lie, and it runs only
+  on pairs that share at least dim - 1 facets, as an edge does.
 * Ridges (`dual_graph`): the facets of a facet F are the maximal faces
   F & G over the other facets G, so two facets are adjacent exactly when
   their common vertex set is inclusion-maximal among F's intersections.
@@ -410,27 +412,47 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
     A vertex u on exactly `inc.dim` facets (`inc.facet_masks`) is simple,
     and the vertex figure of a simple vertex is a simplex (Ziegler,
     *Lectures on Polytopes*, §3), so each facet f of u leaves one
-    1-dimensional face: the face tight on the other dim - 1 facets of u.
-    That face is the edge uw when the AND of those columns is {u, w}, and
-    an unbounded edge when it holds a ray bit.  So every edge with a simple
-    end is read off 3·dim ANDs at that end (`_simple_neighbours`), and only
-    pairs of non-simple vertices run `Incidence.is_edge`.  Rows tight at u
-    that define no facet (redundant rows, scaled duplicates) play no part.
+    1-dimensional face: the face tight on the key `fm ^ f`, the other
+    dim - 1 facets of u.  That face is an edge or a ray, so it holds at
+    most two vertices, and a second simple vertex with the same key is u's
+    neighbour: one dict probe per (simple vertex, facet).  Only a key left
+    unpaired runs one AND of its facet columns, which is u and its
+    non-simple neighbour, or holds a ray bit when the edge is unbounded.
+    An edge lies on at least dim - 1 facets, so a pair of non-simple
+    vertices runs `Incidence.is_edge` only when their facet masks share
+    that many.  Rows tight at u that define no facet (redundant rows,
+    scaled duplicates) play no part.
     """
-    n, dim = inc.nverts, inc.dim
+    n, dim, fms = inc.nverts, inc.dim, inc.facet_masks
     adj = [0] * n
     other = []  # the non-simple vertices
-    for u, fm in enumerate(inc.facet_masks):
+    ends: dict[int, int] = {}  # a key whose face has one simple vertex so far
+    for u, fm in enumerate(fms):
         if fm.bit_count() != dim:
             other.append(u)
             continue
-        nbrs = _simple_neighbours(inc, u)
-        adj[u] |= nbrs
-        for w in _bits(nbrs):
-            adj[w] |= 1 << u
+        rest = fm
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            key = fm ^ low
+            w = ends.pop(key, None)
+            if w is None:
+                ends[key] = u
+            else:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+    columns = [inc.columns[i] for i in inc.facets]
+    for key, u in ends.items():
+        face = _tight_on_all(columns, key, inc.everything, 1 << u)
+        if not face >> n:
+            for w in _bits(face & ~(1 << u)):
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
     for x, u in enumerate(other):
+        fu = fms[u]
         for w in other[x + 1:]:
-            if inc.is_edge(u, w):
+            if (fu & fms[w]).bit_count() >= dim - 1 and inc.is_edge(u, w):
                 adj[u] |= 1 << w
                 adj[w] |= 1 << u
     return PolyGraph(inc.v.all_labels(), tuple(adj))

@@ -1,12 +1,16 @@
 """End-to-end command-line tests: pipelines, replay, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydiam.cli import main
 from polydiam.constructions import cube, replay
@@ -795,3 +799,57 @@ def test_mpmath_is_imported_on_first_use_only():
         '{"n": 11, "d": 5, "lower": 5, "larman": 44, "kalai_kleitman": '
         '"2880.2595059592031", "known_exact": 6, "hirsch_rhs": 6}\n'
     )
+
+
+# Small H- and V-texts: cube(3); the unit square in z = 0 of R^3 by a
+# linearity row; a V-file with a ray; a square listed with points that are
+# not vertices, plus a ray.
+_TEXTS = [
+    write_hfile(cube(3)),
+    "H-representation\nlinearity 1 5\nbegin\n5 4 rational\n"
+    "0 1 0 0\n1 -1 0 0\n0 0 1 0\n1 0 -1 0\n0 0 0 1\nend\n",
+    "V-representation\nbegin\n4 3 rational\n1 0 0\n1 0 1/3\n1 1/2 0\n0 1 1\nend\n",
+    "V-representation\nbegin\n7 3 rational\n"
+    "1 0 0\n1 1/2 1/2\n1 1 0\n1 1/2 0\n1 0 1\n1 1 1\n0 1 1\nend\n",
+]
+
+
+@st.composite
+def _mutated_text(draw):
+    """One of `_TEXTS` after one to three edits: a line dropped, duplicated
+    or swapped with another, or a token negated or dropped."""
+    lines = draw(st.sampled_from(_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap", "negate", "drop token"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif tokens := lines[i].split():
+            k = draw(st.integers(0, len(tokens) - 1))
+            if kind == "negate":
+                tokens[k] = tokens[k][1:] if tokens[k].startswith("-") else "-" + tokens[k]
+            else:
+                del tokens[k]
+            lines[i] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated_text(), st.sampled_from([["graph"], ["diameter"], ["check", "--json"]]))
+def test_graph_verbs_on_mutated_text_exit_cleanly(text, verb):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*verb, path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -5,16 +5,18 @@ dimension are compared with the from-scratch versions in `oracles.py` on
 corpus polytopes placed by a random signed permutation and shift, with
 rows rescaled, duplicated and padded by redundant rows; on random 0/1
 polytopes; and on unbounded inputs, so the ray masks are covered.  The
-skeleton, which reads the edges of simple vertices off column ANDs, is
-also compared with the all-pairs edge test on non-simple, unbounded and
-re-embedded lower-dimensional input.
+skeleton, which pairs simple vertices by their shared facets and tests
+only the non-simple pairs that share enough of them, is also compared with
+the all-pairs edge test on non-simple, unbounded and re-embedded
+lower-dimensional input, and on random 0/1 polytopes and their unbounded
+derivatives.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polydiam import analyse, hrep_to_vrep, skeleton_graph, vrep_to_hrep
 from polydiam.constructions import (
@@ -202,3 +204,19 @@ def test_skeleton_matches_the_all_pairs_reference_when_re_embedded(name, k, way,
     inc = analyse(_embedded_rows(base, m, shift, way, rng))
     assert inc.dim == analyse(base).dim < inc.h.d
     assert skeleton_graph(inc).adj == pairwise_skeleton_adj(inc.masks, inc.columns, inc.everything)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 6), extra=st.integers(0, 12), seed=st.integers(0, 10**6),
+       pick=st.integers(0, 10**6))
+# the 0/1 hull (4, 12, 1) and its derivative off its second facet hold all
+# three cases: simple vertices with a non-simple neighbour (unpaired keys),
+# rays, and non-simple pairs on fewer than dim - 1 common facets
+@example(d=4, extra=7, seed=1, pick=1)
+def test_skeleton_matches_the_all_pairs_reference_on_01_polytopes(d, extra, seed, pick):
+    inc = analyse(random_01_polytope(d, min(d + 1 + extra, 2**d), seed))
+    derived = analyse(unbound_at_facet(inc, inc.facets[pick % len(inc.facets)]))
+    assert derived.v.rays
+    for case in (inc, derived):
+        assert skeleton_graph(case).adj == pairwise_skeleton_adj(
+            case.masks, case.columns, case.everything)

@@ -31,6 +31,7 @@ from polydiam.constructions import (
     simplex,
     transportation,
 )
+from polydiam import polyhedron
 from polydiam.polyhedron import facet_row_indices
 from polydiam.paths import bfs_distances
 from polydiam.ratlin import primitive
@@ -201,9 +202,21 @@ _CUBE3_ROWS = [(b, *a) for b, a in cube(3).rows]
                                        linearity=[6]), id="cube3_in_r4"),
 ])
 def test_skeleton_of_a_simple_polytope_tests_no_vertex_pair(monkeypatch, h):
+    # every edge joins two simple vertices with the same dim - 1 facets, so
+    # a bounded simple polytope pairs all its keys and runs no column AND
     inc = analyse(h)
+    assert inc.v.bounded
     assert all(fm.bit_count() == inc.dim for fm in inc.facet_masks)
+    ands = []
+    real = polyhedron._tight_on_all
+
+    def counting(*args):
+        ands.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedron, "_tight_on_all", counting)
     assert _pair_tests(monkeypatch, inc) == []
+    assert ands == []
 
 
 @pytest.mark.parametrize("poly", [
@@ -214,9 +227,14 @@ def test_skeleton_of_a_simple_polytope_tests_no_vertex_pair(monkeypatch, h):
                  id="square_pyramid"),
 ])
 def test_skeleton_tests_only_pairs_of_non_simple_vertices(monkeypatch, poly):
+    # an edge lies on at least dim - 1 facets, so only the non-simple pairs
+    # whose facet masks share that many are tested
     inc = analyse(poly)
-    non_simple = [u for u, fm in enumerate(inc.facet_masks) if fm.bit_count() != inc.dim]
-    assert sorted(_pair_tests(monkeypatch, inc)) == list(combinations(non_simple, 2))
+    fms, dim = inc.facet_masks, inc.dim
+    non_simple = [u for u, fm in enumerate(fms) if fm.bit_count() != dim]
+    candidates = [(u, w) for u, w in combinations(non_simple, 2)
+                  if (fms[u] & fms[w]).bit_count() >= dim - 1]
+    assert sorted(_pair_tests(monkeypatch, inc)) == candidates
 
 
 def test_dual_graph_cube_is_octahedron():
