@@ -18,7 +18,7 @@ from .polyhedron import (
     skeleton_graph,
 )
 from .dd import analyse, hrep_to_vrep, reduce_to_full_dim, vrep_to_hrep
-from .ratlin import Rational, parse_rational
+from .ratlin import parse_rational
 
 __all__ = [
     "Disconnected",
@@ -28,7 +28,6 @@ __all__ = [
     "Infeasible",
     "NotPointed",
     "PolyGraph",
-    "Rational",
     "Unbounded",
     "VPolyhedron",
     "analyse",

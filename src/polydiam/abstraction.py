@@ -98,8 +98,8 @@ def subset_graph_diameter(g: SubsetFamilyGraph) -> SubsetDiameter:
         raise Disconnected("subset graph is disconnected")
     best = found[0]
     linear = g.n * 2 ** (g.d - 1)
-    quasi = quasi_poly_bound(g.n, g.d, exponent_offset=1)
-    ok = best <= linear and power_bound_holds(best, g.n, g.d, exponent_offset=1)
+    quasi = quasi_poly_bound(g.n, g.d)
+    ok = best <= linear and power_bound_holds(best, g.n, g.d)
     return SubsetDiameter(best, linear, float(quasi), ok)
 
 

@@ -59,13 +59,13 @@ def larman_bound(n: int, d: int) -> int | None:
     return n * 2 ** (d - 3)
 
 
-def power_bound_holds(k: int, n: int, d: int, exponent_offset: int = 1) -> bool:
-    """Exact decision of k <= n^(log2(d) + offset).
+def power_bound_holds(k: int, n: int, d: int) -> bool:
+    """Exact decision of k <= n^(log2(d) + 1), the Kalai-Kleitman bound.
 
     Pure integer comparison whenever the power is rational (d or n a power
     of two).  Otherwise log2(d) is bracketed as [p/q, (p+1)/q] by one big
-    power, giving the integer sandwich k^q <= n^(offset q + p) (certainly
-    below) or k^q > n^(offset q + p + 1) (certainly above); q grows until
+    power, giving the integer sandwich k^q <= n^(q + p) (certainly
+    below) or k^q > n^(q + p + 1) (certainly above); q grows until
     the sandwich decides, which it must unless k equals the irrational
     bound exactly, i.e. never.
     """
@@ -73,25 +73,20 @@ def power_bound_holds(k: int, n: int, d: int, exponent_offset: int = 1) -> bool:
         return True
     if d < 1 or n < 1:
         raise ValueError("need positive n and d")
-    if d == 1 or n == 1:
-        return k <= n**exponent_offset
     if d & (d - 1) == 0:  # d a power of two: integer exponent
-        return k <= n ** (d.bit_length() - 1 + exponent_offset)
+        return k <= n ** d.bit_length()
     if n & (n - 1) == 0:  # n = 2^s: n^log2(d) = d^s exactly
-        s = n.bit_length() - 1
-        return k <= n**exponent_offset * d**s
+        return k <= n * d ** (n.bit_length() - 1)
     q = 64
     while q <= 1 << 20:
         p = (d**q).bit_length() - 1  # p/q <= log2(d) < (p+1)/q
         kq = k**q
-        if kq <= n ** (exponent_offset * q + p):
+        if kq <= n ** (q + p):
             return True
-        if kq > n ** (exponent_offset * q + p + 1):
+        if kq > n ** (q + p + 1):
             return False
         q *= 8
-    raise ArithmeticError(
-        f"could not separate {k} from {n}^(log2({d})+{exponent_offset})"
-    )
+    raise ArithmeticError(f"could not separate {k} from {n}^(log2({d})+1)")
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -100,23 +95,21 @@ def _mpf_to_fraction(x) -> Fraction:
     return frac * Fraction(2) ** exp if exp >= 0 else frac / Fraction(2) ** (-exp)
 
 
-def quasi_poly_bound(n: int, d: int, exponent_offset: int = 1) -> Fraction:
-    """Up-rounded value of n^(log2(d) + offset), exact when the power is integral.
+def quasi_poly_bound(n: int, d: int) -> Fraction:
+    """Up-rounded value of n^(log2(d) + 1), exact when the power is integral.
 
     Irrational cases are evaluated at 90 bits and nudged up by 2^-80, so the
     returned rational is always >= the true value with ~80 correct bits.
     """
     if d < 1 or n < 1:
         raise ValueError("need positive n and d")
-    if d == 1 or n == 1 or d & (d - 1) == 0:
-        e = exponent_offset + (d.bit_length() - 1 if d > 1 else 0)
-        return Fraction(n**e)
+    if d & (d - 1) == 0:
+        return Fraction(n ** d.bit_length())
     if n & (n - 1) == 0:
-        s = n.bit_length() - 1
-        return Fraction(n**exponent_offset * d**s)
+        return Fraction(n * d ** (n.bit_length() - 1))
     import mpmath  # on first use: only this branch and `BoundTable.to_dict` need it
     with mpmath.workprec(90):
-        val = mpmath.power(n, exponent_offset + mpmath.log(d) / mpmath.log(2))
+        val = mpmath.power(n, 1 + mpmath.log(d) / mpmath.log(2))
         up = val * (1 + mpmath.mpf(2) ** -80)
         return _mpf_to_fraction(up)
 

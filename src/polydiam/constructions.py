@@ -32,7 +32,6 @@ from .polyhedron import (
     Unbounded,
     VPolyhedron,
     _bits,
-    _point,
     _simple_neighbours,
     _transpose,
     canonical_row,
@@ -97,13 +96,6 @@ def crosspolytope(d: int) -> HPolyhedron:
     return vrep_to_hrep(VPolyhedron.from_points(pts))
 
 
-def generate_canonical(kind: str, d: int) -> HPolyhedron:
-    makers = {"simplex": simplex, "cube": cube, "crosspolytope": crosspolytope}
-    if kind not in makers:
-        raise ValueError(f"unknown canonical kind {kind!r}")
-    return makers[kind](d)
-
-
 def product(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
     """Cartesian product by block-diagonal stacking of the two row systems.
 
@@ -162,14 +154,15 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     grows by one; on a segment the cut makes the vertex's own facet row
     redundant, so the count stays 2.  Here dim is `inc.dim`, the dimension
     of the affine hull: the vertex is simple when it lies on dim facets,
-    and its dim neighbours are read off its facet columns
-    (`_simple_neighbours`).  The rows (1, m) of the midpoints m have a null
-    space of dimension 1 + d - dim; the directions of the hull equations
-    vanish at the vertex too, so the cut is the first null vector that does
-    not.  An integer `vertex` is 0-based, and error messages give it
-    1-based, as the command line does.
+    and its dim neighbours are one AND of facet columns each
+    (`_simple_neighbours`).  The midpoint of the edge from (t_u, y_u) to
+    (t_w, y_w) is the integer row (2 t_u t_w, t_w y_u + t_u y_w); those
+    rows have a null space of dimension 1 + d - dim, the directions of the
+    hull equations vanish at the vertex too, so the cut is the first null
+    vector that does not (`_cut`).  An integer `vertex` is 0-based, and
+    error messages give it 1-based, as the command line does.
     """
-    h, v = inc.h, inc.v
+    v = inc.v
     if not v.nverts:
         raise Infeasible("infeasible")
     if not v.bounded:
@@ -188,19 +181,26 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
     if not vertex_facets:
         raise GeometryError(f"vertex {labels[vi]} has no edge: truncation undefined")
-    neighbors = _bits(_simple_neighbours(inc, vi))
+    return _cut(inc, vi)[0]
 
-    p = _point(v.rows[vi])
-    midpoints = [
-        tuple((a + b) / 2 for a, b in zip(p, _point(v.rows[wi]))) for wi in neighbors
-    ]
-    b_new, *a_new = next(
-        n for n in nullspace([(1, *m) for m in midpoints]) if n[0] + dot(n[1:], p)
-    )
-    if b_new + dot(a_new, p) > 0:
-        b_new, a_new = -b_new, [-x for x in a_new]
-    cut = canonical_row((b_new, tuple(a_new)))
-    return HPolyhedron(h.d, h.rows + (cut,), h.linearity)
+
+def _cut(inc: Incidence, u: int) -> tuple[HPolyhedron, dict[int, tuple[int, ...]]]:
+    """`inc.h` with the simple vertex u cut off, and the primitive integer
+    row of each edge's midpoint, keyed by the neighbour w.  A row scaled
+    by a positive factor leaves the null space's basis as it is, and
+    n.(t_u, y_u) = t_u (n_0 + n.p) at the vertex p = y_u / t_u, so the cut
+    is the one of the rational midpoints (1, m)."""
+    h, here = inc.h, inc.v.rows[u]
+    tu, *yu = here
+    mids = {}
+    for w in _bits(_simple_neighbours(inc, u)):
+        tw, *yw = inc.v.rows[w]
+        mids[w] = primitive((2 * tu * tw, *(tw * p + tu * q for p, q in zip(yu, yw))))
+    n = next(n for n in nullspace(mids.values()) if dot(n, here))
+    if dot(n, here) > 0:
+        n = [-x for x in n]
+    cut = canonical_row((n[0], tuple(n[1:])))
+    return HPolyhedron(h.d, h.rows + (cut,), h.linearity), mids
 
 
 def klee_walkup() -> tuple[VPolyhedron, HPolyhedron]:
@@ -301,11 +301,11 @@ def transportation(a, b) -> HPolyhedron:
     return reduce_to_full_dim(raw)
 
 
-def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhedron:
+def random_01_polytope(d: int, m: int, seed: int) -> VPolyhedron:
     """Convex hull of m distinct random 0/1 points, guaranteed full-dimensional.
 
     The PRNG is `random.Random(seed)` (Mersenne Twister); draws that fail to
-    span dimension d are redrawn from the same stream up to `retries` times.
+    span dimension d are redrawn from the same stream, up to 50 times.
     Tests assert properties of the output, never a particular stream.
     """
     if m < d + 1:
@@ -313,14 +313,14 @@ def random_01_polytope(d: int, m: int, seed: int, retries: int = 50) -> VPolyhed
     if m > 2**d:
         raise ValueError(f"only 2^{d} distinct 0/1 points exist")
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(50):
         codes = rng.sample(range(2**d), m)
         pts = [tuple(code >> i & 1 for i in range(d)) for code in codes]
         p0 = pts[0]
         span = [[x - y for x, y in zip(pt, p0)] for pt in pts[1:]]
         if len(_echelon(span, d)[0]) == d:
             return VPolyhedron.from_points(sorted(pts))
-    raise GeometryError(f"could not reach full dimension in {retries} draws")
+    raise GeometryError("could not reach full dimension in 50 draws")
 
 
 def _sharp_witness(inc: Incidence, d: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -376,13 +376,12 @@ def _wedged(inc: Incidence, k: int) -> Incidence:
 def _truncated(inc: Incidence, u: int) -> Incidence:
     """`truncate_vertex(inc, u)` with its `Incidence` in closed form: the
     other vertices keep their rows, and the cut meets each edge uw at its
-    midpoint, tight on the rows tight on both ends and on the cut."""
-    h = truncate_vertex(inc, u)
-    (tu, *yu), mu = inc.v.rows[u], inc.masks[u]
+    midpoint from `_cut`, tight on the rows tight on both ends and on the
+    cut."""
+    h, mids = _cut(inc, u)
+    mu = inc.masks[u]
     vertices = [vm for i, vm in enumerate(zip(inc.v.rows, inc.masks)) if i != u]
-    for w in _bits(_simple_neighbours(inc, u)):
-        tw, *yw = inc.v.rows[w]
-        mid = primitive((2 * tu * tw, *(tw * p + tu * q for p, q in zip(yu, yw))))
+    for w, mid in mids.items():
         vertices.append((mid, mu & inc.masks[w] | 1 << inc.h.nrows))
     return _handed_over(h, vertices)
 
@@ -480,8 +479,9 @@ class ConstructionRecipe:
 def replay(recipe: ConstructionRecipe) -> HPolyhedron | VPolyhedron:
     """Rebuild the exact description a recipe was recorded for."""
     kind, p = recipe.kind, recipe.parameters
-    if kind in ("simplex", "cube", "crosspolytope"):
-        return generate_canonical(kind, int(p["d"]))
+    canonical = {"simplex": simplex, "cube": cube, "crosspolytope": crosspolytope}
+    if kind in canonical:
+        return canonical[kind](int(p["d"]))
     if kind == "kleewalkup":
         return klee_walkup()[1]
     if kind == "transportation":

@@ -72,16 +72,15 @@ _BLOCK = 16  # negative rays per zero-set union in the pair loop
 
 
 def _cone_extreme_rays(
-    rows: list[tuple[int, ...]], dim: int, zero_sets: list[int] | None = None
-) -> list[tuple[int, ...]]:
+    rows: list[tuple[int, ...]], dim: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """Extreme rays of the pointed cone {y : r.y >= 0 for r in rows}.
 
     `rows` must be primitive integer vectors whose rank is `dim` (else
     NotPointed); they are deduplicated and processed in sorted order.
-    Returns primitive integer rays; returns [] when the cone is the origin
-    alone.  When `zero_sets` is a list, it is extended by each ray's zero
-    set, in ray order: bit i is set when the ray is tight on row i of
-    `sorted(set(rows))`.
+    Returns the primitive integer rays, [] when the cone is the origin
+    alone, and each ray's zero set, in ray order: bit i is set when the
+    ray is tight on row i of `sorted(set(rows))`.
 
     Adjacency is the combinatorial test of Fukuda & Prodon, *Double
     description method revisited* (1996): a positive ray p and a negative
@@ -206,9 +205,7 @@ def _cone_extreme_rays(
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] for k in keep] + new_masks
         ids = [ids[k] for k in keep] + new_ids
-    if zero_sets is not None:
-        zero_sets.extend(masks)
-    return rays
+    return rays, masks
 
 
 def _remap(mask: int, images: list[int]) -> int:
@@ -261,9 +258,8 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
         where[c] = where.get(c, 0) | 1 << i
     on_all = where.pop((0,) * dim, 0)
     cone_rows = sorted(where)
-    masks: list[int] = []
     try:
-        rays = _cone_extreme_rays(cone_rows, dim, masks)
+        rays, masks = _cone_extreme_rays(cone_rows, dim)
     except NotPointed:
         raise NotPointed("feasible set contains a line: no vertices exist") from None
     if h.linearity:
@@ -347,8 +343,7 @@ def vrep_to_hrep(v: VPolyhedron, columns: list[int] | None = None) -> HPolyhedro
     # v whose cone row is c.
     where = {primitive([c[j] for j in free]): k for k, c in enumerate(v.rows)}
     cone_rows = sorted(where)
-    masks: list[int] = []
-    rays = _cone_extreme_rays(cone_rows, len(free), masks)
+    rays, masks = _cone_extreme_rays(cone_rows, len(free))
     facets = []
     for ray, z in zip(rays, masks):
         y = [0] * (v.d + 1)

@@ -23,19 +23,24 @@ and one face lies in another exactly when its tight set does.  Hence:
   facet, and every proper face lies in a facet, so the facets are exactly
   the inclusion-maximal tight sets among the rows whose tight set is
   nonempty and not all of P.
-* Edges (`skeleton_graph`): a vertex on exactly dim facets is simple, and
-  the vertex figure of a simple vertex is a simplex (Ziegler, *Lectures
-  on Polytopes*, §3), so its edges are the faces tight on all but one of
-  its facets.  Two simple vertices are adjacent exactly when they share
-  dim - 1 facets, a bitmask fact read off a dict of those facet sets; a
-  set that no second simple vertex shares runs one AND of its facet
-  columns, which is the vertex and its non-simple neighbour, or holds a
-  ray bit when the edge is unbounded.  Between two non-simple vertices u
-  and v the smallest face holding both is the set tight on T(u) & T(v),
-  and uv is an edge exactly when the vertices tight on those rows are u
-  and v alone and no ray is (`Incidence.is_edge`); that test stays right
-  on degenerate input where a rank shortcut would lie, and it runs only
-  on pairs that share at least dim - 1 facets, as an edge does.
+* Edges (`skeleton_graph`): every nonempty face of a pointed polyhedron
+  is the intersection of the facets that contain it, so an edge is one
+  AND of facet columns, with no other row read (a row tight on both ends
+  that defines no facet contains their face and cuts nothing more).  A
+  vertex on exactly dim facets is simple, and the vertex figure of a
+  simple vertex is a simplex (Ziegler, *Lectures on Polytopes*, §3), so
+  its edges are the faces tight on all but one of its facets.  Two simple
+  vertices are adjacent exactly when they share dim - 1 facets, a bitmask
+  fact read off a dict of those facet sets; a set that no second simple
+  vertex shares runs one AND of its facet columns, which is the vertex
+  and its non-simple neighbour, or holds a ray bit when the edge is
+  unbounded, and one simple vertex's neighbours (`_simple_neighbours`)
+  are that AND on each of its sets.  Between two non-simple vertices u
+  and v the smallest face holding both is the set tight on their shared
+  facets, and uv is an edge exactly when the AND of those facet columns
+  holds u and v alone and no ray; that test stays right on degenerate
+  input where a rank shortcut would lie, and it runs only on pairs that
+  share at least dim - 1 facets, as an edge does.
 * Ridges (`dual_graph`): the facets of a facet F are the maximal faces
   F & G over the other facets G, so two facets are adjacent exactly when
   their common vertex set is inclusion-maximal among F's intersections.
@@ -46,9 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
-from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .ratlin import Vector, _echelon, dot, primitive
@@ -240,8 +243,10 @@ class Incidence:
     are one AND of columns.  Each conversion of `dd.analyse` already holds
     them and hands them over.  The rest is computed when first asked for
     and then kept: `masks` (per vertex, the rows tight on it: one transpose
-    of `columns`), `facets`, `facet_masks` (which every per-vertex facet
-    question reads), `implicit`, `dim` and `graph`.
+    of `columns`, which the closed-form wedge and truncation of
+    `constructions` read; no graph question does), `facets`,
+    `facet_masks` (which every per-vertex facet question reads),
+    `implicit`, `dim` and `graph`.
     """
 
     def __init__(self, h: HPolyhedron, v: VPolyhedron, columns: Sequence[int]):
@@ -295,13 +300,6 @@ class Incidence:
 
     def vertices_on_row(self, i: int) -> list[int]:
         return list(_bits(self.columns[i] & (1 << self.nverts) - 1))
-
-    def is_edge(self, u: int, w: int) -> bool:
-        """Whether vertices u and w are the only vertices, and no ray is,
-        tight on every row of T(u) & T(w)."""
-        pair = 1 << u | 1 << w
-        z = self.masks[u] & self.masks[w]
-        return _tight_on_all(self.columns, z, self.everything, pair) == pair
 
 
 def _tight_on_all(columns: Sequence[int], rows: int, among: int, floor: int) -> int:
@@ -418,10 +416,12 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
     neighbour: one dict probe per (simple vertex, facet).  Only a key left
     unpaired runs one AND of its facet columns, which is u and its
     non-simple neighbour, or holds a ray bit when the edge is unbounded.
-    An edge lies on at least dim - 1 facets, so a pair of non-simple
-    vertices runs `Incidence.is_edge` only when their facet masks share
-    that many.  Rows tight at u that define no facet (redundant rows,
-    scaled duplicates) play no part.
+    A pair u, w of non-simple vertices runs the same AND on the facets
+    they share, the smallest face holding both, and is an edge when that
+    face is u and w alone; an edge lies on at least dim - 1 facets, so the
+    pair runs it only when their facet masks share that many.  Rows tight
+    at u that define no facet (redundant rows, scaled duplicates) play no
+    part.
     """
     n, dim, fms = inc.nverts, inc.dim, inc.facet_masks
     adj = [0] * n
@@ -452,7 +452,9 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
     for x, u in enumerate(other):
         fu = fms[u]
         for w in other[x + 1:]:
-            if (fu & fms[w]).bit_count() >= dim - 1 and inc.is_edge(u, w):
+            shared, pair = fu & fms[w], 1 << u | 1 << w
+            if (shared.bit_count() >= dim - 1
+                    and _tight_on_all(columns, shared, inc.everything, pair) == pair):
                 adj[u] |= 1 << w
                 adj[w] |= 1 << u
     return PolyGraph(inc.v.all_labels(), tuple(adj))
@@ -460,15 +462,15 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
 
 def _simple_neighbours(inc: Incidence, u: int) -> int:
     """The bounded-edge neighbours of the simple vertex u, as one bitset:
-    per facet of u, the AND of the columns of its other facets is u and one
+    per facet f of u, the AND of the facet columns on the key `fm ^ f`, its
+    other facets, as `skeleton_graph` runs on an unpaired key, is u and one
     neighbour, or it holds a ray bit (bit `nverts` and up) and the edge is
     unbounded."""
-    columns = [inc.columns[inc.facets[pos]] for pos in _bits(inc.facet_masks[u])]
-    before = list(accumulate(columns, and_, initial=inc.everything))
-    after = list(accumulate(reversed(columns), and_, initial=inc.everything))[::-1]
+    fm = inc.facet_masks[u]
+    columns = [inc.columns[i] for i in inc.facets]
     found = 0
-    for k in range(len(columns)):
-        face = before[k] & after[k + 1]
+    for f in _bits(fm):
+        face = _tight_on_all(columns, fm ^ 1 << f, inc.everything, 1 << u)
         if not face >> inc.nverts:
             found |= face
     return found & ~(1 << u)

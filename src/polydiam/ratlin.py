@@ -21,9 +21,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-# Exact rational scalar used across the package.
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")

@@ -591,7 +591,7 @@ def _fulldim_vrep_to_hrep(v):
         cone_rows.add(primitive((1, *p)))
     for r in v.rays:
         cone_rows.add(primitive((0, *r)))
-    rays = _cone_extreme_rays(sorted(cone_rows), v.d + 1)
+    rays = _cone_extreme_rays(sorted(cone_rows), v.d + 1)[0]
     rows = []
     for ray in rays:
         b, a = ray[0], ray[1:]

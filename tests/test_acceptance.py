@@ -278,7 +278,7 @@ def test_criterion_10_abstraction():
             assert ok and witness is None
             res = subset_graph_diameter(g)
             assert res.within_bounds
-            assert power_bound_holds(res.diameter, g.n, g.d, exponent_offset=1)
+            assert power_bound_holds(res.diameter, g.n, g.d)
             assert res.diameter <= g.n * 2 ** (g.d - 1)
         search = search_max_diameter(4, 2)
         assert search.complete

@@ -841,8 +841,12 @@ def _mutated_text(draw):
     return "".join(line + "\n" for line in lines)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_mutated_text(), st.sampled_from([["graph"], ["diameter"], ["check", "--json"]]))
+@settings(max_examples=130, deadline=None)
+@given(_mutated_text(), st.sampled_from([
+    ["graph"], ["diameter"], ["check", "--json"], ["dualgraph"],
+    ["convert", "--to", "h"], ["convert", "--to", "v"], ["polar"],
+    ["wedge", "--facet", "1"], ["unbound", "--facet", "1"], ["truncate", "--vertex", "1"],
+]))
 def test_graph_verbs_on_mutated_text_exit_cleanly(text, verb):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.txt")

@@ -18,7 +18,6 @@ from polydiam.constructions import (
     _wedged,
     crosspolytope,
     cube,
-    generate_canonical,
     hirsch_sharp,
     klee_walkup,
     product,
@@ -31,6 +30,7 @@ from polydiam.constructions import (
     unbound_point_map,
     wedge,
 )
+from polydiam import constructions
 from polydiam.dd import analyse
 from polydiam.paths import bfs_distances, diameter
 from polydiam.polyhedron import facet_row_indices
@@ -61,9 +61,11 @@ def test_canonical_counts_and_diameters():
 
 
 def test_generate_canonical_dispatch():
-    assert generate_canonical("cube", 2).nrows == 4
+    # `replay` builds the three canonical kinds from their dimension alone
+    assert replay(ConstructionRecipe("cube", {"d": 2})) == cube(2)
+    assert replay(ConstructionRecipe("crosspolytope", {"d": 3})) == crosspolytope(3)
     with pytest.raises(ValueError):
-        generate_canonical("dodecahedron", 3)
+        replay(ConstructionRecipe("dodecahedron", {"d": 3}))
 
 
 def test_ngon():
@@ -293,6 +295,21 @@ def test_hirsch_sharp_wedge_truncate_route():
     h = hirsch_sharp(5, 11)
     assert h.d == 5 and _nfacets(h) == 11
     assert _diam(h) == 6
+
+
+def test_each_truncation_of_hirsch_sharp_finds_its_neighbours_once(monkeypatch):
+    # (6, 14): two wedges and three truncations; each truncation reads its
+    # vertex's neighbours once, for the cut and the midpoints alike
+    calls = []
+    real = constructions._simple_neighbours
+
+    def counting(inc, u):
+        calls.append(u)
+        return real(inc, u)
+
+    monkeypatch.setattr(constructions, "_simple_neighbours", counting)
+    hirsch_sharp(6, 14)
+    assert len(calls) == 3
 
 
 def test_hirsch_sharp_rejects_out_of_range():

@@ -393,7 +393,7 @@ def test_start_rays_are_the_columns_of_the_inverse(rows):
     basis = sorted({primitive_ints(r) for r in rows})
     unit = [[int(i == j) for i in range(n)] for j in range(n)]
     assume(len(basis) == n and solve_square(basis, unit[0]) is not None)
-    assert _cone_extreme_rays(basis, n) == [primitive_ints(solve_square(basis, e)) for e in unit]
+    assert _cone_extreme_rays(basis, n)[0] == [primitive_ints(solve_square(basis, e)) for e in unit]
 
 
 def _as_pairs(h):
@@ -434,7 +434,7 @@ def _cone_rays_match_oracle(rows, dim):
         with pytest.raises(NotPointed):
             _cone_extreme_rays(rows, dim)
     else:
-        assert _cone_extreme_rays(rows, dim) == want
+        assert _cone_extreme_rays(rows, dim)[0] == want
     return want
 
 
@@ -473,7 +473,7 @@ def test_cone_extreme_rays_match_third_ray_scan_across_blocks():
     # blocks of the pair loop's filter.
     h = vrep_to_hrep(random_01_polytope(7, 24, 1000))
     rows = sorted({(1,) + (0,) * 7} | {primitive((b, *a)) for b, a in h.rows})
-    assert _cone_extreme_rays(rows, 8) == third_ray_scan_extreme_rays(rows, 8)
+    assert _cone_extreme_rays(rows, 8)[0] == third_ray_scan_extreme_rays(rows, 8)
 
 
 def test_a_skipped_block_of_negative_rays_loses_no_ray():
@@ -487,14 +487,13 @@ def test_a_skipped_block_of_negative_rays_loses_no_ray():
                for i in range(20)]
     cut = (950, -93, 34)
     assert cut > max(polygon)
-    zero_sets: list[int] = []
-    rays = _cone_extreme_rays(polygon, 3, zero_sets)
+    rays, zero_sets = _cone_extreme_rays(polygon, 3)
     vals = [sum(map(mul, cut, y)) for y in rays]
     pos = [k for k, v in enumerate(vals) if v > 0]
     neg = [k for k, v in enumerate(vals) if v < 0]
     neighbours = [j for j, q in enumerate(neg) if any(zero_sets[p] & zero_sets[q] for p in pos)]
     assert (len(pos), len(neg), neighbours) == (2, 18, [8, 17])
-    rays = _cone_extreme_rays(polygon + [cut], 3)
+    rays = _cone_extreme_rays(polygon + [cut], 3)[0]
     assert len(rays) == 4
     assert rays == third_ray_scan_extreme_rays(polygon + [cut], 3)
 
@@ -527,12 +526,12 @@ def test_cone_extreme_rays_and_zero_sets_on_small_cones(data):
     # each zero set must be the rows the ray is tight on, computed here.
     dim, rows = data
     want = third_ray_scan_extreme_rays(rows, dim)
-    zero_sets: list[int] = []
     if want is None:
         with pytest.raises(NotPointed):
-            _cone_extreme_rays(rows, dim, zero_sets)
+            _cone_extreme_rays(rows, dim)
         return
-    assert _cone_extreme_rays(rows, dim, zero_sets) == want
+    rays, zero_sets = _cone_extreme_rays(rows, dim)
+    assert rays == want
     ordered = sorted(set(rows))
     tight = [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y))) for y in want]
     assert zero_sets == tight
@@ -614,9 +613,9 @@ def test_transportation_runs_one_cone_in_the_null_space_of_its_equalities(monkey
     calls = []
     cone = dd._cone_extreme_rays
 
-    def spy(rows, dim, zero_sets=None):
+    def spy(rows, dim):
         calls.append((len(set(rows)), dim))
-        return cone(rows, dim, zero_sets)
+        return cone(rows, dim)
 
     monkeypatch.setattr(dd, "_cone_extreme_rays", spy)
     transportation((19, 21, 20), (16, 14, 15, 15))

@@ -166,8 +166,17 @@ _CUBE_WITH_REDUNDANT_ROWS = HPolyhedron.from_rows(
     [(1, *(s * int(i == j) for i in range(3))) for j in range(3) for s in (1, -1)]
     + [(3, -1, -1, -1), (2, -2, 0, 0)],
 )
+# The octahedron plus a doubled facet row and the sum of two facet rows
+# that meet in the edge from e1 to e2: every vertex is non-simple, and the
+# ends of that edge share two rows that define no facet.
+_CROSS3_ROWS = [(b, *a) for b, a in crosspolytope(3).rows]
+_CROSS3_WITH_REDUNDANT_ROWS = HPolyhedron.from_rows(3, _CROSS3_ROWS + [
+    [2 * x for x in _CROSS3_ROWS[0]],
+    [x + y for x, y in zip(_CROSS3_ROWS[0], _CROSS3_ROWS[1])],
+])
 SKELETON_CASES = {
     "cross3": crosspolytope(3),
+    "cross3_with_redundant_rows": _CROSS3_WITH_REDUNDANT_ROWS,
     "cross4": crosspolytope(4),
     "klee_walkup_star": klee_walkup()[0],
     "q4": _Q4,

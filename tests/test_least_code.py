@@ -1,12 +1,13 @@
 """Least code: every public name of the package is reached from the program.
 
-A public module-level def or class of `src/polydiam/`, and a public
-method, property or dataclass field of such a class, must be referenced
-(as a name or an attribute) somewhere in `src/`, `scripts/` or the
-non-test files of `perfbench/`, outside its own definition.  Exports in
-`__init__.py` do not count.  A helper that only its own tests call is
-removed or moved to the tests; the few kept on purpose are listed below
-with the reason, and the list must not go stale.
+A public module-level def, class or assigned name of `src/polydiam/`,
+and a public method, property or dataclass field of such a class, must
+be referenced (as a name or an attribute) somewhere in `src/`,
+`scripts/` or the non-test files of `perfbench/`, outside its own
+definition.  Exports in `__init__.py` do not count.  A helper that only
+its own tests call is removed or moved to the tests; the few kept on
+purpose are listed below with the reason, and the list must not go
+stale.
 """
 
 import ast
@@ -32,10 +33,15 @@ def _program_files():
 
 
 def _public_defs(tree):
-    """(name, node) of each public module-level def and class, and of each
-    public method, property and dataclass field of such a class, as
-    `Class.member`."""
+    """(name, node) of each public module-level def, class and assigned
+    name, and of each public method, property and dataclass field of such
+    a class, as `Class.member`."""
     for node in tree.body:
+        targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                   else node.targets if isinstance(node, ast.Assign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                yield target.id, node
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
             yield node.name, node
@@ -93,3 +99,8 @@ def test_the_scan_reaches_class_members():
         "    @property\n    def p(self): pass\n    def _h(self): pass\n"
     )
     assert [name for name, _ in _public_defs(tree)] == ["A", "A.x", "A.m", "A.p"]
+
+
+def test_the_scan_reaches_module_level_assignments():
+    tree = ast.parse("Alias = int\n_hidden = 1\nLIMIT: int = 3\nx.attr = 2\n")
+    assert [name for name, _ in _public_defs(tree)] == ["Alias", "LIMIT"]

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from polydiam import (
     HPolyhedron,
-    Incidence,
     PolyGraph,
     Unbounded,
     VPolyhedron,
@@ -30,6 +29,8 @@ from polydiam.constructions import (
     random_01_polytope,
     simplex,
     transportation,
+    truncate_vertex,
+    wedge,
 )
 from polydiam import polyhedron
 from polydiam.polyhedron import facet_row_indices
@@ -171,15 +172,18 @@ def test_skeleton_crosspolytope_misses_antipodal_pairs():
 
 
 def _pair_tests(monkeypatch, inc):
-    """The vertex pairs `skeleton_graph(inc)` hands to `Incidence.is_edge`."""
+    """The vertex pairs `skeleton_graph(inc)` tests by one AND of their
+    shared facet columns: the `_tight_on_all` calls whose floor is two
+    vertices (an unpaired key passes its one vertex)."""
     tested = []
-    real = Incidence.is_edge
+    real = polyhedron._tight_on_all
 
-    def counting(self, u, w):
-        tested.append((u, w))
-        return real(self, u, w)
+    def counting(columns, rows, among, floor):
+        if floor.bit_count() == 2:
+            tested.append(tuple(polyhedron._bits(floor)))
+        return real(columns, rows, among, floor)
 
-    monkeypatch.setattr(Incidence, "is_edge", counting)
+    monkeypatch.setattr(polyhedron, "_tight_on_all", counting)
     skeleton_graph(inc)
     return tested
 
@@ -235,6 +239,19 @@ def test_skeleton_tests_only_pairs_of_non_simple_vertices(monkeypatch, poly):
     candidates = [(u, w) for u, w in combinations(non_simple, 2)
                   if (fms[u] & fms[w]).bit_count() >= dim - 1]
     assert sorted(_pair_tests(monkeypatch, inc)) == candidates
+
+
+def test_the_skeleton_and_a_truncation_leave_the_row_masks_uncomputed():
+    # an edge is one AND of facet columns, so neither the skeleton of the
+    # octahedron, whose vertices are all non-simple, nor the truncation of
+    # a simple vertex transposes the columns into per-vertex row masks
+    inc = analyse(crosspolytope(3))
+    skeleton_graph(inc)
+    assert "masks" not in inc.__dict__
+    q4 = analyse(klee_walkup()[1])
+    inc = analyse(wedge(q4, q4.facets[0]))
+    truncate_vertex(inc, 0)
+    assert "masks" not in inc.__dict__
 
 
 def test_dual_graph_cube_is_octahedron():
