@@ -55,8 +55,9 @@ def validate_layer_property(g: SubsetFamilyGraph) -> tuple[bool, tuple[Node, Nod
 
     Returns (True, None) or (False, first failing pair in node order).
     """
-    for (i, j), fmask in _pair_filters(g.nodes).items():
-        if not _reaches(g.adj, i, j, fmask):
+    filters = _pair_filters(g.nodes)
+    for i, j in combinations(range(len(g.nodes)), 2):
+        if not _reaches(g.adj, i, j, filters[i][j]):
             return False, (g.nodes[i], g.nodes[j])
     return True, None
 
@@ -111,20 +112,29 @@ class SearchResult:
     explored: int
 
 
-def _pair_filters(nodes) -> dict[tuple[int, int], int]:
-    """F(i, j) for every node pair i < j, keyed (i, j) in `combinations`
-    order: the mask of the nodes containing both nodes' common elements."""
+def _pair_filters(nodes) -> list[list[int]]:
+    """F(i, j) as `filters[i][j]` for every node pair i != j: the mask of the
+    nodes containing both nodes' common elements, the AND of those elements'
+    node columns (all nodes when they share none)."""
     sets = [frozenset(x) for x in nodes]
-    return {(i, j): sum(1 << k for k, s in enumerate(sets) if sets[i] & sets[j] <= s)
-            for i, j in combinations(range(len(sets)), 2)}
+    columns = {x: sum(1 << k for k, s in enumerate(sets) if x in s) for x in set().union(*sets)}
+    filters = [[(1 << len(sets)) - 1] * len(sets) for _ in sets]
+    for i, j in combinations(range(len(sets)), 2):
+        for x in sets[i] & sets[j]:
+            filters[i][j] &= columns[x]
+        filters[j][i] = filters[i][j]
+    return filters
 
 
 def _reaches(adj, i: int, j: int, fmask: int) -> bool:
     """Whether j is reachable from i in the graph of neighbour bitsets `adj`
-    by a walk inside the node bitset `fmask`, which holds both: a common
-    neighbour inside it answers at once, else BFS layers grow until j."""
+    by a walk inside the node bitset `fmask`, which holds both.  The walk
+    leaves i and enters j through neighbours inside `fmask`: a common one
+    answers yes at once, an endpoint with none no, else BFS layers grow."""
     if adj[i] & adj[j] & fmask:
         return True
+    if not adj[i] & fmask or not adj[j] & fmask:
+        return False
     frontier = seen = 1 << i
     while frontier:
         nxt = 0
@@ -140,20 +150,24 @@ def _reaches(adj, i: int, j: int, fmask: int) -> bool:
 
 
 def _wider_than(adj, ids, k: int) -> bool:
-    """Whether two of the nodes `ids` of the connected graph `adj` are more than
-    k steps apart: k rounds of `mask_diameter`'s all-sources OR, on global ids."""
+    """Whether two of the nodes `ids` of the connected graph `adj`, a list
+    indexed by global id, are more than k steps apart: rounds of
+    `mask_diameter`'s all-sources OR grow the balls not yet full from the
+    closed neighbourhoods, until radius k or a fixed point."""
+    if k < 1:  # the diameter is at least 1 exactly when there are two nodes
+        return len(ids) > k + 1
     chosen = sum(1 << g for g in ids)
-    reach = {g: 1 << g for g in ids}
-    nbrs = [(g, list(_bits(adj[g]))) for g in ids]
-    for _ in range(k):
-        step = {}
-        for g, ns in nbrs:
-            r = reach[g]
-            for h in ns:
-                r |= reach[h]
-            step[g] = r
+    reach = [a | 1 << g for g, a in enumerate(adj)]
+    for _ in range(k - 1):
+        step = reach.copy()
+        for g in ids:
+            if reach[g] != chosen:
+                for h in _bits(adj[g]):
+                    step[g] |= reach[h]
+        if step == reach:  # a fixed point: no ball grows any more
+            break
         reach = step
-    return any(r != chosen for r in reach.values())
+    return any(reach[g] != chosen for g in ids)
 
 
 def search_max_diameter(
@@ -175,18 +189,21 @@ def search_max_diameter(
     both in F(a, b); then S_a & S_b <= S_i & S_j, so F(a, b) contains
     F(i, j), and a path from i to j inside F(i, j) replaces e.  Hence
     G - e is valid exactly when j is reachable from i inside F(i, j)
-    in G - e.
+    in G - e.  The random walk settles most trials without `_reaches`: a
+    common neighbour of i and j inside F(i, j) keeps them connected, and an
+    endpoint with no neighbour inside it cuts them apart.
 
     The walks run on global node ids, positions in the sorted list of all
-    d-subsets: the filters are computed once, and F(i, j) over a chosen
-    node set is the global one ANDed with the chosen mask.  A graph on m
-    nodes has diameter at most m - 1, and only a strictly larger diameter
-    replaces the best, so a graph with m - 1 <= best gets no diameter.  The
-    random walk skips such a draw before thinning it: the thinning draws
-    nothing and the shuffle's swaps depend on the length only, so shuffling
-    a stand-in list keeps the stream, and the draw still counts as explored.
-    A thinned graph is valid, hence connected, so it is relabelled for its
-    diameter only when `_wider_than` finds two nodes more than best apart.
+    d-subsets: the filters, ANDs of element columns, are computed once, and
+    F(i, j) over a chosen node set is the global one ANDed with the chosen
+    mask.  A graph on m nodes has diameter at most m - 1, and only a strictly
+    larger diameter replaces the best, so a graph with m - 1 <= best gets no
+    diameter.  The random walk skips such a draw before thinning it: the
+    thinning draws nothing and the shuffle's swaps depend on the length
+    only, so shuffling a stand-in list keeps the stream, and the draw still
+    counts as explored.  A thinned graph is valid, hence connected, so it is
+    relabelled for its diameter only when `_wider_than` finds two nodes more
+    than best apart.
     """
     if n > 8 or d > 3:
         raise ValueError("search is guarded to n <= 8, d <= 3")
@@ -199,9 +216,7 @@ def search_max_diameter(
     filters = _pair_filters(all_nodes)
 
     best_graph: SubsetFamilyGraph | None = None
-    best_diam = -1
-    explored = 0
-    complete = True
+    best_diam, explored, complete = -1, 0, True
 
     def complete_graph(ids):
         # `ids` is sorted; the pairs, with their filters over the chosen
@@ -210,7 +225,7 @@ def search_max_diameter(
         adj = [0] * len(all_nodes)
         for g in ids:
             adj[g] = chosen ^ 1 << g
-        return adj, [(i, j, filters[i, j] & chosen) for i, j in combinations(ids, 2)]
+        return adj, [(i, j, filters[i][j] & chosen) for i, j in combinations(ids, 2)]
 
     def consider(ids, adj: list[int]) -> None:
         nonlocal best_graph, best_diam
@@ -221,9 +236,8 @@ def search_max_diameter(
         found = mask_diameter(local)
         if found is not None and found[0] > best_diam:
             best_diam = found[0]
-            best_graph = SubsetFamilyGraph(
-                tuple(all_nodes[g] for g in ids), tuple(local), n=n, d=d
-            )
+            best_graph = SubsetFamilyGraph(tuple(all_nodes[g] for g in ids), tuple(local),
+                                           n=n, d=d)
 
     # The complete graph on any node set is valid: F(i, j) holds i and j,
     # and they are adjacent.  So each walk starts from a valid graph.
@@ -248,8 +262,7 @@ def search_max_diameter(
                     child = emask & ~(1 << bit)
                     if child != emask and child not in seen:
                         without = adj.copy()
-                        without[i] ^= 1 << j
-                        without[j] ^= 1 << i
+                        without[i], without[j] = adj[i] ^ 1 << j, adj[j] ^ 1 << i
                         if _reaches(without, i, j, fmask):
                             stack.append((child, without))
             if not complete:
@@ -268,11 +281,13 @@ def search_max_diameter(
             adj, pairs = complete_graph(ids)
             rng.shuffle(pairs)  # the swaps depend on the length only
             for i, j, fmask in pairs:
-                adj[i] ^= 1 << j
-                adj[j] ^= 1 << i
-                if not _reaches(adj, i, j, fmask):
-                    adj[i] ^= 1 << j
-                    adj[j] ^= 1 << i
+                ai, aj = adj[i] ^ 1 << j, adj[j] ^ 1 << i
+                if ai & aj & fmask:  # a common neighbour inside F(i, j): delete
+                    adj[i], adj[j] = ai, aj
+                elif ai & fmask and aj & fmask:  # else an end cut off inside it: keep
+                    adj[i], adj[j] = ai, aj
+                    if not _reaches(adj, i, j, fmask):
+                        adj[i], adj[j] = ai ^ 1 << j, aj ^ 1 << i
             if _wider_than(adj, ids, best_diam):
                 consider(ids, adj)
 

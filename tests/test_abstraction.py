@@ -10,7 +10,9 @@ import polydiam.abstraction
 from polydiam import hrep_to_vrep
 from polydiam.abstraction import (
     SubsetFamilyGraph,
+    _pair_filters,
     _reaches,
+    _wider_than,
     from_simple_polytope,
     search_max_diameter,
     subset_graph_diameter,
@@ -22,6 +24,7 @@ from polydiam import skeleton_graph
 
 from oracles import (
     incidence,
+    queue_bfs_diameter,
     reference_search_max_diameter,
     subset_graph_valid,
     subset_pair_filters,
@@ -226,6 +229,78 @@ def test_validate_layer_property_matches_oracle(case, data):
     failing = next(((nodes[i], nodes[j]) for i, j, fmask in pair_filters
                     if not subset_graph_valid(adj, [(i, j, fmask)])), None)
     assert validate_layer_property(g) == (failing is None, failing)
+
+
+@st.composite
+def _graph_and_filter(draw):
+    """A symmetric graph of up to 12 nodes as neighbour bitsets, two of its
+    nodes i != j and a node mask holding both; in two draws of three the
+    mask drops every neighbour of i, or of j, other than the two."""
+    m = draw(st.integers(2, 12))
+    adj = [0] * m
+    for a, b in draw(st.lists(st.sampled_from(list(combinations(range(m), 2))), unique=True)):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    ends = 1 << i | 1 << j
+    fmask = draw(st.integers(0, (1 << m) - 1)) | ends
+    cut = draw(st.sampled_from([None, i, j]))
+    if cut is not None:
+        fmask = fmask & ~adj[cut] | ends
+    return adj, i, j, fmask
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_filter())
+def test_reaches_matches_a_queue_bfs_inside_the_filter(case):
+    adj, i, j, fmask = case
+    assert _reaches(adj, i, j, fmask) == subset_graph_valid(adj, [(i, j, fmask)])
+
+
+@st.composite
+def _connected_graph_on_ids(draw):
+    """A connected graph on m <= 9 nodes placed on sorted global ids below
+    16, as a list of neighbour bitsets indexed by global id: a random tree,
+    each node hung on an earlier one (often the one before, for long
+    paths), plus random chords."""
+    m = draw(st.integers(1, 9))
+    ids = sorted(draw(st.lists(st.integers(0, 15), min_size=m, max_size=m, unique=True)))
+    edges = {(draw(st.one_of(st.just(t - 1), st.integers(0, t - 1))), t) for t in range(1, m)}
+    if m > 1:
+        edges |= set(draw(st.lists(st.sampled_from(list(combinations(range(m), 2))))))
+    adj = [0] * 16
+    for a, b in edges:
+        adj[ids[a]] |= 1 << ids[b]
+        adj[ids[b]] |= 1 << ids[a]
+    return adj, ids, [(ids[a], ids[b]) for a, b in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_graph_on_ids())
+def test_wider_than_matches_the_queue_bfs_diameter(case):
+    adj, ids, edges = case
+    diam, _ = queue_bfs_diameter(ids, edges)
+    for k in range(-1, len(ids) + 1):
+        assert _wider_than(adj, ids, k) == (diam > k), k
+
+
+def _assert_filters_match_the_oracle(nodes):
+    filters = _pair_filters(nodes)
+    for i, j, fmask in subset_pair_filters(nodes):
+        assert filters[i][j] == filters[j][i] == fmask, (i, j)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 9) for d in range(1, min(n, 3) + 1)])
+def test_pair_filters_match_the_oracle_on_every_full_family(n, d):
+    _assert_filters_match_the_oracle(list(combinations(range(1, n + 1), d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.integers(1, min(n, 4)).flatmap(
+    lambda d: st.lists(st.sampled_from(list(combinations(range(1, n + 1), d))),
+                       unique=True, max_size=20).map(sorted))))
+def test_pair_filters_match_the_oracle_on_sorted_node_lists(nodes):
+    _assert_filters_match_the_oracle(nodes)
 
 
 @pytest.mark.parametrize("n, d, seed, budget", [

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polydiam.abstraction import search_max_diameter
 from polydiam.cli import main
 from polydiam.constructions import cube, replay
 from polydiam.fileio import (
@@ -19,6 +20,7 @@ from polydiam.fileio import (
     read_recipe,
     read_subset_graph,
     write_hfile,
+    write_subset_graph,
     write_vfile,
 )
 from polydiam import HPolyhedron, NotPointed, VPolyhedron, analyse
@@ -815,10 +817,10 @@ _TEXTS = [
 
 
 @st.composite
-def _mutated_text(draw):
-    """One of `_TEXTS` after one to three edits: a line dropped, duplicated
+def _mutated_text(draw, texts):
+    """One of `texts` after one to three edits: a line dropped, duplicated
     or swapped with another, or a token negated or dropped."""
-    lines = draw(st.sampled_from(_TEXTS)).splitlines()
+    lines = draw(st.sampled_from(texts)).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
@@ -841,19 +843,44 @@ def _mutated_text(draw):
     return "".join(line + "\n" for line in lines)
 
 
-@settings(max_examples=130, deadline=None)
-@given(_mutated_text(), st.sampled_from([
-    ["graph"], ["diameter"], ["check", "--json"], ["dualgraph"],
-    ["convert", "--to", "h"], ["convert", "--to", "v"], ["polar"],
-    ["wedge", "--facet", "1"], ["unbound", "--facet", "1"], ["truncate", "--vertex", "1"],
-]))
-def test_graph_verbs_on_mutated_text_exit_cleanly(text, verb):
+def _exits_cleanly(verb, text):
+    """Run `verb` on `text` written to a file, given once (twice for
+    `product`): exit code 0, 1 or 2 and no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.txt")
         with open(path, "w") as f:
             f.write(text)
         out, err = io.StringIO(), io.StringIO()
+        argv = [*verb, path, path] if verb == ["product"] else [*verb, path]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*verb, path])
+            code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=170, deadline=None)
+@given(_mutated_text(_TEXTS), st.sampled_from([
+    ["graph"], ["diameter"], ["check", "--json"], ["dualgraph"],
+    ["convert", "--to", "h"], ["convert", "--to", "v"], ["polar"],
+    ["wedge", "--facet", "1"], ["unbound", "--facet", "1"], ["truncate", "--vertex", "1"],
+    ["product"], ["distance", "--from", "v0", "--to", "v1"], ["abstraction", "of"],
+]))
+def test_graph_verbs_on_mutated_text_exit_cleanly(text, verb):
+    _exits_cleanly(verb, text)
+
+
+# Subset-graph texts: a best graph of a randomized (5, 2) search and the
+# extremal graph of the exhaustive (4, 2) search.
+_SUBSET_TEXTS = [
+    write_subset_graph(search_max_diameter(5, 2, budget=200, seed=11).best),
+    write_subset_graph(search_max_diameter(4, 2).best),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated_text(_SUBSET_TEXTS), st.sampled_from([
+    ["abstraction", "validate"], ["abstraction", "validate", "--json"],
+    ["abstraction", "diameter", "--json"],
+]))
+def test_abstraction_verbs_on_mutated_subset_text_exit_cleanly(text, verb):
+    _exits_cleanly(verb, text)
