@@ -16,19 +16,26 @@ arithmetic throughout:
   pointed, and its extreme rays with a nonzero linear part are the facet
   rows.  One cone serves every input, lower-dimensional or not.
 
-Ray insertion order is deterministic (rows sorted lexicographically after
-canonical scaling) and ray adjacency uses the combinatorial zero-set test
-of Fukuda & Prodon, *Double description method revisited* (1996).  It runs
-on column bitsets: per processed row, the set of rays tight on it, so
-"which rays are tight on all of z" is one AND of |z| big integers rather
-than a scan over every ray.  A short rank of the cone rows (a line in the
-input) surfaces there too, as `NotPointed`, with no separate rank test.
-In front of that test, the negative rays of a step go in blocks of 16:
-the union of a block's zero sets bounds |Z(p) & Z(q)| for every q in it,
-so a positive ray p that shares fewer than dim - 2 rows with the union
-skips the block whole (the flat form of the bit-pattern tree of Terzer &
-Stelling, *Bioinformatics* 24(19), 2008).  Pairs are met in the same
-order either way, so the rays and their order do not depend on it.
+The cone rows, primitive and deduplicated, are inserted smallest first, by
+(max |c|, sum |c|, row): on the facet cones of 0/1 polytopes that makes
+about half the new rays and pair tests of lexicographic order (insertion
+order governs DD cost: Fukuda & Prodon; Avis, Bremner & Seidel, *How good
+are convex hull algorithms?*, 1997).  Zero-set bits still index the sorted
+rows.  The answer does not depend on the order: a pointed cone's primitive
+extreme rays and their zero sets are its own, only their list order moves,
+and both conversions sort what they return.  Ray adjacency uses the
+combinatorial zero-set test of Fukuda & Prodon, *Double description method
+revisited* (1996).  It runs on column bitsets: per processed row, the set
+of rays tight on it, so "which rays are tight on all of z" is one AND of
+|z| big integers rather than a scan over every ray.  A short rank of the
+cone rows (a line in the input) surfaces there too, as `NotPointed`, with
+no separate rank test.  In front of that test, the negative rays of a step
+go in blocks of 16: the union of a block's zero sets bounds |Z(p) & Z(q)|
+for every q in it, so a positive ray p that shares fewer than dim - 2 rows
+with the union skips the block whole (the flat form of the bit-pattern
+tree of Terzer & Stelling, *Bioinformatics* 24(19), 2008).  Pairs are met
+in the same order either way, so the rays and their order do not depend
+on it.
 
 A pair with a non-degenerate ray p, one tight on exactly dim - 1
 processed rows, needs no AND, as the count decides it.  (1) An extreme
@@ -77,10 +84,13 @@ def _cone_extreme_rays(
     """Extreme rays of the pointed cone {y : r.y >= 0 for r in rows}.
 
     `rows` must be primitive integer vectors whose rank is `dim` (else
-    NotPointed); they are deduplicated and processed in sorted order.
-    Returns the primitive integer rays, [] when the cone is the origin
-    alone, and each ray's zero set, in ray order: bit i is set when the
-    ray is tight on row i of `sorted(set(rows))`.
+    NotPointed); they are deduplicated and sorted, then inserted in
+    `order`, smallest first by (max |c|, sum |c|, row), the start basis
+    being the first `dim` independent rows in it.  Returns the primitive
+    integer rays, [] when the cone is the origin alone, and each ray's zero
+    set, in ray order: bit i is set when the ray is tight on row i of
+    `sorted(set(rows))`.  Only the ray order depends on the insertion
+    order; the rays and their zero sets are the cone's.
 
     Adjacency is the combinatorial test of Fukuda & Prodon, *Double
     description method revisited* (1996): a positive ray p and a negative
@@ -109,7 +119,9 @@ def _cone_extreme_rays(
     # Greedy initial basis B in insertion order; the columns of B^-1 are the
     # extreme rays of the simplicial start cone.  Fewer than `dim`
     # independent rows means the rank is short: the cone holds a line.
-    basis_idx, _ = _echelon(rows, dim)
+    size = [(max(map(abs, row)), sum(map(abs, row)), row) for row in rows]
+    order = sorted(range(len(rows)), key=size.__getitem__)
+    basis_idx = [order[i] for i in _echelon([rows[r] for r in order], dim)[0]]
     if len(basis_idx) < dim:
         raise NotPointed("cone has a nonzero lineality space")
     # [B | I] reduces to [I | B^-1] with row i scaled by reduced[i][i]; at
@@ -136,10 +148,10 @@ def _cone_extreme_rays(
 
     chosen = set(basis_idx)
     least = dim - 2  # the rows an adjacent pair shares at least
-    for r, row in enumerate(rows):
+    for r in order:
         if r in chosen:
             continue
-        bit = 1 << r
+        row, bit = rows[r], 1 << r
         vals, pos, neg, zero = [], [], [], []
         column = 0
         for k, y in enumerate(rays):

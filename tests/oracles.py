@@ -156,22 +156,30 @@ def primitive_ints(vec):
     return tuple(z // g for z in ints) if g > 1 else tuple(ints)
 
 
-def third_ray_scan_extreme_rays(rows, dim):
+def smallest_first(row):
+    """The insertion key of the double description: the largest absolute
+    coefficient, then the sum of the absolute coefficients, then the row."""
+    return (max(abs(x) for x in row), sum(abs(x) for x in row), row)
+
+
+def third_ray_scan_extreme_rays(rows, dim, key=smallest_first):
     """Extreme rays of the cone {y : r.y >= 0 for r in rows}, or None when
     the rows have rank below `dim` (the cone then holds a line).
 
-    Textbook double description: rows deduplicated and sorted, the first
-    `dim` rows that raise the rank as the simplicial start cone, then one
-    row at a time.  A positive ray p and a negative ray q are combined when
-    no third ray present is tight on every row both are tight on (the
-    combinatorial adjacency test, checked by scanning every ray, with no
-    count filter in front).  Rays come out primitive, in the order the
-    steps produce them.
+    Textbook double description: rows deduplicated and sorted, then taken
+    in the order of `key` (the package's smallest-first order by default;
+    `key=lambda row: row` keeps the sorted order), the first `dim` rows
+    that raise the rank as the simplicial start cone, then one row at a
+    time.  A positive ray p and a negative ray q are combined when no third
+    ray present is tight on every row both are tight on (the combinatorial
+    adjacency test, checked by scanning every ray, with no count filter in
+    front).  Rays come out primitive, in the order the steps produce them.
     """
     rows = sorted(set(rows))
+    order = sorted(range(len(rows)), key=lambda i: key(rows[i]))
     basis = []
-    for i, row in enumerate(rows):
-        if len(basis) < dim and echelon_rank([rows[j] for j in basis] + [row]) > len(basis):
+    for i in order:
+        if len(basis) < dim and echelon_rank([rows[j] for j in basis] + [rows[i]]) > len(basis):
             basis.append(i)
     if len(basis) < dim:
         return None
@@ -179,9 +187,10 @@ def third_ray_scan_extreme_rays(rows, dim):
     rays = [primitive_ints(solve_square(square, [int(i == j) for i in range(dim)]))
             for j in range(dim)]
     zeros = [{basis[i] for i in range(dim) if i != j} for j in range(dim)]
-    for r, row in enumerate(rows):
+    for r in order:
         if r in basis:
             continue
+        row = rows[r]
         vals = [sum(a * y for a, y in zip(row, ray)) for ray in rays]
         pos = [k for k, x in enumerate(vals) if x > 0]
         neg = [k for k, x in enumerate(vals) if x < 0]

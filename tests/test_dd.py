@@ -34,6 +34,7 @@ from oracles import (
     incidence,
     primitive_ints,
     projected_vrep_to_hrep,
+    smallest_first,
     solve_square,
     third_ray_scan_extreme_rays,
 )
@@ -388,9 +389,10 @@ def test_independent_rows_is_the_greedy_basis(rows, limit):
     min_size=n, max_size=n)))
 def test_start_rays_are_the_columns_of_the_inverse(rows):
     # With exactly `dim` independent rows, DD returns its start cone: the
-    # columns of B^-1 for the sorted rows B, each as primitive integers.
+    # columns of B^-1 for the rows B in insertion order, smallest first,
+    # each as primitive integers.
     n = len(rows)
-    basis = sorted({primitive_ints(r) for r in rows})
+    basis = sorted({primitive_ints(r) for r in rows}, key=smallest_first)
     unit = [[int(i == j) for i in range(n)] for j in range(n)]
     assume(len(basis) == n and solve_square(basis, unit[0]) is not None)
     assert _cone_extreme_rays(basis, n)[0] == [primitive_ints(solve_square(basis, e)) for e in unit]
@@ -476,23 +478,43 @@ def test_cone_extreme_rays_match_third_ray_scan_across_blocks():
     assert _cone_extreme_rays(rows, 8)[0] == third_ray_scan_extreme_rays(rows, 8)
 
 
+def test_smallest_rows_first_runs_fewer_adjacency_ands(monkeypatch):
+    # The cone of the test above, 114 rows in dimension 8.  Inserting its
+    # rows smallest first runs the AND over the columns 837 times; in plain
+    # lexicographic order it ran 1,577 times.
+    h = vrep_to_hrep(random_01_polytope(7, 24, 1000))
+    rows = sorted({(1,) + (0,) * 7} | {primitive((b, *a)) for b, a in h.rows})
+    calls = 0
+    tight_on_all = dd._tight_on_all
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return tight_on_all(*args)
+
+    monkeypatch.setattr(dd, "_tight_on_all", spy)
+    assert len(rows) == 114 and len(_cone_extreme_rays(rows, 8)[0]) == 24
+    assert calls == 837
+
+
 def test_a_skipped_block_of_negative_rays_loses_no_ray():
     # The cone over a 20-gon, -990 y0 + u.(y1, y2) >= 0 for 20 normals u
-    # around the circle, then a cut, sorted last, that 18 of its 20 rays
-    # violate: the step's negative rays fill one block of 16 and two more.
-    # Each positive ray has one negative neighbour, the first in block one,
-    # the second in block two but not its first member, so each positive
-    # ray skips one whole block and finds its neighbour in the other.
+    # around the circle, then a cut, inserted last (its largest coefficient,
+    # 1901, is above the polygon's 990), that 18 of its 20 rays violate:
+    # the step's negative rays fill one block of 16 and two more.  Each
+    # positive ray has one negative neighbour, the first in block one, the
+    # second in block two but not its first member, so each positive ray
+    # skips one whole block and finds its neighbour in the other.
     polygon = [primitive((-990, round(99 * cos(pi * i / 10)), round(99 * sin(pi * i / 10))))
                for i in range(20)]
-    cut = (950, -93, 34)
-    assert cut > max(polygon)
+    cut = (1901, -186, 68)
+    assert smallest_first(cut) > max(map(smallest_first, polygon))
     rays, zero_sets = _cone_extreme_rays(polygon, 3)
     vals = [sum(map(mul, cut, y)) for y in rays]
     pos = [k for k, v in enumerate(vals) if v > 0]
     neg = [k for k, v in enumerate(vals) if v < 0]
     neighbours = [j for j, q in enumerate(neg) if any(zero_sets[p] & zero_sets[q] for p in pos)]
-    assert (len(pos), len(neg), neighbours) == (2, 18, [8, 17])
+    assert (len(pos), len(neg), neighbours) == (2, 18, [2, 17])
     rays = _cone_extreme_rays(polygon + [cut], 3)[0]
     assert len(rays) == 4
     assert rays == third_ray_scan_extreme_rays(polygon + [cut], 3)
@@ -535,6 +557,35 @@ def test_cone_extreme_rays_and_zero_sets_on_small_cones(data):
     ordered = sorted(set(rows))
     tight = [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y))) for y in want]
     assert zero_sets == tight
+
+
+def _corpus_cone(name, direction):
+    """(dim, rows): the H -> V cone of a corpus polytope, its rows with e0,
+    or the V -> H cone of its vertices."""
+    h = dict(corpus())[name]
+    if direction == "h":
+        return h.d + 1, [(1,) + (0,) * h.d] + [primitive((b, *a)) for b, a in h.rows]
+    return h.d + 1, [primitive_ints((1, *p)) for p in hrep_to_vrep(h).vertices]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_small_cones(), st.builds(
+    _corpus_cone, st.sampled_from([name for name, _ in corpus()]), st.sampled_from("hv"))))
+def test_rays_and_zero_sets_do_not_depend_on_the_insertion_order(data):
+    # Smallest rows first moves only the order of the rays: each ray, with
+    # its zero set over the sorted rows, is one the oracle finds inserting
+    # the rows in plain lexicographic order, and the other way round.
+    dim, rows = data
+    want = third_ray_scan_extreme_rays(rows, dim, key=lambda row: row)
+    if want is None:
+        with pytest.raises(NotPointed):
+            _cone_extreme_rays(rows, dim)
+        return
+    rays, zero_sets = _cone_extreme_rays(rows, dim)
+    ordered = sorted(set(rows))
+    tight = [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y))) for y in want]
+    assert len(rays) == len(want)
+    assert set(zip(rays, zero_sets)) == set(zip(want, tight))
 
 
 @st.composite
