@@ -4,8 +4,8 @@ Canonical families (simplex, cube, cross-polytope), Cartesian
 products, the wedge over a facet, vertex truncation, the Klee-Walkup
 4-polytope with nine facets and diameter five, projective unbounding of a
 facet, transportation polytopes, random 0/1 polytopes, and the
-diameter-sharp generators that tie them together.  Those run one double
-description, of the Klee-Walkup block; each later wedge and truncation
+diameter-sharp generators that tie them together.  Those analyse the
+Klee-Walkup block once per process; each later wedge and truncation
 hands over its `Incidence` in closed form, and its diameter is checked.
 
 Every generator is deterministic; the one randomized generator takes an
@@ -19,9 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
-from .dd import analyse, reduce_to_full_dim, vrep_to_hrep
+from .dd import _vertex_order, analyse, reduce_to_full_dim, vrep_to_hrep
 from .paths import diameter
 from .polyhedron import (
     GeometryError,
@@ -346,10 +347,10 @@ def _facet_avoiding(inc: Incidence, u: tuple[int, ...], w: tuple[int, ...]) -> i
 def _handed_over(h: HPolyhedron, vertices: list[tuple[tuple[int, ...], int]]) -> Incidence:
     """The `Incidence` of the polytope `h` from its vertex rows and their
     tight-row masks, sorted as `hrep_to_vrep` sorts them and kept as its `masks`."""
-    den = lcm(*(t for (t, *_), _ in vertices))
-    vertices.sort(key=lambda vm: tuple(c * (den // vm[0][0]) for c in vm[0][1:]))
-    v = VPolyhedron._of_rows(h.d, tuple(row for row, _ in vertices))
-    masks = tuple(m for _, m in vertices)
+    rows, masks = zip(*vertices)
+    order = _vertex_order(rows, range(len(rows)))
+    v = VPolyhedron._of_rows(h.d, tuple(rows[k] for k in order))
+    masks = tuple(masks[k] for k in order)
     inc = Incidence(h, v, _transpose(masks, h.nrows))
     inc.masks = masks
     return inc
@@ -386,6 +387,13 @@ def _truncated(inc: Incidence, u: int) -> Incidence:
     return _handed_over(h, vertices)
 
 
+@cache
+def _klee_walkup_block() -> tuple[Incidence, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The Klee-Walkup block's `Incidence` and witness rows, once per process; read only."""
+    inc = analyse(klee_walkup()[1])
+    return inc, _sharp_witness(inc, 4, 9)
+
+
 def hirsch_sharp(d: int, n: int) -> HPolyhedron:
     """A simple d-polytope with n facets and diameter exactly n - d.
 
@@ -394,9 +402,9 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
     2d < n <= 3d - 3 it is built from the Klee-Walkup block: wedge on a
     facet avoiding a diameter witness pair, then truncate one or both of
     the lifted witnesses, repeating until (d, n) is reached.  Only the
-    block runs a double description; each wedge and truncation hands over
-    its `Incidence` in closed form (`_wedged`, `_truncated`), and the
-    diameter is re-verified on it after every step.
+    block runs a double description, once per process; each wedge and
+    truncation hands over its `Incidence` in closed form (`_wedged`,
+    `_truncated`), and the diameter is re-verified on it after every step.
     """
     if not d < n:
         raise ValueError("need n > d")
@@ -416,8 +424,7 @@ def hirsch_sharp(d: int, n: int) -> HPolyhedron:
     wedges = d - 4
     truncations = n - d - 5
     cur_d, cur_n = 4, 9
-    inc = analyse(klee_walkup()[1])
-    wu, wv = _sharp_witness(inc, cur_d, cur_n)
+    inc, (wu, wv) = _klee_walkup_block()
     for _ in range(wedges):
         inc = _wedged(inc, _facet_avoiding(inc, wu, wv))
         cur_d += 1

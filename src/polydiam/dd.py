@@ -60,6 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from .polyhedron import (
     HPolyhedron,
@@ -220,6 +221,13 @@ def _cone_extreme_rays(
     return rays, masks
 
 
+def _vertex_order(rows: Sequence[tuple[int, ...]], among: Sequence[int]) -> list[int]:
+    """The indices `among` of vertex rows (t, *y) sorted by their points y / t:
+    coordinate c / t compares as the integer c * (L // t), L the lcm of the t."""
+    den = lcm(*(rows[k][0] for k in among))
+    return sorted(among, key=lambda k: tuple(map((den // rows[k][0]).__mul__, rows[k][1:])))
+
+
 def _remap(mask: int, images: list[int]) -> int:
     """The union of `images[i]` over the set bits i of `mask`."""
     out = 0
@@ -277,11 +285,7 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
     if h.linearity:
         rays = [primitive([sum(map(mul, t, y)) for y in zip(*basis)]) for t in rays]
 
-    verts = [k for k, ray in enumerate(rays) if ray[0] > 0]
-    # Coordinate c / t compares as the integer c * (L // t), so these keys
-    # sort like the `Fraction` vectors they stand for.
-    den = lcm(*(rays[k][0] for k in verts))
-    verts.sort(key=lambda k: tuple(c * (den // rays[k][0]) for c in rays[k][1:]))
+    verts = _vertex_order(rays, [k for k, ray in enumerate(rays) if ray[0] > 0])
     dirs = sorted((k for k, ray in enumerate(rays) if ray[0] == 0), key=rays.__getitem__)
     order = verts + dirs if verts else []  # pointed and vertex-free: infeasible
     if columns is not None:

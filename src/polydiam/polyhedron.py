@@ -319,15 +319,14 @@ def _tight_on_all(columns: Sequence[int], rows: int, among: int, floor: int) -> 
 
 def _transpose(sets: Sequence[int], width: int) -> list[int]:
     """The transposed bit matrix: bit k of `out[i]` is bit i of `sets[k]`,
-    for i below `width`, which must exceed every set bit."""
-    out = [0] * width
-    for k, s in enumerate(sets):
-        bit = 1 << k
-        while s:
-            low = s & -s
-            out[low.bit_length() - 1] |= bit
-            s ^= low
-    return out
+    for i below `width`, which must exceed every set bit (else ValueError).
+    The loops run in C, over the sets written as `width`-digit strings."""
+    if max(sets, default=0) >> width:
+        raise ValueError(f"a set has a bit at or above width {width}")
+    if not (sets and width):
+        return [0] * width
+    columns = zip(*map(f"{{:0{width}b}}".format, reversed(sets)))
+    return [int("".join(c), 2) for c in columns][::-1]
 
 
 def _bits(mask: int) -> Iterator[int]:

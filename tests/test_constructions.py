@@ -312,6 +312,31 @@ def test_each_truncation_of_hirsch_sharp_finds_its_neighbours_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_the_shared_block_is_analysed_once_and_only_read(monkeypatch):
+    # every (d, n) starts from one analysis of the Klee-Walkup block per
+    # process; after five outputs it still equals a fresh analysis, and a
+    # second call of each pair returns an equal output
+    pairs = [(5, 11), (5, 12), (6, 13), (6, 14), (7, 18)]
+    calls = []
+    real = constructions.analyse
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(constructions, "analyse", counting)
+    constructions._klee_walkup_block.cache_clear()
+    first = [hirsch_sharp(d, n) for d, n in pairs]
+    assert len(calls) == 1
+    block, witness = constructions._klee_walkup_block()
+    fresh = real(klee_walkup()[1])
+    assert (block.h, block.v.rows, block.columns) == (fresh.h, fresh.v.rows, fresh.columns)
+    assert block.masks == fresh.masks and block.facets == fresh.facets
+    assert witness == constructions._sharp_witness(fresh, 4, 9)
+    assert [hirsch_sharp(d, n) for d, n in pairs] == first
+    assert len(calls) == 1
+
+
 def test_hirsch_sharp_rejects_out_of_range():
     with pytest.raises(ValueError):
         hirsch_sharp(4, 4)

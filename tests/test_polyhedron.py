@@ -1,5 +1,6 @@
 """Incidence, skeleton and dual graphs, classification, polarity."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -252,6 +253,58 @@ def test_the_skeleton_and_a_truncation_leave_the_row_masks_uncomputed():
     inc = analyse(wedge(q4, q4.facets[0]))
     truncate_vertex(inc, 0)
     assert "masks" not in inc.__dict__
+
+
+def _transpose_per_bit(sets, width):
+    # the reference: one OR per set bit
+    out = [0] * width
+    for k, s in enumerate(sets):
+        bit = 1 << k
+        while s:
+            low = s & -s
+            out[low.bit_length() - 1] |= bit
+            s ^= low
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["narrow", "wide", "many"]), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_transpose_matches_the_per_bit_loop(shape, seed, data):
+    # narrow: up to 64 bits per set; wide: 20,000 bits or more per set;
+    # many: 20,000 or more sets of up to 64 bits.  Each set has its own
+    # density, some are zero, and the width may lie above every set bit
+    width = data.draw(st.integers(20_000, 20_100) if shape == "wide" else st.integers(0, 64))
+    count = data.draw(st.integers(20_000, 20_100) if shape == "many"
+                      else st.integers(0, 6 if shape == "wide" else 70))
+    spare = data.draw(st.integers(0, width))  # top bits that no set uses
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        s = rng.getrandbits(width - spare)
+        for _ in range(rng.randrange(4)):
+            s &= rng.getrandbits(width - spare)  # sparser, down to zero
+        sets.append(s)
+    assert polyhedron._transpose(sets, width) == _transpose_per_bit(sets, width)
+
+
+@pytest.mark.parametrize("sets, width, want", [
+    ([], 0, []),
+    ([], 3, [0, 0, 0]),
+    ([0, 0], 0, []),
+    ([0, 0], 2, [0, 0]),
+    ([5, 1], 3, [0b11, 0, 0b01]),
+    ([5, 1], 8, [0b11, 0, 0b01, 0, 0, 0, 0, 0]),
+    ([1 << 20_000], 20_001, [0] * 20_000 + [1]),
+])
+def test_transpose_edge_cases(sets, width, want):
+    assert polyhedron._transpose(sets, width) == want == _transpose_per_bit(sets, width)
+
+
+@pytest.mark.parametrize("sets, width", [([5], 2), ([0, 1], 0), ([0, 1 << 64], 64)])
+def test_transpose_rejects_a_bit_at_or_above_width(sets, width):
+    with pytest.raises(ValueError, match="at or above width"):
+        polyhedron._transpose(sets, width)
 
 
 def test_dual_graph_cube_is_octahedron():
