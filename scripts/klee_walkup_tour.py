@@ -33,7 +33,7 @@ def main() -> None:
     labels = qstar.v.all_labels()
     names = ["".join(sorted(labels[k] for k in qstar.vertices_on_row(i))) for i in qstar.facets]
     print(f"\nboundary of Q4*: {len(names)} tetrahedra on {len(labels)} vertices")
-    ridges = PolyGraph(tuple(names), dual_graph(qstar).adj)
+    ridges = PolyGraph(tuple(names), dual_graph(qstar).nbrs)
     dist = bfs_distances(ridges, "abcd")
     print(f"ridge distance abcd -> efgh: {dist['efgh']}")
 

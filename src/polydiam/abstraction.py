@@ -76,9 +76,7 @@ def from_simple_polytope(inc: Incidence) -> SubsetFamilyGraph:
     if not simple:
         raise ValueError("abstraction requires a simple polytope")
     node_of = [tuple(pos + 1 for pos in _bits(m)) for m in inc.facet_masks]
-    edges = [
-        (node_of[i], node_of[j]) for i, nbrs in enumerate(inc.graph.adj) for j in _bits(nbrs)
-    ]
+    edges = [(node_of[i], node_of[j]) for i, ns in enumerate(inc.graph.nbrs) for j in ns]
     return SubsetFamilyGraph.make(len(inc.facets), inc.dim, node_of, edges)
 
 
@@ -94,7 +92,7 @@ def subset_graph_diameter(g: SubsetFamilyGraph) -> SubsetDiameter:
     """BFS diameter plus the two general bounds it must respect."""
     if not g.nodes:
         raise ValueError("empty graph")
-    found = mask_diameter(g.adj)
+    found = mask_diameter(g.nbrs)
     if found is None:
         raise Disconnected("subset graph is disconnected")
     best = found[0]
@@ -231,13 +229,12 @@ def search_max_diameter(
         nonlocal best_graph, best_diam
         if len(ids) - 1 <= best_diam:
             return
-        local_bit = {g: 1 << b for b, g in enumerate(ids)}
-        local = [sum(local_bit[h] for h in _bits(adj[g])) for g in ids]
-        found = mask_diameter(local)
+        local = {g: b for b, g in enumerate(ids)}  # `ids` is sorted, so each tuple ascends
+        nbrs = tuple(tuple(local[h] for h in _bits(adj[g])) for g in ids)
+        found = mask_diameter(nbrs)
         if found is not None and found[0] > best_diam:
             best_diam = found[0]
-            best_graph = SubsetFamilyGraph(tuple(all_nodes[g] for g in ids), tuple(local),
-                                           n=n, d=d)
+            best_graph = SubsetFamilyGraph(tuple(all_nodes[g] for g in ids), nbrs, n=n, d=d)
 
     # The complete graph on any node set is valid: F(i, j) holds i and j,
     # and they are adjacent.  So each walk starts from a valid graph.

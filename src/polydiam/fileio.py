@@ -23,7 +23,7 @@ from math import gcd
 
 from .abstraction import SubsetFamilyGraph
 from .constructions import ConstructionRecipe
-from .polyhedron import HPolyhedron, VPolyhedron, _bits
+from .polyhedron import HPolyhedron, VPolyhedron
 from .ratlin import format_rational, parse_rational, primitive
 
 RECIPE_PREFIX = "# recipe "
@@ -189,6 +189,6 @@ def write_subset_graph(g: SubsetFamilyGraph, header_comment: str | None = None) 
     for node in g.nodes:
         lines.append(" ".join(str(x) for x in node))
     lines.append("edges:")
-    for i, nbrs in enumerate(g.adj):  # nodes are sorted: this is edge order
-        lines.extend(f"{i + 1} {j + 1}" for j in _bits(nbrs) if j > i)
+    for i, ns in enumerate(g.nbrs):  # nodes are sorted: this is edge order
+        lines.extend(f"{i + 1} {j + 1}" for j in ns if j > i)
     return "\n".join(lines) + "\n"

@@ -1,11 +1,12 @@
 """Distances, diameters, non-revisiting paths, and monotone paths.
 
-A graph is one `PolyGraph`: node labels plus one neighbour bitset per node
-(`adj`), with `edges` a derived view for printing.  Every search reads
-`adj`.  One BFS, `_bfs_layers`, returns one bitset of nodes per distance;
-it serves distances, the monotone BFS (on bitsets of lower-valued
-neighbours) and the non-revisiting search's distance cut.  Diameters run
-every source at once (`mask_diameter`), with one bitset of sources per node.
+A graph is one `PolyGraph`: node labels plus one ascending tuple of
+neighbour positions per node (`nbrs`), which the diameter reads; the
+searches read its bitset view `adj`, built once per graph.  One BFS,
+`_bfs_layers`, returns one bitset of nodes per distance; it serves
+distances, the monotone BFS (on bitsets of lower-valued neighbours) and the
+non-revisiting search's distance cut.  Diameters run every source at once
+(`mask_diameter`), with one bitset of sources per node.
 
 The non-revisiting search asks for an edge path that never re-enters a
 facet it previously left; such paths are never longer than n - d, with d
@@ -108,10 +109,10 @@ def bfs_distances(graph: PolyGraph, source: str) -> dict[str, int | float]:
     return dist
 
 
-def mask_diameter(adj: Sequence[int]) -> tuple[int, tuple[int, int]] | None:
-    """Diameter and a witness pair of a graph given as neighbour bitsets.
+def mask_diameter(nbrs: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]] | None:
+    """Diameter and a witness pair of a graph given as neighbour lists.
 
-    Nodes are positions in `adj`; the answer is None when the graph is
+    Nodes are positions in `nbrs`; the answer is None when the graph is
     disconnected.  Ties are broken by node order, so the witness is
     reproducible: the first source of greatest eccentricity, and the first
     node in its last BFS layer.
@@ -128,11 +129,10 @@ def mask_diameter(adj: Sequence[int]) -> tuple[int, tuple[int, int]] | None:
     and the lowest node missing from the first of them is the first node
     of its last BFS layer.
     """
-    if not adj:
+    if not nbrs:
         return -1, (0, 0)
-    n = len(adj)
+    n = len(nbrs)
     everyone = (1 << n) - 1
-    nbrs = [list(_bits(a)) for a in adj]
     reach = [1 << i for i in range(n)]  # the sources within `layer` steps
     before, layer = reach, 0
     while reach.count(everyone) != n:
@@ -154,7 +154,7 @@ def diameter(graph: PolyGraph) -> tuple[int, tuple[str, str]]:
     nodes = graph.nodes
     if not nodes:
         raise ValueError("diameter of an empty graph is undefined")
-    found = mask_diameter(graph.adj)
+    found = mask_diameter(graph.nbrs)
     if found is None:
         raise Disconnected("graph is disconnected: diameter undefined")
     best, (s, t) = found
@@ -410,10 +410,8 @@ def monotone_eccentricity(inc: Incidence, c) -> MonotoneReport:
     # into[i]: the neighbours of smaller value.  Each edge {i, j} is met
     # once, with i < j, in node order, so the tie reported is the first.
     into = [0] * len(labels)
-    for i, nbrs in enumerate(inc.graph.adj):
-        for j in _bits(nbrs):
-            if j < i:
-                continue
+    for i, ns in enumerate(inc.graph.nbrs):
+        for j in filter(i.__lt__, ns):
             if values[i] == values[j]:
                 raise GeometryError(
                     f"tie on edge {labels[i]}-{labels[j]}: perturb the functional"

@@ -23,24 +23,13 @@ and one face lies in another exactly when its tight set does.  Hence:
   facet, and every proper face lies in a facet, so the facets are exactly
   the inclusion-maximal tight sets among the rows whose tight set is
   nonempty and not all of P.
-* Edges (`skeleton_graph`): every nonempty face of a pointed polyhedron
-  is the intersection of the facets that contain it, so an edge is one
-  AND of facet columns, with no other row read (a row tight on both ends
-  that defines no facet contains their face and cuts nothing more).  A
-  vertex on exactly dim facets is simple, and the vertex figure of a
-  simple vertex is a simplex (Ziegler, *Lectures on Polytopes*, §3), so
-  its edges are the faces tight on all but one of its facets.  Two simple
-  vertices are adjacent exactly when they share dim - 1 facets, a bitmask
-  fact read off a dict of those facet sets; a set that no second simple
-  vertex shares runs one AND of its facet columns, which is the vertex
-  and its non-simple neighbour, or holds a ray bit when the edge is
-  unbounded, and one simple vertex's neighbours (`_simple_neighbours`)
-  are that AND on each of its sets.  Between two non-simple vertices u
-  and v the smallest face holding both is the set tight on their shared
-  facets, and uv is an edge exactly when the AND of those facet columns
-  holds u and v alone and no ray; that test stays right on degenerate
-  input where a rank shortcut would lie, and it runs only on pairs that
-  share at least dim - 1 facets, as an edge does.
+* Edges (`skeleton_graph`, `_simple_neighbours`): every nonempty face of
+  a pointed polyhedron is the intersection of the facets that contain it,
+  so an edge is one AND of facet columns, with no other row read (a row
+  tight on both ends that defines no facet contains their face and cuts
+  nothing more); that test stays right on degenerate input where a rank
+  shortcut would lie.  The simple vertices pair up by shared facet sets
+  first, so most edges take no AND at all.
 * Ridges (`dual_graph`): the facets of a facet F are the maximal faces
   F & G over the other facets G, so two facets are adjacent exactly when
   their common vertex set is inclusion-maximal among F's intersections.
@@ -339,55 +328,70 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class PolyGraph:
-    """Simple undirected graph: node labels plus one neighbour bitset per node.
+    """Simple undirected graph: node labels plus one neighbour tuple per node.
 
-    Bit j of `adj[i]` is set when the nodes at positions i and j of `nodes`
-    are adjacent.  Every BFS and search reads `adj`; `edges` is a derived
-    view for printing and tests.
-    """
+    `nbrs[i]` lists the positions in `nodes` of node i's neighbours, in
+    ascending order.  Two views are built on first read and kept: `adj`,
+    one neighbour bitset per node, which the BFS layers and the searches
+    read, and `edges`, the label pairs, for printing and tests."""
 
     nodes: tuple
-    adj: tuple[int, ...]
+    nbrs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
+        n = len(self.nodes)
+        if len(set(self.nodes)) != n:
             raise ValueError("duplicate node labels")
-        if len(self.adj) != len(self.nodes):
-            raise ValueError("one neighbour bitset per node required")
-        for i, nbrs in enumerate(self.adj):
-            if nbrs >> len(self.nodes):  # also true of a negative int
+        if len(self.nbrs) != n:
+            raise ValueError("one neighbour tuple per node required")
+        # back[j]: the nodes that list j, ascending; back == nbrs iff symmetric and ascending
+        back: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for i, ns in enumerate(self.nbrs):
+                for j in ns:
+                    seen = back[j]
+                    if seen and seen[-1] == i:
+                        raise ValueError("a neighbour is listed twice")
+                    seen.append(i)
+        except IndexError:
+            raise ValueError("edge endpoint not a node") from None
+        if any(i in ns for i, ns in enumerate(self.nbrs)):
+            raise ValueError("loops not allowed")
+        if tuple(map(tuple, back)) != tuple(self.nbrs):
+            if any(j < 0 for ns in self.nbrs for j in ns):  # back[j] wrapped round
                 raise ValueError("edge endpoint not a node")
-            if nbrs >> i & 1:
-                raise ValueError("loops not allowed")
-            while nbrs:
-                low = nbrs & -nbrs
-                if not self.adj[low.bit_length() - 1] >> i & 1:
-                    raise ValueError("adjacency must be symmetric")
-                nbrs ^= low
+            raise ValueError("adjacency must be symmetric, each tuple in ascending order")
 
     @classmethod
     def from_edges(cls, nodes: Iterable, edges: Iterable[tuple], **fields) -> "PolyGraph":
         """The graph on `nodes` whose edges are the given label pairs."""
         nodes = tuple(nodes)
         where = {label: i for i, label in enumerate(nodes)}
-        adj = [0] * len(nodes)
+        nbrs: list[set[int]] = [set() for _ in nodes]
         for u, v in edges:
             if u not in where or v not in where:
                 raise ValueError("edge endpoint not a node")
-            adj[where[u]] |= 1 << where[v]
-            adj[where[v]] |= 1 << where[u]
-        return cls(nodes, tuple(adj), **fields)
+            nbrs[where[u]].add(where[v])
+            nbrs[where[v]].add(where[u])
+        return cls(nodes, tuple(map(tuple, map(sorted, nbrs))), **fields)
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """One neighbour bitset per node: bit j of `adj[i]` is set when j is in `nbrs[i]`."""
+        out = []
+        for ns in self.nbrs:
+            bits = 0
+            for j in ns:
+                bits |= 1 << j
+            out.append(bits)
+        return tuple(out)
 
     @cached_property
     def edges(self) -> frozenset[tuple]:
         """The edges as label pairs, each pair sorted."""
         nodes = self.nodes
-        return frozenset(
-            tuple(sorted((nodes[i], nodes[j])))
-            for i, nbrs in enumerate(self.adj)
-            for j in _bits(nbrs)
-            if j > i
-        )
+        return frozenset(tuple(sorted((nodes[i], nodes[j])))
+                         for i, ns in enumerate(self.nbrs) for j in ns if j > i)
 
 
 def _maximal(sets: Iterable[int]) -> list[int]:
@@ -423,7 +427,7 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
     part.
     """
     n, dim, fms = inc.nverts, inc.dim, inc.facet_masks
-    adj = [0] * n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     other = []  # the non-simple vertices
     ends: dict[int, int] = {}  # a key whose face has one simple vertex so far
     for u, fm in enumerate(fms):
@@ -439,24 +443,25 @@ def skeleton_graph(inc: Incidence) -> PolyGraph:
             if w is None:
                 ends[key] = u
             else:
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
+                nbrs[u].append(w)
+                nbrs[w].append(u)
     columns = [inc.columns[i] for i in inc.facets]
     for key, u in ends.items():
         face = _tight_on_all(columns, key, inc.everything, 1 << u)
         if not face >> n:
             for w in _bits(face & ~(1 << u)):
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
+                nbrs[u].append(w)
+                nbrs[w].append(u)
     for x, u in enumerate(other):
         fu = fms[u]
         for w in other[x + 1:]:
-            shared, pair = fu & fms[w], 1 << u | 1 << w
-            if (shared.bit_count() >= dim - 1
-                    and _tight_on_all(columns, shared, inc.everything, pair) == pair):
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
-    return PolyGraph(inc.v.all_labels(), tuple(adj))
+            shared = fu & fms[w]
+            if shared.bit_count() >= dim - 1:
+                pair = 1 << u | 1 << w
+                if _tight_on_all(columns, shared, inc.everything, pair) == pair:
+                    nbrs[u].append(w)
+                    nbrs[w].append(u)
+    return PolyGraph(inc.v.all_labels(), tuple(map(tuple, map(sorted, nbrs))))
 
 
 def _simple_neighbours(inc: Incidence, u: int) -> int:
@@ -508,7 +513,7 @@ def dual_graph(inc: Incidence) -> PolyGraph:
     if not inc.v.bounded:
         raise Unbounded("dual graph requires a bounded polytope")
     cols = [inc.columns[i] for i in inc.facets]
-    adj = [0] * len(cols)
+    nbrs: list[list[int]] = [[] for _ in cols]
     for x, fx in enumerate(cols):
         meets: dict[int, int] = {}
         for y, fy in enumerate(cols):
@@ -517,9 +522,9 @@ def dual_graph(inc: Incidence) -> PolyGraph:
         for ridge in _maximal(meets):
             for y in _bits(meets[ridge]):
                 if y > x:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-    return PolyGraph(tuple(f"f{i + 1}" for i in inc.facets), tuple(adj))
+                    nbrs[x].append(y)
+                    nbrs[y].append(x)
+    return PolyGraph(tuple(f"f{i + 1}" for i in inc.facets), tuple(map(tuple, map(sorted, nbrs))))
 
 
 def classify(inc: Incidence) -> tuple[bool, bool]:

@@ -225,7 +225,8 @@ def test_validate_layer_property_matches_oracle(case, data):
         adj = list(adj)
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
-    g = SubsetFamilyGraph(tuple(nodes), tuple(adj), n=6, d=len(nodes[0]))
+    nbrs = tuple(tuple(j for j in range(len(adj)) if a >> j & 1) for a in adj)
+    g = SubsetFamilyGraph(tuple(nodes), nbrs, n=6, d=len(nodes[0]))
     failing = next(((nodes[i], nodes[j]) for i, j, fmask in pair_filters
                     if not subset_graph_valid(adj, [(i, j, fmask)])), None)
     assert validate_layer_property(g) == (failing is None, failing)
@@ -339,14 +340,15 @@ def test_search_takes_no_diameter_of_a_graph_that_cannot_win(monkeypatch):
 def test_subset_graph_is_a_polygraph_on_sorted_subsets():
     g = SubsetFamilyGraph.make(3, 2, [(2, 1), (1, 3), (3, 2)], [((1, 2), (3, 2))])
     assert g.nodes == ((1, 2), (1, 3), (2, 3))
+    assert g.nbrs == ((2,), (), (0,))
     assert g.adj == (0b100, 0b000, 0b001)
     assert g.edges == frozenset({((1, 2), (2, 3))})
     with pytest.raises(ValueError, match="sorted order"):
-        SubsetFamilyGraph(((1, 3), (1, 2)), (0, 0), n=3, d=2)
+        SubsetFamilyGraph(((1, 3), (1, 2)), ((), ()), n=3, d=2)
     with pytest.raises(ValueError, match="2-subset"):
-        SubsetFamilyGraph(((1,), (1, 2)), (0, 0), n=3, d=2)
+        SubsetFamilyGraph(((1,), (1, 2)), ((), ()), n=3, d=2)
     with pytest.raises(ValueError, match="ground set"):
-        SubsetFamilyGraph(((1, 2), (1, 4)), (0, 0), n=3, d=2)
+        SubsetFamilyGraph(((1, 2), (1, 4)), ((), ()), n=3, d=2)
 
 
 # sha256 of repr([(best nodes, best adj, diameter, complete, explored), ...])

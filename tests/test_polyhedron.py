@@ -538,23 +538,45 @@ def test_skeleton_of_degenerate_apex():
     assert len(g.edges) == 8
 
 
-@pytest.mark.parametrize("nodes,adj,message", [
-    (("a", "a"), (0, 0), "duplicate"),
-    (("a", "b"), (0b10,), "one neighbour bitset"),
-    (("a", "b"), (0b10, 0b00), "symmetric"),
-    (("a", "b"), (0b01, 0b00), "loops"),
-    (("a", "b"), (0b110, 0b001), "not a node"),
-    (("a", "b"), (-2, 0b01), "not a node"),
+@pytest.mark.parametrize("nodes,nbrs,message", [
+    (("a", "a"), ((), ()), "duplicate"),
+    (("a", "b"), ((1,),), "one neighbour tuple"),
+    (("a", "b"), ((1,), ()), "symmetric"),
+    (("a", "b"), ((0,), ()), "loops"),
+    (("a", "b"), ((1, 2), (0,)), "not a node"),
+    (("a", "b"), ((-1,), (0,)), "not a node"),
+    (("a", "b", "c"), ((1, 1), (0, 0), ()), "listed twice"),
+    (("a", "b", "c"), ((2, 1), (0,), (0,)), "ascending"),
 ])
-def test_polygraph_rejects_malformed_bitsets(nodes, adj, message):
+def test_polygraph_rejects_malformed_neighbour_tuples(nodes, nbrs, message):
     with pytest.raises(ValueError, match=message):
-        PolyGraph(nodes, adj)
+        PolyGraph(nodes, nbrs)
 
 
 def test_polygraph_edges_are_a_sorted_label_view_of_the_bitsets():
     g = PolyGraph.from_edges(["v2", "v10", "v1"], [("v2", "v10"), ("v2", "v1"), ("v10", "v2")])
+    assert g.nbrs == ((1, 2), (0,), (0,))
     assert g.adj == (0b110, 0b001, 0b001)
     assert g.edges == frozenset({("v10", "v2"), ("v1", "v2")})
-    assert g == PolyGraph(("v2", "v10", "v1"), (0b110, 0b001, 0b001))
+    assert g == PolyGraph(("v2", "v10", "v1"), ((1, 2), (0,), (0,)))
     with pytest.raises(ValueError, match="not a node"):
         PolyGraph.from_edges(["a"], [("a", "b")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_polygraph_adj_is_the_bitsets_of_its_edges(data):
+    # the bitsets built here by ORing each edge's ends, as the graph
+    # builders did before they kept neighbour lists
+    n = data.draw(st.integers(0, 70))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=150)) if pairs else []
+    bitsets = [0] * n
+    for i, j in edges:
+        bitsets[i] |= 1 << j
+        bitsets[j] |= 1 << i
+    g = PolyGraph.from_edges(range(n), [(j, i) if data.draw(st.booleans()) else (i, j)
+                                        for i, j in edges])
+    assert g.adj == tuple(bitsets)
+    assert g.nbrs == tuple(tuple(j for j in range(n) if b >> j & 1) for b in bitsets)
+    assert PolyGraph(g.nodes, g.nbrs).adj == g.adj

@@ -38,7 +38,7 @@ def facet_label_sets(inc):
 def ridge_graph(inc):
     """`dual_graph(inc)` with each facet named by its sorted vertex labels."""
     names = tuple("".join(sorted(f)) for f in facet_label_sets(inc))
-    return PolyGraph(names, dual_graph(inc).adj)
+    return PolyGraph(names, dual_graph(inc).nbrs)
 
 
 def klee_walkup_boundary():
