@@ -553,6 +553,29 @@ def test_polygraph_rejects_malformed_neighbour_tuples(nodes, nbrs, message):
         PolyGraph(nodes, nbrs)
 
 
+@pytest.mark.parametrize("nodes,adj,message", [
+    (("a", "a"), (0, 0), "duplicate"),
+    (("a", "b"), (0b10,), "one neighbour bitset"),
+    (("a", "b"), (0b10, 0b00), "symmetric"),
+    (("a", "b"), (0b01, 0b00), "loops"),
+    (("a", "b"), (0b110, 0b001), "not a node"),
+    (("a", "b"), (-2, 0b01), "not a node"),
+])
+def test_polygraph_rejects_malformed_bitsets(nodes, adj, message):
+    with pytest.raises(ValueError, match=message):
+        _polygraph_from_bitsets(nodes, adj)
+
+
+def _polygraph_from_bitsets(nodes, adj):
+    """The PolyGraph whose `adj` is the given bitsets, as the graph builders
+    once handed them over; PolyGraph's own checks judge the rest."""
+    if len(adj) != len(nodes):
+        raise ValueError("one neighbour bitset per node required")
+    if any(bits < 0 for bits in adj):
+        raise ValueError("edge endpoint not a node")
+    return PolyGraph(nodes, tuple(tuple(polyhedron._bits(bits)) for bits in adj))
+
+
 def test_polygraph_edges_are_a_sorted_label_view_of_the_bitsets():
     g = PolyGraph.from_edges(["v2", "v10", "v1"], [("v2", "v10"), ("v2", "v1"), ("v10", "v2")])
     assert g.nbrs == ((1, 2), (0,), (0,))
@@ -580,3 +603,4 @@ def test_polygraph_adj_is_the_bitsets_of_its_edges(data):
     assert g.adj == tuple(bitsets)
     assert g.nbrs == tuple(tuple(j for j in range(n) if b >> j & 1) for b in bitsets)
     assert PolyGraph(g.nodes, g.nbrs).adj == g.adj
+    assert _polygraph_from_bitsets(g.nodes, bitsets) == g
