@@ -200,7 +200,7 @@ def _cone_extreme_rays(
             vp, vq = vals[p], vals[q]
             combo = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
             g = gcd(*combo)  # > 0: p and q are independent, so combo is not zero
-            new_rays.append(tuple(x // g for x in combo) if g > 1 else tuple(combo))
+            new_rays.append(tuple([x // g for x in combo]) if g > 1 else tuple(combo))
             new_masks.append(z | bit)
             while z:  # its id joins the columns of z; row r's follows below
                 low = z & -z
@@ -372,7 +372,9 @@ def vrep_to_hrep(v: VPolyhedron, columns: list[int] | None = None) -> HPolyhedro
         rows_of = [1 << where[c] for c in cone_rows]
         columns.extend([(1 << len(v.rows)) - 1] * len(eq_rows))
         columns.extend(_remap(z, rows_of) for _, z in facets)
-    rows = tuple((Fraction(y[0]), tuple(map(Fraction, y[1:]))) for y, _ in facets)
+    # One `Fraction` per distinct coefficient: the rows share them.
+    frac = {x: Fraction(x) for x in set().union(*(y for y, _ in facets))}
+    rows = tuple((frac[y[0]], tuple(map(frac.__getitem__, y[1:]))) for y, _ in facets)
     return HPolyhedron(v.d, tuple(eq_rows) + rows, frozenset(range(len(eq_rows))))
 
 

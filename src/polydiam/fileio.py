@@ -71,12 +71,19 @@ def _parse_matrix_block(lines: list[str], start: int) -> tuple[int, int, list[li
     m, cols = int(header[0]), int(header[1])
     if m < 0 or cols < 1:
         raise ValueError(f"bad matrix size {m} x {cols}")
+    # Each distinct token is parsed once per matrix, the first time it is
+    # met in row-major order, so the first malformed token still raises.
+    value: dict[str, Fraction] = {}
     rows = []
     for i in range(m):
         parts = _line(lines, start + 2 + i, f"matrix row {i + 1} of {m}").split()
         if len(parts) != cols:
             raise ValueError(f"row {i + 1}: expected {cols} entries, got {len(parts)}")
-        rows.append([parse_rational(p) for p in parts])
+        if not all(map(value.__contains__, parts)):
+            for p in parts:
+                if p not in value:
+                    value[p] = parse_rational(p)
+        rows.append(list(map(value.__getitem__, parts)))
     if _line(lines, start + 2 + m, "'end'") != "end":
         raise ValueError("expected 'end' after matrix rows")
     return m, cols, rows

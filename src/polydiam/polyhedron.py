@@ -207,7 +207,14 @@ class VPolyhedron:
         return self.labels[i] if self.labels is not None else f"v{i}"
 
     def all_labels(self) -> tuple[str, ...]:
-        return tuple(self.label(i) for i in range(self.nverts))
+        return self._all_labels
+
+    @cached_property
+    def _all_labels(self) -> tuple[str, ...]:
+        """`all_labels`, built on first read and then kept."""
+        if self.labels is not None:
+            return self.labels
+        return tuple([f"v{i}" for i in range(self.nverts)])
 
     def centroid(self) -> Point:
         """The average of the vertices (rays ignored)."""

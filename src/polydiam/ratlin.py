@@ -18,12 +18,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,9 +37,12 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"not an exact rational literal: {text!r}")
     num, _, den = token.partition("/")
-    if den and int(den) == 0:
+    if not den:
+        return Fraction(int(num))
+    q = int(den)
+    if not q:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return Fraction(int(num), q)
 
 
 def format_rational(q: Fraction) -> str:
@@ -75,18 +79,23 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
 
     The zero vector maps to itself.  The direction (sign pattern) is kept,
     so this is safe for inequality rows and for cone rays.  An all-`int`
-    vector only needs its gcd divided out.
+    vector only needs its gcd divided out; any other is read off the
+    numerators and denominators of its entries, scaled by their lcm.
     """
     if all(type(x) is int for x in vec):
         g = gcd(*vec)
-        return tuple(vec) if g <= 1 else tuple(x // g for x in vec)
-    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
-    den = lcm(*(q.denominator for q in fracs))
-    ints = [q.numerator * (den // q.denominator) for q in fracs]
+        return tuple(vec) if g <= 1 else tuple([x // g for x in vec])
+    try:
+        dens = list(map(_denominator, vec))
+    except AttributeError:  # not int or Fraction: read as `Fraction` reads it
+        vec = list(map(Fraction, vec))
+        dens = list(map(_denominator, vec))
+    ints = list(map(_numerator, vec))
+    den = lcm(*dens)
+    if den != 1:
+        ints = [z * (den // q) for z, q in zip(ints, dens)]
     g = gcd(*ints)
-    if g <= 1:
-        return tuple(ints)
-    return tuple(z // g for z in ints)
+    return tuple(ints) if g <= 1 else tuple([z // g for z in ints])
 
 
 def dot(u: Sequence, v: Sequence):

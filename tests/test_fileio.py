@@ -1,5 +1,7 @@
 """Text format round trips and rejection of malformed input."""
 
+from fractions import Fraction
+
 import pytest
 
 from polydiam import HPolyhedron, VPolyhedron, hrep_to_vrep
@@ -13,6 +15,7 @@ from polydiam.fileio import (
     write_subset_graph,
     write_vfile,
 )
+from polydiam.ratlin import parse_rational, primitive
 
 
 def test_hfile_round_trip():
@@ -84,6 +87,41 @@ def test_rational_entries_survive():
 def test_malformed_rejected(bad):
     with pytest.raises(ValueError):
         read_polyfile(bad)
+
+
+# Rows that repeat tokens and spell one value several ways.
+SPELLINGS = ["2 +2 02 4/2 0 -0", "0 -0 +2 2 02 4/2", "-4/2 2 0 6/3 -0 02", "+0 02 -0 2 2 1/3"]
+
+
+def _matrix(header, rows):
+    return f"{header}\nbegin\n{len(rows)} {len(rows[0].split())} rational\n" + "\n".join(rows) + "\nend\n"
+
+
+def test_each_token_reads_as_parsed_alone():
+    # the matrix is parsed once per distinct token, to the same rows as the
+    # token-by-token reference
+    want = [[parse_rational(t) for t in row.split()] for row in SPELLINGS]
+    h = read_polyfile(_matrix("H-representation", SPELLINGS))
+    assert [[b, *a] for b, a in h.rows] == want
+    assert all(type(x) is Fraction for b, a in h.rows for x in (b, *a))
+    vrows = ["1 " + row for row in SPELLINGS[:2]] + ["+1 " + SPELLINGS[2], "0 " + SPELLINGS[3]]
+    want = [[parse_rational(t) for t in row.split()] for row in vrows]
+    want_v = VPolyhedron._of_rows(6, tuple(map(primitive, want)))  # vertices, then a ray
+    assert read_polyfile(_matrix("V-representation", vrows)) == want_v
+
+
+@pytest.mark.parametrize("header", ["H-representation", "V-representation"])
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "zero denominator: '1/0'"),
+    ("0.5", "not an exact rational literal: '0.5'"),
+])
+def test_the_first_malformed_token_raises_after_valid_repeats(header, bad, message):
+    # `bad` is the first malformed token in row-major order; a second one
+    # follows in its row and a third in the next
+    rows = ["1 2 +2 02", "1 02 2 4/2", f"1 2 {bad} 7/0", "1 x 2 02"]
+    with pytest.raises(ValueError) as err:
+        read_polyfile(_matrix(header, rows))
+    assert str(err.value) == message
 
 
 def test_subset_graph_round_trip():

@@ -122,6 +122,19 @@ def test_int_and_fraction_spellings_are_one_polytope():
     assert as_int.vertices == ((0, 0), (2, 0), (0, 1)) and as_int.rays == ((1, 1),)
 
 
+@pytest.mark.parametrize("make, want", [
+    (lambda: VPolyhedron.from_points([(0, 0), (1, 0), (0, 1)], rays=[(1, 1)]), ("v0", "v1", "v2")),
+    (lambda: klee_walkup()[0], tuple("abcdefghw")),
+])
+def test_all_labels_are_built_once_and_kept(make, want):
+    v, again = make(), make()
+    assert "_all_labels" not in v.__dict__  # nothing is built until it is read
+    first = v.all_labels()
+    assert first == want and v.all_labels() is first
+    assert tuple(map(v.label, range(v.nverts))) == want
+    assert v == again and hash(v) == hash(again)  # equality reads the fields only
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: VPolyhedron.from_points([(Fraction(1, 2),), (Fraction(2, 4),)]), "pairwise distinct"),
     (lambda: VPolyhedron.from_points([(0, 0)], rays=[(1, 2), (2, 4)]), "non-parallel"),
@@ -286,6 +299,19 @@ def test_transpose_matches_the_per_bit_loop(shape, seed, data):
             s &= rng.getrandbits(width - spare)  # sparser, down to zero
         sets.append(s)
     assert polyhedron._transpose(sets, width) == _transpose_per_bit(sets, width)
+
+
+@settings(max_examples=8, deadline=None)
+@given(density=st.sampled_from(["sparse", "dense"]), seed=st.integers(0, 2**32))
+def test_bits_matches_the_per_bit_reference(density, seed):
+    # 100,000-bit sets: the AND of several draws leaves a few hundred bits,
+    # the OR of several draws all but a few hundred
+    width = 100_000
+    rng = random.Random(seed)
+    m = rng.getrandbits(width)
+    for _ in range(7):
+        m = m & rng.getrandbits(width) if density == "sparse" else m | rng.getrandbits(width)
+    assert list(polyhedron._bits(m)) == [i for i in range(width) if m >> i & 1]
 
 
 @pytest.mark.parametrize("sets, width, want", [

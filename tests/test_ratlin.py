@@ -85,6 +85,7 @@ def test_primitive():
     assert primitive([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert primitive([0, 0]) == (0, 0)
     assert primitive([Fraction(-2), Fraction(4)]) == (-1, 2)
+    assert primitive(("1/2", 0, Fraction(3, 4))) == (2, 0, 3)  # read as `Fraction` reads them
 
 
 @given(st.lists(st.one_of(st.integers(-10**20, 10**20), st.sampled_from([0, 6, -12])),
@@ -92,6 +93,17 @@ def test_primitive():
 def test_primitive_of_ints_is_the_reference(vec):
     got = primitive(vec)
     assert got == primitive_ints(vec) == primitive([Fraction(x) for x in vec])
+    assert all(type(x) is int for x in got)
+
+
+@given(st.lists(st.fractions(max_denominator=10**9), min_size=1, max_size=6),
+       st.lists(st.integers(-10**20, 10**20), max_size=3), st.randoms())
+def test_primitive_of_rationals_is_the_reference(fracs, ints, rnd):
+    # Fractions of mixed denominators, alone or shuffled among ints
+    vec = fracs + ints
+    rnd.shuffle(vec)
+    got = primitive(vec)
+    assert got == primitive_ints(vec) == primitive(tuple(vec))
     assert all(type(x) is int for x in got)
 
 
