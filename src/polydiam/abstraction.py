@@ -151,12 +151,16 @@ def _wider_than(adj, ids, k: int) -> bool:
     """Whether two of the nodes `ids` of the connected graph `adj`, a list
     indexed by global id, are more than k steps apart: rounds of
     `mask_diameter`'s all-sources OR grow the balls not yet full from the
-    closed neighbourhoods, until radius k or a fixed point."""
+    closed neighbourhoods, until radius k or a fixed point.  Once a ball of
+    radius r with 2r <= k holds every node, the answer is no: any two nodes
+    lie within r of its centre, so the diameter is at most 2r."""
     if k < 1:  # the diameter is at least 1 exactly when there are two nodes
         return len(ids) > k + 1
     chosen = sum(1 << g for g in ids)
     reach = [a | 1 << g for g, a in enumerate(adj)]
-    for _ in range(k - 1):
+    for radius in range(1, k):
+        if 2 * radius <= k and chosen in reach:  # a ball is `chosen` only around one of ids
+            return False
         step = reach.copy()
         for g in ids:
             if reach[g] != chosen:
@@ -166,6 +170,17 @@ def _wider_than(adj, ids, k: int) -> bool:
             break
         reach = step
     return any(reach[g] != chosen for g in ids)
+
+
+def _shuffle(getrandbits, x: list) -> None:
+    """`random.Random.shuffle(x)` with its draws inlined: Fisher-Yates from
+    the top, each j drawn as `_randbelow(i + 1)` draws it."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def search_max_diameter(
@@ -192,14 +207,17 @@ def search_max_diameter(
     endpoint with no neighbour inside it cuts them apart.
 
     The walks run on global node ids, positions in the sorted list of all
-    d-subsets: the filters, ANDs of element columns, are computed once, and
+    d-subsets: the filters, ANDs of element columns, are computed once.
     F(i, j) over a chosen node set is the global one ANDed with the chosen
-    mask.  A graph on m nodes has diameter at most m - 1, and only a strictly
-    larger diameter replaces the best, so a graph with m - 1 <= best gets no
-    diameter.  The random walk skips such a draw before thinning it: the
-    thinning draws nothing and the shuffle's swaps depend on the length
-    only, so shuffling a stand-in list keeps the stream, and the draw still
-    counts as explored.  A thinned graph is valid, hence connected, so it is
+    mask, but the walks read the global one as it is: every neighbour
+    bitset lies inside the chosen mask, and the walks and `_reaches` only
+    AND F(i, j) with those.  A graph on m nodes has diameter at most m - 1,
+    and only a strictly larger diameter replaces the best, so a graph with
+    m - 1 <= best gets no diameter.  The random walk skips such a draw
+    before thinning it: the thinning draws nothing, and `_shuffle` makes
+    `Random.shuffle`'s draws, which depend on the list's length only, so
+    shuffling a stand-in list keeps the stream, and the draw still counts
+    as explored.  A thinned graph is valid, hence connected, so it is
     relabelled for its diameter only when `_wider_than` finds two nodes more
     than best apart.
     """
@@ -217,13 +235,13 @@ def search_max_diameter(
     best_diam, explored, complete = -1, 0, True
 
     def complete_graph(ids):
-        # `ids` is sorted; the pairs, with their filters over the chosen
-        # nodes, come in the order of `combinations` over its positions
+        # `ids` is sorted; the pairs come in the order of `combinations`
+        # over its positions
         chosen = sum(1 << g for g in ids)
         adj = [0] * len(all_nodes)
         for g in ids:
             adj[g] = chosen ^ 1 << g
-        return adj, [(i, j, filters[i][j] & chosen) for i, j in combinations(ids, 2)]
+        return adj, list(combinations(ids, 2))
 
     def consider(ids, adj: list[int]) -> None:
         nonlocal best_graph, best_diam
@@ -255,17 +273,18 @@ def search_max_diameter(
                 seen.add(emask)
                 explored += 1
                 consider(ids, adj)
-                for bit, (i, j, fmask) in enumerate(pairs):
+                for bit, (i, j) in enumerate(pairs):
                     child = emask & ~(1 << bit)
                     if child != emask and child not in seen:
                         without = adj.copy()
                         without[i], without[j] = adj[i] ^ 1 << j, adj[j] ^ 1 << i
-                        if _reaches(without, i, j, fmask):
+                        if _reaches(without, i, j, filters[i][j]):
                             stack.append((child, without))
             if not complete:
                 break
     else:
         rng = random.Random(seed)
+        getrandbits = rng.getrandbits
         complete = False
         while explored < budget:
             size = rng.randint(2, len(all_nodes))
@@ -273,11 +292,12 @@ def search_max_diameter(
             ids = sorted(rng.sample(range(len(all_nodes)), size))
             explored += 1
             if size - 1 <= best_diam:  # cannot win: draw the same swaps, thin nothing
-                rng.shuffle([0] * (size * (size - 1) // 2))
+                _shuffle(getrandbits, [0] * (size * (size - 1) // 2))
                 continue
             adj, pairs = complete_graph(ids)
-            rng.shuffle(pairs)  # the swaps depend on the length only
-            for i, j, fmask in pairs:
+            _shuffle(getrandbits, pairs)  # the swaps depend on the length only
+            for i, j in pairs:
+                fmask = filters[i][j]
                 ai, aj = adj[i] ^ 1 << j, adj[j] ^ 1 << i
                 if ai & aj & fmask:  # a common neighbour inside F(i, j): delete
                     adj[i], adj[j] = ai, aj

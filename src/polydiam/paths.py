@@ -54,14 +54,6 @@ from .ratlin import dot, primitive
 
 
 @dataclass(frozen=True)
-class PathReport:
-    source: str
-    target: str
-    path: tuple[str, ...]
-    kind: str  # shortest | non-revisiting | monotone
-
-
-@dataclass(frozen=True)
 class PropertyResult:
     """Outcome of an exhaustive all-pairs check.
 
@@ -321,43 +313,6 @@ def _nonrevisiting_all_pairs(
     except TimeoutError:
         return PropertyResult(holds=None, witness=None)
     return PropertyResult(holds=True, witness=None)
-
-
-def nonrevisiting_path(
-    inc: Incidence,
-    source: str,
-    target: str,
-    budget: int | None = None,
-) -> PathReport | None:
-    """A path from source to target that never re-enters an abandoned facet.
-
-    Returns None when exhaustive backtracking proves no such path exists.
-    The returned path is a shortest non-revisiting one and its length is
-    guaranteed (and asserted) to be at most n - d.
-    """
-    if not inc.v.bounded:
-        raise Unbounded("non-revisiting search requires a bounded polytope")
-    if source == target:
-        raise ValueError("source and target must differ")
-    labels, adj = inc.graph.nodes, inc.graph.adj
-    for name in (source, target):
-        if name not in labels:
-            raise ValueError(f"unknown vertex {name!r}")
-    cap = len(inc.facets) - inc.dim
-    t = labels.index(target)
-    found = nonrevisiting_dfs(
-        adj, inc.facet_masks, labels.index(source), t, cap, SearchBudget(budget),
-        _bfs_layers(adj, t),
-    )
-    if found is None:
-        return None
-    assert len(found) - 1 <= cap
-    return PathReport(
-        source=source,
-        target=target,
-        path=tuple(labels[i] for i in found),
-        kind="non-revisiting",
-    )
 
 
 def nonrevisiting_property(

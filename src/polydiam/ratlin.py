@@ -82,7 +82,7 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
     vector only needs its gcd divided out; any other is read off the
     numerators and denominators of its entries, scaled by their lcm.
     """
-    if all(type(x) is int for x in vec):
+    if set(map(type, vec)) == {int}:
         g = gcd(*vec)
         return tuple(vec) if g <= 1 else tuple([x // g for x in vec])
     try:

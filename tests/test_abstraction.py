@@ -1,6 +1,7 @@
 """Subset-family graphs: validation, diameters, extremal search."""
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from polydiam.abstraction import (
     SubsetFamilyGraph,
     _pair_filters,
     _reaches,
+    _shuffle,
     _wider_than,
     from_simple_polytope,
     search_max_diameter,
@@ -283,6 +285,42 @@ def test_wider_than_matches_the_queue_bfs_diameter(case):
     diam, _ = queue_bfs_diameter(ids, edges)
     for k in range(-1, len(ids) + 1):
         assert _wider_than(adj, ids, k) == (diam > k), k
+
+
+# Non-contiguous global ids below 20; the ids outside them, such as 8, have
+# no neighbours.
+_IDS = (1, 4, 5, 9, 12, 13, 17)
+_SHAPES = {
+    "path": ([(a, a + 1) for a in range(6)], 6),
+    "star": ([(0, b) for b in range(1, 7)], 2),
+    "cycle": ([(a, (a + 1) % 7) for a in range(7)], 3),
+    "complete": (list(combinations(range(7), 2)), 1),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_wider_than_on_fixed_graphs(shape):
+    # a path on 2r + 1 nodes has a ball of radius r holding all of them, and
+    # diameter 2r: it tells the exit at 2r <= k from one at 2r <= k + 1
+    edges, diam = _SHAPES[shape]
+    adj = [0] * 20
+    for a, b in edges:
+        adj[_IDS[a]] |= 1 << _IDS[b]
+        adj[_IDS[b]] |= 1 << _IDS[a]
+    assert queue_bfs_diameter(_IDS, [(_IDS[a], _IDS[b]) for a, b in edges])[0] == diam
+    for k in range(-1, len(_IDS) + 1):
+        assert _wider_than(adj, _IDS, k) == (diam > k), k
+
+
+def test_shuffle_makes_the_draws_of_random_shuffle():
+    for seed in range(20):
+        for length in range(61):
+            ref, rng = random.Random(seed), random.Random(seed)
+            expected, got = list(range(length)), list(range(length))
+            ref.shuffle(expected)
+            _shuffle(rng.getrandbits, got)
+            assert got == expected, (seed, length)
+            assert rng.getstate() == ref.getstate(), (seed, length)
 
 
 def _assert_filters_match_the_oracle(nodes):

@@ -47,11 +47,12 @@ from polydiam.constructions import (
     unbound_point_map,
     wedge,
 )
-from polydiam.paths import bfs_distances, diameter, nonrevisiting_path, nonrevisiting_property
+from polydiam.paths import bfs_distances, diameter, nonrevisiting_property
 from polydiam.polyhedron import HPolyhedron, facet_row_indices
 
 from corpus import converted, corpus, ngon, orthant_polytope
 from oracles import brute_force_vertices, incidence
+from test_paths import _nonrevisiting_path
 from test_simplicial import ANTISTAR_W, ANTISTAR_W_EDGES, klee_walkup_boundary
 
 
@@ -311,9 +312,9 @@ def test_criterion_12_nonrevisiting():
             nfacets = len(facet_row_indices(inc))
             labels = list(v.all_labels())
             for a, b in list(combinations(labels, 2))[:30]:
-                report = nonrevisiting_path(inc, a, b)
-                assert report is not None
-                assert len(report.path) - 1 <= nfacets - h.d
+                path = _nonrevisiting_path(inc, a, b)
+                assert path is not None
+                assert len(path) - 1 <= nfacets - h.d
 
         # the property holds on cubes, the Klee-Walkup block, and every
         # diameter-sharp generator of reasonable size

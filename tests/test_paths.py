@@ -27,6 +27,7 @@ from polydiam.constructions import (
 )
 from polydiam.paths import (
     SearchBudget,
+    _bfs_layers,
     _greedy_misses,
     _monotone_reach,
     _nonrevisiting_all_pairs,
@@ -35,7 +36,6 @@ from polydiam.paths import (
     mask_diameter,
     monotone_eccentricity,
     nonrevisiting_dfs,
-    nonrevisiting_path,
     nonrevisiting_property,
 )
 from polydiam.polyhedron import _bits, facet_row_indices
@@ -56,6 +56,16 @@ from oracles import (
 def _pipeline(h):
     inc = incidence(h, hrep_to_vrep(h))
     return h, inc.v, inc, skeleton_graph(inc)
+
+
+def _nonrevisiting_path(inc, source, target):
+    """The labels of the first non-revisiting path `nonrevisiting_dfs` finds
+    from `source` to `target` within n - d steps, or None when none exists."""
+    labels, adj = inc.graph.nodes, inc.graph.adj
+    t = labels.index(target)
+    found = nonrevisiting_dfs(adj, inc.facet_masks, labels.index(source), t,
+                              len(inc.facets) - inc.dim, SearchBudget(None), _bfs_layers(adj, t))
+    return None if found is None else tuple(labels[i] for i in found)
 
 
 def test_bfs_cube_hamming():
@@ -197,23 +207,22 @@ def test_nonrevisiting_cube_antipodal():
     labels = v.all_labels()
     i = list(v.vertices).index((-1, -1, -1))
     j = list(v.vertices).index((1, 1, 1))
-    report = nonrevisiting_path(inc, labels[i], labels[j])
-    assert report is not None and len(report.path) - 1 == 3
-    assert report.kind == "non-revisiting"
+    path = _nonrevisiting_path(inc, labels[i], labels[j])
+    assert path is not None and len(path) - 1 == 3
 
 
 def test_nonrevisiting_klee_walkup_witness_pair():
     _, q4 = klee_walkup()
     h, v, inc, g = _pipeline(q4)
     _, (a, b) = diameter(g)
-    report = nonrevisiting_path(inc, a, b)
-    assert report is not None and len(report.path) - 1 == 5  # 5 = 9 - 4
+    path = _nonrevisiting_path(inc, a, b)
+    assert path is not None and len(path) - 1 == 5  # 5 = 9 - 4
 
 
 def test_nonrevisiting_simplex_edge():
     h, v, inc, g = _pipeline(simplex(3))
-    report = nonrevisiting_path(inc, v.label(0), v.label(1))
-    assert report is not None and len(report.path) - 1 == 1
+    path = _nonrevisiting_path(inc, v.label(0), v.label(1))
+    assert path is not None and len(path) - 1 == 1
 
 
 def test_nonrevisiting_path_consecutive_edges_and_cap():
@@ -223,10 +232,10 @@ def test_nonrevisiting_path_consecutive_edges_and_cap():
         labels = v.all_labels()
         nfacets = len(facet_row_indices(inc))
         for a, b in list(combinations(labels, 2))[:40]:
-            report = nonrevisiting_path(inc, a, b)
-            assert report is not None
-            assert len(report.path) - 1 <= nfacets - h.d
-            for u, w in zip(report.path, report.path[1:]):
+            path = _nonrevisiting_path(inc, a, b)
+            assert path is not None
+            assert len(path) - 1 <= nfacets - h.d
+            for u, w in zip(path, path[1:]):
                 assert tuple(sorted((u, w))) in g.edges
 
 
@@ -237,8 +246,8 @@ def test_nonrevisiting_path_matches_interval_definition():
         lab: frozenset(i for i in range(inc.h.nrows) if m >> i & 1)
         for lab, m in zip(labels, inc.masks)
     }
-    report = nonrevisiting_path(inc, labels[0], labels[-1])
-    assert path_is_nonrevisiting([tight[lab] for lab in report.path])
+    path = _nonrevisiting_path(inc, labels[0], labels[-1])
+    assert path_is_nonrevisiting([tight[lab] for lab in path])
 
 
 def test_nonrevisiting_search_agrees_with_naive_enumeration():
@@ -253,7 +262,7 @@ def test_nonrevisiting_search_agrees_with_naive_enumeration():
         }
         nfacets = len(facet_row_indices(inc))
         for a, b in combinations(labels, 2):
-            got = nonrevisiting_path(inc, a, b) is not None
+            got = _nonrevisiting_path(inc, a, b) is not None
             expected = nonrevisiting_exists_naive(adj, tight, a, b, nfacets - h.d)
             assert got == expected
 
@@ -269,8 +278,8 @@ def test_nonrevisiting_on_square_in_a_plane_of_r3(plane):
     # n - d is 4 - 2 with d the dimension of the square, not of R^3
     h, v, inc, g = _pipeline(plane)
     assert nonrevisiting_property(inc).holds is True
-    path = nonrevisiting_path(inc, "v0", "v3")
-    assert path is not None and len(path.path) - 1 == 2
+    path = _nonrevisiting_path(inc, "v0", "v3")
+    assert path is not None and len(path) - 1 == 2
 
 
 def test_nonrevisiting_property_holds_on_cubes_and_q4():
@@ -316,8 +325,7 @@ def test_distance_cut_returns_the_unpruned_path_on_every_corpus_pair():
         cap = len(inc.facets) - inc.dim
         for s, t in permutations(range(len(labels)), 2):
             expected = unpruned_nonrevisiting_dfs(adjacency, inc.facet_masks, s, t, cap)
-            report = nonrevisiting_path(inc, labels[s], labels[t])
-            got = None if report is None else report.path
+            got = _nonrevisiting_path(inc, labels[s], labels[t])
             assert got == tuple(labels[i] for i in expected), (name, s, t)
 
 

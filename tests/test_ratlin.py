@@ -86,6 +86,8 @@ def test_primitive():
     assert primitive([0, 0]) == (0, 0)
     assert primitive([Fraction(-2), Fraction(4)]) == (-1, 2)
     assert primitive(("1/2", 0, Fraction(3, 4))) == (2, 0, 3)  # read as `Fraction` reads them
+    assert list(map(type, primitive((True, 2)))) == [int, int] and primitive((True, 2)) == (1, 2)
+    assert primitive(()) == ()
 
 
 @given(st.lists(st.one_of(st.integers(-10**20, 10**20), st.sampled_from([0, 6, -12])),
