@@ -168,6 +168,7 @@ def hirsch_report(
     dimension of the affine hull as d, and measures the diameter of the
     bounded-edge graph.  The optional extras run the non-revisiting
     all-pairs check and the monotone path analysis for a given functional.
+    The keys come in the order in which `check` prints them.
     """
     if not inc.nverts:
         raise Infeasible("infeasible")
@@ -175,6 +176,7 @@ def hirsch_report(
     d = inc.dim
     bounded = inc.v.bounded
     diam, witness = diameter(inc.graph)
+    simple, simplicial = classify(inc) if bounded else (None, None)
     report: dict = {
         "n": n,
         "d": d,
@@ -184,14 +186,10 @@ def hirsch_report(
         "n_minus_d": n - d,
         "satisfies_hirsch": diam <= n - d,
         "hirsch_sharp": diam == n - d,
+        "simple": simple,
+        "simplicial": simplicial,
         "witness_pair": list(witness),
-        "simple": None,
-        "simplicial": None,
     }
-    if bounded:
-        simple, simplicial = classify(inc)
-        report["simple"] = simple
-        report["simplicial"] = simplicial
     if check_nonrevisiting:
         if bounded:
             result = nonrevisiting_property(inc)

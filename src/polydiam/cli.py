@@ -8,9 +8,11 @@ error (infeasible input, non-pointed set, bad parameters), 2 usage error.
 Facet and vertex indices in flags are 1-based, matching the `linearity`
 convention of the H-file format.  Every randomized command requires an
 explicit --seed; every generated file embeds its construction recipe as a
-`# recipe` comment and is byte-identical under replay (`gen` writes the
-replay of the recipe it names).  Every verb that reads a polyhedron builds
-its `Incidence` by `dd.analyse`.
+`# recipe` comment and is byte-identical under replay.  `gen` writes the
+replay of the recipe it names; wedge, unbound, truncate and product share
+one handler, which runs the operator step that `replay` runs and wraps the
+input files' recipes when every file has one.  Every verb that reads a
+polyhedron builds its `Incidence` by `dd.analyse`.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ def _write_text(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _load_h(text: str) -> HPolyhedron:
-    obj = fileio.read_polyfile(text)
-    if isinstance(obj, VPolyhedron):
-        return vrep_to_hrep(obj)
-    return obj
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -143,43 +138,16 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _wrap_recipe(kind: str, parameters: dict, text: str):
-    base = fileio.read_recipe(text)
-    if base is None:
-        return None
-    return cons.ConstructionRecipe(kind, parameters, base=base)
-
-
-def _cmd_wedge(args) -> int:
-    text = _read_text(args.file)
-    out = cons.wedge(analyse(fileio.read_polyfile(text)), args.facet - 1)
-    recipe = _wrap_recipe("wedge", {"facet": args.facet}, text)
-    _write_text(fileio.write_hfile(out, recipe), args.out)
-    return 0
-
-
-def _cmd_product(args) -> int:
-    text_a, text_b = _read_text(args.a), _read_text(args.b)
-    out = cons.product(_load_h(text_a), _load_h(text_b))
-    ra, rb = fileio.read_recipe(text_a), fileio.read_recipe(text_b)
-    recipe = None
-    if ra is not None and rb is not None:
-        recipe = cons.ConstructionRecipe("product", {}, base=ra, other=rb)
-    _write_text(fileio.write_hfile(out, recipe), args.out)
-    return 0
-
-
-def _cmd_truncate(args) -> int:
-    text = _read_text(args.file)
-    inc = analyse(fileio.read_polyfile(text))
-    vertex: str | int = args.vertex
-    if vertex not in inc.v.all_labels():
-        try:
-            vertex = int(args.vertex) - 1
-        except ValueError:
-            raise ValueError(f"unknown vertex {args.vertex!r}") from None
-    out = cons.truncate_vertex(inc, vertex)
-    recipe = _wrap_recipe("truncate", {"vertex": args.vertex}, text)
+def _cmd_operator(args) -> int:
+    """wedge, unbound, truncate and product: one `constructions` step on
+    the files, whose recipe wraps theirs when every file has one."""
+    kind = args.command
+    texts = [_read_text(path) for path in
+             ((args.a, args.b) if kind == "product" else (args.file,))]
+    parameters = {k: v for k, v in vars(args).items() if k in ("facet", "vertex")}
+    out = cons._operate(kind, parameters, [fileio.read_polyfile(t) for t in texts])
+    recipes = [fileio.read_recipe(t) for t in texts]
+    recipe = None if None in recipes else cons.ConstructionRecipe(kind, parameters, *recipes)
     _write_text(fileio.write_hfile(out, recipe), args.out)
     return 0
 
@@ -195,31 +163,17 @@ def _cmd_polar(args) -> int:
     return 0
 
 
-def _cmd_unbound(args) -> int:
-    text = _read_text(args.file)
-    out = cons.unbound_at_facet(analyse(fileio.read_polyfile(text)), args.facet - 1)
-    recipe = _wrap_recipe("unbound", {"facet": args.facet}, text)
-    _write_text(fileio.write_hfile(out, recipe), args.out)
-    return 0
-
-
 def _cmd_check(args) -> int:
     inc = analyse(fileio.read_polyfile(_read_text(args.file)))
-    c = _parse_rational_list(args.monotone) if args.monotone else None
+    c = _parse_rational_list(args.monotone) if args.monotone is not None else None
     report = bnd.hirsch_report(
         inc, check_nonrevisiting=args.nonrevisiting, monotone_c=c
     )
     if args.json:
         print(bnd.report_to_json(report))
     else:
-        order = [
-            "n", "d", "bounded", "vertex_count", "diameter", "n_minus_d",
-            "satisfies_hirsch", "hirsch_sharp", "simple", "simplicial",
-            "witness_pair", "nonrevisiting", "nonrevisiting_witness", "monotone",
-        ]
-        for key in order:
-            if key in report:
-                print(f"{key}: {report[key]}")
+        for key, value in report.items():
+            print(f"{key}: {value}")
     return 0
 
 
@@ -230,9 +184,8 @@ def _cmd_bounds(args) -> int:
     else:
         data = table.to_dict()
         width = max(len(k) for k in data)
-        for key in ("n", "d", "lower", "larman", "kalai_kleitman",
-                    "known_exact", "hirsch_rhs"):
-            print(f"{key:<{width}}  {data[key]}")
+        for key, value in data.items():
+            print(f"{key:<{width}}  {value}")
     return 0
 
 
@@ -343,19 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wedge", help="wedge over a facet (1-based row index)")
     p.add_argument("--facet", type=int, required=True)
     add_io(p)
-    p.set_defaults(func=_cmd_wedge)
+    p.set_defaults(func=_cmd_operator)
 
     p = sub.add_parser("product", help="Cartesian product of two polytopes")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_product)
+    p.set_defaults(func=_cmd_operator)
 
     p = sub.add_parser("truncate", help="cut off a simple vertex")
     p.add_argument("--vertex", required=True,
                    help="vertex label (as in `graph`) or 1-based index")
     add_io(p)
-    p.set_defaults(func=_cmd_truncate)
+    p.set_defaults(func=_cmd_operator)
 
     p = sub.add_parser("polar", help="polar polytope (centroid-translated)")
     add_io(p)
@@ -364,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unbound", help="send a facet to infinity projectively")
     p.add_argument("--facet", type=int, required=True)
     add_io(p)
-    p.set_defaults(func=_cmd_unbound)
+    p.set_defaults(func=_cmd_operator)
 
     p = sub.add_parser("check", help="full Hirsch report")
     add_io(p, with_out=False)

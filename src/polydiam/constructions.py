@@ -160,8 +160,9 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     (t_w, y_w) is the integer row (2 t_u t_w, t_w y_u + t_u y_w); those
     rows have a null space of dimension 1 + d - dim, the directions of the
     hull equations vanish at the vertex too, so the cut is the first null
-    vector that does not (`_cut`).  An integer `vertex` is 0-based, and
-    error messages give it 1-based, as the command line does.
+    vector that does not (`_cut`).  A string `vertex` is a label of `inc.v`
+    if it is one, and else a 1-based index, as on the command line; an
+    integer `vertex` is 0-based.  Error messages give an index 1-based.
     """
     v = inc.v
     if not v.nverts:
@@ -169,14 +170,17 @@ def truncate_vertex(inc: Incidence, vertex: str | int) -> HPolyhedron:
     if not v.bounded:
         raise Unbounded("truncation requires a bounded polytope")
     labels = v.all_labels()
-    if isinstance(vertex, str):
-        if vertex not in labels:
-            raise ValueError(f"unknown vertex {vertex!r}")
+    if isinstance(vertex, int):
+        vi = vertex
+    elif vertex in labels:
         vi = labels.index(vertex)
     else:
-        vi = vertex
-        if not 0 <= vi < v.nverts:
-            raise ValueError(f"vertex index {vi + 1} out of range")
+        try:
+            vi = int(vertex) - 1
+        except ValueError:
+            raise ValueError(f"unknown vertex {vertex!r}") from None
+    if not 0 <= vi < v.nverts:
+        raise ValueError(f"vertex index {vi + 1} out of range")
     vertex_facets = inc.facet_masks[vi]
     if vertex_facets.bit_count() != inc.dim:
         raise ValueError(f"vertex {labels[vi]} is not simple: truncation undefined")
@@ -446,8 +450,9 @@ class ConstructionRecipe:
 
     `kind` is one of simplex, cube, crosspolytope, product, wedge, truncate,
     kleewalkup, unbound, transportation, zeroone, hirsch_sharp.  Operator
-    recipes carry their operands in `base` (and `other` for products);
-    facet/vertex parameters use the 1-based external convention.
+    recipes carry their operands in `base` (and `other` for products) and
+    replay through the step the command line runs: a `facet` parameter is
+    1-based, a `vertex` a label or a 1-based index.
     """
 
     kind: str
@@ -499,23 +504,25 @@ def replay(recipe: ConstructionRecipe) -> HPolyhedron | VPolyhedron:
         return random_01_polytope(int(p["dim"]), int(p["points"]), int(p["seed"]))
     if kind == "hirsch_sharp":
         return hirsch_sharp(int(p["dim"]), int(p["facets"]))
-    if kind == "wedge":
-        return wedge(analyse(_replay_operand(recipe.base)), int(p["facet"]) - 1)
-    if kind == "unbound":
-        return unbound_at_facet(analyse(_replay_operand(recipe.base)), int(p["facet"]) - 1)
-    if kind == "truncate":
-        return truncate_vertex(analyse(_replay_operand(recipe.base)), p["vertex"])
-    if kind == "product":
-        return product(_replay_h(recipe.base), _replay_h(recipe.other))
+    if kind in ("wedge", "unbound", "truncate", "product"):
+        operands = (recipe.base, recipe.other) if kind == "product" else (recipe.base,)
+        if None in operands:
+            raise ValueError("operator recipe is missing its operand")
+        return _operate(kind, p, [replay(r) for r in operands])
     raise ValueError(f"unknown recipe kind {kind!r}")
 
 
-def _replay_operand(recipe: ConstructionRecipe | None) -> HPolyhedron | VPolyhedron:
-    if recipe is None:
-        raise ValueError("operator recipe is missing its operand")
-    return replay(recipe)
-
-
-def _replay_h(recipe: ConstructionRecipe | None) -> HPolyhedron:
-    out = _replay_operand(recipe)
-    return vrep_to_hrep(out) if isinstance(out, VPolyhedron) else out
+def _operate(kind: str, parameters: dict, operands: list) -> HPolyhedron:
+    """One operator step, as the command line and `replay` take it: the
+    `wedge`, `unbound` or `truncate` of the one operand, or the `product`
+    of the two, H- or V-descriptions.  A `facet` is 1-based, a `vertex` is
+    a label or a 1-based index (`truncate_vertex`), and a V operand of
+    `product` is converted to H."""
+    if kind == "product":
+        return product(*(vrep_to_hrep(x) if isinstance(x, VPolyhedron) else x
+                         for x in operands))
+    inc = analyse(operands[0])
+    if kind == "truncate":
+        return truncate_vertex(inc, str(parameters["vertex"]))
+    step = wedge if kind == "wedge" else unbound_at_facet
+    return step(inc, int(parameters["facet"]) - 1)

@@ -169,6 +169,34 @@ def test_wedge_recipe_wraps_base(capsys, tmp_path):
     assert write_hfile(replay(recipe), recipe) == text
 
 
+# Each operator verb through the command line, on generated files or on
+# the output of an earlier step; "{i}" stands for the output of step i.
+_OPERATOR_CHAINS = {
+    "wedge-facet": [["gen", "kleewalkup"], ["wedge", "--facet", "3", "{0}"]],
+    "unbound-facet": [["gen", "kleewalkup"], ["unbound", "--facet", "1", "{0}"]],
+    "truncate-label": [["gen", "cube", "3"], ["truncate", "--vertex", "v0", "{0}"]],
+    "truncate-index": [["gen", "cube", "3"], ["truncate", "--vertex", "1", "{0}"]],
+    "truncate-truncated": [["gen", "cube", "3"], ["truncate", "--vertex", "v0", "{0}"],
+                           ["truncate", "--vertex", "2", "{1}"]],
+    "product-h-v": [["gen", "cube", "2"],
+                    ["gen", "zeroone", "--dim", "3", "--points", "6", "--seed", "2"],
+                    ["product", "{0}", "{1}"]],
+}
+
+
+@pytest.mark.parametrize("steps", _OPERATOR_CHAINS.values(), ids=_OPERATOR_CHAINS)
+def test_every_operator_output_replays(capsys, tmp_path, steps):
+    paths = []
+    for i, argv in enumerate(steps):
+        code, text, err = run(capsys, *(arg.format(*paths) for arg in argv))
+        assert (code, err) == (0, ""), argv
+        paths.append(tmp_path / f"step{i}.txt")
+        paths[-1].write_text(text)
+    recipe = read_recipe(text)
+    assert recipe.kind == steps[-1][0]
+    assert write_hfile(replay(recipe), recipe) == text
+
+
 def test_gen_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.ine", tmp_path / "b.ine"
     run(capsys, "gen", "zeroone", "--dim", "4", "--points", "8", "--seed", "7",
@@ -569,6 +597,7 @@ def test_check_monotone_flag(capsys, tmp_path):
 
 @pytest.mark.parametrize("c,count", [
     ("1,2,4,100", "4 coefficients"), ("1,2", "2 coefficients"), ("1", "1 coefficient"),
+    (",", "0 coefficients"), ("", "0 coefficients"),
 ])
 def test_check_monotone_needs_one_coefficient_per_coordinate(capsys, tmp_path, c, count):
     cube3 = tmp_path / "cube.ine"
@@ -576,6 +605,47 @@ def test_check_monotone_needs_one_coefficient_per_coordinate(capsys, tmp_path, c
     code, out, err = run(capsys, "check", str(cube3), "--monotone", c, "--json")
     assert (code, out) == (1, "")
     assert err == f"error: functional has {count}: the polyhedron is in R^3\n"
+
+
+_CUBE3_TEXT_REPORT = """\
+n: 6
+d: 3
+bounded: True
+vertex_count: 8
+diameter: 3
+n_minus_d: 3
+satisfies_hirsch: True
+hirsch_sharp: True
+simple: True
+simplicial: False
+witness_pair: ['v0', 'v7']
+"""
+
+
+@pytest.mark.parametrize("argv,text,expected", [
+    (["check"], write_hfile(cube(3)), _CUBE3_TEXT_REPORT),
+    (["check", "--nonrevisiting", "--monotone", "1,2,4"], write_hfile(cube(3)),
+     _CUBE3_TEXT_REPORT + "nonrevisiting: True\n"
+     "monotone: {'optimum': 'v7', 'worst_length': 3, 'unreachable': []}\n"),
+    # the wedge x >= 0, y >= 0, x + y >= 1: unbounded, so not classified
+    (["check", "--nonrevisiting"],
+     "H-representation\nbegin\n3 3 rational\n0 1 0\n0 0 1\n-1 1 1\nend\n",
+     "n: 3\nd: 2\nbounded: False\nvertex_count: 2\ndiameter: 1\nn_minus_d: 1\n"
+     "satisfies_hirsch: True\nhirsch_sharp: True\nsimple: None\nsimplicial: None\n"
+     "witness_pair: ['v0', 'v1']\nnonrevisiting: None\n"),
+    (["bounds", "12", "4"], None,
+     "n               12\nd               4\nlower           7\nlarman          24\n"
+     "kalai_kleitman  1728.0\nknown_exact     7\nhirsch_rhs      8\n"),
+    (["bounds", "30", "10"], None,
+     "n               30\nd               10\nlower           19\nlarman          3840\n"
+     "kalai_kleitman  2421095.1087778611\nknown_exact     None\nhirsch_rhs      20\n"),
+], ids=["check", "check-nonrevisiting-monotone", "check-unbounded", "bounds-12-4",
+        "bounds-30-10"])
+def test_check_and_bounds_text_output_is_pinned(capsys, tmp_path, argv, text, expected):
+    if text is not None:
+        (tmp_path / "in.txt").write_text(text)
+        argv = [*argv, str(tmp_path / "in.txt")]
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_check_nonrevisiting_flag(capsys, tmp_path):
