@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except (GeometryError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -480,6 +480,10 @@ class ConstructionRecipe:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConstructionRecipe":
+        """The recipe `data` records; ValueError unless it has a recipe's shape."""
+        if not (isinstance(data, dict) and isinstance(data.get("kind"), str) and all(
+                isinstance(data.get(k, {}), dict) for k in ("parameters", "base", "other"))):
+            raise ValueError("malformed recipe: needs a string kind, dict parameters and operands")
         return cls(
             kind=data["kind"],
             parameters=dict(data.get("parameters", {})),

@@ -44,7 +44,9 @@ independent, and so is their subset z = Z(p) & Z(q).  (2) |z| = dim - 1
 would make q a multiple of p, so a pair sharing dim - 2 rows cuts out a
 pointed 2-dimensional face.  (3) Its only extreme rays are p and q: no
 third ray is tight on z.  So only pairs of two degenerate rays run the
-AND.
+AND, and they are the only readers of the column bitsets: a cone builds
+them, by one transpose of its current zero sets, at its first pair of two
+degenerate rays, and a cone without such a pair never builds them.
 
 `analyse` is the one way from a description, H or V, to its `Incidence`:
 it converts once and pairs the input with its converse.  The cone already
@@ -101,7 +103,11 @@ def _cone_extreme_rays(
     the ids of the rays tight on processed row i, so the rays tight on all
     of z are one AND of |z| columns, masked by `alive`, the ids present
     before the step; the pair is adjacent when that AND is {p, q}.  Ids of
-    removed rays stay in the columns; `alive` hides them.
+    removed rays stay in the columns; `alive` hides them.  This index is
+    built at the first pair of two degenerate rays, its only reader: ids
+    are then list positions, and the columns the transpose of the zero
+    sets, which hold the step's row for its zero rays already.  A cone
+    without such a pair never builds it.
 
     An adjacent pair shares at least dim - 2 rows.  The negative rays of a
     step are cut, in order, into blocks of `_BLOCK`, each with `touched`,
@@ -135,17 +141,13 @@ def _cone_extreme_rays(
         primitive([reduced[i][dim + j] * (scale // reduced[i][i]) for i in range(dim)])
         for j in range(dim)
     ]
-    # Ray j has id j and is tight on every basis row but the j-th.  Bit r
-    # of a zero set, and `columns[r]`, stand for rows[r]; a column is
-    # filled when its row is processed, and no zero set holds a row before.
-    ids = list(range(dim))
-    alive = (1 << dim) - 1
+    # Ray j is tight on every basis row but the j-th.  Bit r of a zero set,
+    # and `columns[r]`, stand for rows[r].  The columns, with `ids`, `alive`
+    # and `next_id`, appear at the first pair of two degenerate rays; a cone
+    # without such a pair never builds them.
     start = sum(1 << k for k in basis_idx)
     masks = [start ^ 1 << k for k in basis_idx]
-    columns = [0] * len(rows)
-    for j, k in enumerate(basis_idx):
-        columns[k] = alive ^ 1 << j
-    next_id = dim
+    columns: list[int] | None = None
 
     chosen = set(basis_idx)
     least = dim - 2  # the rows an adjacent pair shares at least
@@ -154,7 +156,6 @@ def _cone_extreme_rays(
             continue
         row, bit = rows[r], 1 << r
         vals, pos, neg, zero = [], [], [], []
-        column = 0
         for k, y in enumerate(rays):
             v = sum(map(mul, row, y))
             vals.append(v)
@@ -165,8 +166,11 @@ def _cone_extreme_rays(
             else:
                 zero.append(k)
                 masks[k] |= bit
+        if columns is not None:
+            column = 0
+            for k in zero:
                 column |= 1 << ids[k]
-        columns[r] = column
+            columns[r] = column
 
         blocks = []
         for i in range(0, len(neg), _BLOCK):
@@ -177,7 +181,8 @@ def _cone_extreme_rays(
             blocks.append((touched, members))
         pairs = []
         for p in pos:
-            mp, idp = masks[p], 1 << ids[p]
+            mp = masks[p]
+            idp = 0 if columns is None else 1 << ids[p]
             nondegenerate = mp.bit_count() == dim - 1
             for touched, members in blocks:
                 zp = mp & touched
@@ -188,6 +193,10 @@ def _cone_extreme_rays(
                     if z.bit_count() < least:
                         continue
                     if not (nondegenerate or zq.bit_count() == dim - 1):  # both degenerate
+                        if columns is None:  # the first such pair: index the rays by position
+                            ids, next_id = list(range(len(rays))), len(rays)
+                            alive, idp = (1 << next_id) - 1, 1 << p
+                            columns = _transpose(masks, len(rows))  # row r's holds the zero rays
                         pair = idp | 1 << ids[q]
                         if _tight_on_all(columns, z, alive, pair) != pair:
                             continue  # not adjacent: some third ray is tight on z
@@ -195,29 +204,31 @@ def _cone_extreme_rays(
 
         new_rays: list[tuple[int, ...]] = []
         new_masks: list[int] = []
-        idb = 1 << next_id  # the id bit of the next new ray
         for p, q, z in pairs:
             vp, vq = vals[p], vals[q]
             combo = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
             g = gcd(*combo)  # > 0: p and q are independent, so combo is not zero
             new_rays.append(tuple([x // g for x in combo]) if g > 1 else tuple(combo))
             new_masks.append(z | bit)
+        keep = pos + zero
+        rays = [rays[k] for k in keep] + new_rays
+        masks = [masks[k] for k in keep] + new_masks
+        if columns is None:
+            continue
+        idb = 1 << next_id  # the id bit of the next new ray
+        for _, _, z in pairs:
             while z:  # its id joins the columns of z; row r's follows below
                 low = z & -z
                 columns[low.bit_length() - 1] |= idb
                 z ^= low
             idb <<= 1
-        new_ids = list(range(next_id, next_id + len(new_rays)))
         for q in neg:
             alive ^= 1 << ids[q]
         added = ((1 << len(new_rays)) - 1) << next_id
         columns[r] |= added
         alive |= added
+        ids = [ids[k] for k in keep] + list(range(next_id, next_id + len(new_rays)))
         next_id += len(new_rays)
-        keep = pos + zero
-        rays = [rays[k] for k in keep] + new_rays
-        masks = [masks[k] for k in keep] + new_masks
-        ids = [ids[k] for k in keep] + new_ids
     return rays, masks
 
 

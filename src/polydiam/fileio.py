@@ -42,7 +42,10 @@ def read_recipe(text: str) -> ConstructionRecipe | None:
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith(RECIPE_PREFIX):
-            return ConstructionRecipe.from_dict(json.loads(line[len(RECIPE_PREFIX):]))
+            try:
+                return ConstructionRecipe.from_dict(json.loads(line[len(RECIPE_PREFIX):]))
+            except RecursionError:
+                raise ValueError("recipe nested too deeply") from None
     return None
 
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydiam.abstraction import search_max_diameter
+from polydiam import cli
 from polydiam.cli import main
-from polydiam.constructions import cube, replay
+from polydiam.constructions import ConstructionRecipe, cube, replay
 from polydiam.fileio import (
     read_polyfile,
     read_recipe,
@@ -873,11 +874,12 @@ def test_mpmath_is_imported_on_first_use_only():
     )
 
 
-# Small H- and V-texts: cube(3); the unit square in z = 0 of R^3 by a
-# linearity row; a V-file with a ray; a square listed with points that are
-# not vertices, plus a ray.
+# Small H- and V-texts: cube(3); the square with its recipe; the unit
+# square in z = 0 of R^3 by a linearity row; a V-file with a ray; a square
+# listed with points that are not vertices, plus a ray.
 _TEXTS = [
     write_hfile(cube(3)),
+    write_hfile(cube(2), ConstructionRecipe("cube", {"d": 2})),
     "H-representation\nlinearity 1 5\nbegin\n5 4 rational\n"
     "0 1 0 0\n1 -1 0 0\n0 0 1 0\n1 0 -1 0\n0 0 0 1\nend\n",
     "V-representation\nbegin\n4 3 rational\n1 0 0\n1 0 1/3\n1 1/2 0\n0 1 1\nend\n",
@@ -913,9 +915,9 @@ def _mutated_text(draw, texts):
     return "".join(line + "\n" for line in lines)
 
 
-def _exits_cleanly(verb, text):
-    """Run `verb` on `text` written to a file, given once (twice for
-    `product`): exit code 0, 1 or 2 and no traceback."""
+def _run_on_text(verb, text):
+    """(exit code, stderr) of `verb` on `text` written to a file, given
+    once (twice for `product`)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.txt")
         with open(path, "w") as f:
@@ -924,16 +926,54 @@ def _exits_cleanly(verb, text):
         argv = [*verb, path, path] if verb == ["product"] else [*verb, path]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    return code, err.getvalue()
+
+
+def _exits_cleanly(verb, text):
+    """Run `verb` on `text`: exit code 0, 1 or 2 and no traceback."""
+    code, err = _run_on_text(verb, text)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+_RECIPE_VERBS = [["wedge", "--facet", "1"], ["unbound", "--facet", "1"],
+                 ["truncate", "--vertex", "1"], ["product"]]
+
+# `# recipe` comments that are not a recipe: JSON of the wrong shape, an
+# operand that is not one, truncated JSON, and JSON nested deeper than
+# the parser recurses.
+_BAD_RECIPES = {
+    "empty": "{}",
+    "list": "[1]",
+    "base": '{"kind":"wedge","parameters":{"facet":1},"base":7}',
+    "truncated": '{"kind":"cube","parameters":{"d":',
+    "deep": "[" * 3000 + "]" * 3000,
+}
+
+
+@pytest.mark.parametrize("verb", _RECIPE_VERBS, ids=lambda verb: verb[0])
+@pytest.mark.parametrize("recipe", _BAD_RECIPES.values(), ids=_BAD_RECIPES)
+def test_operator_verbs_reject_a_malformed_recipe(recipe, verb):
+    code, err = _run_on_text(verb, f"# recipe {recipe}\n" + write_hfile(cube(2)))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch, tmp_path):
+    def exhausted(poly):
+        raise MemoryError
+
+    path = tmp_path / "c.ine"
+    path.write_text(write_hfile(cube(3)))
+    monkeypatch.setattr(cli, "analyse", exhausted)
+    assert run(capsys, "diameter", str(path)) == (1, "", "error: out of memory\n")
 
 
 @settings(max_examples=170, deadline=None)
 @given(_mutated_text(_TEXTS), st.sampled_from([
     ["graph"], ["diameter"], ["check", "--json"], ["dualgraph"],
-    ["convert", "--to", "h"], ["convert", "--to", "v"], ["polar"],
-    ["wedge", "--facet", "1"], ["unbound", "--facet", "1"], ["truncate", "--vertex", "1"],
-    ["product"], ["distance", "--from", "v0", "--to", "v1"], ["abstraction", "of"],
+    ["convert", "--to", "h"], ["convert", "--to", "v"], ["polar"], *_RECIPE_VERBS,
+    ["distance", "--from", "v0", "--to", "v1"], ["abstraction", "of"],
 ]))
 def test_graph_verbs_on_mutated_text_exit_cleanly(text, verb):
     _exits_cleanly(verb, text)

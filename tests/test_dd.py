@@ -520,6 +520,83 @@ def test_a_skipped_block_of_negative_rays_loses_no_ray():
     assert rays == third_ray_scan_extreme_rays(polygon + [cut], 3)
 
 
+def _index_builds(rows, dim):
+    """The zero sets `_cone_extreme_rays(rows, dim)` hands to each
+    `_transpose` call, its column index being built by one; the rays and
+    zero sets must be exactly the oracle's."""
+    built = []
+    transpose = dd._transpose
+
+    def spy(sets, width):
+        built.append(list(sets))
+        return transpose(sets, width)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dd, "_transpose", spy)
+        rays, zero_sets = _cone_extreme_rays(rows, dim)
+    assert rays == third_ray_scan_extreme_rays(rows, dim)
+    ordered = sorted(set(rows))
+    assert zero_sets == [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y)))
+                         for y in rays]
+    return built
+
+
+def _h_to_v_cone(h):
+    """(rows, dim) of the one cone `hrep_to_vrep(h)` runs."""
+    cones = []
+    cone = dd._cone_extreme_rays
+
+    def record(rows, dim):
+        cones.append((rows, dim))
+        return cone(rows, dim)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dd, "_cone_extreme_rays", record)
+        hrep_to_vrep(h)
+    (got,) = cones
+    return got
+
+
+def test_a_simple_cone_never_builds_the_column_index():
+    # No step of the H -> V cones of cube(7) and of a 3x4 transportation
+    # polytope with generic margins, given 4 by 3, meets two degenerate
+    # rays, so the count decides every pair and no column is read.
+    for h in (cube(7), transportation((16, 14, 15, 15), (19, 21, 20))):
+        rows, dim = _h_to_v_cone(h)
+        assert _index_builds(rows, dim) == []
+
+
+def test_the_column_index_is_built_at_the_first_pair_of_degenerate_rays():
+    # The start rays are non-degenerate, so the second step is the first
+    # that can meet two degenerate rays.  This cone's first step cuts it to
+    # the face y3 = 0, whose three rays are tight on four rows each, and
+    # its second step pairs two of them: the index starts with those three.
+    rows = [(0, 0, 0, 1), (0, 1, 1, 0), (0, -1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 0),
+            (-1, 0, 0, 0), (0, 0, 0, -1)]
+    built = _index_builds(rows, 4)
+    assert len(built) == 1 and len(built[0]) == 3
+    # A simple polytope's intermediate cones need not be simple: the same
+    # 3x4 transportation polytope, given 3 by 4, runs a cone in other
+    # coordinates, and one of its steps meets two degenerate rays.
+    rows, dim = _h_to_v_cone(transportation((19, 21, 20), (16, 14, 15, 15)))
+    assert len(_index_builds(rows, dim)) == 1
+
+
+def test_the_column_index_is_built_mid_run():
+    # A cone found by hypothesis among `_small_cones` draws: its first pair
+    # of two degenerate rays comes after two whole steps, once the cone has
+    # grown past its five start rays.  The zero sets the index starts from
+    # then span at least dim + 3 rows, three of them beyond the start basis.
+    rows = [(0, 0, 0, 0, -1), (0, 0, 0, -1, 0), (0, 0, 0, -1, 1), (0, 0, 1, 0, 0),
+            (0, 0, 1, 1, 1), (0, -1, 0, 0, 0), (0, -1, 1, 0, 1), (1, 0, 0, 0, 0)]
+    built = _index_builds(rows, 5)
+    assert len(built) == 1 and len(built[0]) > 5
+    union = 0
+    for z in built[0]:
+        union |= z
+    assert union.bit_count() >= 5 + 3
+
+
 @st.composite
 def _small_cones(draw):
     """(dim, rows): up to ten nonzero primitive rows with entries in -2..2,
