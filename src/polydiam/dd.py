@@ -16,37 +16,16 @@ arithmetic throughout:
   pointed, and its extreme rays with a nonzero linear part are the facet
   rows.  One cone serves every input, lower-dimensional or not.
 
-The cone rows, primitive and deduplicated, are inserted smallest first, by
+`_cone_extreme_rays` runs the cone, inserting its rows smallest first, by
 (max |c|, sum |c|, row): on the facet cones of 0/1 polytopes that makes
 about half the new rays and pair tests of lexicographic order (insertion
 order governs DD cost: Fukuda & Prodon; Avis, Bremner & Seidel, *How good
-are convex hull algorithms?*, 1997).  Zero-set bits still index the sorted
-rows.  The answer does not depend on the order: a pointed cone's primitive
-extreme rays and their zero sets are its own, only their list order moves,
-and both conversions sort what they return.  Ray adjacency uses the
+are convex hull algorithms?*, 1997).  The answer does not depend on the
+order: a pointed cone's primitive extreme rays and their zero sets are its
+own, only their list order moves, and both conversions sort what they
+return.  Its docstring states the contract and the adjacency test, the
 combinatorial zero-set test of Fukuda & Prodon, *Double description method
-revisited* (1996).  It runs on column bitsets: per processed row, the set
-of rays tight on it, so "which rays are tight on all of z" is one AND of
-|z| big integers rather than a scan over every ray.  A short rank of the
-cone rows (a line in the input) surfaces there too, as `NotPointed`, with
-no separate rank test.  In front of that test, the negative rays of a step
-go in blocks of 16: the union of a block's zero sets bounds |Z(p) & Z(q)|
-for every q in it, so a positive ray p that shares fewer than dim - 2 rows
-with the union skips the block whole (the flat form of the bit-pattern
-tree of Terzer & Stelling, *Bioinformatics* 24(19), 2008).  Pairs are met
-in the same order either way, so the rays and their order do not depend
-on it.
-
-A pair with a non-degenerate ray p, one tight on exactly dim - 1
-processed rows, needs no AND, as the count decides it.  (1) An extreme
-ray's zero set has rank dim - 1, so the dim - 1 rows of Z(p) are
-independent, and so is their subset z = Z(p) & Z(q).  (2) |z| = dim - 1
-would make q a multiple of p, so a pair sharing dim - 2 rows cuts out a
-pointed 2-dimensional face.  (3) Its only extreme rays are p and q: no
-third ray is tight on z.  So only pairs of two degenerate rays run the
-AND, and they are the only readers of the column bitsets: a cone builds
-them, by one transpose of its current zero sets, at its first pair of two
-degenerate rays, and a cone without such a pair never builds them.
+revisited* (1996), with the block filter and the count rule in front of it.
 
 `analyse` is the one way from a description, H or V, to its `Incidence`:
 it converts once and pairs the input with its converse.  The cone already
@@ -71,7 +50,6 @@ from .polyhedron import (
     NotPointed,
     Row,
     VPolyhedron,
-    _bits,
     _tight_on_all,
     _transpose,
     canonical_equality_row,
@@ -86,14 +64,15 @@ def _cone_extreme_rays(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Extreme rays of the pointed cone {y : r.y >= 0 for r in rows}.
 
-    `rows` must be primitive integer vectors whose rank is `dim` (else
-    NotPointed); they are deduplicated and sorted, then inserted in
+    `rows` must be distinct, nonzero, primitive integer vectors, and bit i
+    of a zero set stands for `rows[i]` as passed.  Their rank must be `dim`
+    (else NotPointed: the cone holds a line).  They are inserted in
     `order`, smallest first by (max |c|, sum |c|, row), the start basis
     being the first `dim` independent rows in it.  Returns the primitive
     integer rays, [] when the cone is the origin alone, and each ray's zero
-    set, in ray order: bit i is set when the ray is tight on row i of
-    `sorted(set(rows))`.  Only the ray order depends on the insertion
-    order; the rays and their zero sets are the cone's.
+    set, in ray order.  The key ends in the row itself, so the rays and
+    their order do not depend on the order of `rows`: a permutation of
+    `rows` permutes the bits of every zero set alike.
 
     Adjacency is the combinatorial test of Fukuda & Prodon, *Double
     description method revisited* (1996): a positive ray p and a negative
@@ -103,26 +82,29 @@ def _cone_extreme_rays(
     the ids of the rays tight on processed row i, so the rays tight on all
     of z are one AND of |z| columns, masked by `alive`, the ids present
     before the step; the pair is adjacent when that AND is {p, q}.  Ids of
-    removed rays stay in the columns; `alive` hides them.  This index is
-    built at the first pair of two degenerate rays, its only reader: ids
-    are then list positions, and the columns the transpose of the zero
-    sets, which hold the step's row for its zero rays already.  A cone
-    without such a pair never builds it.
+    removed rays stay in the columns; `alive` hides them.
 
     An adjacent pair shares at least dim - 2 rows.  The negative rays of a
     step are cut, in order, into blocks of `_BLOCK`, each with `touched`,
     the union of its zero sets, which bounds |Z(p) & Z(q)| for every q in
-    the block (Terzer & Stelling, *Bioinformatics* 24(19), 2008): when
-    Z(p) & touched has fewer than dim - 2 rows, p skips the block whole.
-    When p or q is non-degenerate, tight on exactly dim - 1 rows, the
-    count decides: z is then dim - 2 independent rows, whose face is a
-    pointed 2-dimensional cone with p and q its only extreme rays.  The
-    scan only lists the pairs, p outer and q in `neg` order, as the plain
-    double loop meets them; the new rays (each its pair's integer
-    combination divided by its gcd) and their ids follow after the scan,
-    in that order, and each step's rays go positive, zero, new.
+    the block (the flat form of the bit-pattern tree of Terzer & Stelling,
+    *Bioinformatics* 24(19), 2008): when Z(p) & touched has fewer than
+    dim - 2 rows, p skips the block whole.  When p or q is non-degenerate,
+    tight on exactly dim - 1 processed rows, the count decides, with no
+    AND.  (1) An extreme ray's zero set has rank dim - 1, so the dim - 1
+    rows of Z(p) are independent, and so is their subset z.  (2) |z| =
+    dim - 1 would make q a multiple of p, so a pair sharing dim - 2 rows
+    cuts out a pointed 2-dimensional face.  (3) Its only extreme rays are
+    p and q: no third ray is tight on z.  So pairs of two degenerate rays
+    are the only readers of the index, and it is built at the first one:
+    ids are then list positions, and the columns the transpose of the zero
+    sets, which hold the step's row for its zero rays already.  A cone
+    without such a pair never builds it.  The scan only lists the pairs, p
+    outer and q in `neg` order, as the plain double loop meets them; the
+    new rays (each its pair's integer combination divided by its gcd) and
+    their ids follow after the scan, in that order, and each step's rays
+    go positive, zero, new.
     """
-    rows = sorted(set(rows))
     # Greedy initial basis B in insertion order; the columns of B^-1 are the
     # extreme rays of the simplicial start cone.  Fewer than `dim`
     # independent rows means the rank is short: the cone holds a line.
@@ -239,16 +221,6 @@ def _vertex_order(rows: Sequence[tuple[int, ...]], among: Sequence[int]) -> list
     return sorted(among, key=lambda k: tuple(map((den // rows[k][0]).__mul__, rows[k][1:])))
 
 
-def _remap(mask: int, images: list[int]) -> int:
-    """The union of `images[i]` over the set bits i of `mask`."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= images[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedron:
     """All vertices and one representative per extreme ray, exactly.
 
@@ -272,7 +244,7 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
     """
     # The cone lies in the null space of the linearity rows E; with N a
     # primitive basis of it, y = N t, and each other row r reads r.N on t.
-    # where[c] holds the rows of h whose cone row is c: duplicates and
+    # The cone rows are the distinct nonzero rows, e0 first: duplicates and
     # positive multiples share one, and a row (b, 0) with b > 0 scales to
     # e0.  A row that projects to zero, every linearity row among them, is
     # tight on every ray.  rank[E; G] = rank E + rank G.N for the other
@@ -284,13 +256,9 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
         basis = [primitive(n) for n in nullspace(rows[i] for i in sorted(h.linearity))]
         e0, *rows = [primitive([sum(map(mul, r, n)) for n in basis]) for r in [e0, *rows]]
         dim = len(basis)
-    where = {e0: 0}
-    for i, c in enumerate(rows):
-        where[c] = where.get(c, 0) | 1 << i
-    on_all = where.pop((0,) * dim, 0)
-    cone_rows = sorted(where)
+    at = {c: i for i, c in enumerate(dict.fromkeys(r for r in [e0, *rows] if any(r)))}
     try:
-        rays, masks = _cone_extreme_rays(cone_rows, dim)
+        rays, masks = _cone_extreme_rays(list(at), dim)
     except NotPointed:
         raise NotPointed("feasible set contains a line: no vertices exist") from None
     if h.linearity:
@@ -299,14 +267,9 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
     verts = _vertex_order(rays, [k for k, ray in enumerate(rays) if ray[0] > 0])
     dirs = sorted((k for k, ray in enumerate(rays) if ray[0] == 0), key=rays.__getitem__)
     order = verts + dirs if verts else []  # pointed and vertex-free: infeasible
-    if columns is not None:
-        of_row = [0] * h.nrows
-        for c, column in zip(cone_rows, _transpose([masks[k] for k in order], len(cone_rows))):
-            for i in _bits(where[c]):
-                of_row[i] = column
-        for i in _bits(on_all):
-            of_row[i] = (1 << len(order)) - 1
-        columns.extend(of_row)
+    if columns is not None:  # a zero row, at -1, takes the all-ones column
+        of_cone_row = _transpose([masks[k] for k in order], len(at)) + [(1 << len(order)) - 1]
+        columns.extend([of_cone_row[at.get(c, -1)] for c in rows])
     return VPolyhedron._of_rows(h.d, tuple(rays[k] for k in order))
 
 
@@ -356,21 +319,20 @@ def vrep_to_hrep(v: VPolyhedron, columns: list[int] | None = None) -> HPolyhedro
     pointed cone whose extreme rays with a nonzero linear part are the
     facet rows.  Every row is primitive integers, and each block is sorted.
     When `columns` is a list, it is extended by the zero set of each
-    returned row, mapped from the cone's rows to the rows of `v`: bit k is
-    set when `v.rows[k]` is tight, so a hull equation's is every row.
-    These are the `Incidence`'s columns, which `analyse` hands over.
+    returned row: bit k is set when `v.rows[k]` is tight, so a hull
+    equation's is every row.  These are the `Incidence`'s columns, which
+    `analyse` hands over.
     """
     if not v.nverts:
         raise ValueError("V-representation needs at least one vertex")
     eq_rows = sorted(canonical_equality_row((e[0], e[1:])) for e in nullspace(v.rows))
     pivots = _echelon(a for _, a in eq_rows)[1]
     free = [0] + [j + 1 for j in range(v.d) if j not in pivots]
-    # The pivot coordinates of a row follow from its free ones by the hull
-    # equations, so distinct rows stay distinct: where[c] is the one row of
-    # v whose cone row is c.
-    where = {primitive([c[j] for j in free]): k for k, c in enumerate(v.rows)}
-    cone_rows = sorted(where)
-    rays, masks = _cone_extreme_rays(cone_rows, len(free))
+    # Cone row k is `v.rows[k]` on the free coordinates.  Its pivot
+    # coordinates follow from those by the hull equations, so the distinct
+    # rows of v stay distinct, and each facet's zero set is its column.
+    cone = [primitive([c[j] for j in free]) for c in v.rows]
+    rays, masks = _cone_extreme_rays(cone, len(free))
     facets = []
     for ray, z in zip(rays, masks):
         y = [0] * (v.d + 1)
@@ -380,9 +342,8 @@ def vrep_to_hrep(v: VPolyhedron, columns: list[int] | None = None) -> HPolyhedro
             facets.append((y, z))
     facets.sort()  # the integer rows are distinct and order like their Fractions
     if columns is not None:
-        rows_of = [1 << where[c] for c in cone_rows]
         columns.extend([(1 << len(v.rows)) - 1] * len(eq_rows))
-        columns.extend(_remap(z, rows_of) for _, z in facets)
+        columns.extend(z for _, z in facets)
     # One `Fraction` per distinct coefficient: the rows share them.
     frac = {x: Fraction(x) for x in set().union(*(y for y, _ in facets))}
     rows = tuple((frac[y[0]], tuple(map(frac.__getitem__, y[1:]))) for y, _ in facets)

@@ -168,6 +168,18 @@ def _quotient(c: int, t: int) -> str:
     return str(c // g) if g == t else f"{c // g}/{t // g}"
 
 
+def _ints(line: str, what: str, expected: str, count: int | None = None) -> list[int]:
+    """The integers on `line`; a ValueError naming `what` and the line when
+    a token is not one or, given `count`, when there are not `count` of them."""
+    try:
+        values = [int(x) for x in line.split()]
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{what} {line!r}: expected {expected}")
+
+
 def read_subset_graph(text: str) -> SubsetFamilyGraph:
     """Header 'n d', one node per line as sorted indices, 'edges:', index pairs.
 
@@ -176,17 +188,17 @@ def read_subset_graph(text: str) -> SubsetFamilyGraph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("empty subset-graph file")
-    n, d = (int(x) for x in lines[0].split())
+    n, d = _ints(lines[0], "header", "two integers 'n d'", 2)
     nodes: list[tuple[int, ...]] = []
     pos = 1
     while pos < len(lines) and lines[pos] != "edges:":
-        nodes.append(tuple(int(x) for x in lines[pos].split()))
+        nodes.append(tuple(_ints(lines[pos], "node line", "integer element indices")))
         pos += 1
     if pos == len(lines):
         raise ValueError("missing 'edges:' separator")
     edges = []
     for line in lines[pos + 1 :]:
-        i, j = (int(x) for x in line.split())
+        i, j = _ints(line, "edge line", "two node indices 'i j'", 2)
         if not (1 <= i <= len(nodes) and 1 <= j <= len(nodes)):
             raise ValueError(f"edge {i} {j}: node index out of range 1..{len(nodes)}")
         edges.append((nodes[i - 1], nodes[j - 1]))

@@ -246,6 +246,22 @@ def test_subset_graph_edge_to_missing_node_exit_1(capsys, tmp_path):
     assert code == 1 and err.startswith("error: edge 1 5")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("x y\n1\nedges:\n", "x y"),
+    ("2 1 3\n1\nedges:\n", "2 1 3"),
+    ("2 1\n1 a\nedges:\n", "1 a"),
+    ("2 1\n1\n2\nedges:\n1\n", "1"),
+    ("2 1\n1\n2\nedges:\n1 2 3\n", "1 2 3"),
+], ids=["header-not-integers", "header-three-values", "node-not-integer",
+        "edge-one-index", "edge-three-indices"])
+def test_malformed_subset_graph_line_exit_1(capsys, tmp_path, text, line):
+    p = tmp_path / "bad.sfg"
+    p.write_text(text)
+    code, _, err = run(capsys, "abstraction", "validate", str(p))
+    assert code == 1
+    assert err.count("error:") == 1 and err.startswith("error: ") and f"{line!r}: expected" in err
+
+
 def test_not_pointed_exit_1(capsys, tmp_path):
     p = tmp_path / "line.ine"
     p.write_text(write_hfile(HPolyhedron.from_rows(2, [(0, 1, 0)])))

@@ -535,10 +535,13 @@ def _index_builds(rows, dim):
         m.setattr(dd, "_transpose", spy)
         rays, zero_sets = _cone_extreme_rays(rows, dim)
     assert rays == third_ray_scan_extreme_rays(rows, dim)
-    ordered = sorted(set(rows))
-    assert zero_sets == [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y)))
-                         for y in rays]
+    assert zero_sets == [_tight(rows, y) for y in rays]
     return built
+
+
+def _tight(rows, y):
+    """The zero set of the ray `y` over `rows` as passed: bit i for rows[i]."""
+    return sum(1 << i for i, r in enumerate(rows) if not sum(map(mul, r, y)))
 
 
 def _h_to_v_cone(h):
@@ -599,16 +602,17 @@ def test_the_column_index_is_built_mid_run():
 
 @st.composite
 def _small_cones(draw):
-    """(dim, rows): up to ten nonzero primitive rows with entries in -2..2,
-    dim 2-5, some of them repeats or negations of others, so that rays
-    tight on exactly dim - 1 rows mix with rays tight on more."""
+    """(dim, rows): up to ten distinct nonzero primitive rows with entries
+    in -2..2, dim 2-5, some of them negations of others, so that rays tight
+    on exactly dim - 1 rows mix with rays tight on more.  Each row comes
+    once, as `_cone_extreme_rays` requires: bit i of a zero set stands for
+    rows[i], and a repeat would put one row at two bits."""
     dim = draw(st.integers(min_value=2, max_value=5))
     row = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
     rows = draw(st.lists(row.filter(any), min_size=1, max_size=10))
-    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.booleans()),
-                           max_size=10 - len(rows)))
-    rows += [[-x for x in rows[i]] if negate else rows[i] for i, negate in copies]
-    return dim, [primitive_ints(r) for r in rows]
+    negated = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10 - len(rows)))
+    rows += [[-x for x in rows[i]] for i in negated]
+    return dim, list(dict.fromkeys(primitive_ints(r) for r in rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -631,17 +635,16 @@ def test_cone_extreme_rays_and_zero_sets_on_small_cones(data):
         return
     rays, zero_sets = _cone_extreme_rays(rows, dim)
     assert rays == want
-    ordered = sorted(set(rows))
-    tight = [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y))) for y in want]
-    assert zero_sets == tight
+    assert zero_sets == [_tight(rows, y) for y in want]
 
 
 def _corpus_cone(name, direction):
-    """(dim, rows): the H -> V cone of a corpus polytope, its rows with e0,
-    or the V -> H cone of its vertices."""
+    """(dim, rows): the H -> V cone of a corpus polytope, its distinct rows
+    with e0 first, or the V -> H cone of its vertices."""
     h = dict(corpus())[name]
     if direction == "h":
-        return h.d + 1, [(1,) + (0,) * h.d] + [primitive((b, *a)) for b, a in h.rows]
+        rows = [(1,) + (0,) * h.d] + [primitive((b, *a)) for b, a in h.rows]
+        return h.d + 1, list(dict.fromkeys(rows))
     return h.d + 1, [primitive_ints((1, *p)) for p in hrep_to_vrep(h).vertices]
 
 
@@ -650,7 +653,7 @@ def _corpus_cone(name, direction):
     _corpus_cone, st.sampled_from([name for name, _ in corpus()]), st.sampled_from("hv"))))
 def test_rays_and_zero_sets_do_not_depend_on_the_insertion_order(data):
     # Smallest rows first moves only the order of the rays: each ray, with
-    # its zero set over the sorted rows, is one the oracle finds inserting
+    # its zero set over the rows as passed, is one the oracle finds inserting
     # the rows in plain lexicographic order, and the other way round.
     dim, rows = data
     want = third_ray_scan_extreme_rays(rows, dim, key=lambda row: row)
@@ -659,10 +662,28 @@ def test_rays_and_zero_sets_do_not_depend_on_the_insertion_order(data):
             _cone_extreme_rays(rows, dim)
         return
     rays, zero_sets = _cone_extreme_rays(rows, dim)
-    ordered = sorted(set(rows))
-    tight = [sum(1 << i for i, r in enumerate(ordered) if not sum(map(mul, r, y))) for y in want]
     assert len(rays) == len(want)
-    assert set(zip(rays, zero_sets)) == set(zip(want, tight))
+    assert set(zip(rays, zero_sets)) == {(y, _tight(rows, y)) for y in want}
+
+
+@settings(max_examples=200, deadline=None)
+@example(((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]), [3, 2, 1, 0]))  # reversed
+@given(_small_cones().flatmap(
+    lambda cone: st.tuples(st.just(cone), st.permutations(range(len(cone[1]))))))
+def test_a_permutation_of_the_rows_permutes_every_zero_set_alike(data):
+    # The insertion key ends in the row itself, so the permuted rows give
+    # the same rays in the same order, and each row's bit of a zero set
+    # moves with the row.
+    (dim, rows), perm = data
+    permuted = [rows[i] for i in perm]
+    try:
+        rays, zero_sets = _cone_extreme_rays(rows, dim)
+    except NotPointed:
+        with pytest.raises(NotPointed):
+            _cone_extreme_rays(permuted, dim)
+        return
+    moved = [sum(1 << j for j, i in enumerate(perm) if z >> i & 1) for z in zero_sets]
+    assert _cone_extreme_rays(permuted, dim) == (rays, moved)
 
 
 @st.composite
