@@ -7,6 +7,10 @@ facet, transportation polytopes, random 0/1 polytopes, and the
 diameter-sharp generators that tie them together.  Those analyse the
 Klee-Walkup block once per process; each later wedge and truncation
 hands over its `Incidence` in closed form, and its diameter is checked.
+The handed-over vertices are emitted in the order `hrep_to_vrep` sorts
+them, by their points, so no step sorts: a wedge keeps the old order and
+puts each vertex's lifted copy right after it, and a truncation keeps the
+survivors and puts each edge midpoint in its place by binary search.
 
 Every generator is deterministic; the one randomized generator takes an
 explicit seed and feeds a fixed PRNG (`random.Random`, the Mersenne
@@ -22,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .dd import _vertex_order, analyse, reduce_to_full_dim, vrep_to_hrep
+from .dd import analyse, reduce_to_full_dim, vrep_to_hrep
 from .paths import diameter
 from .polyhedron import (
     GeometryError,
@@ -350,13 +354,14 @@ def _facet_avoiding(inc: Incidence, u: tuple[int, ...], w: tuple[int, ...]) -> i
 
 def _handed_over(h: HPolyhedron, vertices: list[tuple[tuple[int, ...], int]]) -> Incidence:
     """The `Incidence` of the polytope `h` from its vertex rows and their
-    tight-row masks, sorted as `hrep_to_vrep` sorts them and kept as its `masks`."""
+    tight-row masks, given in the order `hrep_to_vrep` returns them (sorted
+    by their points) and kept as its `masks`.  When the facets are every
+    row of `h` in order, the facet masks are those masks too."""
     rows, masks = zip(*vertices)
-    order = _vertex_order(rows, range(len(rows)))
-    v = VPolyhedron._of_rows(h.d, tuple(rows[k] for k in order))
-    masks = tuple(masks[k] for k in order)
-    inc = Incidence(h, v, _transpose(masks, h.nrows))
+    inc = Incidence(h, VPolyhedron._of_rows(h.d, rows), _transpose(masks, h.nrows))
     inc.masks = masks
+    if inc.facets == tuple(range(h.nrows)):
+        inc.facet_masks = masks
     return inc
 
 
@@ -364,7 +369,10 @@ def _wedged(inc: Incidence, k: int) -> Incidence:
     """`wedge(inc, k)` with its `Incidence` in closed form: each vertex
     (t, y) gives (t, y, 0) on the new row t >= 0, and when it is off facet
     k, at s = (B, A).(t, y) > 0 for row k at the lcm D of its denominators,
-    (D t, D y, s) on row k as well."""
+    (D t, D y, s) on row k as well.  The vertices of `inc` must be sorted,
+    as `hrep_to_vrep` returns them; the two copies of a vertex share its
+    point's first coordinates and differ last, 0 < s / (D t), so emitting
+    them in that order, copy after copy, keeps the vertices sorted."""
     h = wedge(inc, k)
     b, a = inc.h.rows[k]
     den = lcm(b.denominator, *(x.denominator for x in a))
@@ -382,12 +390,24 @@ def _truncated(inc: Incidence, u: int) -> Incidence:
     """`truncate_vertex(inc, u)` with its `Incidence` in closed form: the
     other vertices keep their rows, and the cut meets each edge uw at its
     midpoint from `_cut`, tight on the rows tight on both ends and on the
-    cut."""
+    cut.  The vertices of `inc` must be sorted, as `hrep_to_vrep` returns
+    them; the others keep that order, and each midpoint goes in by binary
+    search, (t, y) before (s, z) when [s*c for c in y] < [t*c for c in z],
+    which is y / t before z / s."""
     h, mids = _cut(inc, u)
     mu = inc.masks[u]
     vertices = [vm for i, vm in enumerate(zip(inc.v.rows, inc.masks)) if i != u]
-    for w, mid in mids.items():
-        vertices.append((mid, mu & inc.masks[w] | 1 << inc.h.nrows))
+    for w, row in mids.items():
+        t, *y = row
+        lo, hi = 0, len(vertices)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            s, *z = vertices[mid][0]
+            if [s * c for c in y] < [t * c for c in z]:
+                hi = mid
+            else:
+                lo = mid + 1
+        vertices.insert(lo, (row, mu & inc.masks[w] | 1 << inc.h.nrows))
     return _handed_over(h, vertices)
 
 

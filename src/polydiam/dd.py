@@ -253,7 +253,7 @@ def hrep_to_vrep(h: HPolyhedron, columns: list[int] | None = None) -> VPolyhedro
     rows = [primitive((b, *a)) for b, a in h.rows]
     e0, dim = (1,) + (0,) * h.d, h.d + 1
     if h.linearity:
-        basis = [primitive(n) for n in nullspace(rows[i] for i in sorted(h.linearity))]
+        basis = nullspace(rows[i] for i in sorted(h.linearity))
         e0, *rows = [primitive([sum(map(mul, r, n)) for n in basis]) for r in [e0, *rows]]
         dim = len(basis)
     at = {c: i for i, c in enumerate(dict.fromkeys(r for r in [e0, *rows] if any(r)))}

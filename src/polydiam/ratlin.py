@@ -3,10 +3,11 @@
 Everything downstream (representation conversion, incidence, graph
 construction) assumes arithmetic is exact.  This module provides the
 substrate: `fractions.Fraction` scalars (always stored in lowest terms with a
-positive denominator), vectors as tuples, null spaces, and the package's
-one elimination, `_echelon`: a fraction-free Gauss-Jordan pass that keeps
+positive denominator), vectors as tuples, and the package's one
+elimination, `_echelon`: a fraction-free Gauss-Jordan pass that keeps
 every row in primitive integers, from which every rank, inverse, solve and
-null space of the package is read.
+null space of the package is read.  A null space is a basis of primitive
+integer vectors, so its callers build no `Fraction`.
 
 Coefficients coming out of conversions on integer data can grow large;
 arbitrary-precision integers are mandatory, which `Fraction` gives us for
@@ -51,11 +52,14 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def nullspace(data: Iterable[Sequence]) -> list[Vector]:
-    """Basis of the right null space of the given rows.
+def nullspace(data: Iterable[Sequence]) -> list[tuple[int, ...]]:
+    """Basis of the right null space of the given rows, in primitive integers.
 
     One vector per non-pivot column c of the reduced row-echelon form R:
-    1 at c and -R[p][c] at each pivot p, so the basis is unique.
+    the one with 1 at c and -R[p][c] at each pivot p, scaled by the lcm L
+    of the pivots that column c touches to the integers L at c and
+    -r[c] L / r[p] at p (r the integer row of pivot p), then to primitive
+    integers.  Only positive factors are applied, so the basis is unique.
     """
     rows = list(data)
     if not rows:
@@ -66,11 +70,12 @@ def nullspace(data: Iterable[Sequence]) -> list[Vector]:
     for fc in range(ncols):
         if fc in reduced:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        scale = lcm(*(r[pc] for pc, r in reduced.items() if r[fc]))
+        v = [0] * ncols
+        v[fc] = scale
         for pc, r in reduced.items():
-            v[pc] = Fraction(-r[fc], r[pc])
-        basis.append(tuple(v))
+            v[pc] = -r[fc] * (scale // r[pc])
+        basis.append(primitive(v))
     return basis
 
 

@@ -100,6 +100,12 @@ _PINNED_GEN_OUTPUT = {
                          "130e8965ea68100a747f7c14666cc44024e728444777a0a16aa7c660ad72b214"),
     "hirschsharp-6-15": (("hirschsharp", "--dim", "6", "--facets", "15"),
                          "f16c8d1ade88fa3b165134ccb87c0835a8fc1c8df5f796f5040302aec6fe06f9"),
+    "hirschsharp-7-15": (("hirschsharp", "--dim", "7", "--facets", "15"),
+                         "77759907d92d4c75ea197110f084b90bc2ef38ff0278b7fc3c0cac44e7d9d826"),
+    "hirschsharp-7-16": (("hirschsharp", "--dim", "7", "--facets", "16"),
+                         "2884330a803e162b4f7fb8efb28317d25216a9f94a8eec02b65bee624ede1478"),
+    "hirschsharp-7-17": (("hirschsharp", "--dim", "7", "--facets", "17"),
+                         "2f0aab313f32986d8f17ff19835951b777feb183c514fb000e2582fe10d36dee"),
     "hirschsharp-7-18": (("hirschsharp", "--dim", "7", "--facets", "18"),
                          "79b79ca3e63478958b6bf1aea308996f957e18afe7cc387b41d2d59d4033a28b"),
     "hirschsharp-4-6": (("hirschsharp", "--dim", "4", "--facets", "6"),

@@ -337,6 +337,31 @@ def test_the_shared_block_is_analysed_once_and_only_read(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_handover_of_hirsch_sharp_sorts_nothing_and_transposes_once(monkeypatch):
+    # (7, 18): three wedges and six truncations after the block's cached
+    # analysis; each step emits its vertices in sorted order and, its rows
+    # being its facets, shares its masks as the facet masks, so the only
+    # transpose of a handover is the one of its columns
+    from polydiam import dd, polyhedron
+
+    constructions._klee_walkup_block()
+    calls = {"_vertex_order": 0, "_transpose": 0, "_handed_over": 0}
+
+    def spy(name, *modules):  # counts the calls through every module that holds the name
+        for module in modules:
+            if hasattr(module, name):
+                def counting(*args, real=getattr(module, name)):
+                    calls[name] += 1
+                    return real(*args)
+                monkeypatch.setattr(module, name, counting)
+
+    spy("_vertex_order", dd, constructions)
+    spy("_transpose", polyhedron, constructions)
+    spy("_handed_over", constructions)
+    hirsch_sharp(7, 18)
+    assert calls == {"_vertex_order": 0, "_transpose": 9, "_handed_over": 9}
+
+
 def test_hirsch_sharp_rejects_out_of_range():
     with pytest.raises(ValueError):
         hirsch_sharp(4, 4)
@@ -429,6 +454,8 @@ def _assert_hands_over_its_double_description(inc):
         assert got.v.labels == want.v.labels, case
         assert got.columns == want.columns, case
         assert got.masks == want.masks, case
+        assert got.facets == want.facets, case
+        assert got.facet_masks == want.facet_masks, case
         count += 1
     return count
 

@@ -76,9 +76,14 @@ def test_fraction_arithmetic_exact(p, q, r, s):
 
 
 def test_nullspace_orthogonal():
-    rows = [[1, 2, 3], [0, 1, 1]]
-    for v in nullspace(rows):
-        assert all(dot(r, v) == 0 for r in rows)
+    # a rank-2 and a rank-1 matrix, the latter with three free columns;
+    # each basis vector is primitive `int`s
+    for rows, free in (([[1, 2, 3], [0, 1, 1]], 1), ([[2, 4, -6, Fraction(8, 3)]], 3)):
+        basis = nullspace(rows)
+        assert len(basis) == free
+        for v in basis:
+            assert all(dot(r, v) == 0 for r in rows)
+            assert all(type(x) is int for x in v) and primitive(v) == v
 
 
 def test_primitive():
@@ -125,4 +130,5 @@ def test_echelon_is_the_reference_rref(rows):
 
 @given(matrices.filter(bool))
 def test_nullspace_is_read_off_the_reference_rref(rows):
-    assert nullspace(rows) == rref_nullspace(rows)
+    # the reference basis in its unique primitive integer scaling
+    assert nullspace(rows) == [primitive_ints(v) for v in rref_nullspace(rows)]
